@@ -21,6 +21,7 @@ checked exactly and against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.special import log_softmax, softmax
@@ -34,6 +35,7 @@ __all__ = [
     "mean_centered_advantages",
     "apply_prefix_mask",
     "unmasked_token_count",
+    "masked_loss_kernel",
     "masked_grpo_loss",
     "loss_gradient",
 ]
@@ -43,7 +45,7 @@ def _check_binary_rewards(rewards) -> np.ndarray:
     arr = np.asarray(rewards)
     if arr.ndim != 1:
         raise DomainError("rewards must be a flat sequence")
-    if not np.all(np.isin(arr, (0, 1))):
+    if not np.all((arr == 0) | (arr == 1)):
         raise DomainError(f"rewards must be binary, got {list(rewards)!r}")
     return arr.astype(float)
 
@@ -168,6 +170,40 @@ def _scale(value, n_trajectories: int, n_unmasked: int,
     return value
 
 
+def masked_loss_kernel(
+    token_ids: np.ndarray,
+    lengths,
+    boundaries,
+    advantages: np.ndarray,
+    log_probs: np.ndarray,
+    *,
+    length_normalized: bool = False,
+    group_reduction: str = "sum",
+) -> float:
+    """Masked surrogate of one group, given as arrays.
+
+    token_ids holds the group's trajectories back to back; lengths,
+    boundaries and advantages hold one entry per trajectory, in the same
+    order; log_probs is the policy's (contexts x vocabulary) log-softmax
+    table. Inputs are trusted: masked_grpo_loss validates them.
+    """
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    positions = np.arange(token_ids.size) - np.repeat(starts, lengths)
+    keep = positions >= np.repeat(boundaries, lengths)
+    contexts = np.minimum(positions, log_probs.shape[0] - 1)
+    terms = (np.repeat(advantages, lengths) * log_probs[contexts, token_ids])[keep]
+    # The traces are byte-stable, so the sum must round exactly as a plain
+    # loop over trajectories and then tokens does: np.sum adds pairwise and
+    # changes the last bits. np.add.accumulate adds strictly left to right;
+    # the final + 0.0 stands for the loop's 0.0 start, which turns a sum of
+    # negative zeros into +0.0.
+    total = np.add.accumulate(terms)[-1] + 0.0 if terms.size else 0.0
+    return float(
+        _scale(-total, len(lengths), terms.size, length_normalized, group_reduction)
+    )
+
+
 def masked_grpo_loss(
     group_trajectories,
     advantages,
@@ -183,16 +219,17 @@ def masked_grpo_loss(
     length-normalization denominator (the count of unmasked tokens).
     """
     adv = _check_group(group_trajectories, advantages)
-    lp = policy.log_probs()
-    total = 0.0
-    n_unmasked = 0
-    for traj, a in zip(group_trajectories, adv):
-        for t in range(traj.replay_boundary, len(traj)):
-            total += a * lp[policy.context_of(t), traj.token_ids[t]]
-            n_unmasked += 1
-    return float(
-        _scale(-total, len(group_trajectories), n_unmasked,
-               length_normalized, group_reduction)
+    token_ids = np.fromiter(
+        chain.from_iterable(t.token_ids for t in group_trajectories), dtype=np.intp
+    )
+    return masked_loss_kernel(
+        token_ids,
+        [len(t) for t in group_trajectories],
+        [t.replay_boundary for t in group_trajectories],
+        adv,
+        policy.log_probs(),
+        length_normalized=length_normalized,
+        group_reduction=group_reduction,
     )
 
 

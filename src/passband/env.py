@@ -120,9 +120,29 @@ def _task_uid(task_id: str) -> int:
     return zlib.crc32(task_id.encode("utf-8"))
 
 
-def _rollout_rng(base: tuple[int, ...], purpose: int, task_id: str, index: int):
-    entropy = base + (purpose, _task_uid(task_id), index)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+def _uint32_words(entries) -> list[int]:
+    """Split non-negative ints into 32-bit little-endian words, as
+    SeedSequence does with a tuple of ints (0 is one zero word)."""
+    words = []
+    for value in entries:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    return words
+
+
+def _rollout_rngs(base: tuple[int, ...], purpose: int, task_id: str, n: int):
+    """One generator per rollout index, seeded by (base, purpose, task, index).
+
+    The entropy goes to SeedSequence as a uint32 word array, which gives the
+    same stream as the tuple of ints without numpy's per-int coercion.
+    """
+    head = _uint32_words(base + (purpose, _task_uid(task_id)))
+    for index in range(n):
+        entropy = np.array(head + _uint32_words((index,)), dtype=np.uint32)
+        yield np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _draw_trajectory(rng, task: SyntheticTask, p: float,
@@ -131,7 +151,7 @@ def _draw_trajectory(rng, task: SyntheticTask, p: float,
     length = int(rng.integers(lo, hi + 1))
     success = int(rng.random() < p)
     fresh = rng.integers(0, _STEP_ID_BOUND, size=length)
-    steps = prefix_steps + tuple(int(x) for x in fresh)
+    steps = prefix_steps + tuple(fresh.tolist())
     return Trajectory(steps=steps, success=success,
                       replay_boundary=len(prefix_steps))
 
@@ -143,10 +163,8 @@ def sample_fresh_group(task: SyntheticTask, n: int, rng_seed) -> GroupSample:
     base = _seed_base(rng_seed)
     p0 = task.fresh_pass_probability
     trajectories = tuple(
-        _draw_trajectory(
-            _rollout_rng(base, _PURPOSE_FRESH, task.task_id, i), task, p0, ()
-        )
-        for i in range(n)
+        _draw_trajectory(rng, task, p0, ())
+        for rng in _rollout_rngs(base, _PURPOSE_FRESH, task.task_id, n)
     )
     group = RolloutGroup(
         task_id=task.task_id,
@@ -187,11 +205,8 @@ def sample_rerollout_group(
     p = conditioned_pass_probability(task, prefix.outcome, m / prefix.length)
     replayed = prefix.steps[:m]
     trajectories = tuple(
-        _draw_trajectory(
-            _rollout_rng(base, _PURPOSE_REROLLOUT, task.task_id, i),
-            task, p, replayed,
-        )
-        for i in range(n)
+        _draw_trajectory(rng, task, p, replayed)
+        for rng in _rollout_rngs(base, _PURPOSE_REROLLOUT, task.task_id, n)
     )
     group = RolloutGroup(
         task_id=task.task_id,

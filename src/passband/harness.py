@@ -23,12 +23,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import env as env_mod
-from .advantages import TokenTrajectory, ToyPolicy, masked_grpo_loss, rloo_advantages
+# The run loop calls the loss kernel directly; masked_grpo_loss, its
+# object-level form, stays importable from here for code that looks the
+# audit loss up on this module.
+from .advantages import (  # noqa: F401
+    ToyPolicy,
+    masked_grpo_loss,
+    masked_loss_kernel,
+    rloo_advantages,
+)
 from .config import Arm, ExperimentConfig, arm_controller_params, config_to_flat_dict
 from .controller import (
     BucketControllerState,
@@ -245,12 +254,7 @@ def _audit_policy(seed: int) -> ToyPolicy:
     return ToyPolicy(rng.normal(size=(_AUDIT_CONTEXTS, _AUDIT_VOCAB)))
 
 
-def _token_trajectory(trajectory: env_mod.Trajectory) -> TokenTrajectory:
-    tokens = tuple(s % _AUDIT_VOCAB for s in trajectory.steps)
-    return TokenTrajectory(tokens, trajectory.replay_boundary)
-
-
-def _audit_loss(samples, policy: ToyPolicy, config: ExperimentConfig) -> float:
+def _audit_loss(samples, log_probs: np.ndarray, config: ExperimentConfig) -> float:
     """Masked surrogate summed over the mixed batch (audit only)."""
     total = 0.0
     for sample in samples:
@@ -258,14 +262,19 @@ def _audit_loss(samples, policy: ToyPolicy, config: ExperimentConfig) -> float:
         k = pass_count(group)
         if k == 0 or k == group.group_size:
             continue
-        trajectories = [
-            _token_trajectory(sample.trajectories[ref])
-            for ref in group.trajectory_refs
-        ]
-        total += masked_grpo_loss(
-            trajectories,
+        trajectories = [sample.trajectories[ref] for ref in group.trajectory_refs]
+        lengths = [t.length for t in trajectories]
+        steps = np.fromiter(
+            chain.from_iterable(t.steps for t in trajectories),
+            dtype=np.int64,
+            count=sum(lengths),
+        )
+        total += masked_loss_kernel(
+            steps % _AUDIT_VOCAB,
+            lengths,
+            [t.replay_boundary for t in trajectories],
             rloo_advantages(group.rewards),
-            policy,
+            log_probs,
             length_normalized=config.loss.length_normalized,
             group_reduction=config.loss.group_reduction,
         )
@@ -285,7 +294,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         bucket: initial_controller_state(bucket, params)
         for bucket in controlled_buckets(n)
     }
-    policy = _audit_policy(seed)
+    log_probs = _audit_policy(seed).log_probs()
     pool = PrefixPool()
     metrics: list[StepMetrics] = []
     controller_rows: list[ControllerRow] = []
@@ -313,8 +322,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 pending = pool.drain()
         rerollouts = []
         for j, record in enumerate(pending):
-            if record.length < 2:
-                continue
             state = states[record.source_bucket]
             m = replay_boundary(state.ratio, record.length)
             sample = env_mod.sample_rerollout_group(
@@ -327,7 +334,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             )
             transition_pairs.append((record.source_bucket, child_k))
         samples = fresh + rerollouts
-        loss = _audit_loss(samples, policy, config)
+        loss = _audit_loss(samples, log_probs, config)
         metrics.append(
             compute_step_metrics(
                 [s.group for s in samples],

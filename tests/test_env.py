@@ -1,5 +1,7 @@
 """Synthetic task environment: determinism, distributions, and replay fidelity."""
 
+import zlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,8 @@ from scipy.stats import binom, chisquare
 
 from passband.controller import PrefixOutcome, PrefixRecord, select_prefix
 from passband.env import (
+    _PURPOSE_FRESH,
+    _PURPOSE_REROLLOUT,
     PopulationSpec,
     SyntheticTask,
     conditioned_pass_probability,
@@ -198,6 +202,51 @@ class TestRerolloutSampling:
         want = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, 0.5)
         se = np.sqrt(want * (1 - want) / total)
         assert abs(rate - want) < 4 * se
+
+
+class TestRolloutSeeding:
+    """Each rollout's stream is numpy's for a tuple of seed entries, however
+    the entropy is handed to SeedSequence; entries of 2**32 and above span
+    several 32-bit words."""
+
+    SEED_ENTRIES = (0, 2**32 - 1, 2**32, 2**64 + 5)
+
+    @staticmethod
+    def reference_draws(seed_tuple, purpose, task, p, n, prefix_steps=()):
+        lo, hi = task.length_range
+        out = []
+        for index in range(n):
+            entropy = seed_tuple + (purpose, zlib.crc32(task.task_id.encode()), index)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy))
+            length = int(rng.integers(lo, hi + 1))
+            success = int(rng.random() < p)
+            fresh = rng.integers(0, 2**62, size=length)
+            out.append((prefix_steps + tuple(int(x) for x in fresh), success))
+        return out
+
+    @pytest.mark.parametrize("entry", SEED_ENTRIES)
+    def test_fresh_matches_tuple_entropy(self, entry):
+        task = make_task(0.5)
+        seed_tuple = (entry, 3, entry)
+        sample = sample_fresh_group(task, 8, rng_seed=seed_tuple)
+        assert [(t.steps, t.success) for t in sample.trajectories] == self.reference_draws(
+            seed_tuple, _PURPOSE_FRESH, task, 0.5, 8
+        )
+
+    @pytest.mark.parametrize("entry", SEED_ENTRIES)
+    def test_rerollout_matches_tuple_entropy(self, entry):
+        task = make_task(0.5)
+        prefix = PrefixRecord(
+            task_id="t0",
+            source_bucket=classify_bucket(1, 8),
+            outcome=PrefixOutcome.SUCCESS,
+            steps=tuple(range(100, 108)),
+        )
+        sample = sample_rerollout_group(task, prefix, 3, 8, rng_seed=entry)
+        p = conditioned_pass_probability(task, prefix.outcome, 3 / 8)
+        assert [(t.steps, t.success) for t in sample.trajectories] == self.reference_draws(
+            (entry,), _PURPOSE_REROLLOUT, task, p, 8, prefix.steps[:3]
+        )
 
 
 class TestSelectThenRerollout:
