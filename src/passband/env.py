@@ -12,15 +12,21 @@ where s >= 0 is the task's prefix sensitivity. A longer successful head
 start raises the pass rate, a longer failing one lowers it, which is the
 response the replay controller relies on.
 
-Sampling is deterministic: every rollout draws from its own generator
-seeded by (caller seed tuple, purpose, task, rollout index), so results
-are independent of scheduling order.
+Sampling is deterministic: every rollout draws from its own random stream,
+keyed by (caller seed tuple, purpose, task, rollout index), so results are
+independent of scheduling order and of how rollouts are batched. The stream
+is the one np.random.default_rng(np.random.SeedSequence(key)) produces,
+computed by passband's own array kernel for many keys at once, so rollouts
+do not depend on the installed numpy's Generator.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import expit, logit
@@ -34,17 +40,19 @@ __all__ = [
     "Trajectory",
     "GroupSample",
     "PopulationSpec",
+    "RolloutDraw",
     "sample_fresh_group",
+    "sample_fresh_groups",
     "conditioned_pass_probability",
     "sample_rerollout_group",
+    "draw_rerollout_groups",
+    "rerollout_group",
     "make_task_population",
 ]
 
 _PURPOSE_POPULATION = 1
 _PURPOSE_FRESH = 2
 _PURPOSE_REROLLOUT = 3
-
-_STEP_ID_BOUND = 2**62
 
 
 @dataclass(frozen=True)
@@ -106,11 +114,27 @@ class GroupSample:
     trajectories: tuple[Trajectory, ...]
 
 
+def _is_seed_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _seed_base(rng_seed) -> tuple[int, ...]:
-    if isinstance(rng_seed, (int, np.integer)):
-        base = (int(rng_seed),)
+    """Seed entries as a tuple of non-negative ints.
+
+    A seed is one int or a non-empty sequence of ints; numpy integers count
+    as ints, bools, floats and strings do not.
+    """
+    if _is_seed_int(rng_seed):
+        entries = (rng_seed,)
+    elif isinstance(rng_seed, Iterable) and not isinstance(rng_seed, (str, bytes)):
+        entries = tuple(rng_seed)
     else:
-        base = tuple(int(x) for x in rng_seed)
+        raise DomainError(f"seed must be an int or a sequence of ints, got {rng_seed!r}")
+    if not entries:
+        raise DomainError("seed must have at least one entry")
+    if not all(_is_seed_int(x) for x in entries):
+        raise DomainError(f"seed entries must be ints, got {rng_seed!r}")
+    base = tuple(int(x) for x in entries)
     if any(x < 0 for x in base):
         raise DomainError(f"seed entries must be >= 0, got {rng_seed!r}")
     return base
@@ -133,45 +157,297 @@ def _uint32_words(entries) -> list[int]:
     return words
 
 
-def _rollout_rngs(base: tuple[int, ...], purpose: int, task_id: str, n: int):
-    """One generator per rollout index, seeded by (base, purpose, task, index).
+# The rollout kernel below computes, for many seeds at once, the stream of
+# np.random.default_rng(np.random.SeedSequence(words)): SeedSequence's
+# entropy mixing and generate_state(4, uint64), PCG64 seeding, and PCG64's
+# XSL-RR outputs, in uint32/uint64 array arithmetic. Constants and the order
+# of operations are numpy's (bit_generator.pyx, pcg64.h).
+_U32 = np.uint32
+_U64 = np.uint64
+_MASK32 = _U64(0xFFFFFFFF)
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = _U32(0xCA01F9DD)
+_MIX_MULT_R = _U32(0x4973F715)
+_POOL_SIZE = 4
+_OTHER_POOL_WORDS = tuple(
+    np.array([d for d in range(_POOL_SIZE) if d != src]) for src in range(_POOL_SIZE)
+)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+# Rough upper bound on the 64-bit outputs one kernel call computes, which
+# bounds the size of its temporary arrays.
+_CHUNK_WORDS = 16384
 
-    The entropy goes to SeedSequence as a uint32 word array, which gives the
-    same stream as the tuple of ints without numpy's per-int coercion.
+
+def _hash_powers(init: int, mult: int, count: int) -> np.ndarray:
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    powers = np.array(out, dtype=_U32)
+    powers.flags.writeable = False
+    return powers
+
+
+@functools.lru_cache(maxsize=8)
+def _entropy_constants(width: int) -> np.ndarray:
+    """SeedSequence's hash constants for mixing `width` entropy words."""
+    calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, width - _POOL_SIZE)
+    return _hash_powers(_INIT_A, _MULT_A, calls + 1)
+
+
+# generate_state's hash constants for 8 uint32 words.
+_STATE_CONSTANTS = _hash_powers(_INIT_B, _MULT_B, 9)
+
+
+@functools.lru_cache(maxsize=8)
+def _jump_tables(size: int) -> np.ndarray:
+    """Jump-ahead coefficients of PCG64 outputs 0 .. size-1, shape (4, 2, size).
+
+    Seeding leaves the state at M y + inc, where y = seed + inc, and output k
+    is taken after k + 1 more steps, from A y + G inc with A = M^(k+2) and
+    G = 1 + M + ... + M^(k+1), all mod 2**128. The first axis holds the hi
+    and lo 64-bit halves and the lo half's low and high 32 bits; the second
+    axis is A, G.
     """
-    head = _uint32_words(base + (purpose, _task_uid(task_id)))
-    for index in range(n):
-        entropy = np.array(head + _uint32_words((index,)), dtype=np.uint32)
-        yield np.random.default_rng(np.random.SeedSequence(entropy))
+    a = _PCG_MULT * _PCG_MULT & _MASK128
+    g = _PCG_MULT + 1
+    rows = []
+    for _ in range(size):
+        rows.append([
+            [x >> 64, x & 0xFFFFFFFFFFFFFFFF, x & 0xFFFFFFFF, (x >> 32) & 0xFFFFFFFF]
+            for x in (a, g)
+        ])
+        a = a * _PCG_MULT & _MASK128
+        g = (g * _PCG_MULT + 1) & _MASK128
+    table = np.array(rows, dtype=_U64).transpose(2, 1, 0).copy()
+    table.flags.writeable = False
+    return table
 
 
-def _draw_trajectory(rng, task: SyntheticTask, p: float,
-                     prefix_steps: tuple[int, ...]) -> Trajectory:
-    lo, hi = task.length_range
-    length = int(rng.integers(lo, hi + 1))
-    success = int(rng.random() < p)
-    fresh = rng.integers(0, _STEP_ID_BOUND, size=length)
-    steps = prefix_steps + tuple(fresh.tolist())
-    return Trajectory(steps=steps, success=success,
-                      replay_boundary=len(prefix_steps))
+def _hashmix(value, const, next_const):
+    value = (value ^ const) * next_const
+    return value ^ (value >> _U32(16))
 
 
-def sample_fresh_group(task: SyntheticTask, n: int, rng_seed) -> GroupSample:
-    """Sample n independent fresh rollouts of a task."""
-    if n < 2:
-        raise DomainError(f"group size must be >= 2, got {n}")
-    base = _seed_base(rng_seed)
-    p0 = task.fresh_pass_probability
+def _mix(x, y):
+    value = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return value ^ (value >> _U32(16))
+
+
+def _pcg_streams(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The PCG64 stream each row of uint32 entropy words seeds, as the hi
+    and lo 64-bit halves of (y, inc), each shape (2, rows); y = seed + inc
+    (see _jump_tables)."""
+    rows, width = words.shape
+    h = _entropy_constants(width)
+    pool = np.zeros((rows, _POOL_SIZE), dtype=_U32)
+    head = min(width, _POOL_SIZE)
+    pool[:, :head] = words[:, :head]
+    pool = _hashmix(pool, h[:_POOL_SIZE], h[1:_POOL_SIZE + 1])
+    t = _POOL_SIZE
+    for src, dst in enumerate(_OTHER_POOL_WORDS):
+        # For one source word, its three hashes go to the other pool words in
+        # ascending order; the source itself is not changed meanwhile.
+        hashed = _hashmix(pool[:, src:src + 1], h[t:t + 3], h[t + 1:t + 4])
+        pool[:, dst] = _mix(pool[:, dst], hashed)
+        t += 3
+    extra = width - _POOL_SIZE
+    if extra > 0:
+        consts = h[t:t + _POOL_SIZE * extra].reshape(extra, _POOL_SIZE)
+        nexts = h[t + 1:t + 1 + _POOL_SIZE * extra].reshape(extra, _POOL_SIZE)
+        hashed = _hashmix(words[:, _POOL_SIZE:, None], consts, nexts)
+        for j in range(extra):
+            pool = _mix(pool, hashed[:, j])
+    hb = _STATE_CONSTANTS
+    state = _hashmix(np.concatenate([pool, pool], axis=1), hb[:8], hb[1:]).astype(_U64)
+    # generate_state(4, uint64): seed hi, seed lo, sequence hi, sequence lo.
+    v = state[:, 0::2] | (state[:, 1::2] << _U64(32))
+    hi = np.empty((2, rows), dtype=_U64)
+    lo = np.empty((2, rows), dtype=_U64)
+    # inc = (sequence << 1) | 1, y = seed + inc
+    hi[1] = (v[:, 2] << _U64(1)) | (v[:, 3] >> _U64(63))
+    lo[1] = (v[:, 3] << _U64(1)) | _U64(1)
+    lo[0] = v[:, 1] + lo[1]
+    hi[0] = v[:, 0] + hi[1] + (lo[0] < lo[1])
+    return hi, lo
+
+
+def _mul128(a_hi, a_lo, a0, a1, b_hi, b_lo):
+    """(a * b) mod 2**128 as (hi, lo) uint64; a0, a1 are a_lo's 32-bit halves."""
+    b0 = b_lo & _MASK32
+    b1 = b_lo >> _U64(32)
+    p00 = a0 * b0
+    p01 = a0 * b1
+    p10 = a1 * b0
+    mid = (p00 >> _U64(32)) + (p01 & _MASK32) + (p10 & _MASK32)
+    hi = (
+        a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+        + a_lo * b_hi + a_hi * b_lo
+    )
+    return hi, a_lo * b_lo
+
+
+def _pcg_outputs(streams, first: int, count: int) -> np.ndarray:
+    """Raw 64-bit outputs first .. first+count-1 of every stream, shape
+    (streams, count)."""
+    y_hi, y_lo = (s[:, :, None] for s in streams)
+    size = max(64, 1 << (first + count - 1).bit_length())
+    a_hi, a_lo, a0, a1 = _jump_tables(size)[:, :, None, first:first + count]
+    # One product per axis-0 entry: A y and G inc.
+    m_hi, m_lo = _mul128(a_hi, a_lo, a0, a1, y_hi, y_lo)
+    lo = m_lo[0] + m_lo[1]
+    hi = m_hi[0] + m_hi[1] + (lo < m_lo[1])
+    # XSL-RR: xor the halves, rotate right by the top 6 bits of the state.
+    value = hi ^ lo
+    rot = hi >> _U64(58)
+    return (value >> rot) | (value << ((_U64(64) - rot) & _U64(63)))
+
+
+def _draw_lengths(streams, block: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Each stream's integers(lo, hi + 1) draw: (lengths, 64-bit words used).
+
+    block holds the streams' first outputs; later ones are computed if
+    rejections run past it. numpy draws ranges below 2**32 with the 32-bit
+    Lemire method, taking the 32-bit halves of 64-bit outputs low half
+    first; a single-value range returns lo and uses no word.
+    """
+    lengths = lo.copy()
+    used = np.zeros(lo.shape, dtype=np.int64)
+    span = (hi - lo + 1).astype(_U64)
+    threshold = (_U64(1 << 32) - span) % span
+    pending = np.flatnonzero(span > _U64(1))
+    draw = 0
+    while pending.size:
+        col = draw // 2
+        if draw % 2 == 1:
+            half = word >> _U64(32)
+        else:
+            if col >= block.shape[1]:
+                block = _pcg_outputs(streams, 0, col + 1)
+            word = block[pending, col]
+            half = word & _MASK32
+        scaled = half * span[pending]
+        ok = (scaled & _MASK32) >= threshold[pending]
+        done = pending[ok]
+        lengths[done] += (scaled[ok] >> _U64(32)).astype(np.int64)
+        used[done] = col + 1
+        pending = pending[~ok]
+        word = word[~ok]
+        draw += 1
+    return lengths, used
+
+
+def _rollout_draws(words: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Draw every row's rollout from the stream its entropy words seed.
+
+    A row draws, exactly as numpy's Generator would, its length with
+    integers(lo, hi + 1), a uniform with random() and its step ids with
+    integers(0, 2**62, size=length). Returns (lengths, uniforms, step ids
+    of all rows concatenated in row order).
+    """
+    streams = _pcg_streams(words)
+    # Without rejections the length draw uses at most one word.
+    block = _pcg_outputs(streams, 0, int(hi.max()) + 2)
+    lengths, used = _draw_lengths(streams, block, lo, hi)
+    need = int((used + lengths).max()) + 1
+    if need > block.shape[1]:
+        block = _pcg_outputs(streams, 0, need)
+    rows = np.arange(len(words))
+    uniforms = (block[rows, used] >> _U64(11)) * 2.0**-53
+    k = np.arange(block.shape[1])
+    steps = block[(k > used[:, None]) & (k <= (used + lengths)[:, None])] >> _U64(2)
+    return lengths, uniforms, steps.astype(np.int64)
+
+
+@dataclass(frozen=True)
+class RolloutDraw:
+    """The random part of one group: each rollout's freshly drawn step ids
+    and the uniform that decides its outcome (success iff uniform < p)."""
+
+    tails: tuple[tuple[int, ...], ...]
+    uniforms: tuple[float, ...]
+
+
+def _draw_groups(
+    tasks: Sequence[SyntheticTask], n: int, purpose: int, rng_seeds: Sequence
+) -> list[RolloutDraw]:
+    """One RolloutDraw per (task, seed): rollout i of a group draws from the
+    stream of SeedSequence(seed entries + (purpose, crc32(task id), i))."""
+    heads = [
+        _uint32_words(_seed_base(seed) + (purpose, _task_uid(task.task_id)))
+        for task, seed in zip(tasks, rng_seeds, strict=True)
+    ]
+    draws: list[RolloutDraw | None] = [None] * len(heads)
+    by_width: dict[int, list[int]] = {}
+    for g, head in enumerate(heads):
+        by_width.setdefault(len(head), []).append(g)
+    longest = max((task.length_range[1] for task in tasks), default=0)
+    per_chunk = max(1, _CHUNK_WORDS // (n * (longest + 2)))
+    for width, members in by_width.items():
+        for start in range(0, len(members), per_chunk):
+            chunk = members[start:start + per_chunk]
+            words = np.empty((len(chunk), n, width + 1), dtype=_U32)
+            words[:, :, :width] = np.array([heads[g] for g in chunk], dtype=_U32)[:, None]
+            # A rollout index below 2**32 is one word.
+            words[:, :, width] = np.arange(n, dtype=_U32)
+            lo, hi = np.repeat([tasks[g].length_range for g in chunk], n, axis=0).T
+            lengths, uniforms, steps = _rollout_draws(words.reshape(-1, width + 1), lo, hi)
+            steps = steps.tolist()
+            uniforms = uniforms.tolist()
+            offsets = list(accumulate(lengths.tolist(), initial=0))
+            for i, g in enumerate(chunk):
+                rows = range(i * n, (i + 1) * n)
+                draws[g] = RolloutDraw(
+                    tails=tuple(tuple(steps[offsets[r]:offsets[r + 1]]) for r in rows),
+                    uniforms=tuple(uniforms[i * n:(i + 1) * n]),
+                )
+    return draws
+
+
+def _group_sample(
+    task: SyntheticTask,
+    p: float,
+    prefix_steps: tuple[int, ...],
+    draw: RolloutDraw,
+    parent_bucket=None,
+) -> GroupSample:
+    boundary = len(prefix_steps)
     trajectories = tuple(
-        _draw_trajectory(rng, task, p0, ())
-        for rng in _rollout_rngs(base, _PURPOSE_FRESH, task.task_id, n)
+        Trajectory(steps=prefix_steps + tail, success=int(u < p), replay_boundary=boundary)
+        for tail, u in zip(draw.tails, draw.uniforms)
     )
     group = RolloutGroup(
         task_id=task.task_id,
         rewards=tuple(t.success for t in trajectories),
-        origin=GroupOrigin.FRESH,
+        origin=GroupOrigin.FRESH if parent_bucket is None else GroupOrigin.REROLLOUT,
+        parent_bucket=parent_bucket,
     )
     return GroupSample(group=group, trajectories=trajectories)
+
+
+def _check_group_size(n: int) -> None:
+    if n < 2:
+        raise DomainError(f"group size must be >= 2, got {n}")
+
+
+def sample_fresh_groups(
+    tasks: Sequence[SyntheticTask], n: int, rng_seeds: Sequence
+) -> list[GroupSample]:
+    """sample_fresh_group for each (task, seed) pair, drawn in batches."""
+    _check_group_size(n)
+    draws = _draw_groups(tasks, n, _PURPOSE_FRESH, rng_seeds)
+    return [
+        _group_sample(task, task.fresh_pass_probability, (), draw)
+        for task, draw in zip(tasks, draws)
+    ]
+
+
+def sample_fresh_group(task: SyntheticTask, n: int, rng_seed) -> GroupSample:
+    """Sample n independent fresh rollouts of a task."""
+    return sample_fresh_groups([task], n, [rng_seed])[0]
 
 
 def conditioned_pass_probability(
@@ -186,6 +462,32 @@ def conditioned_pass_probability(
     return float(expit(task.base_logit - shift))
 
 
+def draw_rerollout_groups(
+    tasks: Sequence[SyntheticTask], n: int, rng_seeds: Sequence
+) -> list[RolloutDraw]:
+    """The random part of sample_rerollout_group for each (task, seed) pair.
+
+    It does not depend on the replay boundary, so a whole step's rerollouts
+    can be drawn before their boundaries are known; rerollout_group then
+    completes each one.
+    """
+    _check_group_size(n)
+    return _draw_groups(tasks, n, _PURPOSE_REROLLOUT, rng_seeds)
+
+
+def rerollout_group(
+    task: SyntheticTask, prefix: PrefixRecord, m: int, draw: RolloutDraw
+) -> GroupSample:
+    """Replay the prefix's first m steps ahead of each drawn continuation and
+    decide each outcome at the conditioned pass probability for m / len(prefix)."""
+    if not 1 <= m < prefix.length:
+        raise ContractError(
+            f"replay boundary m must satisfy 1 <= m < {prefix.length}, got {m}"
+        )
+    p = conditioned_pass_probability(task, prefix.outcome, m / prefix.length)
+    return _group_sample(task, p, prefix.steps[:m], draw, prefix.source_bucket)
+
+
 def sample_rerollout_group(
     task: SyntheticTask, prefix: PrefixRecord, m: int, n: int, rng_seed
 ) -> GroupSample:
@@ -195,26 +497,8 @@ def sample_rerollout_group(
     own length from the task's range and an independent outcome at the
     conditioned pass probability for share m / len(prefix).
     """
-    if n < 2:
-        raise DomainError(f"group size must be >= 2, got {n}")
-    if not 1 <= m < prefix.length:
-        raise ContractError(
-            f"replay boundary m must satisfy 1 <= m < {prefix.length}, got {m}"
-        )
-    base = _seed_base(rng_seed)
-    p = conditioned_pass_probability(task, prefix.outcome, m / prefix.length)
-    replayed = prefix.steps[:m]
-    trajectories = tuple(
-        _draw_trajectory(rng, task, p, replayed)
-        for rng in _rollout_rngs(base, _PURPOSE_REROLLOUT, task.task_id, n)
-    )
-    group = RolloutGroup(
-        task_id=task.task_id,
-        rewards=tuple(t.success for t in trajectories),
-        origin=GroupOrigin.REROLLOUT,
-        parent_bucket=prefix.source_bucket,
-    )
-    return GroupSample(group=group, trajectories=trajectories)
+    draw = draw_rerollout_groups([task], n, [rng_seed])[0]
+    return rerollout_group(task, prefix, m, draw)
 
 
 @dataclass(frozen=True)

@@ -306,10 +306,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             np.random.SeedSequence((seed, _TASK_STREAM, step))
         )
         picks = task_rng.integers(0, len(population), size=config.batch_size)
-        fresh = [
-            env_mod.sample_fresh_group(population[i], n, (seed, step, slot))
-            for slot, i in enumerate(picks)
-        ]
+        fresh = env_mod.sample_fresh_groups(
+            [population[i] for i in picks],
+            n,
+            [(seed, step, slot) for slot in range(len(picks))],
+        )
         pending = [] if config.same_step_rerollout else pool.drain()
         if replay_enabled:
             for sample in fresh:
@@ -320,13 +321,17 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                     pool.save(select_prefix(sample.group, sample.trajectories))
             if config.same_step_rerollout:
                 pending = pool.drain()
+        # The random draws do not depend on the replay boundary, so they are
+        # made for the whole step before the controllers move.
+        pending_tasks = [task_by_id[record.task_id] for record in pending]
+        draws = env_mod.draw_rerollout_groups(
+            pending_tasks, n, [(seed, step, j) for j in range(len(pending))]
+        )
         rerollouts = []
-        for j, record in enumerate(pending):
+        for record, task, draw in zip(pending, pending_tasks, draws):
             state = states[record.source_bucket]
             m = replay_boundary(state.ratio, record.length)
-            sample = env_mod.sample_rerollout_group(
-                task_by_id[record.task_id], record, m, n, (seed, step, j)
-            )
+            sample = env_mod.rerollout_group(task, record, m, draw)
             rerollouts.append(sample)
             child_k = pass_count(sample.group)
             states[record.source_bucket] = update_controller(

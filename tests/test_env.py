@@ -4,6 +4,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit, logit
 from scipy.stats import binom, chisquare
@@ -14,9 +16,17 @@ from passband.env import (
     _PURPOSE_REROLLOUT,
     PopulationSpec,
     SyntheticTask,
+    _draw_lengths,
+    _pcg_outputs,
+    _pcg_streams,
+    _rollout_draws,
+    _uint32_words,
     conditioned_pass_probability,
+    draw_rerollout_groups,
     make_task_population,
+    rerollout_group,
     sample_fresh_group,
+    sample_fresh_groups,
     sample_rerollout_group,
 )
 from passband.errors import ContractError, DomainError
@@ -246,6 +256,117 @@ class TestRolloutSeeding:
         p = conditioned_pass_probability(task, prefix.outcome, 3 / 8)
         assert [(t.steps, t.success) for t in sample.trajectories] == self.reference_draws(
             (entry,), _PURPOSE_REROLLOUT, task, p, 8, prefix.steps[:3]
+        )
+
+
+class TestRolloutKernel:
+    """The array kernel against numpy's Generator seeded the same way."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        head=st.lists(st.integers(0, 2**70), min_size=1, max_size=6),
+        ranges=st.lists(
+            st.tuples(st.integers(0, 40), st.one_of(st.just(0), st.integers(0, 40))),
+            min_size=1,
+            max_size=9,
+        ),
+    )
+    def test_matches_numpy_stream(self, head, ranges):
+        # Row i is seeded by head + (i,); widths run from 2 words (below
+        # SeedSequence's pool of 4) to 19 (past it), and lo == hi occurs.
+        words = np.array(
+            [_uint32_words(head + [i]) for i in range(len(ranges))], dtype=np.uint32
+        )
+        lo = np.array([a for a, _ in ranges])
+        hi = lo + np.array([b for _, b in ranges])
+        lengths, uniforms, steps = _rollout_draws(words, lo, hi)
+        offset = 0
+        for i in range(len(ranges)):
+            rng = np.random.default_rng(np.random.SeedSequence(tuple(head) + (i,)))
+            length = int(rng.integers(lo[i], hi[i] + 1))
+            assert lengths[i] == length
+            assert uniforms[i] == rng.random()
+            want = rng.integers(0, 2**62, size=length).tolist()
+            assert steps[offset:offset + length].tolist() == want
+            offset += length
+        assert offset == len(steps)
+
+    def test_length_draw_rejection(self):
+        # For a range of 3 * 2**30 values the 32-bit Lemire draw rejects a
+        # quarter of its 32-bit draws (those that are 0 mod 4), so some rows
+        # here need two or more 64-bit words for their length. At real
+        # length ranges this happens about 4 times in 2**32 draws.
+        span = 3 * 2**30
+        keys = [(2024, i) for i in range(200)]
+        words = np.array([_uint32_words(k) for k in keys], dtype=np.uint32)
+        streams = _pcg_streams(words)
+        lo = np.zeros(len(keys), dtype=np.int64)
+        lengths, used = _draw_lengths(streams, _pcg_outputs(streams, 0, 1), lo, lo + span - 1)
+        assert (used >= 2).sum() >= 5
+        block = _pcg_outputs(streams, 0, int(used.max()) + 1)
+        for i, key in enumerate(keys):
+            rng = np.random.default_rng(np.random.SeedSequence(key))
+            assert lengths[i] == rng.integers(0, span)
+            assert (block[i, used[i]] >> np.uint64(11)) * 2.0**-53 == rng.random()
+
+    def test_batches_match_numpy_per_group(self):
+        # Enough long rollouts for several kernel chunks, and seeds of one
+        # and of three words in one batch.
+        tasks = [make_task(0.3, lengths=(100, 300), task_id=f"t{i}") for i in range(20)]
+        seeds = [(i,) if i % 3 else (2**40 + i, 1) for i in range(20)]
+        samples = sample_fresh_groups(tasks, 8, seeds)
+        for task, seed, sample in zip(tasks, seeds, samples):
+            assert [
+                (t.steps, t.success) for t in sample.trajectories
+            ] == TestRolloutSeeding.reference_draws(
+                seed, _PURPOSE_FRESH, task, task.fresh_pass_probability, 8
+            )
+
+    def test_rerollout_draws_complete_like_the_sampler(self):
+        task = make_task(0.4)
+        prefix = PrefixRecord(
+            task_id="t0",
+            source_bucket=classify_bucket(1, 8),
+            outcome=PrefixOutcome.SUCCESS,
+            steps=tuple(range(100, 110)),
+        )
+        draws = draw_rerollout_groups([task] * 3, 8, [(5, j) for j in range(3)])
+        for j, (m, draw) in enumerate(zip((1, 5, 9), draws)):
+            got = rerollout_group(task, prefix, m, draw)
+            want = sample_rerollout_group(task, prefix, m, 8, rng_seed=(5, j))
+            assert got == want
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            "12",
+            b"12",
+            1.5,
+            np.float64(3.0),
+            True,
+            None,
+            (),
+            [],
+            (1, 2.7),
+            (1, True),
+            (1, "2"),
+            -1,
+            (3, -1),
+        ],
+    )
+    def test_bad_seed_is_a_domain_error(self, seed):
+        with pytest.raises(DomainError):
+            sample_fresh_group(make_task(), 8, rng_seed=seed)
+
+    def test_numpy_integers_are_ints(self):
+        task = make_task()
+        want = sample_fresh_group(task, 8, rng_seed=(7, 3))
+        assert sample_fresh_group(task, 8, rng_seed=(np.uint32(7), np.int64(3))) == want
+        assert sample_fresh_group(task, 8, rng_seed=np.array([7, 3])) == want
+        assert sample_fresh_group(task, 8, rng_seed=np.int64(7)) == sample_fresh_group(
+            task, 8, rng_seed=7
         )
 
 

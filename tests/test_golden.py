@@ -15,8 +15,11 @@ the sha256 of every byte-stable trace file for six configs:
 * a population whose length range is a single value, where the length draw
   consumes no random word.
 
-A change to numpy's random stream, or to the arithmetic order of the audit
-loss, fails them on purpose: such a change alters the traces, so it must
+Rollout streams are computed by passband's own array kernel, which
+reproduces numpy's SeedSequence -> PCG64 stream word for word; task picks,
+the population and the audit policy still come from numpy's Generator.
+A change to either stream, or to the arithmetic order of the audit loss,
+fails these tests on purpose: such a change alters the traces, so it must
 be deliberate, update the digests here and be recorded in CHANGES.md.
 """
 
