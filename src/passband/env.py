@@ -27,6 +27,7 @@ import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, logit
@@ -193,9 +194,8 @@ def _hash_powers(init: int, mult: int, count: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _entropy_constants(width: int) -> np.ndarray:
-    """SeedSequence's hash constants for mixing `width` entropy words."""
-    calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, width - _POOL_SIZE)
-    return _hash_powers(_INIT_A, _MULT_A, calls + 1)
+    """SeedSequence's hash constants for mixing `width` >= 4 entropy words."""
+    return _hash_powers(_INIT_A, _MULT_A, _POOL_SIZE * width + 1)
 
 
 # generate_state's hash constants for 8 uint32 words.
@@ -238,15 +238,12 @@ def _mix(x, y):
 
 
 def _pcg_streams(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The PCG64 stream each row of uint32 entropy words seeds, as the hi
-    and lo 64-bit halves of (y, inc), each shape (2, rows); y = seed + inc
-    (see _jump_tables)."""
+    """The PCG64 stream each row of at least 4 uint32 entropy words seeds,
+    as the hi and lo 64-bit halves of (y, inc), each shape (2, rows);
+    y = seed + inc (see _jump_tables)."""
     rows, width = words.shape
     h = _entropy_constants(width)
-    pool = np.zeros((rows, _POOL_SIZE), dtype=_U32)
-    head = min(width, _POOL_SIZE)
-    pool[:, :head] = words[:, :head]
-    pool = _hashmix(pool, h[:_POOL_SIZE], h[1:_POOL_SIZE + 1])
+    pool = _hashmix(words[:, :_POOL_SIZE], h[:_POOL_SIZE], h[1:_POOL_SIZE + 1])
     t = _POOL_SIZE
     for src, dst in enumerate(_OTHER_POOL_WORDS):
         # For one source word, its three hashes go to the other pool words in
@@ -254,13 +251,13 @@ def _pcg_streams(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hashed = _hashmix(pool[:, src:src + 1], h[t:t + 3], h[t + 1:t + 4])
         pool[:, dst] = _mix(pool[:, dst], hashed)
         t += 3
+    # Each further entropy word is hashed once per pool word and mixed in.
     extra = width - _POOL_SIZE
-    if extra > 0:
-        consts = h[t:t + _POOL_SIZE * extra].reshape(extra, _POOL_SIZE)
-        nexts = h[t + 1:t + 1 + _POOL_SIZE * extra].reshape(extra, _POOL_SIZE)
-        hashed = _hashmix(words[:, _POOL_SIZE:, None], consts, nexts)
-        for j in range(extra):
-            pool = _mix(pool, hashed[:, j])
+    consts = h[t:-1].reshape(extra, _POOL_SIZE)
+    nexts = h[t + 1:].reshape(extra, _POOL_SIZE)
+    hashed = _hashmix(words[:, _POOL_SIZE:, None], consts, nexts)
+    for j in range(extra):
+        pool = _mix(pool, hashed[:, j])
     hb = _STATE_CONSTANTS
     state = _hashmix(np.concatenate([pool, pool], axis=1), hb[:8], hb[1:]).astype(_U64)
     # generate_state(4, uint64): seed hi, seed lo, sequence hi, sequence lo.
@@ -294,6 +291,7 @@ def _pcg_outputs(streams, first: int, count: int) -> np.ndarray:
     """Raw 64-bit outputs first .. first+count-1 of every stream, shape
     (streams, count)."""
     y_hi, y_lo = (s[:, :, None] for s in streams)
+    # Table sizes are powers of two, so that few of them are cached.
     size = max(64, 1 << (first + count - 1).bit_length())
     a_hi, a_lo, a0, a1 = _jump_tables(size)[:, :, None, first:first + count]
     # One product per axis-0 entry: A y and G inc.
@@ -355,6 +353,9 @@ def _rollout_draws(words: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     need = int((used + lengths).max()) + 1
     if need > block.shape[1]:
         block = _pcg_outputs(streams, 0, need)
+    # random() is the top 53 bits of the next output. integers(0, 2**62) is
+    # a 64-bit Lemire draw, output * 2**62 >> 64, which never rejects at a
+    # power-of-two range.
     rows = np.arange(len(words))
     uniforms = (block[rows, used] >> _U64(11)) * 2.0**-53
     k = np.arange(block.shape[1])
@@ -362,8 +363,7 @@ def _rollout_draws(words: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return lengths, uniforms, steps.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class RolloutDraw:
+class RolloutDraw(NamedTuple):
     """The random part of one group: each rollout's freshly drawn step ids
     and the uniform that decides its outcome (success iff uniform < p)."""
 

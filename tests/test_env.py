@@ -264,7 +264,7 @@ class TestRolloutKernel:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        head=st.lists(st.integers(0, 2**70), min_size=1, max_size=6),
+        head=st.lists(st.integers(0, 2**70), min_size=3, max_size=6),
         ranges=st.lists(
             st.tuples(st.integers(0, 40), st.one_of(st.just(0), st.integers(0, 40))),
             min_size=1,
@@ -272,8 +272,9 @@ class TestRolloutKernel:
         ),
     )
     def test_matches_numpy_stream(self, head, ranges):
-        # Row i is seeded by head + (i,); widths run from 2 words (below
-        # SeedSequence's pool of 4) to 19 (past it), and lo == hi occurs.
+        # Row i is seeded by head + (i,): 4 words (SeedSequence's pool size)
+        # up to 19, as a rollout key of (seed entries, purpose, task, index)
+        # has. lo == hi occurs.
         words = np.array(
             [_uint32_words(head + [i]) for i in range(len(ranges))], dtype=np.uint32
         )
@@ -297,7 +298,7 @@ class TestRolloutKernel:
         # here need two or more 64-bit words for their length. At real
         # length ranges this happens about 4 times in 2**32 draws.
         span = 3 * 2**30
-        keys = [(2024, i) for i in range(200)]
+        keys = [(2024, 3, 7, i) for i in range(200)]
         words = np.array([_uint32_words(k) for k in keys], dtype=np.uint32)
         streams = _pcg_streams(words)
         lo = np.zeros(len(keys), dtype=np.int64)
