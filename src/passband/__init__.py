@@ -5,6 +5,8 @@ collection: groups of N binary-reward rollouts, their signal quantities,
 bucket routing of skewed groups, bidirectional prefix replay with loss
 masking, and a per-bucket feedback controller that steers rerollout pass
 rates toward one half, all closed over a synthetic environment.
+
+The imports below are the package's top-level names.
 """
 
 from .advantages import (
@@ -20,8 +22,6 @@ from .config import (
     Arm,
     ExperimentConfig,
     LossOptions,
-    OptimizerFlags,
-    default_config,
     load_config,
     parse_config,
 )
@@ -81,76 +81,3 @@ from .signals import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # errors
-    "PassbandError",
-    "DomainError",
-    "ContractError",
-    "ConfigError",
-    # signals
-    "SignalReport",
-    "reward_entropy",
-    "group_survival_probability",
-    "rloo_advantage_energy",
-    "contrastive_pair_count",
-    "expected_pair_count",
-    "mean_centered_advantage_variance",
-    "signal_report",
-    # groups
-    "Bucket",
-    "BucketKind",
-    "GroupOrigin",
-    "RolloutGroup",
-    "classify_bucket",
-    "controlled_buckets",
-    "filter_groups",
-    "pass_count",
-    "pass_count_distance",
-    # advantages and masking
-    "TokenTrajectory",
-    "ToyPolicy",
-    "apply_prefix_mask",
-    "rloo_advantages",
-    "mean_centered_advantages",
-    "masked_grpo_loss",
-    "loss_gradient",
-    # controller
-    "PrefixOutcome",
-    "PrefixRecord",
-    "ControllerParams",
-    "BucketControllerState",
-    "PrefixPool",
-    "initial_controller_state",
-    "update_controller",
-    "select_prefix",
-    "replay_boundary",
-    "prefix_pool_memory_bound",
-    # environment
-    "SyntheticTask",
-    "Trajectory",
-    "GroupSample",
-    "PopulationSpec",
-    "sample_fresh_group",
-    "sample_rerollout_group",
-    "conditioned_pass_probability",
-    "make_task_population",
-    # configuration
-    "Arm",
-    "ExperimentConfig",
-    "LossOptions",
-    "OptimizerFlags",
-    "default_config",
-    "parse_config",
-    "load_config",
-    # harness
-    "RunResult",
-    "StepMetrics",
-    "TransitionMatrix",
-    "run_experiment",
-    "compute_step_metrics",
-    "compute_transition_matrix",
-    "emit_traces",
-    "compare_arms",
-]

@@ -20,7 +20,7 @@ checked exactly and against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -70,16 +70,14 @@ def mean_centered_advantages(rewards) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TokenTrajectory:
-    """A tokenized trajectory with a replay boundary and its response mask.
+    """A tokenized trajectory with a replay boundary.
 
     Positions before replay_boundary are replayed prefix tokens and carry
     mask 0; positions at or after it are current-policy tokens with mask 1.
-    When no mask is supplied it is derived from the boundary.
     """
 
     token_ids: tuple[int, ...]
     replay_boundary: int = 0
-    response_mask: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
         length = len(self.token_ids)
@@ -87,15 +85,12 @@ class TokenTrajectory:
             raise DomainError(
                 f"replay boundary must lie in [0, {length}], got {self.replay_boundary}"
             )
-        expected = tuple(
-            0 if t < self.replay_boundary else 1 for t in range(length)
-        )
-        if self.response_mask == ():
-            object.__setattr__(self, "response_mask", expected)
-        elif tuple(self.response_mask) != expected:
-            raise ContractError(
-                "response_mask must be 0 before the replay boundary and 1 after"
-            )
+
+    @property
+    def response_mask(self) -> tuple[int, ...]:
+        """0 for each replayed position, 1 for each current-policy one."""
+        m = self.replay_boundary
+        return (0,) * m + (1,) * (len(self.token_ids) - m)
 
     def __len__(self) -> int:
         return len(self.token_ids)

@@ -98,6 +98,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     results = run_default_checks(seed=args.seed)
     failed = False
     for res in results:

@@ -8,10 +8,10 @@ and blank lines ignored:
     controller.alpha = 0.05
     population.preset = hard_skewed
 
-Unknown keys and malformed values are hard errors that name the offending
-key; reproducibility beats flexibility here. The optimizer.* keys are
-recorded for the run's metadata but drive no behavior: there is no
-optimizer in this simulator.
+Unknown keys, malformed values and files that are not UTF-8 are hard
+errors that name the offending key or file; reproducibility beats
+flexibility here. config_to_flat_dict gives every key back, and the
+harness echoes it to meta.json.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from .errors import ConfigError, DomainError
 __all__ = [
     "Arm",
     "LossOptions",
-    "OptimizerFlags",
     "ExperimentConfig",
-    "default_config",
     "parse_config",
     "load_config",
     "config_to_flat_dict",
@@ -60,16 +58,6 @@ class LossOptions:
 
 
 @dataclass(frozen=True)
-class OptimizerFlags:
-    """Recorded-only optimizer settings; parsed, echoed, never acted on."""
-
-    clip_high: float = 0.28
-    learning_rate: float = 1e-6
-    minibatch_size: int = 64
-    compact_filtering: bool = True
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one simulated run depends on."""
 
@@ -83,7 +71,6 @@ class ExperimentConfig:
     controller: ControllerParams = field(default_factory=ControllerParams)
     loss: LossOptions = field(default_factory=LossOptions)
     population: PopulationSpec = field(default_factory=PopulationSpec)
-    optimizer: OptimizerFlags = field(default_factory=OptimizerFlags)
 
     def __post_init__(self) -> None:
         if self.group_size < 4 or self.group_size % 2 != 0:
@@ -100,10 +87,6 @@ class ExperimentConfig:
             raise DomainError(
                 f"fixed_ratio must lie in (0, 1), got {self.fixed_ratio}"
             )
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
 
 
 def _parse_bool(raw: str) -> bool:
@@ -153,17 +136,12 @@ _KEY_TABLE: dict[str, tuple[str, str, object]] = {
     "population.length_min": ("population", "length_min", int),
     "population.length_max": ("population", "length_max", int),
     "population.mirror": ("population", "mirror", _parse_bool),
-    "optimizer.clip_high": ("optimizer", "clip_high", float),
-    "optimizer.learning_rate": ("optimizer", "learning_rate", float),
-    "optimizer.minibatch_size": ("optimizer", "minibatch_size", int),
-    "optimizer.compact_filtering": ("optimizer", "compact_filtering", _parse_bool),
 }
 
 _SECTION_TYPES = {
     "controller": ControllerParams,
     "loss": LossOptions,
     "population": PopulationSpec,
-    "optimizer": OptimizerFlags,
 }
 
 
@@ -211,6 +189,8 @@ def load_config(path) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read configuration file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"configuration file {path} is not UTF-8: {exc}") from None
     return parse_config(text)
 
 

@@ -182,9 +182,10 @@ def update_controller(
 def select_prefix(group: RolloutGroup, trajectories) -> PrefixRecord | None:
     """Pick the replay trajectory a fresh skewed group contributes, if any.
 
-    Hard groups contribute their lowest-index success, easy groups their
-    lowest-index failure, balanced groups nothing. Degenerate or rerollout
-    groups must not be offered.
+    trajectories[i] is the trajectory behind group.rewards[i]. Hard groups
+    contribute their lowest-index success, easy groups their lowest-index
+    failure, balanced groups nothing. Degenerate or rerollout groups must
+    not be offered.
     """
     if group.origin is not GroupOrigin.FRESH:
         raise ContractError("rerollout groups never seed prefixes")
@@ -196,7 +197,7 @@ def select_prefix(group: RolloutGroup, trajectories) -> PrefixRecord | None:
         return None
     wanted = 1 if bucket.kind is BucketKind.HARD else 0
     index = group.rewards.index(wanted)
-    trajectory = trajectories[group.trajectory_refs[index]]
+    trajectory = trajectories[index]
     outcome = PrefixOutcome.SUCCESS if wanted == 1 else PrefixOutcome.FAILURE
     return PrefixRecord(
         task_id=group.task_id,

@@ -109,7 +109,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class GroupSample:
-    """A rollout group together with the trajectories its refs point into."""
+    """A rollout group and its trajectories, in reward order."""
 
     group: RolloutGroup
     trajectories: tuple[Trajectory, ...]

@@ -15,7 +15,7 @@ and easy buckets are the controlled ones: they seed prefix replay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ContractError, DomainError
@@ -30,7 +30,6 @@ __all__ = [
     "pass_count",
     "filter_groups",
     "pass_count_distance",
-    "group_to_record",
 ]
 
 
@@ -80,15 +79,14 @@ class GroupOrigin(Enum):
 class RolloutGroup:
     """One task's N binary-reward rollouts plus origin metadata.
 
-    trajectory_refs are opaque handles into whatever produced the group;
-    the group itself never embeds trajectories.
+    The group itself never embeds trajectories; whatever produced it holds
+    them in reward order.
     """
 
     task_id: str
     rewards: tuple[int, ...]
     origin: GroupOrigin = GroupOrigin.FRESH
     parent_bucket: Bucket | None = None
-    trajectory_refs: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if len(self.rewards) == 0:
@@ -99,12 +97,6 @@ class RolloutGroup:
             raise ContractError(
                 "parent_bucket must be set exactly when origin is rerollout"
             )
-        if self.trajectory_refs == ():
-            object.__setattr__(
-                self, "trajectory_refs", tuple(range(len(self.rewards)))
-            )
-        elif len(self.trajectory_refs) != len(self.rewards):
-            raise ContractError("trajectory_refs must align with rewards")
 
     @property
     def group_size(self) -> int:
@@ -172,14 +164,3 @@ def filter_groups(
 def pass_count_distance(k: int, n: int) -> float:
     """Distance |k - N/2| from the balanced center."""
     return abs(k - n / 2)
-
-
-def group_to_record(group: RolloutGroup, step: int) -> dict:
-    """One JSON-serializable audit record for a group observed at a step."""
-    return {
-        "task_id": group.task_id,
-        "rewards": list(group.rewards),
-        "origin": group.origin.value,
-        "parent_bucket": None if group.parent_bucket is None else group.parent_bucket.label,
-        "step": step,
-    }

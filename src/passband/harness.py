@@ -55,7 +55,6 @@ from .groups import (
     RolloutGroup,
     classify_bucket,
     controlled_buckets,
-    group_to_record,
     pass_count,
 )
 
@@ -258,11 +257,10 @@ def _audit_loss(samples, log_probs: np.ndarray, config: ExperimentConfig) -> flo
     """Masked surrogate summed over the mixed batch (audit only)."""
     total = 0.0
     for sample in samples:
-        group = sample.group
+        group, trajectories = sample.group, sample.trajectories
         k = pass_count(group)
         if k == 0 or k == group.group_size:
             continue
-        trajectories = [sample.trajectories[ref] for ref in group.trajectory_refs]
         lengths = [t.length for t in trajectories]
         steps = np.fromiter(
             chain.from_iterable(t.steps for t in trajectories),
@@ -279,6 +277,22 @@ def _audit_loss(samples, log_probs: np.ndarray, config: ExperimentConfig) -> flo
             group_reduction=config.loss.group_reduction,
         )
     return total
+
+
+def _group_record(sample, step: int) -> dict:
+    """One run.jsonl record: a group observed at a step, with its lengths
+    and replay boundary (shared by every rollout of the group)."""
+    group = sample.group
+    parent = group.parent_bucket
+    return {
+        "task_id": group.task_id,
+        "rewards": list(group.rewards),
+        "origin": group.origin.value,
+        "parent_bucket": None if parent is None else parent.label,
+        "step": step,
+        "lengths": [t.length for t in sample.trajectories],
+        "boundary": sample.trajectories[0].replay_boundary,
+    }
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -360,11 +374,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                         cooldown_remaining=state.cooldown_remaining,
                     )
                 )
-        for sample in samples:
-            record = group_to_record(sample.group, step)
-            record["lengths"] = [t.length for t in sample.trajectories]
-            record["boundary"] = sample.trajectories[0].replay_boundary
-            group_records.append(record)
+        group_records.extend(_group_record(sample, step) for sample in samples)
 
     return RunResult(
         config=config,

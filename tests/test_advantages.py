@@ -110,12 +110,6 @@ class TestTokenTrajectory:
         with pytest.raises(DomainError):
             TokenTrajectory(token_ids=(1, 2), replay_boundary=-1)
 
-    def test_inconsistent_explicit_mask(self):
-        with pytest.raises(ContractError):
-            TokenTrajectory(
-                token_ids=(1, 2, 3), replay_boundary=1, response_mask=(1, 1, 1)
-            )
-
 
 class TestToyPolicy:
     def test_uniform_log_probs(self):

@@ -76,6 +76,16 @@ class TestSimulate:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_non_utf8_config(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"steps = 3\n# caf\xe9 \xff\n")
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "latin1.cfg" in err
+        assert not (tmp_path / "o").exists()
+
     def test_repeat_is_byte_identical(self, config_file, tmp_path):
         main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "a")])
         main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "b")])
@@ -95,6 +105,12 @@ class TestVerify:
         lines = [line for line in out.splitlines() if line]
         assert len(lines) == 6
         assert all(line.startswith("PASS") for line in lines)
+
+    def test_negative_seed(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0" in captured.err
+        assert captured.out == ""
 
 
 class TestCompare:

@@ -1,16 +1,86 @@
 """Experiment configuration parsing, validation, and arm wiring."""
 
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from passband.config import (
     Arm,
     ExperimentConfig,
+    LossOptions,
     arm_controller_params,
     config_to_flat_dict,
     load_config,
     parse_config,
 )
+from passband.controller import ControllerParams
+from passband.env import PopulationSpec
 from passband.errors import ConfigError, DomainError
+
+
+def as_text(config: ExperimentConfig) -> str:
+    """The config written back as configuration-file text."""
+    return "\n".join(f"{k} = {v}" for k, v in config_to_flat_dict(config).items())
+
+
+def open_unit() -> st.SearchStrategy[float]:
+    return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def controller_params(draw) -> ControllerParams:
+    ratio_min = draw(open_unit())
+    ratio_max = draw(st.floats(ratio_min, 1.0, exclude_max=True))
+    return ControllerParams(
+        alpha=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        deadzone=draw(st.floats(0.0, 0.5, exclude_max=True)),
+        step_size=draw(st.floats(min_value=0.0)),
+        ratio_min=ratio_min,
+        ratio_max=ratio_max,
+        cooldown=draw(st.integers(0, 10**6)),
+        initial_ratio=draw(st.floats(ratio_min, ratio_max)),
+        target=draw(open_unit()),
+    )
+
+
+@st.composite
+def population_specs(draw) -> PopulationSpec:
+    p_min = draw(open_unit())
+    sensitivity_min = draw(st.floats(min_value=0.0))
+    length_min = draw(st.integers(2, 10**6))
+    return PopulationSpec(
+        preset=draw(st.sampled_from(["single", "uniform", "hard_skewed"])),
+        size=draw(st.integers(1, 10**9)),
+        p0=draw(open_unit()),
+        p_min=p_min,
+        p_max=draw(st.floats(p_min, 1.0, exclude_max=True)),
+        sensitivity_min=sensitivity_min,
+        sensitivity_max=draw(st.floats(min_value=sensitivity_min)),
+        length_min=length_min,
+        length_max=draw(st.integers(length_min, 2 * 10**6)),
+        mirror=draw(st.booleans()),
+    )
+
+
+experiment_configs = st.builds(
+    ExperimentConfig,
+    arm=st.sampled_from(Arm),
+    group_size=st.integers(2, 10**4).map(lambda half: 2 * half),
+    batch_size=st.integers(1, 10**6),
+    steps=st.integers(0, 10**9),
+    seed=st.integers(0, 2**128),
+    fixed_ratio=open_unit(),
+    same_step_rerollout=st.booleans(),
+    controller=controller_params(),
+    loss=st.builds(
+        LossOptions,
+        length_normalized=st.booleans(),
+        group_reduction=st.sampled_from(["sum", "mean"]),
+    ),
+    population=population_specs(),
+)
 
 
 class TestDefaults:
@@ -27,7 +97,6 @@ class TestDefaults:
         assert config.controller.alpha == 0.05
         assert config.loss.group_reduction == "sum"
         assert config.population.preset == "hard_skewed"
-        assert config.optimizer.clip_high == 0.28
 
     def test_comments_and_blank_lines_ignored(self):
         text = """
@@ -54,23 +123,24 @@ class TestParsing:
         config = parse_config(
             "controller.alpha = 0.1\ncontroller.cooldown = 3\n"
             "loss.length_normalized = true\npopulation.preset = uniform\n"
-            "population.size = 20\noptimizer.learning_rate = 0.001\n"
+            "population.size = 20\n"
         )
         assert config.controller.alpha == 0.1
         assert config.controller.cooldown == 3
         assert config.loss.length_normalized is True
         assert config.population.preset == "uniform"
         assert config.population.size == 20
-        assert config.optimizer.learning_rate == 0.001
 
     def test_roundtrip_through_flat_dict(self):
         original = parse_config(
             "arm = ps-fix\nsteps = 11\ncontroller.deadzone = 0.02\n"
             "population.p0 = 0.3\n"
         )
-        flat = config_to_flat_dict(original)
-        text = "\n".join(f"{k} = {v}" for k, v in flat.items())
-        assert parse_config(text) == original
+        assert parse_config(as_text(original)) == original
+
+    @given(experiment_configs)
+    def test_roundtrip_property(self, config):
+        assert parse_config(as_text(config)) == config
 
     def test_all_arms_parse(self):
         for arm in Arm:
@@ -81,6 +151,22 @@ class TestErrors:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="controller.alhpa"):
             parse_config("controller.alhpa = 0.1")
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "optimizer.clip_high",
+            "optimizer.learning_rate",
+            "optimizer.minibatch_size",
+            "optimizer.compact_filtering",
+        ],
+    )
+    def test_removed_optimizer_key_named(self, key):
+        assert key not in config_to_flat_dict(ExperimentConfig())
+        with pytest.raises(
+            ConfigError, match=re.escape(f"unknown configuration key: {key!r}")
+        ):
+            parse_config(f"steps = 5\n{key} = 1\n")
 
     def test_duplicate_key_named(self):
         with pytest.raises(ConfigError, match="steps"):
@@ -124,6 +210,12 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.cfg")
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"steps = 4\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path} is not UTF-8")):
+            load_config(path)
 
 
 class TestArmControllerParams:

@@ -97,13 +97,15 @@ class TestFreshSampling:
     def test_pass_count_distribution(self):
         # Chi-squared against Binomial(8, 0.5) pooled over fresh groups.
         # 50k groups keeps the smallest expected cell near 150 while staying
-        # well under the acceptance-run budget.
-        task = make_task(0.5)
+        # well under the acceptance-run budget. Streams are keyed per
+        # rollout, so one batched call draws the same groups as 50k
+        # batch-of-one calls; TestRolloutSeeding and TestRolloutKernel check
+        # both paths against numpy's own stream.
         n_groups = 50_000
-        counts = np.zeros(9, dtype=int)
-        for i in range(n_groups):
-            sample = sample_fresh_group(task, 8, rng_seed=(99, 0, i))
-            counts[pass_count(sample.group)] += 1
+        samples = sample_fresh_groups(
+            [make_task(0.5)] * n_groups, 8, [(99, 0, i) for i in range(n_groups)]
+        )
+        counts = np.bincount([pass_count(s.group) for s in samples], minlength=9)
         expected = binom.pmf(np.arange(9), 8, 0.5) * n_groups
         assert expected.min() >= 5.0
         result = chisquare(counts, expected)

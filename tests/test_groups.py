@@ -12,7 +12,6 @@ from passband.groups import (
     classify_bucket,
     controlled_buckets,
     filter_groups,
-    group_to_record,
     pass_count,
     pass_count_distance,
 )
@@ -110,7 +109,6 @@ class TestRolloutGroup:
         g = make_group(3, 8)
         assert pass_count(g) == 3
         assert g.group_size == 8
-        assert g.trajectory_refs == tuple(range(8))
 
     def test_reward_values_checked(self):
         with pytest.raises(ContractError):
@@ -169,20 +167,3 @@ class TestPassCountDistance:
         assert pass_count_distance(8, 8) == 4.0
         assert pass_count_distance(0, 8) == 4.0
 
-
-class TestGroupToRecord:
-    def test_fresh(self):
-        rec = group_to_record(make_group(3, 8, "task-x"), step=7)
-        assert rec == {
-            "task_id": "task-x",
-            "rewards": [1, 1, 1, 0, 0, 0, 0, 0],
-            "origin": "fresh",
-            "parent_bucket": None,
-            "step": 7,
-        }
-
-    def test_rerollout(self):
-        g = make_group(5, 8, "t", GroupOrigin.REROLLOUT, classify_bucket(2, 8))
-        rec = group_to_record(g, step=0)
-        assert rec["origin"] == "rerollout"
-        assert rec["parent_bucket"] == "2/8"
