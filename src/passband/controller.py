@@ -20,7 +20,7 @@ easy buckets invert the direction because their prefixes are failing ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ContractError, DomainError
@@ -158,11 +158,8 @@ def update_controller(
     ema = (1.0 - params.alpha) * state.ema + params.alpha * observed_pass_rate
     updates = state.updates_seen + 1
     if state.cooldown_remaining > 0:
-        return replace(
-            state,
-            ema=ema,
-            cooldown_remaining=state.cooldown_remaining - 1,
-            updates_seen=updates,
+        return BucketControllerState(
+            state.bucket, state.ratio, ema, state.cooldown_remaining - 1, updates
         )
     direction = 0
     if ema > params.target + params.deadzone:
@@ -174,9 +171,7 @@ def update_controller(
         max(params.ratio_min, state.ratio + direction * params.step_size),
     )
     cooldown = params.cooldown if ratio != state.ratio else 0
-    return replace(
-        state, ratio=ratio, ema=ema, cooldown_remaining=cooldown, updates_seen=updates
-    )
+    return BucketControllerState(state.bucket, ratio, ema, cooldown, updates)
 
 
 def select_prefix(group: RolloutGroup, trajectories) -> PrefixRecord | None:

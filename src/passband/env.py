@@ -49,7 +49,12 @@ __all__ = [
     "draw_rerollout_groups",
     "rerollout_group",
     "make_task_population",
+    "MAX_TRAJECTORY_LENGTH",
 ]
+
+# Longest trajectory a population may ask for. The rollout kernel keeps a
+# jump table with one row per output word, which grows with the length.
+MAX_TRAJECTORY_LENGTH = 2**16
 
 _PURPOSE_POPULATION = 1
 _PURPOSE_FRESH = 2
@@ -548,6 +553,11 @@ class PopulationSpec:
             raise DomainError(
                 f"need 2 <= length_min <= length_max, got "
                 f"[{self.length_min}, {self.length_max}]"
+            )
+        if self.length_max > MAX_TRAJECTORY_LENGTH:
+            raise DomainError(
+                f"length_max must be <= {MAX_TRAJECTORY_LENGTH}, "
+                f"got {self.length_max}"
             )
 
 

@@ -239,28 +239,23 @@ def _controller_sequence_ok(
 ) -> str | None:
     state = initial_controller_state(bucket, params)
     last_change_update = None
-    for _ in range(int(rng.integers(10, 31))):
-        p_new = float(rng.random())
+    low = params.target - params.deadzone
+    high = params.target + params.deadzone
+    hard = bucket.kind is BucketKind.HARD
+    for p_new in rng.random(int(rng.integers(10, 31))).tolist():
         new_state = update_controller(state, p_new, params)
         expected_ema = (1.0 - params.alpha) * state.ema + params.alpha * p_new
         if abs(new_state.ema - expected_ema) > 1e-12:
             return "ema update mismatch"
         if not params.ratio_min <= new_state.ratio <= params.ratio_max:
             return f"ratio {new_state.ratio} escaped bounds"
-        changed = new_state.ratio != state.ratio
-        in_deadzone = (
-            params.target - params.deadzone
-            <= new_state.ema
-            <= params.target + params.deadzone
-        )
-        if changed:
+        if new_state.ratio != state.ratio:
             if state.cooldown_remaining > 0:
                 return "ratio changed during cooldown"
-            if in_deadzone:
+            if low <= new_state.ema <= high:
                 return "ratio changed inside the deadzone"
             raised = new_state.ratio > state.ratio
-            above = new_state.ema > params.target + params.deadzone
-            hard = bucket.kind is BucketKind.HARD
+            above = new_state.ema > high
             # hard lowers on above-target and raises below; easy inverted
             if raised != (above != hard):
                 return "ratio moved in the wrong direction"

@@ -76,6 +76,18 @@ class TestSimulate:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_overlong_trajectories_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "long.cfg"
+        bad.write_text(
+            "steps = 2\nbatch_size = 2\npopulation.length_max = 100000000000\n"
+        )
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "length_max" in err
+        assert not (tmp_path / "o").exists()
+
     def test_non_utf8_config(self, tmp_path, capsys):
         bad = tmp_path / "latin1.cfg"
         bad.write_bytes(b"steps = 3\n# caf\xe9 \xff\n")

@@ -16,7 +16,7 @@ from passband.config import (
     parse_config,
 )
 from passband.controller import ControllerParams
-from passband.env import PopulationSpec
+from passband.env import MAX_TRAJECTORY_LENGTH, PopulationSpec
 from passband.errors import ConfigError, DomainError
 
 
@@ -49,7 +49,7 @@ def controller_params(draw) -> ControllerParams:
 def population_specs(draw) -> PopulationSpec:
     p_min = draw(open_unit())
     sensitivity_min = draw(st.floats(min_value=0.0))
-    length_min = draw(st.integers(2, 10**6))
+    length_min = draw(st.integers(2, MAX_TRAJECTORY_LENGTH))
     return PopulationSpec(
         preset=draw(st.sampled_from(["single", "uniform", "hard_skewed"])),
         size=draw(st.integers(1, 10**9)),
@@ -59,7 +59,7 @@ def population_specs(draw) -> PopulationSpec:
         sensitivity_min=sensitivity_min,
         sensitivity_max=draw(st.floats(min_value=sensitivity_min)),
         length_min=length_min,
-        length_max=draw(st.integers(length_min, 2 * 10**6)),
+        length_max=draw(st.integers(length_min, MAX_TRAJECTORY_LENGTH)),
         mirror=draw(st.booleans()),
     )
 
@@ -189,6 +189,19 @@ class TestErrors:
             parse_config("controller.alpha = 0.0")
         with pytest.raises(ConfigError, match="batch_size"):
             parse_config("batch_size = 0")
+
+    def test_length_max_bounded(self):
+        assert (
+            parse_config(f"population.length_max = {MAX_TRAJECTORY_LENGTH}")
+            .population.length_max == MAX_TRAJECTORY_LENGTH
+        )
+        with pytest.raises(
+            ConfigError,
+            match=f"length_max must be <= {MAX_TRAJECTORY_LENGTH}, got 100000000000",
+        ):
+            parse_config("population.length_max = 100000000000")
+        with pytest.raises(DomainError, match="length_max"):
+            PopulationSpec(length_max=MAX_TRAJECTORY_LENGTH + 1)
 
     def test_direct_construction_domain_errors(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,10 @@
 """Per-bucket EMA controller dynamics, prefix selection, and the prefix pool."""
 
+from dataclasses import fields, replace
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from passband.controller import (
@@ -16,7 +20,13 @@ from passband.controller import (
     update_controller,
 )
 from passband.errors import ContractError, DomainError
-from passband.groups import BucketKind, GroupOrigin, RolloutGroup, classify_bucket
+from passband.groups import (
+    BucketKind,
+    GroupOrigin,
+    RolloutGroup,
+    classify_bucket,
+    controlled_buckets,
+)
 
 
 HARD1 = classify_bucket(1, 8)
@@ -179,6 +189,99 @@ class TestRatioSteps:
             update_controller(state, 1.2, PARAMS)
         with pytest.raises(DomainError):
             update_controller(state, -0.1, PARAMS)
+
+
+def replace_update(state, observed_pass_rate, params):
+    """The controller update written with dataclasses.replace, as a reference."""
+    ema = (1.0 - params.alpha) * state.ema + params.alpha * observed_pass_rate
+    updates = state.updates_seen + 1
+    if state.cooldown_remaining > 0:
+        return replace(
+            state,
+            ema=ema,
+            cooldown_remaining=state.cooldown_remaining - 1,
+            updates_seen=updates,
+        )
+    direction = 0
+    if ema > params.target + params.deadzone:
+        direction = -1 if state.bucket.kind is BucketKind.HARD else +1
+    elif ema < params.target - params.deadzone:
+        direction = +1 if state.bucket.kind is BucketKind.HARD else -1
+    ratio = min(
+        params.ratio_max,
+        max(params.ratio_min, state.ratio + direction * params.step_size),
+    )
+    cooldown = params.cooldown if ratio != state.ratio else 0
+    return replace(
+        state, ratio=ratio, ema=ema, cooldown_remaining=cooldown, updates_seen=updates
+    )
+
+
+unit = st.floats(0.0, 1.0)
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+controlled = st.integers(2, 16).flatmap(
+    lambda half: st.sampled_from(controlled_buckets(2 * half))
+)
+
+
+@st.composite
+def controller_params(draw, max_cooldown=10**6) -> ControllerParams:
+    ratio_min = draw(open_unit)
+    ratio_max = draw(st.floats(ratio_min, 1.0, exclude_max=True))
+    return ControllerParams(
+        alpha=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        deadzone=draw(st.floats(0.0, 0.5, exclude_max=True)),
+        step_size=draw(st.floats(0.0, 1.0)),
+        ratio_min=ratio_min,
+        ratio_max=ratio_max,
+        cooldown=draw(st.integers(0, max_cooldown)),
+        initial_ratio=draw(st.floats(ratio_min, ratio_max)),
+        target=draw(open_unit),
+    )
+
+
+@st.composite
+def states_and_params(draw):
+    params = draw(controller_params())
+    state = BucketControllerState(
+        draw(controlled),
+        draw(st.floats(params.ratio_min, params.ratio_max)),
+        draw(unit),
+        draw(st.integers(0, 10**6)),
+        draw(st.integers(0, 2**63)),
+    )
+    return state, params
+
+
+class TestUpdateProperties:
+    @given(states_and_params(), unit)
+    def test_matches_replace_reference(self, state_params, observation):
+        state, params = state_params
+        got = update_controller(state, observation, params)
+        want = replace_update(state, observation, params)
+        assert type(got) is BucketControllerState
+        for field in fields(BucketControllerState):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b), field.name
+            # Floats compare exactly: the update must round as the reference.
+            assert a == b, field.name
+
+    @given(
+        controller_params(max_cooldown=10),
+        controlled,
+        st.lists(unit, max_size=200),
+    )
+    @example(PARAMS, HARD1, [1.0] * 40)
+    def test_bounds_and_cooldown_spacing(self, params, bucket, observations):
+        states = run_updates(initial_controller_state(bucket, params), observations, params)
+        changes = []
+        for update, (old, new) in enumerate(zip(states, states[1:]), start=1):
+            assert params.ratio_min <= new.ratio <= params.ratio_max
+            assert new.updates_seen == update
+            if new.ratio != old.ratio:
+                changes.append(update)
+        for a, b in zip(changes, changes[1:]):
+            assert b - a >= params.cooldown + 1
 
 
 class TestPrefixRecord:
