@@ -41,7 +41,6 @@ from .env import (
     GroupSample,
     PopulationSpec,
     SyntheticTask,
-    Trajectory,
     conditioned_pass_probability,
     make_task_population,
     sample_fresh_group,

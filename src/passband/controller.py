@@ -100,8 +100,8 @@ class ControllerParams:
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0.0 <= self.deadzone < 0.5:
             raise DomainError(f"deadzone must lie in [0, 0.5), got {self.deadzone}")
-        if self.step_size < 0.0:
-            raise DomainError(f"step size must be >= 0, got {self.step_size}")
+        if not 0.0 <= self.step_size < math.inf:
+            raise DomainError(f"step_size must be finite and >= 0, got {self.step_size}")
         if not 0.0 < self.ratio_min <= self.ratio_max < 1.0:
             raise DomainError(
                 f"ratio bounds must satisfy 0 < min <= max < 1, "
@@ -174,13 +174,13 @@ def update_controller(
     return BucketControllerState(state.bucket, ratio, ema, cooldown, updates)
 
 
-def select_prefix(group: RolloutGroup, trajectories) -> PrefixRecord | None:
+def select_prefix(group: RolloutGroup, rollouts) -> PrefixRecord | None:
     """Pick the replay trajectory a fresh skewed group contributes, if any.
 
-    trajectories[i] is the trajectory behind group.rewards[i]. Hard groups
-    contribute their lowest-index success, easy groups their lowest-index
-    failure, balanced groups nothing. Degenerate or rerollout groups must
-    not be offered.
+    rollouts[i] holds the step ids of the rollout behind group.rewards[i].
+    Hard groups contribute their lowest-index success, easy groups their
+    lowest-index failure, balanced groups nothing. Degenerate or rerollout
+    groups must not be offered.
     """
     if group.origin is not GroupOrigin.FRESH:
         raise ContractError("rerollout groups never seed prefixes")
@@ -192,13 +192,12 @@ def select_prefix(group: RolloutGroup, trajectories) -> PrefixRecord | None:
         return None
     wanted = 1 if bucket.kind is BucketKind.HARD else 0
     index = group.rewards.index(wanted)
-    trajectory = trajectories[index]
     outcome = PrefixOutcome.SUCCESS if wanted == 1 else PrefixOutcome.FAILURE
     return PrefixRecord(
         task_id=group.task_id,
         source_bucket=bucket,
         outcome=outcome,
-        steps=tuple(trajectory.steps),
+        steps=tuple(rollouts[index]),
     )
 
 

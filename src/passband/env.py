@@ -13,11 +13,13 @@ start raises the pass rate, a longer failing one lowers it, which is the
 response the replay controller relies on.
 
 Sampling is deterministic: every rollout draws from its own random stream,
-keyed by (caller seed tuple, purpose, task, rollout index), so results are
-independent of scheduling order and of how rollouts are batched. The stream
-is the one np.random.default_rng(np.random.SeedSequence(key)) produces,
-computed by passband's own array kernel for many keys at once, so rollouts
-do not depend on the installed numpy's Generator.
+keyed by (caller seed entries, purpose, task, rollout index), so results
+are independent of scheduling order. A batch call takes one seed and keys
+its group j as seed + (j,), so sample_fresh_groups(tasks, n, seed)[j]
+equals sample_fresh_group(tasks[j], n, seed + (j,)). The stream is the one
+np.random.default_rng(np.random.SeedSequence(key)) produces, computed by
+passband's own array kernel for many keys at once, so rollouts do not
+depend on the installed numpy's Generator.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import functools
 import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +40,6 @@ from .groups import GroupOrigin, RolloutGroup
 
 __all__ = [
     "SyntheticTask",
-    "Trajectory",
     "GroupSample",
     "PopulationSpec",
     "RolloutDraw",
@@ -86,38 +87,18 @@ class SyntheticTask:
         return float(expit(self.base_logit))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """An ordered sequence of opaque step identifiers with a binary outcome.
+class GroupSample(NamedTuple):
+    """A rollout group and its rollouts, in reward order.
 
-    replay_boundary marks how many leading steps were replayed from a
-    prefix; fresh trajectories carry 0.
+    steps holds every rollout's step ids back to back and lengths[i] is
+    rollout i's length. The first `boundary` steps of every rollout were
+    replayed from a prefix; fresh groups have boundary 0.
     """
 
-    steps: tuple[int, ...]
-    success: int
-    replay_boundary: int = 0
-
-    def __post_init__(self) -> None:
-        if self.success not in (0, 1):
-            raise ContractError(f"success must be binary, got {self.success!r}")
-        if not 0 <= self.replay_boundary <= len(self.steps):
-            raise ContractError(
-                f"replay boundary {self.replay_boundary} outside "
-                f"[0, {len(self.steps)}]"
-            )
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-
-@dataclass(frozen=True)
-class GroupSample:
-    """A rollout group and its trajectories, in reward order."""
-
     group: RolloutGroup
-    trajectories: tuple[Trajectory, ...]
+    lengths: tuple[int, ...]
+    steps: tuple[int, ...]
+    boundary: int
 
 
 def _is_seed_int(value) -> bool:
@@ -369,46 +350,61 @@ def _rollout_draws(words: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 class RolloutDraw(NamedTuple):
-    """The random part of one group: each rollout's freshly drawn step ids
-    and the uniform that decides its outcome (success iff uniform < p)."""
+    """The random part of one group: each rollout's freshly drawn length,
+    the drawn step ids of all rollouts back to back, and each rollout's
+    uniform, which decides its outcome (success iff uniform < p)."""
 
-    tails: tuple[tuple[int, ...], ...]
+    lengths: tuple[int, ...]
+    steps: tuple[int, ...]
     uniforms: tuple[float, ...]
 
 
+def _seed_words(rng_seed) -> np.ndarray:
+    return np.array(_uint32_words(_seed_base(rng_seed)), dtype=_U32)
+
+
+def _batch_keys(rng_seed, count: int) -> np.ndarray:
+    """Key words of a batch's groups: group j is keyed by seed + (j,)."""
+    head = _seed_words(rng_seed)
+    keys = np.empty((count, head.size + 1), dtype=_U32)
+    keys[:, :-1] = head
+    # A group index below 2**32 is one word.
+    keys[:, -1] = np.arange(count)
+    return keys
+
+
 def _draw_groups(
-    tasks: Sequence[SyntheticTask], n: int, purpose: int, rng_seeds: Sequence
+    tasks: Sequence[SyntheticTask], n: int, purpose: int, keys: np.ndarray
 ) -> list[RolloutDraw]:
-    """One RolloutDraw per (task, seed): rollout i of a group draws from the
-    stream of SeedSequence(seed entries + (purpose, crc32(task id), i))."""
-    heads = [
-        _uint32_words(_seed_base(seed) + (purpose, _task_uid(task.task_id)))
-        for task, seed in zip(tasks, rng_seeds, strict=True)
-    ]
-    draws: list[RolloutDraw | None] = [None] * len(heads)
-    by_width: dict[int, list[int]] = {}
-    for g, head in enumerate(heads):
-        by_width.setdefault(len(head), []).append(g)
+    """One RolloutDraw per task: rollout i of group j draws from the stream
+    of SeedSequence(keys[j] + [purpose, crc32(task id), i]), where keys[j]
+    is the group's key as uint32 words."""
+    if n < 2:
+        raise DomainError(f"group size must be >= 2, got {n}")
+    width = keys.shape[1] + 3
     longest = max((task.length_range[1] for task in tasks), default=0)
     per_chunk = max(1, _CHUNK_WORDS // (n * (longest + 2)))
-    for width, members in by_width.items():
-        for start in range(0, len(members), per_chunk):
-            chunk = members[start:start + per_chunk]
-            words = np.empty((len(chunk), n, width + 1), dtype=_U32)
-            words[:, :, :width] = np.array([heads[g] for g in chunk], dtype=_U32)[:, None]
-            # A rollout index below 2**32 is one word.
-            words[:, :, width] = np.arange(n, dtype=_U32)
-            lo, hi = np.repeat([tasks[g].length_range for g in chunk], n, axis=0).T
-            lengths, uniforms, steps = _rollout_draws(words.reshape(-1, width + 1), lo, hi)
-            steps = steps.tolist()
-            uniforms = uniforms.tolist()
-            offsets = list(accumulate(lengths.tolist(), initial=0))
-            for i, g in enumerate(chunk):
-                rows = range(i * n, (i + 1) * n)
-                draws[g] = RolloutDraw(
-                    tails=tuple(tuple(steps[offsets[r]:offsets[r + 1]]) for r in rows),
-                    uniforms=tuple(uniforms[i * n:(i + 1) * n]),
-                )
+    draws = []
+    for start in range(0, len(tasks), per_chunk):
+        chunk = tasks[start:start + per_chunk]
+        words = np.empty((len(chunk), n, width), dtype=_U32)
+        words[:, :, :-3] = keys[start:start + len(chunk), None]
+        # Purpose, task uid and rollout index are one word each.
+        words[:, :, -3] = purpose
+        words[:, :, -2] = np.array([[_task_uid(task.task_id)] for task in chunk])
+        words[:, :, -1] = np.arange(n)
+        lo, hi = np.repeat([task.length_range for task in chunk], n, axis=0).T
+        lengths, uniforms, steps = _rollout_draws(words.reshape(-1, width), lo, hi)
+        lengths = lengths.tolist()
+        uniforms = uniforms.tolist()
+        steps = steps.tolist()
+        offsets = list(accumulate(lengths, initial=0))
+        for r in range(0, len(lengths), n):
+            draws.append(RolloutDraw(
+                lengths=tuple(lengths[r:r + n]),
+                steps=tuple(steps[offsets[r]:offsets[r + n]]),
+                uniforms=tuple(uniforms[r:r + n]),
+            ))
     return draws
 
 
@@ -419,31 +415,29 @@ def _group_sample(
     draw: RolloutDraw,
     parent_bucket=None,
 ) -> GroupSample:
+    lengths, steps = draw.lengths, draw.steps
     boundary = len(prefix_steps)
-    trajectories = tuple(
-        Trajectory(steps=prefix_steps + tail, success=int(u < p), replay_boundary=boundary)
-        for tail, u in zip(draw.tails, draw.uniforms)
-    )
+    if boundary:
+        steps = tuple(chain.from_iterable(
+            prefix_steps + steps[end - length:end]
+            for end, length in zip(accumulate(lengths), lengths)
+        ))
+        lengths = tuple(boundary + length for length in lengths)
     group = RolloutGroup(
         task_id=task.task_id,
-        rewards=tuple(t.success for t in trajectories),
+        rewards=tuple(int(u < p) for u in draw.uniforms),
         origin=GroupOrigin.FRESH if parent_bucket is None else GroupOrigin.REROLLOUT,
         parent_bucket=parent_bucket,
     )
-    return GroupSample(group=group, trajectories=trajectories)
-
-
-def _check_group_size(n: int) -> None:
-    if n < 2:
-        raise DomainError(f"group size must be >= 2, got {n}")
+    return GroupSample(group, lengths, steps, boundary)
 
 
 def sample_fresh_groups(
-    tasks: Sequence[SyntheticTask], n: int, rng_seeds: Sequence
+    tasks: Sequence[SyntheticTask], n: int, rng_seed
 ) -> list[GroupSample]:
-    """sample_fresh_group for each (task, seed) pair, drawn in batches."""
-    _check_group_size(n)
-    draws = _draw_groups(tasks, n, _PURPOSE_FRESH, rng_seeds)
+    """Fresh groups of every task in one batch; group j equals
+    sample_fresh_group(tasks[j], n, rng_seed + (j,))."""
+    draws = _draw_groups(tasks, n, _PURPOSE_FRESH, _batch_keys(rng_seed, len(tasks)))
     return [
         _group_sample(task, task.fresh_pass_probability, (), draw)
         for task, draw in zip(tasks, draws)
@@ -452,7 +446,8 @@ def sample_fresh_groups(
 
 def sample_fresh_group(task: SyntheticTask, n: int, rng_seed) -> GroupSample:
     """Sample n independent fresh rollouts of a task."""
-    return sample_fresh_groups([task], n, [rng_seed])[0]
+    (draw,) = _draw_groups([task], n, _PURPOSE_FRESH, _seed_words(rng_seed)[None])
+    return _group_sample(task, task.fresh_pass_probability, (), draw)
 
 
 def conditioned_pass_probability(
@@ -468,16 +463,15 @@ def conditioned_pass_probability(
 
 
 def draw_rerollout_groups(
-    tasks: Sequence[SyntheticTask], n: int, rng_seeds: Sequence
+    tasks: Sequence[SyntheticTask], n: int, rng_seed
 ) -> list[RolloutDraw]:
-    """The random part of sample_rerollout_group for each (task, seed) pair.
+    """The random part of a batch of rerollouts; completing draw j with
+    rerollout_group equals sample_rerollout_group(..., rng_seed + (j,)).
 
     It does not depend on the replay boundary, so a whole step's rerollouts
-    can be drawn before their boundaries are known; rerollout_group then
-    completes each one.
+    can be drawn before their boundaries are known.
     """
-    _check_group_size(n)
-    return _draw_groups(tasks, n, _PURPOSE_REROLLOUT, rng_seeds)
+    return _draw_groups(tasks, n, _PURPOSE_REROLLOUT, _batch_keys(rng_seed, len(tasks)))
 
 
 def rerollout_group(
@@ -502,7 +496,7 @@ def sample_rerollout_group(
     own length from the task's range and an independent outcome at the
     conditioned pass probability for share m / len(prefix).
     """
-    draw = draw_rerollout_groups([task], n, [rng_seed])[0]
+    (draw,) = _draw_groups([task], n, _PURPOSE_REROLLOUT, _seed_words(rng_seed)[None])
     return rerollout_group(task, prefix, m, draw)
 
 
@@ -544,9 +538,9 @@ class PopulationSpec:
             raise DomainError(
                 f"need 0 < p_min <= p_max < 1, got [{self.p_min}, {self.p_max}]"
             )
-        if not 0.0 <= self.sensitivity_min <= self.sensitivity_max:
+        if not 0.0 <= self.sensitivity_min <= self.sensitivity_max < np.inf:
             raise DomainError(
-                f"need 0 <= sensitivity_min <= sensitivity_max, got "
+                f"need 0 <= sensitivity_min <= sensitivity_max < inf, got "
                 f"[{self.sensitivity_min}, {self.sensitivity_max}]"
             )
         if self.length_min < 2 or self.length_max < self.length_min:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -257,26 +257,26 @@ def _audit_loss(samples, log_probs: np.ndarray, config: ExperimentConfig) -> flo
     """Masked surrogate summed over the mixed batch (audit only)."""
     total = 0.0
     for sample in samples:
-        group, trajectories = sample.group, sample.trajectories
+        group = sample.group
         k = pass_count(group)
         if k == 0 or k == group.group_size:
             continue
-        lengths = [t.length for t in trajectories]
-        steps = np.fromiter(
-            chain.from_iterable(t.steps for t in trajectories),
-            dtype=np.int64,
-            count=sum(lengths),
-        )
         total += masked_loss_kernel(
-            steps % _AUDIT_VOCAB,
-            lengths,
-            [t.replay_boundary for t in trajectories],
+            np.array(sample.steps, dtype=np.int64) % _AUDIT_VOCAB,
+            sample.lengths,
+            [sample.boundary] * group.group_size,
             rloo_advantages(group.rewards),
             log_probs,
             length_normalized=config.loss.length_normalized,
             group_reduction=config.loss.group_reduction,
         )
     return total
+
+
+def _rollouts(sample) -> list[tuple[int, ...]]:
+    """Each rollout's step ids, cut from the sample's flat steps."""
+    ends = accumulate(sample.lengths)
+    return [sample.steps[end - length:end] for end, length in zip(ends, sample.lengths)]
 
 
 def _group_record(sample, step: int) -> dict:
@@ -290,8 +290,8 @@ def _group_record(sample, step: int) -> dict:
         "origin": group.origin.value,
         "parent_bucket": None if parent is None else parent.label,
         "step": step,
-        "lengths": [t.length for t in sample.trajectories],
-        "boundary": sample.trajectories[0].replay_boundary,
+        "lengths": list(sample.lengths),
+        "boundary": sample.boundary,
     }
 
 
@@ -320,11 +320,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             np.random.SeedSequence((seed, _TASK_STREAM, step))
         )
         picks = task_rng.integers(0, len(population), size=config.batch_size)
-        fresh = env_mod.sample_fresh_groups(
-            [population[i] for i in picks],
-            n,
-            [(seed, step, slot) for slot in range(len(picks))],
-        )
+        # Group j of a step's batch is keyed (seed, step, j).
+        tasks = [population[i] for i in picks]
+        fresh = env_mod.sample_fresh_groups(tasks, n, (seed, step))
         pending = [] if config.same_step_rerollout else pool.drain()
         if replay_enabled:
             for sample in fresh:
@@ -332,15 +330,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 if bucket.kind is BucketKind.HARD or (
                     bucket.kind is BucketKind.EASY and easy_enabled
                 ):
-                    pool.save(select_prefix(sample.group, sample.trajectories))
+                    pool.save(select_prefix(sample.group, _rollouts(sample)))
             if config.same_step_rerollout:
                 pending = pool.drain()
         # The random draws do not depend on the replay boundary, so they are
         # made for the whole step before the controllers move.
         pending_tasks = [task_by_id[record.task_id] for record in pending]
-        draws = env_mod.draw_rerollout_groups(
-            pending_tasks, n, [(seed, step, j) for j in range(len(pending))]
-        )
+        draws = env_mod.draw_rerollout_groups(pending_tasks, n, (seed, step))
         rerollouts = []
         for record, task, draw in zip(pending, pending_tasks, draws):
             state = states[record.source_bucket]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from passband.advantages import (
@@ -205,6 +207,25 @@ class TestMaskedLoss:
             masked_grpo_loss([traj], np.array([1.0]), policy, group_reduction="median")
 
 
+@st.composite
+def gradient_instances(draw):
+    """A policy, a group of masked trajectories and their advantages."""
+    n_contexts = draw(st.integers(1, 8))
+    vocab = draw(st.integers(2, 8))
+    logits = draw(
+        st.lists(st.floats(-8.0, 8.0), min_size=n_contexts * vocab, max_size=n_contexts * vocab)
+    )
+    trajectories = []
+    for _ in range(draw(st.integers(1, 6))):
+        tokens = tuple(draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=12)))
+        boundary = draw(st.integers(0, len(tokens)))
+        trajectories.append(TokenTrajectory(token_ids=tokens, replay_boundary=boundary))
+    advantages = draw(
+        st.lists(st.floats(-4.0, 4.0), min_size=len(trajectories), max_size=len(trajectories))
+    )
+    return ToyPolicy(np.reshape(logits, (n_contexts, vocab))), trajectories, np.array(advantages)
+
+
 class TestLossGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -233,6 +254,40 @@ class TestLossGradient:
         grad = loss_gradient([traj], np.array([1.5]), policy)
         assert np.all(grad[:3] == 0.0)
         assert np.any(grad[3:] != 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        instance=gradient_instances(),
+        length_normalized=st.booleans(),
+        group_reduction=st.sampled_from(["sum", "mean"]),
+    )
+    @example(
+        instance=(
+            ToyPolicy(logits=np.linspace(-1, 1, 30).reshape(5, 6)),
+            [TokenTrajectory((0, 1, 2, 3, 4), 3), TokenTrajectory((5, 4, 3, 2, 1, 0), 2)],
+            np.array([1.5, -0.5]),
+        ),
+        length_normalized=True,
+        group_reduction="mean",
+    )
+    def test_masked_only_contexts_exactly_zero_property(
+        self, instance, length_normalized, group_reduction
+    ):
+        policy, trajectories, advantages = instance
+        grad = loss_gradient(
+            trajectories, advantages, policy,
+            length_normalized=length_normalized, group_reduction=group_reduction,
+        )
+        last = policy.logits.shape[0] - 1
+        live = {
+            min(t, last) for traj in trajectories
+            for t in range(traj.replay_boundary, len(traj))
+        }
+        masked = {
+            min(t, last) for traj in trajectories for t in range(traj.replay_boundary)
+        }
+        for c in masked - live:
+            assert np.all(grad[c] == 0.0)
 
     def test_zero_advantages_zero_gradient(self):
         policy = ToyPolicy(logits=np.linspace(-1, 1, 12).reshape(3, 4))

@@ -88,6 +88,23 @@ class TestSimulate:
         assert "length_max" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("controller.step_size = inf", "step_size"),
+            ("population.sensitivity_max = inf", "sensitivity_max"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, capsys, line, key):
+        bad = tmp_path / "inf.cfg"
+        bad.write_text(f"steps = 2\nbatch_size = 2\n{line}\n")
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert key in err
+        assert not (tmp_path / "o").exists()
+
     def test_non_utf8_config(self, tmp_path, capsys):
         bad = tmp_path / "latin1.cfg"
         bad.write_bytes(b"steps = 3\n# caf\xe9 \xff\n")

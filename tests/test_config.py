@@ -36,7 +36,7 @@ def controller_params(draw) -> ControllerParams:
     return ControllerParams(
         alpha=draw(st.floats(0.0, 1.0, exclude_min=True)),
         deadzone=draw(st.floats(0.0, 0.5, exclude_max=True)),
-        step_size=draw(st.floats(min_value=0.0)),
+        step_size=draw(st.floats(min_value=0.0, allow_infinity=False)),
         ratio_min=ratio_min,
         ratio_max=ratio_max,
         cooldown=draw(st.integers(0, 10**6)),
@@ -48,7 +48,7 @@ def controller_params(draw) -> ControllerParams:
 @st.composite
 def population_specs(draw) -> PopulationSpec:
     p_min = draw(open_unit())
-    sensitivity_min = draw(st.floats(min_value=0.0))
+    sensitivity_min = draw(st.floats(min_value=0.0, allow_infinity=False))
     length_min = draw(st.integers(2, MAX_TRAJECTORY_LENGTH))
     return PopulationSpec(
         preset=draw(st.sampled_from(["single", "uniform", "hard_skewed"])),
@@ -57,7 +57,7 @@ def population_specs(draw) -> PopulationSpec:
         p_min=p_min,
         p_max=draw(st.floats(p_min, 1.0, exclude_max=True)),
         sensitivity_min=sensitivity_min,
-        sensitivity_max=draw(st.floats(min_value=sensitivity_min)),
+        sensitivity_max=draw(st.floats(min_value=sensitivity_min, allow_infinity=False)),
         length_min=length_min,
         length_max=draw(st.integers(length_min, MAX_TRAJECTORY_LENGTH)),
         mirror=draw(st.booleans()),
@@ -202,6 +202,26 @@ class TestErrors:
             parse_config("population.length_max = 100000000000")
         with pytest.raises(DomainError, match="length_max"):
             PopulationSpec(length_max=MAX_TRAJECTORY_LENGTH + 1)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_step_size_rejected(self, value):
+        with pytest.raises(ConfigError, match="step_size must be finite"):
+            parse_config(f"controller.step_size = {value}")
+        with pytest.raises(DomainError):
+            ControllerParams(step_size=float(value))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "population.sensitivity_max = inf",
+            "population.sensitivity_min = inf\npopulation.sensitivity_max = inf",
+            "population.sensitivity_max = nan",
+            "population.sensitivity_min = nan",
+        ],
+    )
+    def test_non_finite_sensitivity_rejected(self, text):
+        with pytest.raises(ConfigError, match="sensitivity_max"):
+            parse_config(text)
 
     def test_direct_construction_domain_errors(self):
         with pytest.raises(DomainError):

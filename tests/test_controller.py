@@ -323,36 +323,31 @@ class TestSelectPrefix:
     def _group(self, rewards):
         return RolloutGroup(task_id="t", rewards=tuple(rewards))
 
-    def _trajs(self, rewards, length=3):
-        from passband.env import Trajectory
-
-        return [
-            Trajectory(steps=(i,) * length, success=r)
-            for i, r in enumerate(rewards)
-        ]
+    def _rollouts(self, rewards, length=3):
+        return [(i,) * length for i in range(len(rewards))]
 
     def test_hard_picks_first_success(self):
         rewards = [0, 0, 1, 0, 0, 1, 0, 0]
-        rec = select_prefix(self._group(rewards), self._trajs(rewards))
+        rec = select_prefix(self._group(rewards), self._rollouts(rewards))
         assert rec.outcome is PrefixOutcome.SUCCESS
         assert rec.steps == (2, 2, 2)
         assert rec.source_bucket == HARD2
 
     def test_easy_picks_first_failure(self):
         rewards = [1, 1, 1, 0, 1, 1, 1, 1]
-        rec = select_prefix(self._group(rewards), self._trajs(rewards, length=4))
+        rec = select_prefix(self._group(rewards), self._rollouts(rewards, length=4))
         assert rec.outcome is PrefixOutcome.FAILURE
         assert rec.steps == (3, 3, 3, 3)
         assert rec.source_bucket == EASY7
 
     def test_balanced_returns_none(self):
         rewards = [1, 1, 1, 1, 0, 0, 0, 0]
-        assert select_prefix(self._group(rewards), self._trajs(rewards)) is None
+        assert select_prefix(self._group(rewards), self._rollouts(rewards)) is None
 
     def test_degenerate_rejected(self):
         rewards = [1] * 8
         with pytest.raises(ContractError):
-            select_prefix(self._group(rewards), self._trajs(rewards))
+            select_prefix(self._group(rewards), self._rollouts(rewards))
 
     def test_rerollout_group_rejected(self):
         rewards = (1, 0, 0, 0, 0, 0, 0, 0)
@@ -361,7 +356,7 @@ class TestSelectPrefix:
             origin=GroupOrigin.REROLLOUT, parent_bucket=HARD1,
         )
         with pytest.raises(ContractError):
-            select_prefix(group, self._trajs(rewards))
+            select_prefix(group, self._rollouts(rewards))
 
 
 class TestReplayBoundary:
@@ -376,6 +371,16 @@ class TestReplayBoundary:
             for ratio in (0.0, 0.01, 0.05, 0.5, 0.95, 0.99, 1.0):
                 m = replay_boundary(ratio, length)
                 assert 1 <= m <= length - 1
+
+    @given(
+        ratio=st.floats(0.0, 1.0),
+        length=st.one_of(st.integers(2, 64), st.integers(2, 2**40)),
+    )
+    @example(ratio=0.0, length=2)
+    @example(ratio=1.0, length=2)
+    @example(ratio=1.0, length=2**40)
+    def test_interior_property(self, ratio, length):
+        assert 1 <= replay_boundary(ratio, length) <= length - 1
 
     def test_length_one_returns_floor(self):
         assert replay_boundary(0.5, 1) == 0

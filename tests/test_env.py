@@ -1,6 +1,7 @@
 """Synthetic task environment: determinism, distributions, and replay fidelity."""
 
 import zlib
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.stats import binom, chisquare
 
 from passband.controller import PrefixOutcome, PrefixRecord, select_prefix
 from passband.env import (
+    _CHUNK_WORDS,
     _PURPOSE_FRESH,
     _PURPOSE_REROLLOUT,
     PopulationSpec,
@@ -33,6 +35,12 @@ from passband.errors import ContractError, DomainError
 from passband.groups import BucketKind, GroupOrigin, classify_bucket, pass_count
 
 
+def rollout_steps(sample):
+    """Each rollout's step ids, cut from the sample's flat steps."""
+    ends = accumulate(sample.lengths)
+    return [sample.steps[end - length:end] for end, length in zip(ends, sample.lengths)]
+
+
 def make_task(p0=0.5, sensitivity=4.0, lengths=(4, 12), task_id="t0"):
     return SyntheticTask(
         task_id=task_id,
@@ -40,6 +48,16 @@ def make_task(p0=0.5, sensitivity=4.0, lengths=(4, 12), task_id="t0"):
         prefix_sensitivity=sensitivity,
         length_range=lengths,
     )
+
+
+# Long rollouts make a batch of these tasks span several kernel chunks.
+LONG_TASKS = [make_task(0.3 + 0.02 * i, lengths=(100, 300), task_id=f"t{i}") for i in range(20)]
+FAILURE_PREFIX = PrefixRecord(
+    task_id="t0",
+    source_bucket=classify_bucket(7, 8),
+    outcome=PrefixOutcome.FAILURE,
+    steps=tuple(range(100, 112)),
+)
 
 
 class TestSyntheticTask:
@@ -62,7 +80,7 @@ class TestFreshSampling:
         a = sample_fresh_group(task, 8, rng_seed=(7, 0, 0))
         b = sample_fresh_group(task, 8, rng_seed=(7, 0, 0))
         assert a.group.rewards == b.group.rewards
-        assert [t.steps for t in a.trajectories] == [t.steps for t in b.trajectories]
+        assert (a.lengths, a.steps) == (b.lengths, b.steps)
 
     def test_seed_sensitivity(self):
         task = make_task(0.5)
@@ -70,7 +88,7 @@ class TestFreshSampling:
         b = sample_fresh_group(task, 8, rng_seed=(7, 0, 1))
         assert (
             a.group.rewards != b.group.rewards
-            or [t.steps for t in a.trajectories] != [t.steps for t in b.trajectories]
+            or (a.lengths, a.steps) != (b.lengths, b.steps)
         )
 
     def test_structure(self):
@@ -78,11 +96,12 @@ class TestFreshSampling:
         sample = sample_fresh_group(task, 8, rng_seed=11)
         assert sample.group.origin is GroupOrigin.FRESH
         assert sample.group.parent_bucket is None
-        assert len(sample.trajectories) == 8
-        for reward, traj in zip(sample.group.rewards, sample.trajectories):
-            assert traj.success == bool(reward)
-            assert traj.replay_boundary == 0
-            assert 4 <= traj.length <= 12
+        assert len(sample.group.rewards) == len(sample.lengths) == 8
+        assert set(sample.group.rewards) <= {0, 1}
+        assert sample.boundary == 0
+        assert len(sample.steps) == sum(sample.lengths)
+        for length in sample.lengths:
+            assert 4 <= length <= 12
 
     def test_extreme_probabilities(self):
         always = sample_fresh_group(make_task(1.0), 8, rng_seed=3)
@@ -97,14 +116,12 @@ class TestFreshSampling:
     def test_pass_count_distribution(self):
         # Chi-squared against Binomial(8, 0.5) pooled over fresh groups.
         # 50k groups keeps the smallest expected cell near 150 while staying
-        # well under the acceptance-run budget. Streams are keyed per
-        # rollout, so one batched call draws the same groups as 50k
+        # well under the acceptance-run budget. Group i of the batch is keyed
+        # (99, 0, i), so one batched call draws the same groups as 50k
         # batch-of-one calls; TestRolloutSeeding and TestRolloutKernel check
         # both paths against numpy's own stream.
         n_groups = 50_000
-        samples = sample_fresh_groups(
-            [make_task(0.5)] * n_groups, 8, [(99, 0, i) for i in range(n_groups)]
-        )
+        samples = sample_fresh_groups([make_task(0.5)] * n_groups, 8, (99, 0))
         counts = np.bincount([pass_count(s.group) for s in samples], minlength=9)
         expected = binom.pmf(np.arange(9), 8, 0.5) * n_groups
         assert expected.min() >= 5.0
@@ -168,10 +185,10 @@ class TestRerolloutSampling:
         task = make_task(0.125, sensitivity=4.0)
         prefix = self._prefix(8)
         sample = sample_rerollout_group(task, prefix, m=5, n=8, rng_seed=(1, 2, 3))
-        for traj in sample.trajectories:
-            assert traj.steps[:5] == prefix.steps[:5]
-            assert traj.replay_boundary == 5
-            assert traj.length > 5
+        assert sample.boundary == 5
+        for steps in rollout_steps(sample):
+            assert steps[:5] == prefix.steps[:5]
+            assert len(steps) > 5
 
     def test_group_metadata(self):
         task = make_task(0.125)
@@ -185,12 +202,12 @@ class TestRerolloutSampling:
         a = sample_rerollout_group(task, self._prefix(), 4, 8, rng_seed=(2, 2))
         b = sample_rerollout_group(task, self._prefix(), 4, 8, rng_seed=(2, 2))
         assert a.group.rewards == b.group.rewards
-        assert [t.steps for t in a.trajectories] == [t.steps for t in b.trajectories]
+        assert (a.lengths, a.steps) == (b.lengths, b.steps)
 
     def test_continuations_differ_across_rollouts(self):
         task = make_task(0.5)
         sample = sample_rerollout_group(task, self._prefix(), 4, 8, rng_seed=9)
-        tails = {t.steps[4:] for t in sample.trajectories}
+        tails = {steps[4:] for steps in rollout_steps(sample)}
         assert len(tails) > 1
 
     def test_boundary_contract(self):
@@ -241,7 +258,7 @@ class TestRolloutSeeding:
         task = make_task(0.5)
         seed_tuple = (entry, 3, entry)
         sample = sample_fresh_group(task, 8, rng_seed=seed_tuple)
-        assert [(t.steps, t.success) for t in sample.trajectories] == self.reference_draws(
+        assert list(zip(rollout_steps(sample), sample.group.rewards)) == self.reference_draws(
             seed_tuple, _PURPOSE_FRESH, task, 0.5, 8
         )
 
@@ -256,7 +273,7 @@ class TestRolloutSeeding:
         )
         sample = sample_rerollout_group(task, prefix, 3, 8, rng_seed=entry)
         p = conditioned_pass_probability(task, prefix.outcome, 3 / 8)
-        assert [(t.steps, t.success) for t in sample.trajectories] == self.reference_draws(
+        assert list(zip(rollout_steps(sample), sample.group.rewards)) == self.reference_draws(
             (entry,), _PURPOSE_REROLLOUT, task, p, 8, prefix.steps[:3]
         )
 
@@ -313,16 +330,15 @@ class TestRolloutKernel:
             assert (block[i, used[i]] >> np.uint64(11)) * 2.0**-53 == rng.random()
 
     def test_batches_match_numpy_per_group(self):
-        # Enough long rollouts for several kernel chunks, and seeds of one
-        # and of three words in one batch.
-        tasks = [make_task(0.3, lengths=(100, 300), task_id=f"t{i}") for i in range(20)]
-        seeds = [(i,) if i % 3 else (2**40 + i, 1) for i in range(20)]
-        samples = sample_fresh_groups(tasks, 8, seeds)
-        for task, seed, sample in zip(tasks, seeds, samples):
-            assert [
-                (t.steps, t.success) for t in sample.trajectories
-            ] == TestRolloutSeeding.reference_draws(
-                seed, _PURPOSE_FRESH, task, task.fresh_pass_probability, 8
+        # Enough long rollouts for several kernel chunks, under a seed of
+        # three words; group j is keyed seed + (j,).
+        seed = (2**40 + 3, 1)
+        samples = sample_fresh_groups(LONG_TASKS, 8, seed)
+        for j, (task, sample) in enumerate(zip(LONG_TASKS, samples)):
+            assert list(
+                zip(rollout_steps(sample), sample.group.rewards)
+            ) == TestRolloutSeeding.reference_draws(
+                seed + (j,), _PURPOSE_FRESH, task, task.fresh_pass_probability, 8
             )
 
     def test_rerollout_draws_complete_like_the_sampler(self):
@@ -333,11 +349,63 @@ class TestRolloutKernel:
             outcome=PrefixOutcome.SUCCESS,
             steps=tuple(range(100, 110)),
         )
-        draws = draw_rerollout_groups([task] * 3, 8, [(5, j) for j in range(3)])
+        draws = draw_rerollout_groups([task] * 3, 8, (5,))
         for j, (m, draw) in enumerate(zip((1, 5, 9), draws)):
             got = rerollout_group(task, prefix, m, draw)
             want = sample_rerollout_group(task, prefix, m, 8, rng_seed=(5, j))
             assert got == want
+
+
+class TestBatchKeys:
+    """A batch call takes one seed and keys its group j as seed + (j,)."""
+
+    def test_batch_spans_several_chunks(self):
+        # Groups per chunk, as _draw_groups computes it: at least 4 chunks.
+        assert 3 * (_CHUNK_WORDS // (8 * (300 + 2))) < len(LONG_TASKS)
+
+    @pytest.mark.parametrize("seed", [(5, 6, 7), (2**40 + 1, 2)])
+    def test_fresh_batch_is_groups_of_one(self, seed):
+        samples = sample_fresh_groups(LONG_TASKS, 8, seed)
+        assert len(samples) == len(LONG_TASKS)
+        for j, (task, sample) in enumerate(zip(LONG_TASKS, samples)):
+            assert sample == sample_fresh_group(task, 8, seed + (j,))
+
+    @pytest.mark.parametrize("seed", [(5, 6, 7), (2**40 + 1, 2)])
+    def test_rerollout_batch_is_groups_of_one(self, seed):
+        draws = draw_rerollout_groups(LONG_TASKS, 8, seed)
+        assert len(draws) == len(LONG_TASKS)
+        for j, (task, draw) in enumerate(zip(LONG_TASKS, draws)):
+            m = 1 + j % 11
+            assert rerollout_group(task, FAILURE_PREFIX, m, draw) == sample_rerollout_group(
+                task, FAILURE_PREFIX, m, 8, seed + (j,)
+            )
+
+    def test_empty_batch(self):
+        assert sample_fresh_groups([], 8, (1, 2)) == []
+        assert draw_rerollout_groups([], 8, 3) == []
+
+
+class TestGroupSampleInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**40),
+        lengths=st.tuples(st.integers(2, 12), st.integers(0, 12)),
+        m=st.integers(1, 11),
+    )
+    def test_flat_steps_and_shared_boundary(self, seed, lengths, m):
+        lo, extra = lengths
+        task = make_task(0.4, lengths=(lo, lo + extra))
+        prefix = FAILURE_PREFIX
+        fresh = sample_fresh_group(task, 8, seed)
+        child = sample_rerollout_group(task, prefix, m, 8, seed)
+        for sample in (fresh, child):
+            assert len(sample.lengths) == len(sample.group.rewards) == 8
+            assert len(sample.steps) == sum(sample.lengths)
+        assert fresh.boundary == 0
+        assert child.boundary == m
+        for steps in rollout_steps(child):
+            assert steps[:m] == prefix.steps[:m]
+            assert lo <= len(steps) - m <= lo + extra
 
 
 class TestSeedValidation:
@@ -384,13 +452,13 @@ class TestSelectThenRerollout:
                 sample = candidate
                 break
         assert sample is not None
-        record = select_prefix(sample.group, sample.trajectories)
+        record = select_prefix(sample.group, rollout_steps(sample))
         child = sample_rerollout_group(task, record, 2, 8, rng_seed=(31, 777))
         assert child.group.parent_bucket == classify_bucket(
             pass_count(sample.group), 8
         )
-        for traj in child.trajectories:
-            assert traj.steps[:2] == record.steps[:2]
+        for steps in rollout_steps(child):
+            assert steps[:2] == record.steps[:2]
 
 
 class TestPopulation:
