@@ -22,6 +22,9 @@ arm ignores easy buckets, and the adaptive arm runs everything.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from pathlib import Path
@@ -249,8 +252,9 @@ def compute_transition_matrix(
 
 
 def _audit_policy(seed: int) -> ToyPolicy:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _POLICY_STREAM)))
-    return ToyPolicy(rng.normal(size=(_AUDIT_CONTEXTS, _AUDIT_VOCAB)))
+    shape = (_AUDIT_CONTEXTS, _AUDIT_VOCAB)
+    logits = env_mod.stream_uniforms((seed, _POLICY_STREAM), shape[0] * shape[1])
+    return ToyPolicy(logits.reshape(shape))
 
 
 def _audit_loss(samples, log_probs: np.ndarray, config: ExperimentConfig) -> float:
@@ -316,12 +320,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     group_records: list[dict] = []
 
     for step in range(config.steps):
-        task_rng = np.random.default_rng(
-            np.random.SeedSequence((seed, _TASK_STREAM, step))
+        picks = env_mod.stream_integers(
+            (seed, _TASK_STREAM, step), config.batch_size, len(population)
         )
-        picks = task_rng.integers(0, len(population), size=config.batch_size)
         # Group j of a step's batch is keyed (seed, step, j).
-        tasks = [population[i] for i in picks]
+        tasks = [population[i] for i in picks.tolist()]
         fresh = env_mod.sample_fresh_groups(tasks, n, (seed, step))
         pending = [] if config.same_step_rerollout else pool.drain()
         if replay_enabled:
@@ -429,28 +432,42 @@ def _metrics_rows(result: RunResult) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+_TRACE_FILES = (
+    "metrics.csv", "controller.csv", "transitions.csv", "run.jsonl", "meta.json"
+)
+
+
 def emit_traces(result: RunResult, destination) -> list[Path]:
     """Write metrics.csv, controller.csv, transitions.csv, run.jsonl, and
-    meta.json under the destination directory. Byte-stable given a seed."""
-    out = Path(destination)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    meta.json under the destination directory. Byte-stable given a seed.
 
-    header, rows = _metrics_rows(result)
-    metrics_path = out / "metrics.csv"
-    _write_csv(metrics_path, header, rows)
-    written.append(metrics_path)
+    The files are written into a temporary directory next to the destination
+    and then moved into place, so an interrupted write leaves the destination
+    as it was.
+    """
+    dest = Path(destination)
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{dest.name}-", dir=dest.parent))
+    try:
+        _write_traces(result, staging)
+        dest.mkdir(exist_ok=True)
+        for name in _TRACE_FILES:
+            os.replace(staging / name, dest / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return [dest / name for name in _TRACE_FILES]
 
-    controller_path = out / "controller.csv"
+
+def _write_traces(result: RunResult, out: Path) -> None:
+    _write_csv(out / "metrics.csv", *_metrics_rows(result))
     _write_csv(
-        controller_path,
+        out / "controller.csv",
         ["step", "bucket", "r_b", "ema", "cooldown_remaining"],
         [
             [r.step, r.bucket, r.r_b, r.ema, r.cooldown_remaining]
             for r in result.controller_rows
         ],
     )
-    written.append(controller_path)
 
     n = result.config.group_size
     trans = result.transitions
@@ -462,29 +479,22 @@ def emit_traces(result: RunResult, destination) -> list[Path]:
              trans.row_band_share(label)]
             + [float(p) for p in probs]
         )
-    transitions_path = out / "transitions.csv"
     _write_csv(
-        transitions_path,
+        out / "transitions.csv",
         ["bucket", "count", "mean_child_pass_count", "target_band_share"]
         + [f"child_{k}" for k in range(n + 1)],
         trans_rows,
     )
-    written.append(transitions_path)
 
-    jsonl_path = out / "run.jsonl"
-    with jsonl_path.open("w", encoding="utf-8") as fh:
+    with (out / "run.jsonl").open("w", encoding="utf-8") as fh:
         for record in result.group_records:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-    written.append(jsonl_path)
 
-    meta_path = out / "meta.json"
-    meta_path.write_text(
+    (out / "meta.json").write_text(
         json.dumps(config_to_flat_dict(result.config), indent=2, sort_keys=True)
         + "\n",
         encoding="utf-8",
     )
-    written.append(meta_path)
-    return written
 
 
 def aggregate_run(result: RunResult) -> dict[str, float]:

@@ -26,9 +26,11 @@ from passband.verification import (
 TRACE_FILES = ["metrics.csv", "controller.csv", "transitions.csv", "run.jsonl"]
 BUCKET_LABELS = ("1/8", "2/8", "6/8", "7/8")
 
-# The steering criteria leave seed choice free; seed 5 is a verified-stable
-# pick for the frozen hard-skewed population (final EMAs near 0.5 with wide
-# margin to both band edges at 360 steps).
+# The steering criteria leave seed choice free; seed 5 is the pinned pick.
+# Its final EMAs at 360 steps lie inside [0.44, 0.56], but with a thin
+# margin: the 1/8 bucket ends at 0.445, 0.005 above the lower edge. The
+# band is about +-1.5 standard deviations of the EMA, so some seeds fail
+# criterion 6 (11 of seeds 0-19 pass) while steering works at all of them.
 STEERING_TEXT = "steps = 360\nseed = 5\n"
 COMPARISON_SEEDS = [100, 101, 102, 103, 104]
 COMPARISON_STEPS = 120

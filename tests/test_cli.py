@@ -88,6 +88,16 @@ class TestSimulate:
         assert "length_max" in err
         assert not (tmp_path / "o").exists()
 
+    def test_oversized_population_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "big.cfg"
+        bad.write_text(f"steps = 2\nbatch_size = 2\npopulation.size = {2**32 + 1}\n")
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "population size" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "line, key",
         [

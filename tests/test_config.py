@@ -16,7 +16,7 @@ from passband.config import (
     parse_config,
 )
 from passband.controller import ControllerParams
-from passband.env import MAX_TRAJECTORY_LENGTH, PopulationSpec
+from passband.env import MAX_POPULATION_SIZE, MAX_TRAJECTORY_LENGTH, PopulationSpec
 from passband.errors import ConfigError, DomainError
 
 
@@ -202,6 +202,20 @@ class TestErrors:
             parse_config("population.length_max = 100000000000")
         with pytest.raises(DomainError, match="length_max"):
             PopulationSpec(length_max=MAX_TRAJECTORY_LENGTH + 1)
+
+    def test_population_size_bounded(self):
+        # Task picks draw below the population size from 32 bits.
+        assert (
+            parse_config(f"population.size = {MAX_POPULATION_SIZE}")
+            .population.size == MAX_POPULATION_SIZE
+        )
+        with pytest.raises(
+            ConfigError,
+            match=rf"population size must lie in \[1, {2**32}\], got {2**32 + 1}",
+        ):
+            parse_config(f"population.size = {2**32 + 1}")
+        with pytest.raises(DomainError, match="population size"):
+            PopulationSpec(size=MAX_POPULATION_SIZE + 1)
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
     def test_non_finite_step_size_rejected(self, value):

@@ -2,6 +2,7 @@
 
 import zlib
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,20 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit, logit
-from scipy.stats import binom, chisquare
+from scipy.stats import beta, binom, chisquare
 
+from passband import env
 from passband.controller import PrefixOutcome, PrefixRecord, select_prefix
 from passband.env import (
     _CHUNK_WORDS,
     _PURPOSE_FRESH,
     _PURPOSE_REROLLOUT,
     PopulationSpec,
+    RolloutDraw,
     SyntheticTask,
-    _draw_lengths,
-    _pcg_outputs,
-    _pcg_streams,
-    _rollout_draws,
-    _uint32_words,
+    _key_hash,
+    _words,
     conditioned_pass_probability,
     draw_rerollout_groups,
     make_task_population,
@@ -30,6 +30,8 @@ from passband.env import (
     sample_fresh_group,
     sample_fresh_groups,
     sample_rerollout_group,
+    stream_integers,
+    stream_uniforms,
 )
 from passband.errors import ContractError, DomainError
 from passband.groups import BucketKind, GroupOrigin, classify_bucket, pass_count
@@ -39,6 +41,56 @@ def rollout_steps(sample):
     """Each rollout's step ids, cut from the sample's flat steps."""
     ends = accumulate(sample.lengths)
     return [sample.steps[end - length:end] for end, length in zip(ends, sample.lengths)]
+
+
+# A pure-Python SplitMix64 reference of the generator, in Python ints.
+MASK64 = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def ref_mix(x):
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & MASK64
+    return x ^ (x >> 31)
+
+
+def ref_hash(key):
+    h = 0
+    for entry in key:
+        words = [entry & MASK64]
+        while entry := entry >> 64:
+            words.append(entry & MASK64)
+        for w in words:
+            h = ref_mix((h ^ w) + GAMMA & MASK64)
+    return h
+
+
+def ref_word(key_hash, c):
+    return ref_mix(key_hash + (c + 1) * GAMMA & MASK64)
+
+
+def reference_draw(key, purpose, task, n):
+    """A group's RolloutDraw from the reference: rollout i is keyed
+    key + (purpose, crc32(task id), i)."""
+    lo, hi = task.length_range
+    lengths, steps, uniforms = [], [], []
+    for i in range(n):
+        h = ref_hash(key + (purpose, zlib.crc32(task.task_id.encode()), i))
+        length = lo + ((ref_word(h, 0) >> 32) * (hi - lo + 1) >> 32)
+        lengths.append(length)
+        uniforms.append((ref_word(h, 1) >> 11) * 2.0**-53)
+        steps.extend(ref_word(h, c) >> 2 for c in range(2, length + 2))
+    return RolloutDraw(tuple(lengths), tuple(steps), tuple(uniforms))
+
+
+def reference_draws(key, purpose, task, p, n, prefix_steps=()):
+    """(step ids, reward) of every rollout of a group, from the reference."""
+    draw = reference_draw(key, purpose, task, n)
+    ends = accumulate(draw.lengths)
+    return [
+        (prefix_steps + draw.steps[end - length:end], int(u < p))
+        for end, length, u in zip(ends, draw.lengths, draw.uniforms)
+    ]
 
 
 def make_task(p0=0.5, sensitivity=4.0, lengths=(4, 12), task_id="t0"):
@@ -119,7 +171,7 @@ class TestFreshSampling:
         # well under the acceptance-run budget. Group i of the batch is keyed
         # (99, 0, i), so one batched call draws the same groups as 50k
         # batch-of-one calls; TestRolloutSeeding and TestRolloutKernel check
-        # both paths against numpy's own stream.
+        # both paths against the pure-Python reference of the generator.
         n_groups = 50_000
         samples = sample_fresh_groups([make_task(0.5)] * n_groups, 8, (99, 0))
         counts = np.bincount([pass_count(s.group) for s in samples], minlength=9)
@@ -233,32 +285,46 @@ class TestRerolloutSampling:
         assert abs(rate - want) < 4 * se
 
 
+class TestStreamPins:
+    """Literal outputs of the generator. A numpy upgrade or a refactor that
+    moves the stream, and with it every trace, fails here loudly."""
+
+    WORDS_OF_KEY_5 = [0xFAD6E24671254235, 0x1B1A399B7FC87089, 0xDD2622E06671D6A5]
+
+    def test_reference_words(self):
+        assert [ref_word(ref_hash((5,)), c) for c in range(3)] == self.WORDS_OF_KEY_5
+
+    def test_kernel_words(self):
+        counters = np.arange(3, dtype=np.uint64)
+        assert _words(_key_hash(5), counters).tolist() == self.WORDS_OF_KEY_5
+
+    def test_public_streams(self):
+        words = self.WORDS_OF_KEY_5
+        assert stream_uniforms((5,), 3).tolist() == [(w >> 11) * 2.0**-53 for w in words]
+        for bound in (1, 7, 1000, 2**32):
+            assert stream_integers(5, 3, bound).tolist() == [
+                (w >> 32) * bound >> 32 for w in words
+            ]
+
+    def test_population_values(self):
+        task = make_task_population(PopulationSpec(), 5)[0]
+        assert task.task_id == "task-00000"
+        assert task.base_logit == 2.0368401453937257
+        assert task.prefix_sensitivity == 2.6963751628841157
+
+
 class TestRolloutSeeding:
-    """Each rollout's stream is numpy's for a tuple of seed entries, however
-    the entropy is handed to SeedSequence; entries of 2**32 and above span
-    several 32-bit words."""
+    """Each rollout's stream is the reference's for a tuple of seed entries;
+    entries of 2**64 and above span several 64-bit words."""
 
     SEED_ENTRIES = (0, 2**32 - 1, 2**32, 2**64 + 5)
-
-    @staticmethod
-    def reference_draws(seed_tuple, purpose, task, p, n, prefix_steps=()):
-        lo, hi = task.length_range
-        out = []
-        for index in range(n):
-            entropy = seed_tuple + (purpose, zlib.crc32(task.task_id.encode()), index)
-            rng = np.random.default_rng(np.random.SeedSequence(entropy))
-            length = int(rng.integers(lo, hi + 1))
-            success = int(rng.random() < p)
-            fresh = rng.integers(0, 2**62, size=length)
-            out.append((prefix_steps + tuple(int(x) for x in fresh), success))
-        return out
 
     @pytest.mark.parametrize("entry", SEED_ENTRIES)
     def test_fresh_matches_tuple_entropy(self, entry):
         task = make_task(0.5)
         seed_tuple = (entry, 3, entry)
         sample = sample_fresh_group(task, 8, rng_seed=seed_tuple)
-        assert list(zip(rollout_steps(sample), sample.group.rewards)) == self.reference_draws(
+        assert list(zip(rollout_steps(sample), sample.group.rewards)) == reference_draws(
             seed_tuple, _PURPOSE_FRESH, task, 0.5, 8
         )
 
@@ -273,71 +339,52 @@ class TestRolloutSeeding:
         )
         sample = sample_rerollout_group(task, prefix, 3, 8, rng_seed=entry)
         p = conditioned_pass_probability(task, prefix.outcome, 3 / 8)
-        assert list(zip(rollout_steps(sample), sample.group.rewards)) == self.reference_draws(
+        assert list(zip(rollout_steps(sample), sample.group.rewards)) == reference_draws(
             (entry,), _PURPOSE_REROLLOUT, task, p, 8, prefix.steps[:3]
         )
 
 
 class TestRolloutKernel:
-    """The array kernel against numpy's Generator seeded the same way."""
+    """The array kernel against the pure-Python reference."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        head=st.lists(st.integers(0, 2**70), min_size=3, max_size=6),
-        ranges=st.lists(
-            st.tuples(st.integers(0, 40), st.one_of(st.just(0), st.integers(0, 40))),
-            min_size=1,
-            max_size=9,
+        # Entries of 2**64 and above are two words; draw them often.
+        seed=st.lists(
+            st.integers(0, 2**70) | st.integers(2**64, 2**70), min_size=1, max_size=4
         ),
+        n=st.integers(2, 16),
+        ranges=st.lists(
+            st.tuples(st.integers(2, 40), st.one_of(st.just(0), st.integers(0, 40))),
+            min_size=1,
+            max_size=6,
+        ),
+        chunk_words=st.one_of(st.just(_CHUNK_WORDS), st.integers(1, 600)),
     )
-    def test_matches_numpy_stream(self, head, ranges):
-        # Row i is seeded by head + (i,): 4 words (SeedSequence's pool size)
-        # up to 19, as a rollout key of (seed entries, purpose, task, index)
-        # has. lo == hi occurs.
-        words = np.array(
-            [_uint32_words(head + [i]) for i in range(len(ranges))], dtype=np.uint32
-        )
-        lo = np.array([a for a, _ in ranges])
-        hi = lo + np.array([b for _, b in ranges])
-        lengths, uniforms, steps = _rollout_draws(words, lo, hi)
-        offset = 0
-        for i in range(len(ranges)):
-            rng = np.random.default_rng(np.random.SeedSequence(tuple(head) + (i,)))
-            length = int(rng.integers(lo[i], hi[i] + 1))
-            assert lengths[i] == length
-            assert uniforms[i] == rng.random()
-            want = rng.integers(0, 2**62, size=length).tolist()
-            assert steps[offset:offset + length].tolist() == want
-            offset += length
-        assert offset == len(steps)
+    def test_matches_reference_stream(self, seed, n, ranges, chunk_words):
+        # A small chunk size makes even a short batch span several chunks.
+        tasks = [
+            make_task(0.2 + 0.1 * j, lengths=(lo, lo + extra), task_id=f"t{j}")
+            for j, (lo, extra) in enumerate(ranges)
+        ]
+        with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
+            fresh = sample_fresh_groups(tasks, n, seed)
+            rerollouts = draw_rerollout_groups(tasks, n, seed)
+        for j, (task, sample, draw) in enumerate(zip(tasks, fresh, rerollouts)):
+            key = tuple(seed) + (j,)
+            want = reference_draw(key, _PURPOSE_FRESH, task, n)
+            assert (sample.lengths, sample.steps) == (want.lengths, want.steps)
+            p = task.fresh_pass_probability
+            assert sample.group.rewards == tuple(int(u < p) for u in want.uniforms)
+            assert draw == reference_draw(key, _PURPOSE_REROLLOUT, task, n)
 
-    def test_length_draw_rejection(self):
-        # For a range of 3 * 2**30 values the 32-bit Lemire draw rejects a
-        # quarter of its 32-bit draws (those that are 0 mod 4), so some rows
-        # here need two or more 64-bit words for their length. At real
-        # length ranges this happens about 4 times in 2**32 draws.
-        span = 3 * 2**30
-        keys = [(2024, 3, 7, i) for i in range(200)]
-        words = np.array([_uint32_words(k) for k in keys], dtype=np.uint32)
-        streams = _pcg_streams(words)
-        lo = np.zeros(len(keys), dtype=np.int64)
-        lengths, used = _draw_lengths(streams, _pcg_outputs(streams, 0, 1), lo, lo + span - 1)
-        assert (used >= 2).sum() >= 5
-        block = _pcg_outputs(streams, 0, int(used.max()) + 1)
-        for i, key in enumerate(keys):
-            rng = np.random.default_rng(np.random.SeedSequence(key))
-            assert lengths[i] == rng.integers(0, span)
-            assert (block[i, used[i]] >> np.uint64(11)) * 2.0**-53 == rng.random()
-
-    def test_batches_match_numpy_per_group(self):
+    def test_batches_match_reference_per_group(self):
         # Enough long rollouts for several kernel chunks, under a seed of
         # three words; group j is keyed seed + (j,).
-        seed = (2**40 + 3, 1)
+        seed = (2**70 + 3, 1)
         samples = sample_fresh_groups(LONG_TASKS, 8, seed)
         for j, (task, sample) in enumerate(zip(LONG_TASKS, samples)):
-            assert list(
-                zip(rollout_steps(sample), sample.group.rewards)
-            ) == TestRolloutSeeding.reference_draws(
+            assert list(zip(rollout_steps(sample), sample.group.rewards)) == reference_draws(
                 seed + (j,), _PURPOSE_FRESH, task, task.fresh_pass_probability, 8
             )
 
@@ -354,6 +401,40 @@ class TestRolloutKernel:
             got = rerollout_group(task, prefix, m, draw)
             want = sample_rerollout_group(task, prefix, m, 8, rng_seed=(5, j))
             assert got == want
+
+
+class TestDistributions:
+    """Goodness of fit at level 0.001 for draws no other test covers."""
+
+    def test_lengths_uniform(self):
+        lo, hi = 3, 13
+        samples = sample_fresh_groups([make_task(lengths=(lo, hi))] * 2000, 8, (17,))
+        lengths = np.concatenate([s.lengths for s in samples])
+        assert lengths.min() >= lo and lengths.max() <= hi
+        counts = np.bincount(lengths - lo, minlength=hi - lo + 1)
+        assert chisquare(counts).pvalue > 0.001
+
+    def test_hard_skewed_mixture(self):
+        # p0 ~ 0.75 Beta(1, 8) + 0.25 Beta(8, 1), clipped to [0.05, 0.95]: the
+        # outer bins are the two clip atoms. The tolerance absorbs the
+        # logit/expit round trip at the atoms.
+        size = 20_000
+        tasks = make_task_population(PopulationSpec(size=size), rng_seed=23)
+        ps = np.array([t.fresh_pass_probability for t in tasks])
+        clip = 0.05
+        inner = np.linspace(clip, 1.0 - clip, 19)
+        edges = np.concatenate(
+            [[0.0], inner[:1] + 1e-12, inner[1:-1], inner[-1:] - 1e-12, [1.0]]
+        )
+        counts = np.histogram(ps, bins=edges)[0]
+
+        def cdf(x):
+            return 0.75 * beta.cdf(x, 1, 8) + 0.25 * beta.cdf(x, 8, 1)
+
+        cuts = np.concatenate([[0.0], inner, [1.0]])
+        expected = np.diff(cdf(cuts)) * size
+        assert expected.min() >= 5.0
+        assert chisquare(counts, expected).pvalue > 0.001
 
 
 class TestBatchKeys:

@@ -13,14 +13,15 @@ the sha256 of every byte-stable trace file for six configs:
 * the fixed-ratio arm with a three-word seed (2**64 + 5), N = 16 and the
   uniform population;
 * a population whose length range is a single value, where the length draw
-  consumes no random word.
+  still consumes the rollout's first random word.
 
-Rollout streams are computed by passband's own array kernel, which
-reproduces numpy's SeedSequence -> PCG64 stream word for word; task picks,
-the population and the audit policy still come from numpy's Generator.
-A change to either stream, or to the arithmetic order of the audit loss,
-fails these tests on purpose: such a change alters the traces, so it must
-be deliberate, update the digests here and be recorded in CHANGES.md.
+Every random draw behind these files (rollouts, the population, task
+picks and the audit policy) comes from passband's keyed SplitMix64
+counter generator in env.py, computed in uint64 array arithmetic; no
+numpy Generator is involved. A change to that generator, to the keying of its
+streams, or to the arithmetic order of the audit loss, fails these tests
+on purpose: such a change alters the traces, so it must be deliberate,
+update the digests here and be recorded in CHANGES.md.
 """
 
 import hashlib
@@ -59,55 +60,55 @@ GOLDEN = {
     "criterion-10": (
         CRITERION_10,
         {
-            "metrics.csv": "70a93537dc4b4c9a834a269c0843d829c24cf4b0356650c1fe8eebf11ce0f015",
-            "controller.csv": "aa2d4879ed29cfe0b85f5eda62e7b773421575e482636a3d048815640c017e60",
-            "transitions.csv": "32a90fad076af77e70991348ebff9417cfb88879cee95b92af3572407da0785e",
-            "run.jsonl": "9ed8a359a44f20bed1a95e57705a41073d79d358ac7475a6bb15f91ed6474946",
+            "metrics.csv": "7233a569a942445c65f207994fadbd352f5c67e41095580d73f4109f8dc2d8d3",
+            "controller.csv": "c0085e300ae03d29bebb265ad50f1df2b82b81ccb55ea6948d075fbf883291d6",
+            "transitions.csv": "7306e9f1417b9211af059dfa752880f1f069803f6a44cdc29cb5f650ea2d33f1",
+            "run.jsonl": "8262597b733148df46c8af83f6e4a799a88a8206c3ba055fa311f1b9fa567fb1",
         },
     ),
     "long-mean-normalized": (
         LONG_MEAN_NORMALIZED,
         {
-            "metrics.csv": "451eba39fa4bfc18bd8259711a621e643eca3058e113e2ddc6e57b37888423bf",
-            "controller.csv": "79aa9237d2d759fcf54f64803400e2f27d23a66f5e626b2bd8b99c47b164de56",
-            "transitions.csv": "23bc2b21af2471d31219c50ba875689e7897554c5d9b524d506f7258c7f90472",
-            "run.jsonl": "e2714dcd79c2dd49b6359aa310c69f614290675e865a62e89bdfdc28d2a79688",
+            "metrics.csv": "f0cd365ec1924a08a200ebbbc4d0eb1c22700c0d14bea78907ab6d0ca5af469d",
+            "controller.csv": "5fcb1a3b4ea684706bfa9c37e2fc38b76ce6933777c15d1b8a82c2984bd0fc56",
+            "transitions.csv": "88fdf65c65e264d80d541d5dd7e0ff9f2f34c5b655bf0ba614b5ce3a4cb22eb1",
+            "run.jsonl": "7f713c043b3c45ce786c4155159fdeac2502065ee9bcac8a6ad0b8c84336c78c",
         },
     ),
     "baseline": (
         BASELINE,
         {
-            "metrics.csv": "4e34c096cc6d005a5be28a458aca67a0b6f89a93cbe0b7a47f01e1fa6b9301de",
+            "metrics.csv": "640d90ed896f3361e8f64fe3c3a13dfc04bf73a3d80be613477b16d4e69c30ff",
             "controller.csv": "2196d9d5624a86dfec94b5d3db8ba78cefd3b34115cc420165c0a3a688963477",
             "transitions.csv": "aeb020f9e7147a6224e500770f5251e08d2c4dcfb7e1a8f87d2ac7121bd09cc4",
-            "run.jsonl": "5b6d673f9312997e555749f86843d48a76c91459b46f8b23fb0ceed39cdf795e",
+            "run.jsonl": "7b43095f104c60aa6b8173c22f2d6b5090e84e7c566b9404f49bb1917b74ca44",
         },
     ),
     "hard-only-next-step": (
         HARD_ONLY_NEXT_STEP,
         {
-            "metrics.csv": "bc0f187c2ea7e4618aed92335e7851a8f0412da04aca3613a86bcc00f4134e0e",
-            "controller.csv": "4404bd470fcb385f18f14bf7e6e9ec0cd66318ed7419331c1a882319765d58bc",
-            "transitions.csv": "036ac575cb6fffd7b74ec5830317ad1999952d0e13782c02160e12077fc31039",
-            "run.jsonl": "3bdf6ae6bb11fe7de74524d59f465870172ceae46885841fcae9eb43fe199972",
+            "metrics.csv": "289f9b2e599fa0b3f86b9209e69737b2af77d6a49518dfdd7fbe586276ef5b0d",
+            "controller.csv": "eb66adbac03b574cc55fb617a18393bf4c92e6ea0295c8b0265ceb507e481444",
+            "transitions.csv": "95585304db33c1d2cf5a0b0d0133e0b731a40cb6dc0c860f90d2a6d86f062020",
+            "run.jsonl": "5bb1c4f13664967284596c5732bc7939047eff25c4f15dccd124630d5145694f",
         },
     ),
     "fix-wide-seed-uniform": (
         FIX_WIDE_SEED_UNIFORM,
         {
-            "metrics.csv": "d77013daa1829fcd86493c7edd49bfe184376d0e5ee813024935cf892eefd018",
-            "controller.csv": "56dbeeda4c25881411b628be73bff6882be4b280b9875150a32c9ca93aad1f5f",
-            "transitions.csv": "994b33ae35c53214fd55c9e67d4804f5c8e547e0ae34d318076b810b74bce9ee",
-            "run.jsonl": "d0043b193c566180ade94355980d24f6ff130a07b2cf82cffe59f5ce85000ac8",
+            "metrics.csv": "e50e0b44a22f24c490539e00a4f74419c2b3a7400e6136a1820514f9ac621d7c",
+            "controller.csv": "97c0d9ba301d404e4b31aca054797f5d46a04ae0dae21dd669978d0b6ab1e4b6",
+            "transitions.csv": "b0b312b3971a84d16e85f293ea8d5e587fa4f9301774a3599611a20494d0caeb",
+            "run.jsonl": "5ad9d3cdb7b3b2463bc81de20ca6067f7b4540c4d0501a0e814f5395db1b64be",
         },
     ),
     "fixed-length": (
         FIXED_LENGTH,
         {
-            "metrics.csv": "c51e7919bf99fe0306f1e9689c5bec85ce09f38479d0da8bf93721718276aa86",
-            "controller.csv": "a4101a8ebf3c675ebe286c1c51fbd0fb044f24f8ef600013da14408a5e17ad5f",
-            "transitions.csv": "e51027f3fb127bc29559025f4afa83e6710aacdebed6a820878739c21b6135ae",
-            "run.jsonl": "d095f5ade67a6ea87d31ad57b8189db68aa6057bdfbd91208651bd2b3e82aef3",
+            "metrics.csv": "cd5471f7ca787b90b92536e5cc6595ad75f7eda9eeda227d1b6c6c36a901ff06",
+            "controller.csv": "b199108623b0972012f022fcaec431b745bcf8c5fd46d4a853522f18bbecee4b",
+            "transitions.csv": "a23f8bad1b068580de23501b3053455888e78b4dab7d0e5047ea42e9d42b1ca6",
+            "run.jsonl": "a6e26a95ab55390867c3a0d2e1c1461b92629e893a0fcb326a452bf3aeb8c21f",
         },
     ),
 }

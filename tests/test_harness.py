@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from passband import harness
 from passband.config import Arm, ExperimentConfig, parse_config
 from passband.errors import ContractError, DomainError
 from passband.groups import GroupOrigin, RolloutGroup, classify_bucket
@@ -264,6 +265,27 @@ class TestEmitTraces:
         assert (tmp_path / "run.jsonl").read_text() == ""
         # Transition rows always cover the four controlled buckets.
         assert len((tmp_path / "transitions.csv").read_text().splitlines()) == 5
+
+    def test_interrupted_write_leaves_destination_as_it_was(self, tmp_path, monkeypatch):
+        old = tmp_path / "old"
+        emit_traces(run_experiment(small_config(steps=2)), old)
+        before = {path.name: path.read_bytes() for path in old.iterdir()}
+        result = run_experiment(small_config(steps=3))
+        real_dumps = json.dumps
+
+        def dumps_failing_mid_jsonl(obj, **kwargs):
+            if obj is result.group_records[3]:
+                raise OSError("disk full")
+            return real_dumps(obj, **kwargs)
+
+        monkeypatch.setattr(harness.json, "dumps", dumps_failing_mid_jsonl)
+        for destination in (old, tmp_path / "new"):
+            with pytest.raises(OSError, match="disk full"):
+                emit_traces(result, destination)
+        monkeypatch.undo()
+        assert {path.name: path.read_bytes() for path in old.iterdir()} == before
+        # No new destination, no partial file and no temporary directory.
+        assert [path.name for path in tmp_path.iterdir()] == ["old"]
 
     def test_byte_identical_across_repeats(self, tmp_path):
         config = small_config(steps=4)
