@@ -41,31 +41,35 @@ __all__ = [
 ]
 
 
-def _check_binary_rewards(rewards) -> np.ndarray:
+def _binary_rewards(rewards) -> np.ndarray:
+    """Rewards as floats, one group (N,) or a step's groups (G, N). A bool
+    array, as a compare produces, is binary by construction: only its shape
+    is checked."""
     arr = np.asarray(rewards)
-    if arr.ndim != 1:
-        raise DomainError("rewards must be a flat sequence")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise DomainError(f"rewards must be binary, got {list(rewards)!r}")
+    if arr.ndim not in (1, 2):
+        raise DomainError("rewards must be a flat sequence or a (G, N) array")
+    if arr.dtype != bool and not np.all((arr == 0) | (arr == 1)):
+        raise DomainError(f"rewards must be binary, got {arr.tolist()!r}")
     return arr.astype(float)
 
 
 def rloo_advantages(rewards) -> np.ndarray:
-    """Leave-one-out advantages: reward minus the mean of the other N-1."""
-    arr = _check_binary_rewards(rewards)
-    n = arr.size
+    """Leave-one-out advantages: reward minus the mean of the other N-1,
+    for one group (N,) or for every group of a (G, N) array at once."""
+    arr = _binary_rewards(rewards)
+    n = arr.shape[-1]
     if n < 2:
         raise DomainError(f"RLOO needs at least 2 rollouts, got {n}")
-    k = arr.sum()
+    k = arr.sum(axis=-1, keepdims=True)
     return arr - (k - arr) / (n - 1)
 
 
 def mean_centered_advantages(rewards) -> np.ndarray:
     """Advantages centered by the group mean: r_i - k/N. Sums to zero."""
-    arr = _check_binary_rewards(rewards)
-    if arr.size < 1:
+    arr = _binary_rewards(rewards)
+    if arr.shape[-1] < 1:
         raise DomainError("mean centering needs at least 1 rollout")
-    return arr - arr.mean()
+    return arr - arr.mean(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def _check_group(group_trajectories, advantages) -> np.ndarray:
     return adv
 
 
-def _scale(value, n_trajectories: int, n_unmasked: int,
+def _scale(value, n_trajectories: int, n_unmasked,
            length_normalized: bool, group_reduction: str):
     if group_reduction not in ("sum", "mean"):
         raise DomainError(
@@ -160,43 +164,51 @@ def _scale(value, n_trajectories: int, n_unmasked: int,
         )
     if group_reduction == "mean":
         value = value / n_trajectories
-    if length_normalized and n_unmasked > 0:
-        value = value / n_unmasked
+    if length_normalized:
+        # Dividing by 1 leaves a group without unmasked tokens as it is.
+        value = value / np.maximum(n_unmasked, 1)
     return value
 
 
 def masked_loss_kernel(
-    token_ids: np.ndarray,
-    lengths,
+    tokens: np.ndarray,
     boundaries,
+    counts,
     advantages: np.ndarray,
     log_probs: np.ndarray,
     *,
     length_normalized: bool = False,
     group_reduction: str = "sum",
-) -> float:
-    """Masked surrogate of one group, given as arrays.
+) -> np.ndarray:
+    """Masked surrogate of each of G groups of N trajectories: a (G,) array.
 
-    token_ids holds the group's trajectories back to back; lengths,
-    boundaries and advantages hold one entry per trajectory, in the same
-    order; log_probs is the policy's (contexts x vocabulary) log-softmax
-    table. Inputs are trusted: masked_grpo_loss validates them.
+    tokens holds every trajectory's unmasked tokens back to back, group by
+    group and trajectory by trajectory. counts and advantages are (G, N):
+    each trajectory's number of unmasked tokens and its advantage.
+    boundaries are the replay boundaries, (G, N), or (G, 1) for one per
+    group: unmasked token j of a trajectory sits at position boundary + j.
+    log_probs is the policy's (contexts x vocabulary) log-softmax table.
+    Inputs are trusted: masked_grpo_loss validates them.
     """
-    lengths = np.asarray(lengths)
-    starts = np.cumsum(lengths) - lengths
-    positions = np.arange(token_ids.size) - np.repeat(starts, lengths)
-    keep = positions >= np.repeat(boundaries, lengths)
-    contexts = np.minimum(positions, log_probs.shape[0] - 1)
-    terms = (np.repeat(advantages, lengths) * log_probs[contexts, token_ids])[keep]
-    # The traces are byte-stable, so the sum must round exactly as a plain
+    counts = np.asarray(counts)
+    g, n = counts.shape
+    width = int(counts.max(initial=0))
+    j = np.arange(width)
+    keep = j < counts[..., None]
+    starts = (np.cumsum(counts) - counts.ravel()).reshape(g, n, 1)
+    picked = tokens[np.where(keep, starts + j, 0)]
+    contexts = np.minimum(np.asarray(boundaries)[..., None] + j, log_probs.shape[0] - 1)
+    # One padded (G, N * width) term matrix; padding cells are 0.0.
+    terms = np.where(keep, advantages[..., None] * log_probs[contexts, picked], 0.0)
+    # The traces are byte-stable, so each row must round exactly as a plain
     # loop over trajectories and then tokens does: np.sum adds pairwise and
-    # changes the last bits. np.add.accumulate adds strictly left to right;
+    # changes the last bits. np.add.accumulate adds strictly left to right,
+    # and a 0.0 padding cell changes at most the sign of a zero partial sum;
     # the final + 0.0 stands for the loop's 0.0 start, which turns a sum of
     # negative zeros into +0.0.
-    total = np.add.accumulate(terms)[-1] + 0.0 if terms.size else 0.0
-    return float(
-        _scale(-total, len(lengths), terms.size, length_normalized, group_reduction)
-    )
+    terms = terms.reshape(g, n * width)
+    totals = np.add.accumulate(terms, axis=1)[:, -1] + 0.0 if width else np.zeros(g)
+    return _scale(-totals, n, counts.sum(axis=1), length_normalized, group_reduction)
 
 
 def masked_grpo_loss(
@@ -214,18 +226,20 @@ def masked_grpo_loss(
     length-normalization denominator (the count of unmasked tokens).
     """
     adv = _check_group(group_trajectories, advantages)
-    token_ids = np.fromiter(
-        chain.from_iterable(t.token_ids for t in group_trajectories), dtype=np.intp
+    tokens = np.fromiter(
+        chain.from_iterable(t.token_ids[t.replay_boundary:] for t in group_trajectories),
+        dtype=np.intp,
     )
-    return masked_loss_kernel(
-        token_ids,
-        [len(t) for t in group_trajectories],
-        [t.replay_boundary for t in group_trajectories],
-        adv,
+    (loss,) = masked_loss_kernel(
+        tokens,
+        [[t.replay_boundary for t in group_trajectories]],
+        [[len(t) - t.replay_boundary for t in group_trajectories]],
+        adv[None],
         policy.log_probs(),
         length_normalized=length_normalized,
         group_reduction=group_reduction,
     )
+    return float(loss)
 
 
 def loss_gradient(

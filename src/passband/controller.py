@@ -22,6 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, chain
+
+import numpy as np
 
 from .errors import ContractError, DomainError
 from .groups import Bucket, BucketKind, GroupOrigin, RolloutGroup, classify_bucket, pass_count
@@ -34,10 +37,14 @@ __all__ = [
     "initial_controller_state",
     "update_controller",
     "select_prefix",
+    "prefix_records",
     "replay_boundary",
     "prefix_pool_memory_bound",
     "PrefixPool",
 ]
+
+
+_SAVING_KINDS = (BucketKind.HARD, BucketKind.EASY)
 
 
 class PrefixOutcome(Enum):
@@ -175,30 +182,41 @@ def update_controller(
 
 
 def select_prefix(group: RolloutGroup, rollouts) -> PrefixRecord | None:
-    """Pick the replay trajectory a fresh skewed group contributes, if any.
-
+    """prefix_records of one fresh group, or None if it saves nothing.
     rollouts[i] holds the step ids of the rollout behind group.rewards[i].
-    Hard groups contribute their lowest-index success, easy groups their
-    lowest-index failure, balanced groups nothing. Degenerate or rerollout
-    groups must not be offered.
-    """
+    Degenerate or rerollout groups must not be offered."""
     if group.origin is not GroupOrigin.FRESH:
         raise ContractError("rerollout groups never seed prefixes")
-    k = pass_count(group)
-    bucket = classify_bucket(k, group.group_size)
-    if bucket.kind is BucketKind.DEGENERATE:
+    if classify_bucket(pass_count(group), group.group_size).kind is BucketKind.DEGENERATE:
         raise ContractError("degenerate groups carry no replay material")
-    if bucket.kind is BucketKind.BALANCED:
-        return None
-    wanted = 1 if bucket.kind is BucketKind.HARD else 0
-    index = group.rewards.index(wanted)
-    outcome = PrefixOutcome.SUCCESS if wanted == 1 else PrefixOutcome.FAILURE
-    return PrefixRecord(
-        task_id=group.task_id,
-        source_bucket=bucket,
-        outcome=outcome,
-        steps=tuple(rollouts[index]),
-    )
+    steps = np.fromiter(chain.from_iterable(rollouts), dtype=np.int64)
+    offsets = list(accumulate((len(rollout) for rollout in rollouts), initial=0))
+    records = prefix_records([group.task_id], np.array([group.rewards]) == 1, steps, offsets)
+    return records[0] if records else None
+
+
+def prefix_records(
+    task_ids, rewards: np.ndarray, steps: np.ndarray, offsets, kinds=_SAVING_KINDS
+) -> list[PrefixRecord]:
+    """The replay material of G fresh groups with (G, N) bool rewards, whose
+    rollout r = j * N + i spans steps[offsets[r]:offsets[r + 1]]. A group
+    whose bucket kind is in kinds saves one trajectory: its lowest-index
+    success if hard, its lowest-index failure if easy."""
+    n = rewards.shape[1]
+    buckets = [classify_bucket(k, n) for k in range(n + 1)]
+    ks = rewards.sum(axis=1)
+    saving = np.flatnonzero(np.array([b.kind in kinds for b in buckets])[ks])
+    hard = np.array([b.kind is BucketKind.HARD for b in buckets])[ks[saving]]
+    picked = saving * n + np.argmax(rewards[saving] == hard[:, None], axis=1)
+    return [
+        PrefixRecord(
+            task_id=task_ids[j],
+            source_bucket=buckets[ks[j]],
+            outcome=PrefixOutcome.SUCCESS if success else PrefixOutcome.FAILURE,
+            steps=tuple(steps[offsets[r]:offsets[r + 1]].tolist()),
+        )
+        for j, success, r in zip(saving.tolist(), hard.tolist(), picked.tolist())
+    ]
 
 
 def replay_boundary(ratio: float, length: int) -> int:

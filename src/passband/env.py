@@ -20,6 +20,10 @@ equals sample_fresh_group(tasks[j], n, seed + (j,)). Every stream, the
 population's and the harness's task picks and audit policy included, comes
 from one keyed SplitMix64 counter generator in uint64 array arithmetic, so
 no numpy Generator stands behind any trace.
+
+A step's draws are arrays (StepDraws): lengths and uniforms (G, N), and
+every rollout's step ids in one flat int64 array with offsets. The closed
+loop uses them as they are; the per-group samplers are views of them.
 """
 
 from __future__ import annotations
@@ -42,12 +46,17 @@ __all__ = [
     "GroupSample",
     "PopulationSpec",
     "RolloutDraw",
+    "StepDraws",
     "sample_fresh_group",
     "sample_fresh_groups",
+    "draw_fresh_step",
+    "draw_rerollout_step",
     "conditioned_pass_probability",
     "sample_rerollout_group",
     "draw_rerollout_groups",
     "rerollout_group",
+    "rerollout_probability",
+    "rollout_rewards",
     "make_task_population",
     "stream_uniforms",
     "stream_integers",
@@ -208,6 +217,28 @@ class RolloutDraw(NamedTuple):
     uniforms: tuple[float, ...]
 
 
+class StepDraws(NamedTuple):
+    """The random part of G groups of N rollouts, as arrays: lengths and
+    uniforms (G, N), and steps, every rollout's drawn step ids back to back
+    as int64, rollout r = j * N + i spanning steps[offsets[r]:offsets[r + 1]]."""
+
+    lengths: np.ndarray
+    uniforms: np.ndarray
+    steps: np.ndarray
+    offsets: np.ndarray
+
+    def groups(self) -> list[RolloutDraw]:
+        """One RolloutDraw per group: the object view of the arrays."""
+        steps = self.steps.tolist()
+        bounds = self.offsets[:: self.lengths.shape[1]].tolist()
+        return [
+            RolloutDraw(tuple(lengths), tuple(steps[start:end]), tuple(uniforms))
+            for lengths, uniforms, start, end in zip(
+                self.lengths.tolist(), self.uniforms.tolist(), bounds, bounds[1:]
+            )
+        ]
+
+
 def _batch_keys(rng_seed, count: int) -> np.ndarray:
     """Key hashes of a batch's groups: group j is keyed by seed + (j,)."""
     return _extend(_key_hash(rng_seed), np.arange(count, dtype=_U64))
@@ -215,8 +246,8 @@ def _batch_keys(rng_seed, count: int) -> np.ndarray:
 
 def _draw_groups(
     tasks: Sequence[SyntheticTask], n: int, purpose: int, keys: np.ndarray
-) -> list[RolloutDraw]:
-    """One RolloutDraw per task: rollout i of group j is keyed by
+) -> StepDraws:
+    """Draws of one group per task: rollout i of group j is keyed by
     keys[j] + (purpose, crc32(task id), i), where keys holds the groups' key
     hashes. Word 0 of a rollout's stream gives its length, word 1 its
     uniform and words 2 .. length + 1 its step ids."""
@@ -224,7 +255,7 @@ def _draw_groups(
         raise DomainError(f"group size must be >= 2, got {n}")
     longest = max((task.length_range[1] for task in tasks), default=0)
     per_chunk = max(1, _CHUNK_WORDS // (n * (longest + 2)))
-    draws = []
+    lengths, uniforms, steps = [np.zeros(0, np.int64)], [np.zeros(0)], [np.zeros(0, _U64)]
     for start in range(0, len(tasks), per_chunk):
         chunk = tasks[start:start + per_chunk]
         uids = np.array([_task_uid(task.task_id) for task in chunk], dtype=_U64)
@@ -232,22 +263,27 @@ def _draw_groups(
         rows = _extend(groups[:, None], np.arange(n, dtype=_U64)).ravel()
         lo, hi = np.repeat([task.length_range for task in chunk], n, axis=0).T
         head = _words(rows[:, None], np.arange(2, dtype=_U64))
-        lengths = lo + _below(head[:, 0], hi - lo + 1).astype(np.int64)
-        uniforms = _uniform(head[:, 1]).tolist()
+        drawn = lo + _below(head[:, 0], hi - lo + 1).astype(np.int64)
         # Step ids: words 2 .. length + 1 of every rollout, back to back.
-        starts = np.cumsum(lengths) - lengths
-        counters = np.arange(lengths.sum()) - np.repeat(starts - 2, lengths)
-        steps = _words(np.repeat(rows, lengths), counters.astype(_U64)) >> _U64(2)
-        steps = steps.tolist()
-        lengths = lengths.tolist()
-        offsets = list(accumulate(lengths, initial=0))
-        for r in range(0, len(lengths), n):
-            draws.append(RolloutDraw(
-                lengths=tuple(lengths[r:r + n]),
-                steps=tuple(steps[offsets[r]:offsets[r + n]]),
-                uniforms=tuple(uniforms[r:r + n]),
-            ))
-    return draws
+        starts = np.cumsum(drawn) - drawn
+        counters = np.arange(drawn.sum()) - np.repeat(starts - 2, drawn)
+        steps.append(_words(np.repeat(rows, drawn), counters.astype(_U64)) >> _U64(2))
+        lengths.append(drawn)
+        uniforms.append(_uniform(head[:, 1]))
+    lengths = np.concatenate(lengths)
+    return StepDraws(
+        lengths=lengths.reshape(-1, n),
+        uniforms=np.concatenate(uniforms).reshape(-1, n),
+        steps=np.concatenate(steps).astype(np.int64),
+        offsets=np.concatenate(([0], np.cumsum(lengths))),
+    )
+
+
+def rollout_rewards(uniforms, p) -> np.ndarray:
+    """Rewards as a bool array: a rollout succeeds iff its uniform is below
+    its group's pass probability. uniforms (G, N) with p (G,), or one
+    group's (N,) with a scalar p."""
+    return np.asarray(uniforms) < np.asarray(p)[..., None]
 
 
 def _group_sample(
@@ -267,11 +303,22 @@ def _group_sample(
         lengths = tuple(boundary + length for length in lengths)
     group = RolloutGroup(
         task_id=task.task_id,
-        rewards=tuple(int(u < p) for u in draw.uniforms),
+        rewards=tuple(rollout_rewards(draw.uniforms, p).astype(int).tolist()),
         origin=GroupOrigin.FRESH if parent_bucket is None else GroupOrigin.REROLLOUT,
         parent_bucket=parent_bucket,
     )
     return GroupSample(group, lengths, steps, boundary)
+
+
+def draw_fresh_step(tasks: Sequence[SyntheticTask], n: int, rng_seed) -> StepDraws:
+    """sample_fresh_groups' draws, as arrays; group j is keyed rng_seed + (j,)."""
+    return _draw_groups(tasks, n, _PURPOSE_FRESH, _batch_keys(rng_seed, len(tasks)))
+
+
+def draw_rerollout_step(tasks: Sequence[SyntheticTask], n: int, rng_seed) -> StepDraws:
+    """draw_rerollout_groups' draws, as arrays. They do not depend on the
+    replay boundary, so a step's draws can precede its boundaries."""
+    return _draw_groups(tasks, n, _PURPOSE_REROLLOUT, _batch_keys(rng_seed, len(tasks)))
 
 
 def sample_fresh_groups(
@@ -279,16 +326,15 @@ def sample_fresh_groups(
 ) -> list[GroupSample]:
     """Fresh groups of every task in one batch; group j equals
     sample_fresh_group(tasks[j], n, rng_seed + (j,))."""
-    draws = _draw_groups(tasks, n, _PURPOSE_FRESH, _batch_keys(rng_seed, len(tasks)))
     return [
         _group_sample(task, task.fresh_pass_probability, (), draw)
-        for task, draw in zip(tasks, draws)
+        for task, draw in zip(tasks, draw_fresh_step(tasks, n, rng_seed).groups())
     ]
 
 
 def sample_fresh_group(task: SyntheticTask, n: int, rng_seed) -> GroupSample:
     """Sample n independent fresh rollouts of a task."""
-    (draw,) = _draw_groups([task], n, _PURPOSE_FRESH, _key_hash(rng_seed))
+    (draw,) = _draw_groups([task], n, _PURPOSE_FRESH, _key_hash(rng_seed)).groups()
     return _group_sample(task, task.fresh_pass_probability, (), draw)
 
 
@@ -308,24 +354,25 @@ def draw_rerollout_groups(
     tasks: Sequence[SyntheticTask], n: int, rng_seed
 ) -> list[RolloutDraw]:
     """The random part of a batch of rerollouts; completing draw j with
-    rerollout_group equals sample_rerollout_group(..., rng_seed + (j,)).
+    rerollout_group equals sample_rerollout_group(..., rng_seed + (j,))."""
+    return draw_rerollout_step(tasks, n, rng_seed).groups()
 
-    It does not depend on the replay boundary, so a whole step's rerollouts
-    can be drawn before their boundaries are known.
-    """
-    return _draw_groups(tasks, n, _PURPOSE_REROLLOUT, _batch_keys(rng_seed, len(tasks)))
+
+def rerollout_probability(task: SyntheticTask, prefix: PrefixRecord, m: int) -> float:
+    """Pass probability of a continuation after the prefix's first m steps."""
+    if not 1 <= m < prefix.length:
+        raise ContractError(
+            f"replay boundary m must satisfy 1 <= m < {prefix.length}, got {m}"
+        )
+    return conditioned_pass_probability(task, prefix.outcome, m / prefix.length)
 
 
 def rerollout_group(
     task: SyntheticTask, prefix: PrefixRecord, m: int, draw: RolloutDraw
 ) -> GroupSample:
     """Replay the prefix's first m steps ahead of each drawn continuation and
-    decide each outcome at the conditioned pass probability for m / len(prefix)."""
-    if not 1 <= m < prefix.length:
-        raise ContractError(
-            f"replay boundary m must satisfy 1 <= m < {prefix.length}, got {m}"
-        )
-    p = conditioned_pass_probability(task, prefix.outcome, m / prefix.length)
+    decide each outcome at rerollout_probability(task, prefix, m)."""
+    p = rerollout_probability(task, prefix, m)
     return _group_sample(task, p, prefix.steps[:m], draw, prefix.source_bucket)
 
 
@@ -338,7 +385,7 @@ def sample_rerollout_group(
     own length from the task's range and an independent outcome at the
     conditioned pass probability for share m / len(prefix).
     """
-    (draw,) = _draw_groups([task], n, _PURPOSE_REROLLOUT, _key_hash(rng_seed))
+    (draw,) = _draw_groups([task], n, _PURPOSE_REROLLOUT, _key_hash(rng_seed)).groups()
     return rerollout_group(task, prefix, m, draw)
 
 

@@ -14,6 +14,12 @@ One step of the replay pipeline:
 6. record step metrics, controller snapshots, and parent-to-child
    transitions
 
+A step is held as arrays, not per-group objects: env's StepDraws, (G, N)
+rewards, and the pass counts, RLOO advantages and one padded audit-loss
+term matrix computed from them. Only the rerollouts' boundaries, pass
+probabilities and controller updates run group by group, since each
+depends on the controller state the step's earlier rerollouts left.
+
 Four arms share this loop: the baseline disables replay entirely, the
 fixed-ratio arm runs the controller with a zero step size, the hard-only
 arm ignores easy buckets, and the adaptive arm runs everything.
@@ -26,10 +32,10 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit
 
 from . import env as env_mod
 # The run loop calls the loss kernel directly; masked_grpo_loss, its
@@ -41,11 +47,20 @@ from .advantages import (  # noqa: F401
     masked_loss_kernel,
     rloo_advantages,
 )
-from .config import Arm, ExperimentConfig, arm_controller_params, config_to_flat_dict
-from .controller import (
+from .config import (
+    Arm,
+    ExperimentConfig,
+    LossOptions,
+    arm_controller_params,
+    config_to_flat_dict,
+)
+# select_prefix is the object-level form of the loop's prefix picks; it
+# stays importable from here for code that looks it up on this module.
+from .controller import (  # noqa: F401
     BucketControllerState,
     PrefixPool,
     initial_controller_state,
+    prefix_records,
     replay_boundary,
     select_prefix,
     update_controller,
@@ -56,7 +71,6 @@ from .groups import (
     BucketKind,
     GroupOrigin,
     RolloutGroup,
-    classify_bucket,
     controlled_buckets,
     pass_count,
 )
@@ -80,6 +94,8 @@ _POLICY_STREAM = 1002
 
 _AUDIT_CONTEXTS = 8
 _AUDIT_VOCAB = 16
+_FRESH = GroupOrigin.FRESH.value
+_REROLLOUT = GroupOrigin.REROLLOUT.value
 
 
 @dataclass(frozen=True)
@@ -166,7 +182,7 @@ class RunResult:
     group_records: tuple[dict, ...]
 
 
-def _cohort_stats(ks: list[int], n: int) -> CohortStats:
+def _cohort_stats(ks: np.ndarray, n: int) -> CohortStats:
     count = len(ks)
     if count == 0:
         nan = float("nan")
@@ -179,6 +195,27 @@ def _cohort_stats(ks: list[int], n: int) -> CohortStats:
         target_band_share=float(np.mean(distance <= 1.0)),
         exact_half_share=float(np.mean(arr == n / 2)),
         mean_distance=float(distance.mean()),
+    )
+
+
+def _step_metrics(
+    step: int, n: int, ks: np.ndarray, n_fresh: int, parents: list[str], audit_loss: float
+) -> StepMetrics:
+    """Metrics of one step from its groups' pass counts, fresh groups first,
+    and each rerollout's parent bucket label."""
+    by_bucket: dict[str, list[int]] = {}
+    for label, k in zip(parents, ks[n_fresh:].tolist()):
+        by_bucket.setdefault(label, []).append(k)
+    return StepMetrics(
+        step=step,
+        valid_groups=int(np.count_nonzero((ks > 0) & (ks < n))),
+        fresh=_cohort_stats(ks[:n_fresh], n),
+        rerollout=_cohort_stats(ks[n_fresh:], n),
+        bucket_pass_rates={
+            label: float(np.mean(v)) / n for label, v in sorted(by_bucket.items())
+        },
+        bucket_group_counts={label: len(v) for label, v in sorted(by_bucket.items())},
+        audit_loss=audit_loss,
     )
 
 
@@ -203,32 +240,11 @@ def compute_step_metrics(
         n = group_size
     else:
         raise ContractError("empty batch needs an explicit group_size")
-    fresh_ks: list[int] = []
-    re_ks: list[int] = []
-    by_bucket: dict[str, list[int]] = {}
-    valid = 0
-    for group in batch:
-        k = pass_count(group)
-        if 0 < k < n:
-            valid += 1
-        if group.origin is GroupOrigin.FRESH:
-            fresh_ks.append(k)
-        else:
-            re_ks.append(k)
-            by_bucket.setdefault(group.parent_bucket.label, []).append(k)
-    rates = {
-        label: float(np.mean(ks)) / n for label, ks in sorted(by_bucket.items())
-    }
-    counts = {label: len(ks) for label, ks in sorted(by_bucket.items())}
-    return StepMetrics(
-        step=step,
-        valid_groups=valid,
-        fresh=_cohort_stats(fresh_ks, n),
-        rerollout=_cohort_stats(re_ks, n),
-        bucket_pass_rates=rates,
-        bucket_group_counts=counts,
-        audit_loss=audit_loss,
-    )
+    fresh = [pass_count(g) for g in batch if g.origin is GroupOrigin.FRESH]
+    rerollouts = [g for g in batch if g.origin is not GroupOrigin.FRESH]
+    ks = np.array(fresh + [pass_count(g) for g in rerollouts], dtype=np.int64)
+    parents = [g.parent_bucket.label for g in rerollouts]
+    return _step_metrics(step, n, ks, len(fresh), parents, audit_loss)
 
 
 def compute_transition_matrix(
@@ -257,46 +273,19 @@ def _audit_policy(seed: int) -> ToyPolicy:
     return ToyPolicy(logits.reshape(shape))
 
 
-def _audit_loss(samples, log_probs: np.ndarray, config: ExperimentConfig) -> float:
-    """Masked surrogate summed over the mixed batch (audit only)."""
-    total = 0.0
-    for sample in samples:
-        group = sample.group
-        k = pass_count(group)
-        if k == 0 or k == group.group_size:
-            continue
-        total += masked_loss_kernel(
-            np.array(sample.steps, dtype=np.int64) % _AUDIT_VOCAB,
-            sample.lengths,
-            [sample.boundary] * group.group_size,
-            rloo_advantages(group.rewards),
-            log_probs,
-            length_normalized=config.loss.length_normalized,
-            group_reduction=config.loss.group_reduction,
-        )
-    return total
-
-
-def _rollouts(sample) -> list[tuple[int, ...]]:
-    """Each rollout's step ids, cut from the sample's flat steps."""
-    ends = accumulate(sample.lengths)
-    return [sample.steps[end - length:end] for end, length in zip(ends, sample.lengths)]
-
-
-def _group_record(sample, step: int) -> dict:
-    """One run.jsonl record: a group observed at a step, with its lengths
-    and replay boundary (shared by every rollout of the group)."""
-    group = sample.group
-    parent = group.parent_bucket
-    return {
-        "task_id": group.task_id,
-        "rewards": list(group.rewards),
-        "origin": group.origin.value,
-        "parent_bucket": None if parent is None else parent.label,
-        "step": step,
-        "lengths": list(sample.lengths),
-        "boundary": sample.boundary,
-    }
+def _audit_loss(
+    tokens, boundaries, counts, advantages, log_probs: np.ndarray, options: LossOptions
+) -> float:
+    """Masked surrogate of a step's groups (masked_loss_kernel's arguments),
+    added left to right from 0.0 (audit only). A degenerate group has
+    all-zero RLOO advantages, so its loss is a zero of either sign and
+    leaves the sum as it is: the sum is that of the non-degenerate groups."""
+    losses = masked_loss_kernel(
+        tokens, boundaries, counts, advantages, log_probs,
+        length_normalized=options.length_normalized,
+        group_reduction=options.group_reduction,
+    )
+    return float(np.add.accumulate(np.concatenate(([0.0], losses)))[-1])
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -308,9 +297,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     easy_enabled = config.arm in (Arm.PS_FIX, Arm.PS_ADA)
     population = env_mod.make_task_population(config.population, seed)
     task_by_id = {task.task_id: task for task in population}
+    base_logits = np.array([task.base_logit for task in population])
+    # Bucket kinds whose fresh groups save a prefix.
+    saving = (BucketKind.HARD, BucketKind.EASY) if easy_enabled else (BucketKind.HARD,)
+    if not replay_enabled:
+        saving = ()
     states: dict[Bucket, BucketControllerState] = {
-        bucket: initial_controller_state(bucket, params)
-        for bucket in controlled_buckets(n)
+        bucket: initial_controller_state(bucket, params) for bucket in controlled_buckets(n)
     }
     log_probs = _audit_policy(seed).log_probs()
     pool = PrefixPool()
@@ -325,55 +318,63 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         )
         # Group j of a step's batch is keyed (seed, step, j).
         tasks = [population[i] for i in picks.tolist()]
-        fresh = env_mod.sample_fresh_groups(tasks, n, (seed, step))
+        fresh = env_mod.draw_fresh_step(tasks, n, (seed, step))
+        fresh_rewards = env_mod.rollout_rewards(fresh.uniforms, expit(base_logits[picks]))
         pending = [] if config.same_step_rerollout else pool.drain()
-        if replay_enabled:
-            for sample in fresh:
-                bucket = classify_bucket(pass_count(sample.group), n)
-                if bucket.kind is BucketKind.HARD or (
-                    bucket.kind is BucketKind.EASY and easy_enabled
-                ):
-                    pool.save(select_prefix(sample.group, _rollouts(sample)))
-            if config.same_step_rerollout:
-                pending = pool.drain()
+        for record in prefix_records(
+            [task.task_id for task in tasks], fresh_rewards, fresh.steps, fresh.offsets, saving
+        ):
+            pool.save(record)
+        if config.same_step_rerollout and replay_enabled:
+            pending = pool.drain()
         # The random draws do not depend on the replay boundary, so they are
         # made for the whole step before the controllers move.
         pending_tasks = [task_by_id[record.task_id] for record in pending]
-        draws = env_mod.draw_rerollout_groups(pending_tasks, n, (seed, step))
-        rerollouts = []
-        for record, task, draw in zip(pending, pending_tasks, draws):
+        draws = env_mod.draw_rerollout_step(pending_tasks, n, (seed, step))
+        rewards = np.concatenate((fresh_rewards, np.zeros(draws.uniforms.shape, bool)))
+        boundaries = np.zeros((len(rewards), 1), np.int64)
+        for j, (record, task, uniforms) in enumerate(
+            zip(pending, pending_tasks, draws.uniforms), len(tasks)
+        ):
             state = states[record.source_bucket]
-            m = replay_boundary(state.ratio, record.length)
-            sample = env_mod.rerollout_group(task, record, m, draw)
-            rerollouts.append(sample)
-            child_k = pass_count(sample.group)
-            states[record.source_bucket] = update_controller(
-                state, child_k / n, params
+            m = boundaries[j, 0] = replay_boundary(state.ratio, record.length)
+            p = env_mod.rerollout_probability(task, record, m)
+            row = rewards[j] = env_mod.rollout_rewards(uniforms, p)
+            states[record.source_bucket] = update_controller(state, int(row.sum()) / n, params)
+        ks = rewards.sum(axis=1)
+        parents = [record.source_bucket for record in pending]
+        transition_pairs.extend(zip(parents, ks[len(tasks):].tolist()))
+        counts = np.concatenate((fresh.lengths, draws.lengths))
+        loss = _audit_loss(
+            np.concatenate((fresh.steps, draws.steps)) % _AUDIT_VOCAB,
+            boundaries,
+            counts,
+            rloo_advantages(rewards),
+            log_probs,
+            config.loss,
+        )
+        labels = [bucket.label for bucket in parents]
+        metrics.append(_step_metrics(step, n, ks, len(tasks), labels, loss))
+        if replay_enabled:
+            controller_rows.extend(
+                ControllerRow(step, bucket.label, state.ratio, state.ema, state.cooldown_remaining)
+                for bucket, state in states.items()
             )
-            transition_pairs.append((record.source_bucket, child_k))
-        samples = fresh + rerollouts
-        loss = _audit_loss(samples, log_probs, config)
-        metrics.append(
-            compute_step_metrics(
-                [s.group for s in samples],
-                step=step,
-                audit_loss=loss,
-                group_size=n,
+        # One run.jsonl record per group; its rollouts share its boundary.
+        origins = [_FRESH] * len(tasks) + [_REROLLOUT] * len(pending)
+        group_records.extend(
+            {"task_id": task.task_id, "rewards": group_rewards, "origin": origin,
+             "parent_bucket": parent, "step": step, "lengths": lengths,
+             "boundary": boundary}
+            for task, group_rewards, origin, parent, lengths, (boundary,) in zip(
+                tasks + pending_tasks,
+                rewards.view(np.int8).tolist(),
+                origins,
+                [None] * len(tasks) + labels,
+                (counts + boundaries).tolist(),
+                boundaries.tolist(),
             )
         )
-        if replay_enabled:
-            for bucket in controlled_buckets(n):
-                state = states[bucket]
-                controller_rows.append(
-                    ControllerRow(
-                        step=step,
-                        bucket=bucket.label,
-                        r_b=state.ratio,
-                        ema=state.ema,
-                        cooldown_remaining=state.cooldown_remaining,
-                    )
-                )
-        group_records.extend(_group_record(sample, step) for sample in samples)
 
     return RunResult(
         config=config,
@@ -432,6 +433,8 @@ def _metrics_rows(result: RunResult) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+# One compact encoder for every run.jsonl record.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _TRACE_FILES = (
     "metrics.csv", "controller.csv", "transitions.csv", "run.jsonl", "meta.json"
 )
@@ -486,9 +489,10 @@ def _write_traces(result: RunResult, out: Path) -> None:
         trans_rows,
     )
 
+    # Streamed line by line: one join of every line would hold the whole
+    # file in memory at once.
     with (out / "run.jsonl").open("w", encoding="utf-8") as fh:
-        for record in result.group_records:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        fh.writelines(_RECORD_ENCODER.encode(record) + "\n" for record in result.group_records)
 
     (out / "meta.json").write_text(
         json.dumps(config_to_flat_dict(result.config), indent=2, sort_keys=True)

@@ -2,6 +2,7 @@
 
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from passband.controller import (
     PrefixRecord,
     initial_controller_state,
     prefix_pool_memory_bound,
+    prefix_records,
     replay_boundary,
     select_prefix,
     update_controller,
@@ -357,6 +359,35 @@ class TestSelectPrefix:
         )
         with pytest.raises(ContractError):
             select_prefix(group, self._rollouts(rewards))
+
+
+class TestPrefixRecords:
+    """A step's prefix records are those of its groups taken one at a time."""
+
+    @given(
+        rewards=st.lists(
+            st.lists(st.booleans(), min_size=8, max_size=8), min_size=0, max_size=12
+        ),
+        lengths=st.lists(st.integers(1, 5), min_size=96, max_size=96),
+        easy=st.booleans(),
+    )
+    def test_step_equals_groups_of_one(self, rewards, lengths, easy):
+        kinds = (BucketKind.HARD, BucketKind.EASY) if easy else (BucketKind.HARD,)
+        rewards = np.array(rewards, dtype=bool).reshape(-1, 8)
+        lengths = lengths[: rewards.size]
+        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        steps = np.arange(offsets[-1], dtype=np.int64) * 3
+        task_ids = [f"t{j}" for j in range(len(rewards))]
+        want = []
+        for j, row in enumerate(rewards):
+            cut = offsets[j * 8:(j + 1) * 8 + 1]
+            want += prefix_records([task_ids[j]], row[None], steps, cut, kinds)
+        assert prefix_records(task_ids, rewards, steps, offsets, kinds) == want
+        for record in want:
+            assert record.source_bucket.kind in kinds
+            assert (record.outcome is PrefixOutcome.SUCCESS) == (
+                record.source_bucket.kind is BucketKind.HARD
+            )
 
 
 class TestReplayBoundary:

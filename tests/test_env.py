@@ -24,7 +24,9 @@ from passband.env import (
     _key_hash,
     _words,
     conditioned_pass_probability,
+    draw_fresh_step,
     draw_rerollout_groups,
+    draw_rerollout_step,
     make_task_population,
     rerollout_group,
     sample_fresh_group,
@@ -464,6 +466,71 @@ class TestBatchKeys:
     def test_empty_batch(self):
         assert sample_fresh_groups([], 8, (1, 2)) == []
         assert draw_rerollout_groups([], 8, 3) == []
+
+
+class TestStepArrays:
+    """A step's arrays against the per-group views: group j of
+    draw_fresh_step and draw_rerollout_step under one seed is the group that
+    sample_fresh_group and sample_rerollout_group draw under seed + (j,)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.lists(st.integers(0, 2**70), min_size=1, max_size=3),
+        n=st.integers(2, 12),
+        ranges=st.lists(
+            st.tuples(st.integers(2, 30), st.integers(0, 20)), min_size=1, max_size=6
+        ),
+        prefix_length=st.integers(2, 40),
+    )
+    def test_groups_match_views(self, seed, n, ranges, prefix_length):
+        seed = tuple(seed)
+        tasks = [
+            make_task(0.15 + 0.12 * j, lengths=(lo, lo + extra), task_id=f"t{j}")
+            for j, (lo, extra) in enumerate(ranges)
+        ]
+        fresh = draw_fresh_step(tasks, n, seed)
+        rerollouts = draw_rerollout_step(tasks, n, seed)
+        assert fresh.steps.dtype == rerollouts.steps.dtype == np.int64
+        p0 = expit(np.array([task.base_logit for task in tasks]))
+        rewards = fresh.uniforms < p0[:, None]
+        prefix = PrefixRecord(
+            task_id="t0",
+            source_bucket=classify_bucket(1, 8),
+            outcome=PrefixOutcome.SUCCESS,
+            steps=tuple(range(100, 100 + prefix_length)),
+        )
+        for j, task in enumerate(tasks):
+            cut = slice(fresh.offsets[j * n], fresh.offsets[(j + 1) * n])
+            view = sample_fresh_group(task, n, seed + (j,))
+            assert tuple(fresh.lengths[j].tolist()) == view.lengths
+            assert tuple(fresh.steps[cut].tolist()) == view.steps
+            assert tuple(rewards[j].astype(int).tolist()) == view.group.rewards
+            assert view.boundary == 0
+            # The arrays hold the reference's full step ids, not reduced ones.
+            want = reference_draw(seed + (j,), _PURPOSE_FRESH, task, n)
+            assert tuple(fresh.steps[cut].tolist()) == want.steps
+            assert tuple(fresh.uniforms[j].tolist()) == want.uniforms
+
+            m = 1 + j % (prefix_length - 1)
+            p = conditioned_pass_probability(task, prefix.outcome, m / prefix_length)
+            view = sample_rerollout_group(task, prefix, m, n, seed + (j,))
+            ends = rerollouts.offsets[j * n + 1:(j + 1) * n + 1].tolist()
+            steps = rerollouts.steps.tolist()
+            assert tuple((rerollouts.lengths[j] + m).tolist()) == view.lengths
+            assert view.steps == tuple(
+                step
+                for end, length in zip(ends, rerollouts.lengths[j].tolist())
+                for step in prefix.steps[:m] + tuple(steps[end - length:end])
+            )
+            assert tuple((rerollouts.uniforms[j] < p).astype(int).tolist()) == (
+                view.group.rewards
+            )
+            assert view.boundary == m
+
+    def test_empty_step(self):
+        draws = draw_fresh_step([], 8, (1, 2))
+        assert draws.lengths.shape == draws.uniforms.shape == (0, 8)
+        assert draws.steps.size == 0 and draws.offsets.tolist() == [0]
 
 
 class TestGroupSampleInvariants:

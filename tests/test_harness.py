@@ -271,14 +271,14 @@ class TestEmitTraces:
         emit_traces(run_experiment(small_config(steps=2)), old)
         before = {path.name: path.read_bytes() for path in old.iterdir()}
         result = run_experiment(small_config(steps=3))
-        real_dumps = json.dumps
+        real_encode = harness._RECORD_ENCODER.encode
 
-        def dumps_failing_mid_jsonl(obj, **kwargs):
+        def encode_failing_mid_jsonl(obj):
             if obj is result.group_records[3]:
                 raise OSError("disk full")
-            return real_dumps(obj, **kwargs)
+            return real_encode(obj)
 
-        monkeypatch.setattr(harness.json, "dumps", dumps_failing_mid_jsonl)
+        monkeypatch.setattr(harness._RECORD_ENCODER, "encode", encode_failing_mid_jsonl)
         for destination in (old, tmp_path / "new"):
             with pytest.raises(OSError, match="disk full"):
                 emit_traces(result, destination)

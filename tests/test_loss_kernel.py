@@ -2,12 +2,14 @@
 
 The audit loss lands in byte-stable traces, so the kernel must round
 exactly as the loop below does: every comparison is on the float's bytes,
-not approximate.
+not approximate. A step's audit loss must also round exactly as adding each
+group's loss to 0.0, group by group.
 """
 
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,11 @@ from passband.advantages import (
     ToyPolicy,
     masked_grpo_loss,
     masked_loss_kernel,
+    rloo_advantages,
 )
+from passband.config import LossOptions
+from passband.errors import DomainError
+from passband.harness import _audit_loss
 
 
 def reference_loss(trajectories, advantages, log_probs, length_normalized, group_reduction):
@@ -108,13 +114,95 @@ def test_kernel_matches_reference_loop_bitwise(group, length_normalized, group_r
         policy,
         **options,
     )
-    direct = masked_loss_kernel(
-        np.array([t for tokens, _ in trajectories for t in tokens], dtype=np.int64),
-        [len(tokens) for tokens, _ in trajectories],
-        [boundary for _, boundary in trajectories],
-        advantages,
+    (direct,) = masked_loss_kernel(
+        np.array([t for tokens, b in trajectories for t in tokens[b:]], dtype=np.int64),
+        [[boundary for _, boundary in trajectories]],
+        [[len(tokens) - boundary for tokens, boundary in trajectories]],
+        advantages[None],
         log_probs,
         **options,
     )
     assert bits(public) == bits(expected)
     assert bits(direct) == bits(expected)
+
+
+@st.composite
+def steps(draw):
+    """A step of G groups of N trajectories with ragged lengths, boundaries
+    from 0 to T - 1, and degenerate groups (all rewards equal) interleaved.
+    kind "all-degenerate" makes every group degenerate, and "zero" replaces
+    the RLOO advantages by zeros."""
+    n_contexts = draw(st.integers(1, 8))
+    vocab = draw(st.integers(2, 16))
+    logits = draw(
+        st.lists(
+            st.floats(-8.0, 8.0), min_size=n_contexts * vocab, max_size=n_contexts * vocab
+        )
+    )
+    kind = draw(st.sampled_from(["mixed", "all-degenerate", "zero"]))
+    n = draw(st.integers(2, 8))
+    # One boundary per group, as the run loop passes it, or one per trajectory.
+    shared = draw(st.booleans())
+    equal = st.sampled_from([[0] * n, [1] * n])
+    any_rewards = st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)
+    length = st.integers(1, 24)
+    # Token values only need to vary; a seeded generator draws them faster.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = []
+    for _ in range(draw(st.integers(1, 12))):
+        # Equal lengths leave a group's term rows without padding.
+        lengths = [draw(length)] * n if draw(st.booleans()) else [draw(length) for _ in range(n)]
+        if shared:
+            boundaries = [draw(st.integers(0, min(lengths) - 1))] * n
+        else:
+            boundaries = [draw(st.integers(0, t - 1)) for t in lengths]
+        tokens = [tuple(rng.integers(0, vocab, t).tolist()) for t in lengths]
+        rewards = draw(equal if kind == "all-degenerate" else equal | any_rewards)
+        groups.append((tokens, boundaries, rewards))
+    policy = ToyPolicy(np.reshape(logits, (n_contexts, vocab)))
+    return policy, groups, kind, shared
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    step=steps(),
+    length_normalized=st.booleans(),
+    group_reduction=st.sampled_from(["sum", "mean"]),
+)
+def test_step_loss_adds_group_losses_left_to_right(step, length_normalized, group_reduction):
+    policy, groups, kind, shared = step
+    log_probs = policy.log_probs()
+    options = {"length_normalized": length_normalized, "group_reduction": group_reduction}
+    rewards = np.array([r for _, _, r in groups], dtype=bool)
+    advantages = rloo_advantages(rewards)
+    if kind == "zero":
+        advantages = np.zeros_like(advantages)
+    tokens = np.array(
+        [t for traj, bs, _ in groups for tok, b in zip(traj, bs) for t in tok[b:]],
+        dtype=np.int64,
+    )
+    boundaries = np.array([bs[:1] if shared else bs for _, bs, _ in groups])
+    counts = np.array([[len(tok) - b for tok, b in zip(traj, bs)] for traj, bs, _ in groups])
+    got = _audit_loss(tokens, boundaries, counts, advantages, log_probs, LossOptions(**options))
+    losses = masked_loss_kernel(tokens, boundaries, counts, advantages, log_probs, **options)
+
+    public = reference = 0.0
+    for g, ((traj, bs, r), adv) in enumerate(zip(groups, advantages)):
+        trajectories = list(zip(traj, bs))
+        want = reference_loss(trajectories, adv, log_probs, **options)
+        assert bits(losses[g]) == bits(want)
+        if 0 < sum(r) < len(r):
+            public += masked_grpo_loss(
+                [TokenTrajectory(tok, b) for tok, b in trajectories], adv, policy, **options
+            )
+            reference += want
+    assert bits(got) == bits(public) == bits(reference)
+    if kind != "mixed":
+        assert bits(got) == bits(0.0)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3, 4)])
+def test_bool_rewards_of_other_ranks_are_rejected(shape):
+    # A compare's bool output skips the binary check, never the shape check.
+    with pytest.raises(DomainError):
+        rloo_advantages(np.zeros(shape, dtype=bool))
