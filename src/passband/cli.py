@@ -18,11 +18,7 @@ import sys
 from .config import Arm, load_config
 from .errors import ConfigError, PassbandError
 from .harness import compare_arms, emit_traces, run_experiment
-from .signals import (
-    group_survival_probability,
-    reward_entropy,
-    signal_report,
-)
+from .signals import group_survival_probability, reward_entropy, signal_report
 from .verification import run_default_checks
 
 __all__ = ["main", "build_parser"]
@@ -68,6 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_signal(args) -> int:
     n = args.n
+    if n < 2:
+        raise ConfigError("--n must be >= 2")
     print(f"signal quantities at group size N={n}")
     header = f"{'k':>3} {'entropy_bits':>13} {'survival':>10} " \
              f"{'rloo_energy':>12} {'pairs':>6} {'relative':>9}"

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,8 +126,7 @@ class ControllerParams:
             raise DomainError(f"target must lie in (0, 1), got {self.target}")
 
 
-@dataclass(frozen=True)
-class BucketControllerState:
+class BucketControllerState(NamedTuple):
     """One bucket's ratio, smoothed pass rate, and cooldown bookkeeping."""
 
     bucket: Bucket

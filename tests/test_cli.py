@@ -42,8 +42,12 @@ class TestSignal:
         assert len(rows) == 5
 
     def test_invalid_group_size(self, capsys):
-        assert main(["signal", "--n", "0"]) == 1
-        assert "error" in capsys.readouterr().err
+        # A group size below 2 is a usage error, reported before any output.
+        for n in ("1", "0", "-2"):
+            assert main(["signal", "--n", n]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "configuration error: --n must be >= 2" in captured.err
 
 
 class TestSimulate:

@@ -1,7 +1,5 @@
 """Per-bucket EMA controller dynamics, prefix selection, and the prefix pool."""
 
-from dataclasses import fields, replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -78,6 +76,36 @@ class TestInitialState:
     def test_balanced_rejected(self):
         with pytest.raises(ContractError):
             initial_controller_state(classify_bucket(4, 8), PARAMS)
+
+
+class TestStateRecord:
+    def test_fields_and_defaults(self):
+        assert BucketControllerState._fields == (
+            "bucket", "ratio", "ema", "cooldown_remaining", "updates_seen"
+        )
+        assert BucketControllerState(HARD1, 0.5, 0.5) == (HARD1, 0.5, 0.5, 0, 0)
+
+    def test_immutable_and_hashable(self):
+        state = initial_controller_state(HARD1, PARAMS)
+        for field in BucketControllerState._fields:
+            with pytest.raises(AttributeError):
+                setattr(state, field, getattr(state, field))
+        assert hash(state) == hash(initial_controller_state(HARD1, PARAMS))
+
+    def test_update_returns_exact_type(self):
+        # Both branches: the ratio step re-arms the cooldown, which the
+        # next update then counts down.
+        state = BucketControllerState(bucket=HARD1, ratio=0.5, ema=0.9)
+        for _ in range(2):
+            state = update_controller(state, 1.0, PARAMS)
+            assert type(state) is BucketControllerState
+        assert state.cooldown_remaining == PARAMS.cooldown - 1
+
+    def test_degenerate_buckets_rejected(self):
+        # The balanced bucket is TestInitialState's case.
+        for k in (0, 8):
+            with pytest.raises(ContractError):
+                initial_controller_state(classify_bucket(k, 8), PARAMS)
 
 
 class TestEmaDynamics:
@@ -194,12 +222,11 @@ class TestRatioSteps:
 
 
 def replace_update(state, observed_pass_rate, params):
-    """The controller update written with dataclasses.replace, as a reference."""
+    """The controller update written with _replace, as a reference."""
     ema = (1.0 - params.alpha) * state.ema + params.alpha * observed_pass_rate
     updates = state.updates_seen + 1
     if state.cooldown_remaining > 0:
-        return replace(
-            state,
+        return state._replace(
             ema=ema,
             cooldown_remaining=state.cooldown_remaining - 1,
             updates_seen=updates,
@@ -214,8 +241,8 @@ def replace_update(state, observed_pass_rate, params):
         max(params.ratio_min, state.ratio + direction * params.step_size),
     )
     cooldown = params.cooldown if ratio != state.ratio else 0
-    return replace(
-        state, ratio=ratio, ema=ema, cooldown_remaining=cooldown, updates_seen=updates
+    return state._replace(
+        ratio=ratio, ema=ema, cooldown_remaining=cooldown, updates_seen=updates
     )
 
 
@@ -262,11 +289,11 @@ class TestUpdateProperties:
         got = update_controller(state, observation, params)
         want = replace_update(state, observation, params)
         assert type(got) is BucketControllerState
-        for field in fields(BucketControllerState):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            assert type(a) is type(b), field.name
+        for field in BucketControllerState._fields:
+            a, b = getattr(got, field), getattr(want, field)
+            assert type(a) is type(b), field
             # Floats compare exactly: the update must round as the reference.
-            assert a == b, field.name
+            assert a == b, field
 
     @given(
         controller_params(max_cooldown=10),
