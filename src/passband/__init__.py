@@ -12,7 +12,6 @@ The imports below are the package's top-level names.
 from .advantages import (
     TokenTrajectory,
     ToyPolicy,
-    apply_prefix_mask,
     loss_gradient,
     masked_grpo_loss,
     mean_centered_advantages,
@@ -54,9 +53,7 @@ from .groups import (
     RolloutGroup,
     classify_bucket,
     controlled_buckets,
-    filter_groups,
     pass_count,
-    pass_count_distance,
 )
 from .harness import (
     RunResult,

@@ -33,8 +33,6 @@ __all__ = [
     "ToyPolicy",
     "rloo_advantages",
     "mean_centered_advantages",
-    "apply_prefix_mask",
-    "unmasked_token_count",
     "masked_loss_kernel",
     "masked_grpo_loss",
     "loss_gradient",
@@ -100,15 +98,6 @@ class TokenTrajectory:
         return len(self.token_ids)
 
 
-def apply_prefix_mask(trajectory: TokenTrajectory, t_cont: int) -> TokenTrajectory:
-    """Re-mask a trajectory at a new replay boundary. Idempotent."""
-    return TokenTrajectory(trajectory.token_ids, t_cont)
-
-
-def unmasked_token_count(trajectory: TokenTrajectory) -> int:
-    return len(trajectory) - trajectory.replay_boundary
-
-
 class ToyPolicy:
     """Tabular softmax policy: one categorical over a small vocabulary per
     context class, with positions bucketed by min(t, n_contexts - 1).
@@ -144,7 +133,7 @@ class ToyPolicy:
         return softmax(self.logits, axis=1)
 
 
-def _check_group(group_trajectories, advantages) -> np.ndarray:
+def _check_group(group_trajectories, advantages, policy: ToyPolicy) -> np.ndarray:
     if len(group_trajectories) == 0:
         raise DomainError("the trajectory group must not be empty")
     adv = np.asarray(advantages, dtype=float)
@@ -153,6 +142,10 @@ def _check_group(group_trajectories, advantages) -> np.ndarray:
             f"got {len(group_trajectories)} trajectories but "
             f"{adv.size} advantages"
         )
+    ids = np.array([v for t in group_trajectories for v in t.token_ids])
+    vocab = policy.vocab_size
+    if ids.size and not (ids.dtype.kind in "iu" and 0 <= ids.min() <= ids.max() < vocab):
+        raise DomainError(f"token ids must be ints in [0, {vocab}), got {ids.tolist()!r}")
     return adv
 
 
@@ -225,7 +218,7 @@ def masked_grpo_loss(
     A fully masked trajectory contributes nothing, including to the
     length-normalization denominator (the count of unmasked tokens).
     """
-    adv = _check_group(group_trajectories, advantages)
+    adv = _check_group(group_trajectories, advantages, policy)
     tokens = np.fromiter(
         chain.from_iterable(t.token_ids[t.replay_boundary:] for t in group_trajectories),
         dtype=np.intp,
@@ -257,7 +250,7 @@ def loss_gradient(
     contribute nothing, so a context touched only by prefix tokens has an
     exactly zero gradient block.
     """
-    adv = _check_group(group_trajectories, advantages)
+    adv = _check_group(group_trajectories, advantages, policy)
     weight = np.zeros_like(policy.logits)
     row_total = np.zeros(policy.n_contexts)
     n_unmasked = 0

@@ -189,6 +189,10 @@ def select_prefix(group: RolloutGroup, rollouts) -> PrefixRecord | None:
         raise ContractError("rerollout groups never seed prefixes")
     if classify_bucket(pass_count(group), group.group_size).kind is BucketKind.DEGENERATE:
         raise ContractError("degenerate groups carry no replay material")
+    if len(rollouts) != group.group_size:
+        raise ContractError(
+            f"got {len(rollouts)} rollouts for a group of {group.group_size}"
+        )
     steps = np.fromiter(chain.from_iterable(rollouts), dtype=np.int64)
     offsets = list(accumulate((len(rollout) for rollout in rollouts), initial=0))
     records = prefix_records([group.task_id], np.array([group.rewards]) == 1, steps, offsets)

@@ -14,16 +14,16 @@ response the replay controller relies on.
 
 Sampling is deterministic: every rollout draws from its own random stream,
 keyed by (caller seed entries, purpose, task, rollout index), so results
-are independent of scheduling order. A batch call takes one seed and keys
-its group j as seed + (j,), so sample_fresh_groups(tasks, n, seed)[j]
-equals sample_fresh_group(tasks[j], n, seed + (j,)). Every stream, the
-population's and the harness's task picks and audit policy included, comes
-from one keyed SplitMix64 counter generator in uint64 array arithmetic, so
-no numpy Generator stands behind any trace.
+are independent of scheduling order. A step's draw takes one seed and keys
+its group j as seed + (j,), so group j of draw_fresh_step(tasks, n, seed)
+is the group sample_fresh_group(tasks[j], n, seed + (j,)) draws. Every
+stream, the population's and the harness's task picks and audit policy
+included, comes from one keyed SplitMix64 counter generator in uint64 array
+arithmetic, so no numpy Generator stands behind any trace.
 
 A step's draws are arrays (StepDraws): lengths and uniforms (G, N), and
 every rollout's step ids in one flat int64 array with offsets. The closed
-loop uses them as they are; the per-group samplers are views of them.
+loop uses them as they are; the per-group samplers are G = 1 views of them.
 """
 
 from __future__ import annotations
@@ -45,16 +45,12 @@ __all__ = [
     "SyntheticTask",
     "GroupSample",
     "PopulationSpec",
-    "RolloutDraw",
     "StepDraws",
     "sample_fresh_group",
-    "sample_fresh_groups",
     "draw_fresh_step",
     "draw_rerollout_step",
     "conditioned_pass_probability",
     "sample_rerollout_group",
-    "draw_rerollout_groups",
-    "rerollout_group",
     "rerollout_probability",
     "rollout_rewards",
     "make_task_population",
@@ -116,7 +112,7 @@ class GroupSample(NamedTuple):
     boundary: int
 
 
-def _is_seed_int(value) -> bool:
+def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
@@ -126,7 +122,7 @@ def _seed_base(rng_seed) -> tuple[int, ...]:
     A seed is one int or a non-empty sequence of ints; numpy integers count
     as ints, bools, floats and strings do not.
     """
-    if _is_seed_int(rng_seed):
+    if _is_int(rng_seed):
         entries = (rng_seed,)
     elif isinstance(rng_seed, Iterable) and not isinstance(rng_seed, (str, bytes)):
         entries = tuple(rng_seed)
@@ -134,7 +130,7 @@ def _seed_base(rng_seed) -> tuple[int, ...]:
         raise DomainError(f"seed must be an int or a sequence of ints, got {rng_seed!r}")
     if not entries:
         raise DomainError("seed must have at least one entry")
-    if not all(_is_seed_int(x) for x in entries):
+    if not all(_is_int(x) for x in entries):
         raise DomainError(f"seed entries must be ints, got {rng_seed!r}")
     base = tuple(int(x) for x in entries)
     if any(x < 0 for x in base):
@@ -204,17 +200,9 @@ def stream_uniforms(rng_seed, count: int) -> np.ndarray:
 
 def stream_integers(rng_seed, count: int, bound: int) -> np.ndarray:
     """Integers in [0, bound) from words 0 .. count-1 of the seed's stream."""
+    if not (_is_int(bound) and 1 <= bound <= 2**32):
+        raise DomainError(f"bound must be an int in [1, 2**32], got {bound!r}")
     return _below(_words(_key_hash(rng_seed), np.arange(count, dtype=_U64)), bound)
-
-
-class RolloutDraw(NamedTuple):
-    """The random part of one group: each rollout's freshly drawn length,
-    the drawn step ids of all rollouts back to back, and each rollout's
-    uniform, which decides its outcome (success iff uniform < p)."""
-
-    lengths: tuple[int, ...]
-    steps: tuple[int, ...]
-    uniforms: tuple[float, ...]
 
 
 class StepDraws(NamedTuple):
@@ -226,17 +214,6 @@ class StepDraws(NamedTuple):
     uniforms: np.ndarray
     steps: np.ndarray
     offsets: np.ndarray
-
-    def groups(self) -> list[RolloutDraw]:
-        """One RolloutDraw per group: the object view of the arrays."""
-        steps = self.steps.tolist()
-        bounds = self.offsets[:: self.lengths.shape[1]].tolist()
-        return [
-            RolloutDraw(tuple(lengths), tuple(steps[start:end]), tuple(uniforms))
-            for lengths, uniforms, start, end in zip(
-                self.lengths.tolist(), self.uniforms.tolist(), bounds, bounds[1:]
-            )
-        ]
 
 
 def _batch_keys(rng_seed, count: int) -> np.ndarray:
@@ -290,10 +267,11 @@ def _group_sample(
     task: SyntheticTask,
     p: float,
     prefix_steps: tuple[int, ...],
-    draw: RolloutDraw,
+    draw: StepDraws,
     parent_bucket=None,
 ) -> GroupSample:
-    lengths, steps = draw.lengths, draw.steps
+    """The group of a one-group draw, prefix_steps replayed ahead of each rollout."""
+    lengths, steps = tuple(draw.lengths[0].tolist()), tuple(draw.steps.tolist())
     boundary = len(prefix_steps)
     if boundary:
         steps = tuple(chain.from_iterable(
@@ -303,7 +281,7 @@ def _group_sample(
         lengths = tuple(boundary + length for length in lengths)
     group = RolloutGroup(
         task_id=task.task_id,
-        rewards=tuple(rollout_rewards(draw.uniforms, p).astype(int).tolist()),
+        rewards=tuple(rollout_rewards(draw.uniforms[0], p).astype(int).tolist()),
         origin=GroupOrigin.FRESH if parent_bucket is None else GroupOrigin.REROLLOUT,
         parent_bucket=parent_bucket,
     )
@@ -311,30 +289,21 @@ def _group_sample(
 
 
 def draw_fresh_step(tasks: Sequence[SyntheticTask], n: int, rng_seed) -> StepDraws:
-    """sample_fresh_groups' draws, as arrays; group j is keyed rng_seed + (j,)."""
+    """One fresh group's draws per task, as arrays; group j is the one
+    sample_fresh_group(tasks[j], n, rng_seed + (j,)) draws."""
     return _draw_groups(tasks, n, _PURPOSE_FRESH, _batch_keys(rng_seed, len(tasks)))
 
 
 def draw_rerollout_step(tasks: Sequence[SyntheticTask], n: int, rng_seed) -> StepDraws:
-    """draw_rerollout_groups' draws, as arrays. They do not depend on the
-    replay boundary, so a step's draws can precede its boundaries."""
+    """draw_fresh_step for rerollouts: group j is the one sample_rerollout_group
+    draws under rng_seed + (j,). They do not depend on the replay boundary,
+    so a step's draws can precede its boundaries."""
     return _draw_groups(tasks, n, _PURPOSE_REROLLOUT, _batch_keys(rng_seed, len(tasks)))
-
-
-def sample_fresh_groups(
-    tasks: Sequence[SyntheticTask], n: int, rng_seed
-) -> list[GroupSample]:
-    """Fresh groups of every task in one batch; group j equals
-    sample_fresh_group(tasks[j], n, rng_seed + (j,))."""
-    return [
-        _group_sample(task, task.fresh_pass_probability, (), draw)
-        for task, draw in zip(tasks, draw_fresh_step(tasks, n, rng_seed).groups())
-    ]
 
 
 def sample_fresh_group(task: SyntheticTask, n: int, rng_seed) -> GroupSample:
     """Sample n independent fresh rollouts of a task."""
-    (draw,) = _draw_groups([task], n, _PURPOSE_FRESH, _key_hash(rng_seed)).groups()
+    draw = _draw_groups([task], n, _PURPOSE_FRESH, _key_hash(rng_seed))
     return _group_sample(task, task.fresh_pass_probability, (), draw)
 
 
@@ -350,14 +319,6 @@ def conditioned_pass_probability(
     return float(expit(task.base_logit - shift))
 
 
-def draw_rerollout_groups(
-    tasks: Sequence[SyntheticTask], n: int, rng_seed
-) -> list[RolloutDraw]:
-    """The random part of a batch of rerollouts; completing draw j with
-    rerollout_group equals sample_rerollout_group(..., rng_seed + (j,))."""
-    return draw_rerollout_step(tasks, n, rng_seed).groups()
-
-
 def rerollout_probability(task: SyntheticTask, prefix: PrefixRecord, m: int) -> float:
     """Pass probability of a continuation after the prefix's first m steps."""
     if not 1 <= m < prefix.length:
@@ -365,15 +326,6 @@ def rerollout_probability(task: SyntheticTask, prefix: PrefixRecord, m: int) -> 
             f"replay boundary m must satisfy 1 <= m < {prefix.length}, got {m}"
         )
     return conditioned_pass_probability(task, prefix.outcome, m / prefix.length)
-
-
-def rerollout_group(
-    task: SyntheticTask, prefix: PrefixRecord, m: int, draw: RolloutDraw
-) -> GroupSample:
-    """Replay the prefix's first m steps ahead of each drawn continuation and
-    decide each outcome at rerollout_probability(task, prefix, m)."""
-    p = rerollout_probability(task, prefix, m)
-    return _group_sample(task, p, prefix.steps[:m], draw, prefix.source_bucket)
 
 
 def sample_rerollout_group(
@@ -385,8 +337,9 @@ def sample_rerollout_group(
     own length from the task's range and an independent outcome at the
     conditioned pass probability for share m / len(prefix).
     """
-    (draw,) = _draw_groups([task], n, _PURPOSE_REROLLOUT, _key_hash(rng_seed)).groups()
-    return rerollout_group(task, prefix, m, draw)
+    draw = _draw_groups([task], n, _PURPOSE_REROLLOUT, _key_hash(rng_seed))
+    p = rerollout_probability(task, prefix, m)
+    return _group_sample(task, p, prefix.steps[:m], draw, prefix.source_bucket)
 
 
 @dataclass(frozen=True)

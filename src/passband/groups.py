@@ -1,4 +1,4 @@
-"""Rollout groups, pass-count bucketing, and group filtering.
+"""Rollout groups and pass-count bucketing.
 
 A rollout group is one task's N binary-reward rollouts. Groups are routed
 by pass count k into buckets:
@@ -28,8 +28,6 @@ __all__ = [
     "classify_bucket",
     "controlled_buckets",
     "pass_count",
-    "filter_groups",
-    "pass_count_distance",
 ]
 
 
@@ -137,30 +135,3 @@ def controlled_buckets(n: int) -> tuple[Bucket, ...]:
     hard = [Bucket(BucketKind.HARD, n, k) for k in range(1, hard_hi + 1)]
     easy = [Bucket(BucketKind.EASY, n, k) for k in range(n - hard_hi, n)]
     return tuple(hard + easy)
-
-
-def filter_groups(
-    batch: list[RolloutGroup],
-) -> tuple[list[RolloutGroup], list[RolloutGroup]]:
-    """Partition a batch into (valid, discarded) by the degeneracy rule.
-
-    Valid groups have 0 < k < N; relative order is preserved on both
-    sides. Every group in the batch must share one group size.
-    """
-    sizes = {g.group_size for g in batch}
-    if len(sizes) > 1:
-        raise ContractError(f"mixed group sizes in one batch: {sorted(sizes)}")
-    valid: list[RolloutGroup] = []
-    discarded: list[RolloutGroup] = []
-    for group in batch:
-        k = pass_count(group)
-        if 0 < k < group.group_size:
-            valid.append(group)
-        else:
-            discarded.append(group)
-    return valid, discarded
-
-
-def pass_count_distance(k: int, n: int) -> float:
-    """Distance |k - N/2| from the balanced center."""
-    return abs(k - n / 2)

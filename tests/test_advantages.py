@@ -9,12 +9,10 @@ from numpy.testing import assert_allclose
 from passband.advantages import (
     TokenTrajectory,
     ToyPolicy,
-    apply_prefix_mask,
     loss_gradient,
     masked_grpo_loss,
     mean_centered_advantages,
     rloo_advantages,
-    unmasked_token_count,
 )
 from passband.errors import ContractError, DomainError
 from passband.signals import mean_centered_advantage_variance, rloo_advantage_energy
@@ -82,26 +80,19 @@ class TestTokenTrajectory:
         t = TokenTrajectory(token_ids=(3, 1, 4, 1), replay_boundary=2)
         assert t.response_mask == (0, 0, 1, 1)
         assert len(t) == 4
-        assert unmasked_token_count(t) == 2
 
     def test_zero_boundary_all_live(self):
         t = TokenTrajectory(token_ids=(5, 5, 5))
         assert t.response_mask == (1, 1, 1)
 
-    def test_apply_prefix_mask(self):
-        t = TokenTrajectory(token_ids=(3, 1, 4, 1, 5))
-        masked = apply_prefix_mask(t, 3)
-        assert masked.replay_boundary == 3
-        assert masked.response_mask == (0, 0, 0, 1, 1)
-        # Idempotent at the same boundary.
-        again = apply_prefix_mask(masked, 3)
-        assert again.response_mask == masked.response_mask
-
     def test_mask_monotone_in_boundary(self):
+        # Re-masking the same tokens at each boundary m of 0 .. 6.
         t = TokenTrajectory(token_ids=tuple(range(6)))
         prev = 6
-        for m in range(6):
-            live = unmasked_token_count(apply_prefix_mask(t, m))
+        for m in range(7):
+            mask = TokenTrajectory(t.token_ids, m).response_mask
+            assert mask == (0,) * m + (1,) * (6 - m)
+            live = sum(mask)
             assert live == 6 - m
             assert live <= prev
             prev = live
@@ -205,6 +196,20 @@ class TestMaskedLoss:
             masked_grpo_loss([traj], np.array([1.0, 2.0]), policy)
         with pytest.raises(DomainError):
             masked_grpo_loss([traj], np.array([1.0]), policy, group_reduction="median")
+
+    @pytest.mark.parametrize("loss_fn", [masked_grpo_loss, loss_gradient])
+    @pytest.mark.parametrize(
+        "tokens, boundary",
+        [((0, 1, -1), 0), ((0, 1, 2), 0), ((-1, 0, 1), 1), ((2, 0), 1), ((0, 1.5, 1), 0)],
+    )
+    def test_token_ids_outside_vocabulary(self, loss_fn, tokens, boundary):
+        # Vocabulary 2: -1 would read the last column, 2 would raise IndexError
+        # and 1.5 would be cut to 1 by the loss; a replayed token must be a
+        # token of the vocabulary too.
+        policy = ToyPolicy(logits=np.zeros((2, 2)))
+        traj = TokenTrajectory(token_ids=tokens, replay_boundary=boundary)
+        with pytest.raises(DomainError, match=r"token ids must be ints in \[0, 2\)"):
+            loss_fn([traj], np.array([1.0]), policy)
 
 
 @st.composite

@@ -387,6 +387,15 @@ class TestSelectPrefix:
         with pytest.raises(ContractError):
             select_prefix(group, self._rollouts(rewards))
 
+    @pytest.mark.parametrize("count", [7, 9])
+    @pytest.mark.parametrize("rewards", [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)])
+    def test_rollout_count_must_match_group(self, rewards, count):
+        # One rollout per reward: a short list must not pick from the wrong
+        # rollout or fail on its index, and a long one must not be cut.
+        rollouts = [(i,) * 3 for i in range(count)]
+        with pytest.raises(ContractError, match=f"got {count} rollouts for a group of 8"):
+            select_prefix(self._group(rewards), rollouts)
+
 
 class TestPrefixRecords:
     """A step's prefix records are those of its groups taken one at a time."""

@@ -19,18 +19,16 @@ from passband.env import (
     _PURPOSE_FRESH,
     _PURPOSE_REROLLOUT,
     PopulationSpec,
-    RolloutDraw,
     SyntheticTask,
     _key_hash,
     _words,
     conditioned_pass_probability,
     draw_fresh_step,
-    draw_rerollout_groups,
     draw_rerollout_step,
     make_task_population,
-    rerollout_group,
+    rerollout_probability,
+    rollout_rewards,
     sample_fresh_group,
-    sample_fresh_groups,
     sample_rerollout_group,
     stream_integers,
     stream_uniforms,
@@ -43,6 +41,33 @@ def rollout_steps(sample):
     """Each rollout's step ids, cut from the sample's flat steps."""
     ends = accumulate(sample.lengths)
     return [sample.steps[end - length:end] for end, length in zip(ends, sample.lengths)]
+
+
+def rollouts(sample):
+    """(step ids, reward) of every rollout of a sample."""
+    return list(zip(rollout_steps(sample), sample.group.rewards))
+
+
+def step_group(draws, j):
+    """Group j of a step's arrays as (lengths, steps, uniforms) tuples."""
+    n = draws.lengths.shape[1]
+    cut = slice(draws.offsets[j * n], draws.offsets[(j + 1) * n])
+    return (
+        tuple(draws.lengths[j].tolist()),
+        tuple(draws.steps[cut].tolist()),
+        tuple(draws.uniforms[j].tolist()),
+    )
+
+
+def completed(draw, p, prefix_steps=()):
+    """(step ids, reward) of every rollout of a (lengths, steps, uniforms)
+    draw, with prefix_steps replayed ahead and each outcome decided at p."""
+    lengths, steps, uniforms = draw
+    ends = accumulate(lengths)
+    return [
+        (prefix_steps + steps[end - length:end], int(u < p))
+        for end, length, u in zip(ends, lengths, uniforms)
+    ]
 
 
 # A pure-Python SplitMix64 reference of the generator, in Python ints.
@@ -72,8 +97,8 @@ def ref_word(key_hash, c):
 
 
 def reference_draw(key, purpose, task, n):
-    """A group's RolloutDraw from the reference: rollout i is keyed
-    key + (purpose, crc32(task id), i)."""
+    """A group's (lengths, steps, uniforms) from the reference: rollout i is
+    keyed key + (purpose, crc32(task id), i)."""
     lo, hi = task.length_range
     lengths, steps, uniforms = [], [], []
     for i in range(n):
@@ -82,17 +107,12 @@ def reference_draw(key, purpose, task, n):
         lengths.append(length)
         uniforms.append((ref_word(h, 1) >> 11) * 2.0**-53)
         steps.extend(ref_word(h, c) >> 2 for c in range(2, length + 2))
-    return RolloutDraw(tuple(lengths), tuple(steps), tuple(uniforms))
+    return tuple(lengths), tuple(steps), tuple(uniforms)
 
 
 def reference_draws(key, purpose, task, p, n, prefix_steps=()):
     """(step ids, reward) of every rollout of a group, from the reference."""
-    draw = reference_draw(key, purpose, task, n)
-    ends = accumulate(draw.lengths)
-    return [
-        (prefix_steps + draw.steps[end - length:end], int(u < p))
-        for end, length, u in zip(ends, draw.lengths, draw.uniforms)
-    ]
+    return completed(reference_draw(key, purpose, task, n), p, prefix_steps)
 
 
 def make_task(p0=0.5, sensitivity=4.0, lengths=(4, 12), task_id="t0"):
@@ -170,13 +190,14 @@ class TestFreshSampling:
     def test_pass_count_distribution(self):
         # Chi-squared against Binomial(8, 0.5) pooled over fresh groups.
         # 50k groups keeps the smallest expected cell near 150 while staying
-        # well under the acceptance-run budget. Group i of the batch is keyed
-        # (99, 0, i), so one batched call draws the same groups as 50k
-        # batch-of-one calls; TestRolloutSeeding and TestRolloutKernel check
+        # well under the acceptance-run budget. Group i of the step is keyed
+        # (99, 0, i), so one step draws the same groups as 50k calls of
+        # sample_fresh_group; TestRolloutSeeding and TestRolloutKernel check
         # both paths against the pure-Python reference of the generator.
         n_groups = 50_000
-        samples = sample_fresh_groups([make_task(0.5)] * n_groups, 8, (99, 0))
-        counts = np.bincount([pass_count(s.group) for s in samples], minlength=9)
+        draws = draw_fresh_step([make_task(0.5)] * n_groups, 8, (99, 0))
+        ks = rollout_rewards(draws.uniforms, np.full(n_groups, 0.5)).sum(axis=1)
+        counts = np.bincount(ks, minlength=9)
         expected = binom.pmf(np.arange(9), 8, 0.5) * n_groups
         assert expected.min() >= 5.0
         result = chisquare(counts, expected)
@@ -308,6 +329,12 @@ class TestStreamPins:
                 (w >> 32) * bound >> 32 for w in words
             ]
 
+    @pytest.mark.parametrize("bound", [0, -1, 1.5, 2**32 + 1, 2**33, True])
+    def test_integer_bound_outside_domain(self, bound):
+        # Multiply-shift on 32 bits draws below at most 2**32.
+        with pytest.raises(DomainError, match="bound must be an int in"):
+            stream_integers(5, 3, bound)
+
     def test_population_values(self):
         task = make_task_population(PopulationSpec(), 5)[0]
         assert task.task_id == "task-00000"
@@ -326,7 +353,7 @@ class TestRolloutSeeding:
         task = make_task(0.5)
         seed_tuple = (entry, 3, entry)
         sample = sample_fresh_group(task, 8, rng_seed=seed_tuple)
-        assert list(zip(rollout_steps(sample), sample.group.rewards)) == reference_draws(
+        assert rollouts(sample) == reference_draws(
             seed_tuple, _PURPOSE_FRESH, task, 0.5, 8
         )
 
@@ -341,7 +368,7 @@ class TestRolloutSeeding:
         )
         sample = sample_rerollout_group(task, prefix, 3, 8, rng_seed=entry)
         p = conditioned_pass_probability(task, prefix.outcome, 3 / 8)
-        assert list(zip(rollout_steps(sample), sample.group.rewards)) == reference_draws(
+        assert rollouts(sample) == reference_draws(
             (entry,), _PURPOSE_REROLLOUT, task, p, 8, prefix.steps[:3]
         )
 
@@ -364,31 +391,33 @@ class TestRolloutKernel:
         chunk_words=st.one_of(st.just(_CHUNK_WORDS), st.integers(1, 600)),
     )
     def test_matches_reference_stream(self, seed, n, ranges, chunk_words):
-        # A small chunk size makes even a short batch span several chunks.
+        # A small chunk size makes even a short step span several chunks.
         tasks = [
             make_task(0.2 + 0.1 * j, lengths=(lo, lo + extra), task_id=f"t{j}")
             for j, (lo, extra) in enumerate(ranges)
         ]
         with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
-            fresh = sample_fresh_groups(tasks, n, seed)
-            rerollouts = draw_rerollout_groups(tasks, n, seed)
-        for j, (task, sample, draw) in enumerate(zip(tasks, fresh, rerollouts)):
+            fresh = draw_fresh_step(tasks, n, seed)
+            rerollouts = draw_rerollout_step(tasks, n, seed)
+        assert fresh.lengths.shape == rerollouts.lengths.shape == (len(tasks), n)
+        for j, task in enumerate(tasks):
             key = tuple(seed) + (j,)
-            want = reference_draw(key, _PURPOSE_FRESH, task, n)
-            assert (sample.lengths, sample.steps) == (want.lengths, want.steps)
-            p = task.fresh_pass_probability
-            assert sample.group.rewards == tuple(int(u < p) for u in want.uniforms)
-            assert draw == reference_draw(key, _PURPOSE_REROLLOUT, task, n)
+            assert step_group(fresh, j) == reference_draw(key, _PURPOSE_FRESH, task, n)
+            assert step_group(rerollouts, j) == reference_draw(
+                key, _PURPOSE_REROLLOUT, task, n
+            )
 
     def test_batches_match_reference_per_group(self):
         # Enough long rollouts for several kernel chunks, under a seed of
         # three words; group j is keyed seed + (j,).
         seed = (2**70 + 3, 1)
-        samples = sample_fresh_groups(LONG_TASKS, 8, seed)
-        for j, (task, sample) in enumerate(zip(LONG_TASKS, samples)):
-            assert list(zip(rollout_steps(sample), sample.group.rewards)) == reference_draws(
-                seed + (j,), _PURPOSE_FRESH, task, task.fresh_pass_probability, 8
-            )
+        fresh = draw_fresh_step(LONG_TASKS, 8, seed)
+        p0 = expit(np.array([task.base_logit for task in LONG_TASKS]))
+        rewards = rollout_rewards(fresh.uniforms, p0).astype(int).tolist()
+        for j, task in enumerate(LONG_TASKS):
+            want = reference_draw(seed + (j,), _PURPOSE_FRESH, task, 8)
+            assert step_group(fresh, j) == want
+            assert rewards[j] == [int(u < task.fresh_pass_probability) for u in want[2]]
 
     def test_rerollout_draws_complete_like_the_sampler(self):
         task = make_task(0.4)
@@ -398,11 +427,12 @@ class TestRolloutKernel:
             outcome=PrefixOutcome.SUCCESS,
             steps=tuple(range(100, 110)),
         )
-        draws = draw_rerollout_groups([task] * 3, 8, (5,))
-        for j, (m, draw) in enumerate(zip((1, 5, 9), draws)):
-            got = rerollout_group(task, prefix, m, draw)
+        draws = draw_rerollout_step([task] * 3, 8, (5,))
+        for j, m in enumerate((1, 5, 9)):
             want = sample_rerollout_group(task, prefix, m, 8, rng_seed=(5, j))
-            assert got == want
+            p = rerollout_probability(task, prefix, m)
+            assert completed(step_group(draws, j), p, prefix.steps[:m]) == rollouts(want)
+            assert want.boundary == m
 
 
 class TestDistributions:
@@ -410,8 +440,8 @@ class TestDistributions:
 
     def test_lengths_uniform(self):
         lo, hi = 3, 13
-        samples = sample_fresh_groups([make_task(lengths=(lo, hi))] * 2000, 8, (17,))
-        lengths = np.concatenate([s.lengths for s in samples])
+        draws = draw_fresh_step([make_task(lengths=(lo, hi))] * 2000, 8, (17,))
+        lengths = draws.lengths.ravel()
         assert lengths.min() >= lo and lengths.max() <= hi
         counts = np.bincount(lengths - lo, minlength=hi - lo + 1)
         assert chisquare(counts).pvalue > 0.001
@@ -440,7 +470,7 @@ class TestDistributions:
 
 
 class TestBatchKeys:
-    """A batch call takes one seed and keys its group j as seed + (j,)."""
+    """A step's draw takes one seed and keys its group j as seed + (j,)."""
 
     def test_batch_spans_several_chunks(self):
         # Groups per chunk, as _draw_groups computes it: at least 4 chunks.
@@ -448,24 +478,25 @@ class TestBatchKeys:
 
     @pytest.mark.parametrize("seed", [(5, 6, 7), (2**40 + 1, 2)])
     def test_fresh_batch_is_groups_of_one(self, seed):
-        samples = sample_fresh_groups(LONG_TASKS, 8, seed)
-        assert len(samples) == len(LONG_TASKS)
-        for j, (task, sample) in enumerate(zip(LONG_TASKS, samples)):
-            assert sample == sample_fresh_group(task, 8, seed + (j,))
+        fresh = draw_fresh_step(LONG_TASKS, 8, seed)
+        assert fresh.lengths.shape == (len(LONG_TASKS), 8)
+        for j, task in enumerate(LONG_TASKS):
+            sample = sample_fresh_group(task, 8, seed + (j,))
+            p = task.fresh_pass_probability
+            assert completed(step_group(fresh, j), p) == rollouts(sample)
+            assert sample.boundary == 0
 
     @pytest.mark.parametrize("seed", [(5, 6, 7), (2**40 + 1, 2)])
     def test_rerollout_batch_is_groups_of_one(self, seed):
-        draws = draw_rerollout_groups(LONG_TASKS, 8, seed)
-        assert len(draws) == len(LONG_TASKS)
-        for j, (task, draw) in enumerate(zip(LONG_TASKS, draws)):
+        rerollouts = draw_rerollout_step(LONG_TASKS, 8, seed)
+        assert rerollouts.lengths.shape == (len(LONG_TASKS), 8)
+        for j, task in enumerate(LONG_TASKS):
             m = 1 + j % 11
-            assert rerollout_group(task, FAILURE_PREFIX, m, draw) == sample_rerollout_group(
-                task, FAILURE_PREFIX, m, 8, seed + (j,)
-            )
-
-    def test_empty_batch(self):
-        assert sample_fresh_groups([], 8, (1, 2)) == []
-        assert draw_rerollout_groups([], 8, 3) == []
+            sample = sample_rerollout_group(task, FAILURE_PREFIX, m, 8, seed + (j,))
+            p = rerollout_probability(task, FAILURE_PREFIX, m)
+            prefix_steps = FAILURE_PREFIX.steps[:m]
+            assert completed(step_group(rerollouts, j), p, prefix_steps) == rollouts(sample)
+            assert sample.boundary == m
 
 
 class TestStepArrays:
@@ -507,9 +538,11 @@ class TestStepArrays:
             assert tuple(rewards[j].astype(int).tolist()) == view.group.rewards
             assert view.boundary == 0
             # The arrays hold the reference's full step ids, not reduced ones.
-            want = reference_draw(seed + (j,), _PURPOSE_FRESH, task, n)
-            assert tuple(fresh.steps[cut].tolist()) == want.steps
-            assert tuple(fresh.uniforms[j].tolist()) == want.uniforms
+            _, want_steps, want_uniforms = reference_draw(
+                seed + (j,), _PURPOSE_FRESH, task, n
+            )
+            assert tuple(fresh.steps[cut].tolist()) == want_steps
+            assert tuple(fresh.uniforms[j].tolist()) == want_uniforms
 
             m = 1 + j % (prefix_length - 1)
             p = conditioned_pass_probability(task, prefix.outcome, m / prefix_length)
@@ -528,9 +561,9 @@ class TestStepArrays:
             assert view.boundary == m
 
     def test_empty_step(self):
-        draws = draw_fresh_step([], 8, (1, 2))
-        assert draws.lengths.shape == draws.uniforms.shape == (0, 8)
-        assert draws.steps.size == 0 and draws.offsets.tolist() == [0]
+        for draws in (draw_fresh_step([], 8, (1, 2)), draw_rerollout_step([], 8, 3)):
+            assert draws.lengths.shape == draws.uniforms.shape == (0, 8)
+            assert draws.steps.size == 0 and draws.offsets.tolist() == [0]
 
 
 class TestGroupSampleInvariants:

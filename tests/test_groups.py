@@ -1,6 +1,5 @@
-"""Bucket classification, group contracts, and batch filtering."""
+"""Bucket classification and group contracts."""
 
-import numpy as np
 import pytest
 
 from passband.errors import ContractError, DomainError
@@ -11,17 +10,14 @@ from passband.groups import (
     RolloutGroup,
     classify_bucket,
     controlled_buckets,
-    filter_groups,
     pass_count,
-    pass_count_distance,
 )
-from passband.signals import group_survival_probability
 
 
-def make_group(k, n, task_id="t", origin=GroupOrigin.FRESH, parent=None):
+def make_group(k, n, origin=GroupOrigin.FRESH, parent=None):
     rewards = tuple([1] * k + [0] * (n - k))
     return RolloutGroup(
-        task_id=task_id, rewards=rewards, origin=origin, parent_bucket=parent
+        task_id="t", rewards=rewards, origin=origin, parent_bucket=parent
     )
 
 
@@ -125,45 +121,4 @@ class TestRolloutGroup:
     def test_rerollout_with_parent(self):
         g = make_group(3, 8, origin=GroupOrigin.REROLLOUT, parent=classify_bucket(1, 8))
         assert g.parent_bucket.label == "1/8"
-
-
-class TestFilterGroups:
-    def test_fixture_split(self):
-        batch = [
-            make_group(0, 8, "a"),
-            make_group(1, 8, "b"),
-            make_group(4, 8, "c"),
-            make_group(8, 8, "d"),
-        ]
-        valid, discarded = filter_groups(batch)
-        assert [g.task_id for g in valid] == ["b", "c"]
-        assert [g.task_id for g in discarded] == ["a", "d"]
-        # Partition preserves the multiset.
-        assert sorted(g.task_id for g in valid + discarded) == ["a", "b", "c", "d"]
-
-    def test_mixed_sizes_rejected(self):
-        with pytest.raises(ContractError):
-            filter_groups([make_group(1, 8), make_group(1, 4)])
-
-    def test_empty(self):
-        assert filter_groups([]) == ([], [])
-
-    def test_valid_fraction_tracks_survival(self):
-        # Monte Carlo check: kept fraction approximates the survival curve.
-        rng = np.random.default_rng(123)
-        for p in (0.125, 0.5):
-            draws = rng.binomial(8, p, size=20000)
-            batch = [make_group(int(k), 8, f"t{i}") for i, k in enumerate(draws)]
-            valid, _ = filter_groups(batch)
-            expected = group_survival_probability(p, 8)
-            se = np.sqrt(expected * (1 - expected) / draws.size)
-            assert abs(len(valid) / draws.size - expected) < 4 * se + 1e-9
-
-
-class TestPassCountDistance:
-    def test_examples(self):
-        assert pass_count_distance(4, 8) == 0.0
-        assert pass_count_distance(3, 8) == 1.0
-        assert pass_count_distance(8, 8) == 4.0
-        assert pass_count_distance(0, 8) == 4.0
 
