@@ -85,6 +85,17 @@ class TestTokenTrajectory:
         t = TokenTrajectory(token_ids=(5, 5, 5))
         assert t.response_mask == (1, 1, 1)
 
+    def test_apply_prefix_mask(self):
+        # Re-masking a trajectory at a boundary keeps its tokens.
+        t = TokenTrajectory(token_ids=(3, 1, 4, 1, 5))
+        masked = TokenTrajectory(t.token_ids, 3)
+        assert masked.token_ids == t.token_ids
+        assert masked.replay_boundary == 3
+        assert masked.response_mask == (0, 0, 0, 1, 1)
+        # Idempotent at the same boundary.
+        again = TokenTrajectory(masked.token_ids, masked.replay_boundary)
+        assert again == masked
+
     def test_mask_monotone_in_boundary(self):
         # Re-masking the same tokens at each boundary m of 0 .. 6.
         t = TokenTrajectory(token_ids=tuple(range(6)))

@@ -498,6 +498,14 @@ class TestBatchKeys:
             assert completed(step_group(rerollouts, j), p, prefix_steps) == rollouts(sample)
             assert sample.boundary == m
 
+    def test_empty_batch(self):
+        # No task, no group to key: both draws are empty and so are their rewards.
+        fresh = draw_fresh_step([], 8, (1, 2))
+        rerollouts = draw_rerollout_step([], 8, 3)
+        for draws in (fresh, rerollouts):
+            assert len(draws.lengths) == 0
+            assert rollout_rewards(draws.uniforms, np.zeros(0)).shape == (0, 8)
+
 
 class TestStepArrays:
     """A step's arrays against the per-group views: group j of
