@@ -193,16 +193,23 @@ def _below(words: np.ndarray, bound) -> np.ndarray:
     return ((words >> _U64(32)) * np.asarray(bound, dtype=_U64)) >> _U64(32)
 
 
+def _counters(count) -> np.ndarray:
+    """Word counters 0 .. count-1 of a stream."""
+    if not (_is_int(count) and count >= 0):
+        raise DomainError(f"count must be an int >= 0, got {count!r}")
+    return np.arange(count, dtype=_U64)
+
+
 def stream_uniforms(rng_seed, count: int) -> np.ndarray:
     """Uniforms in [0, 1) from words 0 .. count-1 of the seed's stream."""
-    return _uniform(_words(_key_hash(rng_seed), np.arange(count, dtype=_U64)))
+    return _uniform(_words(_key_hash(rng_seed), _counters(count)))
 
 
 def stream_integers(rng_seed, count: int, bound: int) -> np.ndarray:
     """Integers in [0, bound) from words 0 .. count-1 of the seed's stream."""
     if not (_is_int(bound) and 1 <= bound <= 2**32):
         raise DomainError(f"bound must be an int in [1, 2**32], got {bound!r}")
-    return _below(_words(_key_hash(rng_seed), np.arange(count, dtype=_U64)), bound)
+    return _below(_words(_key_hash(rng_seed), _counters(count)), bound)
 
 
 class StepDraws(NamedTuple):
@@ -228,8 +235,8 @@ def _draw_groups(
     keys[j] + (purpose, crc32(task id), i), where keys holds the groups' key
     hashes. Word 0 of a rollout's stream gives its length, word 1 its
     uniform and words 2 .. length + 1 its step ids."""
-    if n < 2:
-        raise DomainError(f"group size must be >= 2, got {n}")
+    if not (_is_int(n) and n >= 2):
+        raise DomainError(f"group size must be an int >= 2, got {n!r}")
     longest = max((task.length_range[1] for task in tasks), default=0)
     per_chunk = max(1, _CHUNK_WORDS // (n * (longest + 2)))
     lengths, uniforms, steps = [np.zeros(0, np.int64)], [np.zeros(0)], [np.zeros(0, _U64)]

@@ -19,6 +19,8 @@ rewards, and the pass counts, RLOO advantages and one padded audit-loss
 term matrix computed from them. Only the rerollouts' boundaries, pass
 probabilities and controller updates run group by group, since each
 depends on the controller state the step's earlier rerollouts left.
+A run's groups stay arrays too: RunResult.groups holds run.jsonl's fields
+as columns, one row per group, and run.jsonl is formatted from them.
 
 Four arms share this loop: the baseline disables replay entirely, the
 fixed-ratio arm runs the controller with a zero step size, the hard-only
@@ -31,8 +33,10 @@ import json
 import os
 import shutil
 import tempfile
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -80,6 +84,7 @@ __all__ = [
     "StepMetrics",
     "ControllerRow",
     "TransitionMatrix",
+    "GroupColumns",
     "RunResult",
     "compute_step_metrics",
     "compute_transition_matrix",
@@ -98,8 +103,7 @@ _FRESH = GroupOrigin.FRESH.value
 _REROLLOUT = GroupOrigin.REROLLOUT.value
 
 
-@dataclass(frozen=True)
-class CohortStats:
+class CohortStats(NamedTuple):
     """Share statistics of one origin cohort within a step."""
 
     count: int
@@ -122,8 +126,7 @@ class StepMetrics:
     audit_loss: float
 
 
-@dataclass(frozen=True)
-class ControllerRow:
+class ControllerRow(NamedTuple):
     """End-of-step snapshot of one bucket's controller."""
 
     step: int
@@ -170,6 +173,40 @@ class TransitionMatrix:
         return float(sum(in_band) / total)
 
 
+class GroupColumns(NamedTuple):
+    """run.jsonl's fields as columns, one row per group in file order: object
+    arrays of task ids and parent labels (None for a fresh group; the origin
+    follows from it), rewards (R, N) int8, steps, lengths (R, N), boundaries."""
+
+    task_id: np.ndarray
+    rewards: np.ndarray
+    parent_bucket: np.ndarray
+    step: np.ndarray
+    lengths: np.ndarray
+    boundary: np.ndarray
+
+
+class _GroupRecords(Sequence):
+    """Read-only view of a run's groups as run.jsonl records, each built on
+    access."""
+
+    def __init__(self, groups: GroupColumns):
+        self._groups = groups
+
+    def __len__(self) -> int:
+        return len(self._groups.step)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        task_id, rewards, parent, step, lengths, boundary = (c[i] for c in self._groups)
+        return {
+            "task_id": task_id, "rewards": rewards.tolist(),
+            "origin": _FRESH if parent is None else _REROLLOUT, "parent_bucket": parent,
+            "step": int(step), "lengths": lengths.tolist(), "boundary": int(boundary),
+        }
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Everything one run produces, ready for emission or analysis."""
@@ -179,22 +216,28 @@ class RunResult:
     controller_rows: tuple[ControllerRow, ...]
     transitions: TransitionMatrix
     final_states: dict[str, BucketControllerState]
-    group_records: tuple[dict, ...]
+    groups: GroupColumns
+
+    @property
+    def group_records(self) -> Sequence[dict]:
+        """One run.jsonl record dict per group, built on access."""
+        return _GroupRecords(self.groups)
 
 
-def _cohort_stats(ks: np.ndarray, n: int) -> CohortStats:
-    count = len(ks)
+def _cohort_stats(counts: list[int], n: int) -> CohortStats:
+    """Shares of a cohort whose counts[d] groups have |2k - n| = d. Each is
+    an exact integer over the cohort size, so it equals the float mean over
+    the groups."""
+    count = sum(counts)
     if count == 0:
         nan = float("nan")
         return CohortStats(0, nan, nan, nan, nan)
-    arr = np.asarray(ks, dtype=float)
-    distance = np.abs(arr - n / 2)
     return CohortStats(
         count=count,
-        degenerate_share=float(np.mean((arr == 0) | (arr == n))),
-        target_band_share=float(np.mean(distance <= 1.0)),
-        exact_half_share=float(np.mean(arr == n / 2)),
-        mean_distance=float(distance.mean()),
+        degenerate_share=counts[n] / count,
+        target_band_share=sum(counts[:3]) / count,
+        exact_half_share=counts[0] / count,
+        mean_distance=sum(d * c for d, c in enumerate(counts)) / (2 * count),
     )
 
 
@@ -206,13 +249,16 @@ def _step_metrics(
     by_bucket: dict[str, list[int]] = {}
     for label, k in zip(parents, ks[n_fresh:].tolist()):
         by_bucket.setdefault(label, []).append(k)
+    distances = np.abs(2 * ks - n)
+    fresh = np.bincount(distances[:n_fresh], minlength=n + 1).tolist()
+    rerollout = np.bincount(distances[n_fresh:], minlength=n + 1).tolist()
     return StepMetrics(
         step=step,
-        valid_groups=int(np.count_nonzero((ks > 0) & (ks < n))),
-        fresh=_cohort_stats(ks[:n_fresh], n),
-        rerollout=_cohort_stats(ks[n_fresh:], n),
+        valid_groups=len(ks) - fresh[n] - rerollout[n],
+        fresh=_cohort_stats(fresh, n),
+        rerollout=_cohort_stats(rerollout, n),
         bucket_pass_rates={
-            label: float(np.mean(v)) / n for label, v in sorted(by_bucket.items())
+            label: sum(v) / len(v) / n for label, v in sorted(by_bucket.items())
         },
         bucket_group_counts={label: len(v) for label, v in sorted(by_bucket.items())},
         audit_loss=audit_loss,
@@ -310,7 +356,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     metrics: list[StepMetrics] = []
     controller_rows: list[ControllerRow] = []
     transition_pairs: list[tuple[Bucket, int]] = []
-    group_records: list[dict] = []
+    # run.jsonl's columns, one part per step after an empty one that holds
+    # their dtypes and shapes for a run without steps.
+    empty = np.zeros((0, n), np.int64)
+    step_groups = [GroupColumns(
+        task_id=np.zeros(0, object), rewards=empty.astype(np.int8),
+        parent_bucket=np.zeros(0, object), step=empty[:, 0], lengths=empty, boundary=empty[:, 0],
+    )]
 
     for step in range(config.steps):
         picks = env_mod.stream_integers(
@@ -360,21 +412,15 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 ControllerRow(step, bucket.label, state.ratio, state.ema, state.cooldown_remaining)
                 for bucket, state in states.items()
             )
-        # One run.jsonl record per group; its rollouts share its boundary.
-        origins = [_FRESH] * len(tasks) + [_REROLLOUT] * len(pending)
-        group_records.extend(
-            {"task_id": task.task_id, "rewards": group_rewards, "origin": origin,
-             "parent_bucket": parent, "step": step, "lengths": lengths,
-             "boundary": boundary}
-            for task, group_rewards, origin, parent, lengths, (boundary,) in zip(
-                tasks + pending_tasks,
-                rewards.view(np.int8).tolist(),
-                origins,
-                [None] * len(tasks) + labels,
-                (counts + boundaries).tolist(),
-                boundaries.tolist(),
-            )
-        )
+        # One run.jsonl row per group; its rollouts share its boundary.
+        step_groups.append(GroupColumns(
+            task_id=np.array([task.task_id for task in tasks + pending_tasks], object),
+            rewards=rewards.view(np.int8),
+            parent_bucket=np.array([None] * len(tasks) + labels, object),
+            step=np.full(len(rewards), step),
+            lengths=counts + boundaries,
+            boundary=boundaries[:, 0],
+        ))
 
     return RunResult(
         config=config,
@@ -382,7 +428,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         controller_rows=tuple(controller_rows),
         transitions=compute_transition_matrix(transition_pairs, n),
         final_states={b.label: s for b, s in states.items()},
-        group_records=tuple(group_records),
+        groups=GroupColumns(*map(np.concatenate, zip(*step_groups))),
     )
 
 
@@ -433,8 +479,10 @@ def _metrics_rows(result: RunResult) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-# One compact encoder for every run.jsonl record.
+# One compact encoder for every run.jsonl record; _record_lines writes its
+# bytes from the columns, turning this many rows into lists at a time.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_LINE_CHUNK_ROWS = 4096
 _TRACE_FILES = (
     "metrics.csv", "controller.csv", "transitions.csv", "run.jsonl", "meta.json"
 )
@@ -492,13 +540,33 @@ def _write_traces(result: RunResult, out: Path) -> None:
     # Streamed line by line: one join of every line would hold the whole
     # file in memory at once.
     with (out / "run.jsonl").open("w", encoding="utf-8") as fh:
-        fh.writelines(_RECORD_ENCODER.encode(record) + "\n" for record in result.group_records)
+        fh.writelines(_record_lines(result.groups))
 
     (out / "meta.json").write_text(
         json.dumps(config_to_flat_dict(result.config), indent=2, sort_keys=True)
         + "\n",
         encoding="utf-8",
     )
+
+
+def _record_lines(groups: GroupColumns) -> Iterator[str]:
+    """_RECORD_ENCODER.encode(record) + "\\n" for each group's record, with
+    each distinct task id and parent label encoded once."""
+    encode = _RECORD_ENCODER.encode
+    ids = {task_id: encode(task_id) for task_id in set(groups.task_id)}
+    origins = {
+        parent: f'"origin":{encode(_FRESH if parent is None else _REROLLOUT)},'
+        f'"parent_bucket":{encode(parent)}'
+        for parent in set(groups.parent_bucket)
+    }
+    for start in range(0, len(groups.step), _LINE_CHUNK_ROWS):
+        chunk = (column[start:start + _LINE_CHUNK_ROWS].tolist() for column in groups)
+        for task_id, rewards, parent, step, lengths, boundary in zip(*chunk):
+            yield (
+                f'{{"task_id":{ids[task_id]},"rewards":{str(rewards).replace(" ", "")},'
+                f'{origins[parent]},"step":{step},'
+                f'"lengths":{str(lengths).replace(" ", "")},"boundary":{boundary}}}\n'
+            )
 
 
 def aggregate_run(result: RunResult) -> dict[str, float]:

@@ -187,6 +187,18 @@ class TestFreshSampling:
         with pytest.raises(DomainError):
             sample_fresh_group(make_task(), 1, rng_seed=0)
 
+    @pytest.mark.parametrize("n", [1, 2.5, 8.0, np.float64(8.0), True])
+    def test_group_size_outside_domain(self, n):
+        # numpy failed on a float group size with a bare TypeError.
+        tasks = [make_task(), make_task(task_id="t1")]
+        for draw in (
+            lambda: draw_fresh_step(tasks, n, (3, 0)),
+            lambda: draw_rerollout_step(tasks, n, (3, 0)),
+            lambda: sample_fresh_group(tasks[0], n, rng_seed=3),
+        ):
+            with pytest.raises(DomainError, match="group size must be an int >= 2"):
+                draw()
+
     def test_pass_count_distribution(self):
         # Chi-squared against Binomial(8, 0.5) pooled over fresh groups.
         # 50k groups keeps the smallest expected cell near 150 while staying
@@ -334,6 +346,14 @@ class TestStreamPins:
         # Multiply-shift on 32 bits draws below at most 2**32.
         with pytest.raises(DomainError, match="bound must be an int in"):
             stream_integers(5, 3, bound)
+
+    @pytest.mark.parametrize("count", [-1, 1.5, 2.5, np.float64(2.0), True])
+    def test_count_outside_domain(self, count):
+        # np.arange would give an empty or a rounded-up stream without an error.
+        with pytest.raises(DomainError, match="count must be an int >= 0"):
+            stream_uniforms(5, count)
+        with pytest.raises(DomainError, match="count must be an int >= 0"):
+            stream_integers(5, count, 7)
 
     def test_population_values(self):
         task = make_task_population(PopulationSpec(), 5)[0]

@@ -1,10 +1,13 @@
 """Closed-loop harness: step metrics, transitions, runs, and trace emission."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from passband import harness
@@ -88,6 +91,63 @@ class TestComputeStepMetrics:
     def test_size_claim_must_match(self):
         with pytest.raises(ContractError):
             compute_step_metrics([make_group(1, 8)], group_size=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 16),
+        data=st.data(),
+    )
+    def test_counts_match_float_means(self, n, data):
+        # The shares come from integer counts of |2k - n|; the float means
+        # over the groups are the reference and must agree to the last bit.
+        ks = data.draw(st.lists(st.integers(0, n), max_size=80))
+        n_fresh = data.draw(st.integers(0, len(ks)))
+        parents = data.draw(
+            st.lists(st.sampled_from(["1/8", "2/8", "6/8"]),
+                     min_size=len(ks) - n_fresh, max_size=len(ks) - n_fresh)
+        )
+        m = harness._step_metrics(0, n, np.array(ks, dtype=np.int64), n_fresh, parents, 0.0)
+
+        def reference(cohort):
+            arr = np.asarray(cohort, dtype=float)
+            distance = np.abs(arr - n / 2)
+            if not len(cohort):
+                return [0] + ["nan"] * 4
+            return [len(cohort)] + [
+                repr(float(x)) for x in (
+                    np.mean((arr == 0) | (arr == n)), np.mean(distance <= 1.0),
+                    np.mean(arr == n / 2), distance.mean(),
+                )
+            ]
+
+        for stats, cohort in ((m.fresh, ks[:n_fresh]), (m.rerollout, ks[n_fresh:])):
+            got = [stats.count] + [
+                repr(x) for x in (stats.degenerate_share, stats.target_band_share,
+                                  stats.exact_half_share, stats.mean_distance)
+            ]
+            assert got == reference(cohort)
+        assert m.valid_groups == sum(0 < k < n for k in ks)
+        by_bucket: dict[str, list[int]] = {}
+        for label, k in zip(parents, ks[n_fresh:]):
+            by_bucket.setdefault(label, []).append(k)
+        assert m.bucket_pass_rates == {
+            label: float(np.mean(v)) / n for label, v in sorted(by_bucket.items())
+        }
+        assert list(m.bucket_pass_rates) == sorted(by_bucket)
+
+
+class TestRecordTypes:
+    def test_fields_and_immutability(self):
+        # Plain immutable records: field names and order as before, no assignment.
+        assert harness.CohortStats._fields == (
+            "count", "degenerate_share", "target_band_share", "exact_half_share", "mean_distance",
+        )
+        assert harness.ControllerRow._fields == ("step", "bucket", "r_b", "ema", "cooldown_remaining")
+        row = harness.ControllerRow(0, "1/8", 0.5, 0.5, 0)
+        stats = harness.CohortStats(1, 0.0, 1.0, 1.0, 0.0)
+        for record, field in ((row, "ema"), (stats, "count")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
 
 
 class TestTransitionMatrix:
@@ -209,13 +269,13 @@ class TestRunExperiment:
     def test_zero_steps(self):
         result = run_experiment(small_config(steps=0))
         assert result.metrics == ()
-        assert result.group_records == ()
+        assert list(result.group_records) == []
         assert result.transitions.counts.sum() == 0
 
     def test_deterministic(self):
         a = run_experiment(small_config(steps=5))
         b = run_experiment(small_config(steps=5))
-        assert a.group_records == b.group_records
+        assert list(a.group_records) == list(b.group_records)
         assert a.controller_rows == b.controller_rows
 
 
@@ -271,14 +331,13 @@ class TestEmitTraces:
         emit_traces(run_experiment(small_config(steps=2)), old)
         before = {path.name: path.read_bytes() for path in old.iterdir()}
         result = run_experiment(small_config(steps=3))
-        real_encode = harness._RECORD_ENCODER.encode
+        real_lines = harness._record_lines
 
-        def encode_failing_mid_jsonl(obj):
-            if obj is result.group_records[3]:
-                raise OSError("disk full")
-            return real_encode(obj)
+        def lines_failing_mid_jsonl(groups):
+            yield from itertools.islice(real_lines(groups), 3)
+            raise OSError("disk full")
 
-        monkeypatch.setattr(harness._RECORD_ENCODER, "encode", encode_failing_mid_jsonl)
+        monkeypatch.setattr(harness, "_record_lines", lines_failing_mid_jsonl)
         for destination in (old, tmp_path / "new"):
             with pytest.raises(OSError, match="disk full"):
                 emit_traces(result, destination)
@@ -295,6 +354,96 @@ class TestEmitTraces:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
+
+
+class TestRecordLines:
+    """run.jsonl's formatter against the encoder whose bytes it gives: every
+    line is _RECORD_ENCODER.encode(record) + "\n" for the view's record."""
+
+    @pytest.mark.parametrize("chunk_rows", [7, harness._LINE_CHUNK_ROWS])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"arm": "baseline"},
+            {"arm": "ps-ada-hard-only", "same_step_rerollout": "false"},
+            {"group_size": 16},
+        ],
+    )
+    def test_run_lines_match_encoder(self, tmp_path, monkeypatch, overrides, chunk_rows):
+        monkeypatch.setattr(harness, "_LINE_CHUNK_ROWS", chunk_rows)
+        result = run_experiment(small_config(steps=6, **overrides))
+        emit_traces(result, tmp_path)
+        lines = (tmp_path / "run.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == len(result.group_records) > 0
+        assert lines == [
+            harness._RECORD_ENCODER.encode(record) + "\n" for record in result.group_records
+        ]
+
+    def test_escaped_ids_and_labels(self, monkeypatch):
+        monkeypatch.setattr(harness, "_LINE_CHUNK_ROWS", 2)
+        odd = ['q"uote', "back\\slash", "sl/ash", "n\u00efve \u2028\U0001f600", "tab\t"]
+        groups = harness.GroupColumns(
+            task_id=np.array(["plain"] + odd, object),
+            rewards=np.array([[1, 0, 0], [0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 0, 1], [0, 0, 1]],
+                             np.int8),
+            parent_bucket=np.array([None] + odd[::-1], object),
+            step=np.array([0, 0, 1, 1, 1, 4]),
+            lengths=np.array([[3, 4, 5]] * 5 + [[2**40, 7, 8]]),
+            boundary=np.array([0, 2, 1, 2, 1, 1]),
+        )
+        records = harness._GroupRecords(groups)
+        lines = list(harness._record_lines(groups))
+        assert lines == [harness._RECORD_ENCODER.encode(r) + "\n" for r in records]
+        assert [json.loads(line)["task_id"] for line in lines] == ["plain"] + odd
+        assert json.loads(lines[0])["origin"] == "fresh"
+        assert json.loads(lines[1])["parent_bucket"] == odd[-1]
+
+
+class TestRunResultReads:
+    """What the benchmark's worker reads from a RunResult: the group count,
+    every record's rewards, final controller states by label and the
+    per-step bucket rates and counts."""
+
+    def test_worker_reads(self):
+        result = run_experiment(small_config(steps=8))
+        records = result.group_records
+        assert len(records) == sum(m.fresh.count + m.rerollout.count for m in result.metrics)
+        seen = 0
+        for record in records:
+            assert list(record) == [
+                "task_id", "rewards", "origin", "parent_bucket", "step", "lengths", "boundary",
+            ]
+            assert all(r in (0, 1) and type(r) is int for r in record["rewards"])
+            seen += 1
+        assert seen == len(records)
+        assert set(result.final_states) == {"1/8", "2/8", "6/8", "7/8"}
+        for label, state in result.final_states.items():
+            assert state.bucket.label == label
+            assert 0.0 <= state.ema <= 1.0
+        for m in result.metrics:
+            assert set(m.bucket_pass_rates) == set(m.bucket_group_counts)
+            assert sum(m.bucket_group_counts.values()) == m.rerollout.count
+            for label, rate in m.bucket_pass_rates.items():
+                assert label in result.final_states
+                assert 0.0 <= rate <= 1.0
+
+    def test_columns_and_view(self):
+        result = run_experiment(small_config(steps=4))
+        groups = result.groups
+        rows = len(groups.step)
+        assert groups.task_id.shape == groups.parent_bucket.shape == (rows,)
+        assert groups.step.shape == groups.boundary.shape == (rows,)
+        assert groups.rewards.shape == groups.lengths.shape == (rows, 8)
+        assert groups.rewards.dtype == np.int8
+        assert np.all(np.diff(groups.step) >= 0)
+        records = result.group_records
+        assert records[-1] == list(records)[-1]
+        assert records[1:3] == [records[1], records[2]]
+        with pytest.raises(IndexError):
+            records[rows]
+        with pytest.raises(TypeError):
+            records[0] = {}
 
 
 class TestArmNesting:
