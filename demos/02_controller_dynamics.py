@@ -31,7 +31,7 @@ hard = classify_bucket(1, 8)
 
 print("1. EMA memory: how long until the smoother crosses the half line?")
 print()
-state = BucketControllerState(bucket=hard, ratio=0.5, ema=1.0)
+state = BucketControllerState(kind=hard, ratio=0.5, ema=1.0)
 updates = 0
 while state.ema >= 0.5:
     state = update_controller(state, 0.0, params)

@@ -47,10 +47,10 @@ from .env import (
 )
 from .errors import ConfigError, ContractError, DomainError, PassbandError
 from .groups import (
-    Bucket,
     BucketKind,
     GroupOrigin,
     RolloutGroup,
+    bucket_label,
     classify_bucket,
     controlled_buckets,
     pass_count,

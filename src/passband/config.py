@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .controller import ControllerParams
 from .env import PopulationSpec
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_int_fields
 
 __all__ = [
     "Arm",
@@ -73,6 +73,7 @@ class ExperimentConfig:
     population: PopulationSpec = field(default_factory=PopulationSpec)
 
     def __post_init__(self) -> None:
+        check_int_fields(self, "group_size", "batch_size", "steps", "seed")
         if self.group_size < 4 or self.group_size % 2 != 0:
             raise DomainError(
                 f"group_size must be even and >= 4, got {self.group_size}"

@@ -2,8 +2,9 @@
 
 Skewed fresh groups seed replay material: a hard group (mostly failures)
 saves one successful trajectory, an easy group (mostly successes) saves
-one failing trajectory. Rerollouts restart from the first M = floor(r_b T)
-steps of the saved trajectory, where r_b is a per-bucket prefix ratio.
+one failing trajectory, tagged with its bucket: the group's pass count k.
+Rerollouts restart from the first M = floor(r_b T) steps of the saved
+trajectory, where r_b is a per-bucket prefix ratio.
 
 Each controlled bucket b runs an independent feedback loop on its
 rerollout pass rate:
@@ -27,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DomainError
-from .groups import Bucket, BucketKind, GroupOrigin, RolloutGroup, classify_bucket, pass_count
+from .errors import ContractError, DomainError, check_int_fields
+from .groups import BucketKind, GroupOrigin, RolloutGroup, classify_bucket, pass_count
 
 __all__ = [
     "PrefixOutcome",
@@ -53,37 +54,17 @@ class PrefixOutcome(Enum):
     FAILURE = "failure"
 
 
-@dataclass(frozen=True)
-class PrefixRecord:
-    """A saved trajectory eligible for replay, tagged with its source bucket.
-
-    Hard buckets save successes, easy buckets save failures; any other
-    combination is a contract violation.
-    """
+class PrefixRecord(NamedTuple):
+    """A saved trajectory eligible for replay: its task, its source bucket
+    (the pass count of the fresh group it came from), its outcome and its
+    step ids. Hard buckets save successes, easy buckets failures;
+    sample_rerollout_group, which knows the group size, rejects any other
+    pairing."""
 
     task_id: str
-    source_bucket: Bucket
+    source_bucket: int
     outcome: PrefixOutcome
     steps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.source_bucket.is_controlled:
-            raise ContractError(
-                f"prefixes come only from hard or easy buckets, "
-                f"got {self.source_bucket.label}"
-            )
-        expected = (
-            PrefixOutcome.SUCCESS
-            if self.source_bucket.kind is BucketKind.HARD
-            else PrefixOutcome.FAILURE
-        )
-        if self.outcome is not expected:
-            raise ContractError(
-                f"a {self.source_bucket.kind.value} bucket must save a "
-                f"{expected.value} trajectory"
-            )
-        if len(self.steps) < 1:
-            raise ContractError("a prefix must contain at least one step")
 
     @property
     def length(self) -> int:
@@ -120,6 +101,7 @@ class ControllerParams:
                 f"initial ratio {self.initial_ratio} outside bounds "
                 f"[{self.ratio_min}, {self.ratio_max}]"
             )
+        check_int_fields(self, "cooldown")
         if self.cooldown < 0:
             raise DomainError(f"cooldown must be >= 0, got {self.cooldown}")
         if not 0.0 < self.target < 1.0:
@@ -127,9 +109,9 @@ class ControllerParams:
 
 
 class BucketControllerState(NamedTuple):
-    """One bucket's ratio, smoothed pass rate, and cooldown bookkeeping."""
+    """One bucket's kind, ratio, smoothed pass rate, and cooldown bookkeeping."""
 
-    bucket: Bucket
+    kind: BucketKind
     ratio: float
     ema: float
     cooldown_remaining: int = 0
@@ -137,14 +119,13 @@ class BucketControllerState(NamedTuple):
 
 
 def initial_controller_state(
-    bucket: Bucket, params: ControllerParams = ControllerParams()
+    kind: BucketKind, params: ControllerParams = ControllerParams()
 ) -> BucketControllerState:
-    """Neutral starting state: ratio and EMA both at their initial values."""
-    if not bucket.is_controlled:
-        raise ContractError(f"bucket {bucket.label} is not controlled")
-    return BucketControllerState(
-        bucket=bucket, ratio=params.initial_ratio, ema=params.target
-    )
+    """Neutral starting state of a hard or easy bucket: ratio and EMA both
+    at their initial values."""
+    if kind not in _SAVING_KINDS:
+        raise ContractError(f"{kind.value} buckets are not controlled")
+    return BucketControllerState(kind=kind, ratio=params.initial_ratio, ema=params.target)
 
 
 def update_controller(
@@ -166,19 +147,19 @@ def update_controller(
     updates = state.updates_seen + 1
     if state.cooldown_remaining > 0:
         return BucketControllerState(
-            state.bucket, state.ratio, ema, state.cooldown_remaining - 1, updates
+            state.kind, state.ratio, ema, state.cooldown_remaining - 1, updates
         )
     direction = 0
     if ema > params.target + params.deadzone:
-        direction = -1 if state.bucket.kind is BucketKind.HARD else +1
+        direction = -1 if state.kind is BucketKind.HARD else +1
     elif ema < params.target - params.deadzone:
-        direction = +1 if state.bucket.kind is BucketKind.HARD else -1
+        direction = +1 if state.kind is BucketKind.HARD else -1
     ratio = min(
         params.ratio_max,
         max(params.ratio_min, state.ratio + direction * params.step_size),
     )
     cooldown = params.cooldown if ratio != state.ratio else 0
-    return BucketControllerState(state.bucket, ratio, ema, cooldown, updates)
+    return BucketControllerState(state.kind, ratio, ema, cooldown, updates)
 
 
 def select_prefix(group: RolloutGroup, rollouts) -> PrefixRecord | None:
@@ -187,7 +168,7 @@ def select_prefix(group: RolloutGroup, rollouts) -> PrefixRecord | None:
     Degenerate or rerollout groups must not be offered."""
     if group.origin is not GroupOrigin.FRESH:
         raise ContractError("rerollout groups never seed prefixes")
-    if classify_bucket(pass_count(group), group.group_size).kind is BucketKind.DEGENERATE:
+    if classify_bucket(pass_count(group), group.group_size) is BucketKind.DEGENERATE:
         raise ContractError("degenerate groups carry no replay material")
     if len(rollouts) != group.group_size:
         raise ContractError(
@@ -207,19 +188,21 @@ def prefix_records(
     whose bucket kind is in kinds saves one trajectory: its lowest-index
     success if hard, its lowest-index failure if easy."""
     n = rewards.shape[1]
-    buckets = [classify_bucket(k, n) for k in range(n + 1)]
+    by_k = [classify_bucket(k, n) for k in range(n + 1)]
     ks = rewards.sum(axis=1)
-    saving = np.flatnonzero(np.array([b.kind in kinds for b in buckets])[ks])
-    hard = np.array([b.kind is BucketKind.HARD for b in buckets])[ks[saving]]
+    saving = np.flatnonzero(np.array([kind in kinds for kind in by_k])[ks])
+    hard = np.array([kind is BucketKind.HARD for kind in by_k])[ks[saving]]
     picked = saving * n + np.argmax(rewards[saving] == hard[:, None], axis=1)
     return [
         PrefixRecord(
-            task_id=task_ids[j],
-            source_bucket=buckets[ks[j]],
-            outcome=PrefixOutcome.SUCCESS if success else PrefixOutcome.FAILURE,
-            steps=tuple(steps[offsets[r]:offsets[r + 1]].tolist()),
+            task_ids[j],
+            k,
+            PrefixOutcome.SUCCESS if success else PrefixOutcome.FAILURE,
+            tuple(steps[offsets[r]:offsets[r + 1]].tolist()),
         )
-        for j, success, r in zip(saving.tolist(), hard.tolist(), picked.tolist())
+        for j, k, success, r in zip(
+            saving.tolist(), ks[saving].tolist(), hard.tolist(), picked.tolist()
+        )
     ]
 
 
@@ -260,7 +243,7 @@ def prefix_pool_memory_bound(
 
 
 class PrefixPool:
-    """Pending replay material, at most one record per (task, bucket).
+    """Pending replay material, at most one record per (task, source bucket k).
 
     Saving again for the same key replaces the old record (newest wins);
     draining hands out every record in insertion order and empties the
@@ -268,7 +251,7 @@ class PrefixPool:
     """
 
     def __init__(self) -> None:
-        self._records: dict[tuple[str, Bucket], PrefixRecord] = {}
+        self._records: dict[tuple[str, int], PrefixRecord] = {}
 
     def save(self, record: PrefixRecord) -> None:
         self._records[(record.task_id, record.source_bucket)] = record

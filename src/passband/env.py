@@ -38,8 +38,8 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .controller import PrefixOutcome, PrefixRecord
-from .errors import ContractError, DomainError
-from .groups import GroupOrigin, RolloutGroup
+from .errors import ContractError, DomainError, check_int_fields, is_int
+from .groups import BucketKind, GroupOrigin, RolloutGroup, bucket_label, classify_bucket
 
 __all__ = [
     "SyntheticTask",
@@ -112,17 +112,13 @@ class GroupSample(NamedTuple):
     boundary: int
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _seed_base(rng_seed) -> tuple[int, ...]:
     """Seed entries as a tuple of non-negative ints.
 
     A seed is one int or a non-empty sequence of ints; numpy integers count
     as ints, bools, floats and strings do not.
     """
-    if _is_int(rng_seed):
+    if is_int(rng_seed):
         entries = (rng_seed,)
     elif isinstance(rng_seed, Iterable) and not isinstance(rng_seed, (str, bytes)):
         entries = tuple(rng_seed)
@@ -130,7 +126,7 @@ def _seed_base(rng_seed) -> tuple[int, ...]:
         raise DomainError(f"seed must be an int or a sequence of ints, got {rng_seed!r}")
     if not entries:
         raise DomainError("seed must have at least one entry")
-    if not all(_is_int(x) for x in entries):
+    if not all(is_int(x) for x in entries):
         raise DomainError(f"seed entries must be ints, got {rng_seed!r}")
     base = tuple(int(x) for x in entries)
     if any(x < 0 for x in base):
@@ -195,7 +191,7 @@ def _below(words: np.ndarray, bound) -> np.ndarray:
 
 def _counters(count) -> np.ndarray:
     """Word counters 0 .. count-1 of a stream."""
-    if not (_is_int(count) and count >= 0):
+    if not (is_int(count) and count >= 0):
         raise DomainError(f"count must be an int >= 0, got {count!r}")
     return np.arange(count, dtype=_U64)
 
@@ -207,7 +203,7 @@ def stream_uniforms(rng_seed, count: int) -> np.ndarray:
 
 def stream_integers(rng_seed, count: int, bound: int) -> np.ndarray:
     """Integers in [0, bound) from words 0 .. count-1 of the seed's stream."""
-    if not (_is_int(bound) and 1 <= bound <= 2**32):
+    if not (is_int(bound) and 1 <= bound <= 2**32):
         raise DomainError(f"bound must be an int in [1, 2**32], got {bound!r}")
     return _below(_words(_key_hash(rng_seed), _counters(count)), bound)
 
@@ -235,7 +231,7 @@ def _draw_groups(
     keys[j] + (purpose, crc32(task id), i), where keys holds the groups' key
     hashes. Word 0 of a rollout's stream gives its length, word 1 its
     uniform and words 2 .. length + 1 its step ids."""
-    if not (_is_int(n) and n >= 2):
+    if not (is_int(n) and n >= 2):
         raise DomainError(f"group size must be an int >= 2, got {n!r}")
     longest = max((task.length_range[1] for task in tasks), default=0)
     per_chunk = max(1, _CHUNK_WORDS // (n * (longest + 2)))
@@ -342,8 +338,16 @@ def sample_rerollout_group(
 
     The replayed steps are copied verbatim; each continuation draws its
     own length from the task's range and an independent outcome at the
-    conditioned pass probability for share m / len(prefix).
+    conditioned pass probability for share m / len(prefix). Only a hard
+    bucket's success or an easy bucket's failure is replayed.
     """
+    kind = classify_bucket(prefix.source_bucket, n)
+    saved = {BucketKind.HARD: PrefixOutcome.SUCCESS, BucketKind.EASY: PrefixOutcome.FAILURE}
+    if prefix.outcome is not saved.get(kind):
+        raise ContractError(
+            f"bucket {bucket_label(prefix.source_bucket, n)} is {kind.value} and "
+            f"saves no {prefix.outcome.value} prefix"
+        )
     draw = _draw_groups([task], n, _PURPOSE_REROLLOUT, _key_hash(rng_seed))
     p = rerollout_probability(task, prefix, m)
     return _group_sample(task, p, prefix.steps[:m], draw, prefix.source_bucket)
@@ -377,6 +381,7 @@ class PopulationSpec:
     mirror: bool = False
 
     def __post_init__(self) -> None:
+        check_int_fields(self, "size", "length_min", "length_max")
         if self.preset not in ("single", "uniform", "hard_skewed"):
             raise DomainError(f"unknown population preset {self.preset!r}")
         if not 1 <= self.size <= MAX_POPULATION_SIZE:

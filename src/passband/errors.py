@@ -1,10 +1,12 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and its integer checks.
 
 Three failure classes are distinguished so callers can react precisely:
 mathematical domain violations, broken interface contracts, and bad
 configuration input. All are ValueError subclasses, so generic handling
 still works.
 """
+
+import numpy as np
 
 
 class PassbandError(Exception):
@@ -22,3 +24,15 @@ class ContractError(PassbandError, ValueError):
 
 class ConfigError(PassbandError, ValueError):
     """A configuration file or key is invalid; the message names the key."""
+
+
+def is_int(value) -> bool:
+    """An int or numpy integer; bools, floats and strings are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int_fields(holder, *names: str) -> None:
+    """DomainError naming the first of holder's named fields that is not an int."""
+    for name in names:
+        if not is_int(value := getattr(holder, name)):
+            raise DomainError(f"{name} must be an int, got {value!r}")

@@ -1,7 +1,8 @@
 """Rollout groups and pass-count bucketing.
 
-A rollout group is one task's N binary-reward rollouts. Groups are routed
-by pass count k into buckets:
+A rollout group is one task's N binary-reward rollouts. A bucket is a
+group's pass count k at group size N, named "k/N" by bucket_label, and its
+kind routes it:
 
 * degenerate  k in {0, N}        discarded, no within-group contrast
 * hard        k in {1 .. ceil(N/4)}
@@ -18,13 +19,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, is_int
 
 __all__ = [
     "BucketKind",
-    "Bucket",
     "GroupOrigin",
     "RolloutGroup",
+    "bucket_label",
     "classify_bucket",
     "controlled_buckets",
     "pass_count",
@@ -38,36 +39,6 @@ class BucketKind(Enum):
     EASY = "easy"
 
 
-@dataclass(frozen=True)
-class Bucket:
-    """One routing class of the pass-count partition for a given group size.
-
-    Degenerate, hard, and easy variants carry the single pass count they
-    cover; the balanced variant covers a range and carries none.
-    """
-
-    kind: BucketKind
-    group_size: int
-    pass_count: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.pass_count is None) != (self.kind is BucketKind.BALANCED):
-            raise ContractError(
-                "pass_count is required for degenerate/hard/easy buckets "
-                "and forbidden for balanced"
-            )
-
-    @property
-    def label(self) -> str:
-        if self.pass_count is None:
-            return "balanced"
-        return f"{self.pass_count}/{self.group_size}"
-
-    @property
-    def is_controlled(self) -> bool:
-        return self.kind in (BucketKind.HARD, BucketKind.EASY)
-
-
 class GroupOrigin(Enum):
     FRESH = "fresh"
     REROLLOUT = "rerollout"
@@ -75,7 +46,8 @@ class GroupOrigin(Enum):
 
 @dataclass(frozen=True)
 class RolloutGroup:
-    """One task's N binary-reward rollouts plus origin metadata.
+    """One task's N binary-reward rollouts plus origin metadata: a rerollout
+    group carries the pass count of the fresh group its prefix came from.
 
     The group itself never embeds trajectories; whatever produced it holds
     them in reward order.
@@ -84,7 +56,7 @@ class RolloutGroup:
     task_id: str
     rewards: tuple[int, ...]
     origin: GroupOrigin = GroupOrigin.FRESH
-    parent_bucket: Bucket | None = None
+    parent_bucket: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.rewards) == 0:
@@ -108,30 +80,31 @@ def pass_count(group: RolloutGroup) -> int:
 
 def _hard_upper(n: int) -> int:
     # Lowest quartile excluding 0; reproduces hard = {1, 2} at N = 8.
+    if not (is_int(n) and n >= 4 and n % 2 == 0):
+        raise DomainError(f"bucketing requires an even int group size N >= 4, got {n!r}")
     return math.ceil(n / 4)
 
 
-def classify_bucket(k: int, n: int) -> Bucket:
-    """Map a pass count to its bucket for an even group size n >= 4."""
-    if n < 4 or n % 2 != 0:
-        raise DomainError(f"bucketing requires even group size N >= 4, got {n}")
-    if not 0 <= k <= n:
-        raise DomainError(f"pass count k must lie in [0, {n}], got {k}")
+def bucket_label(k: int, n: int) -> str:
+    """The bucket's name in traces and reports: "k/n"."""
+    return f"{k}/{n}"
+
+
+def classify_bucket(k: int, n: int) -> BucketKind:
+    """The kind of pass count k at an even group size n >= 4."""
     hard_hi = _hard_upper(n)
+    if not (is_int(k) and 0 <= k <= n):
+        raise DomainError(f"pass count k must be an int in [0, {n}], got {k!r}")
     if k == 0 or k == n:
-        return Bucket(BucketKind.DEGENERATE, n, k)
+        return BucketKind.DEGENERATE
     if k <= hard_hi:
-        return Bucket(BucketKind.HARD, n, k)
+        return BucketKind.HARD
     if k >= n - hard_hi:
-        return Bucket(BucketKind.EASY, n, k)
-    return Bucket(BucketKind.BALANCED, n)
+        return BucketKind.EASY
+    return BucketKind.BALANCED
 
 
-def controlled_buckets(n: int) -> tuple[Bucket, ...]:
-    """The hard and easy buckets of group size n, in ascending pass count."""
+def controlled_buckets(n: int) -> tuple[int, ...]:
+    """The hard and easy pass counts of group size n, in ascending order."""
     hard_hi = _hard_upper(n)
-    if n < 4 or n % 2 != 0:
-        raise DomainError(f"bucketing requires even group size N >= 4, got {n}")
-    hard = [Bucket(BucketKind.HARD, n, k) for k in range(1, hard_hi + 1)]
-    easy = [Bucket(BucketKind.EASY, n, k) for k in range(n - hard_hi, n)]
-    return tuple(hard + easy)
+    return (*range(1, hard_hi + 1), *range(n - hard_hi, n))

@@ -71,10 +71,11 @@ from .controller import (  # noqa: F401
 )
 from .errors import ContractError, DomainError
 from .groups import (
-    Bucket,
     BucketKind,
     GroupOrigin,
     RolloutGroup,
+    bucket_label,
+    classify_bucket,
     controlled_buckets,
     pass_count,
 )
@@ -166,11 +167,8 @@ class TransitionMatrix:
         total = row.sum()
         if total == 0:
             return float("nan")
-        half = self.group_size / 2
-        in_band = [
-            c for k, c in enumerate(row) if abs(k - half) <= 1.0
-        ]
-        return float(sum(in_band) / total)
+        in_band = np.abs(np.arange(row.size) - self.group_size / 2) <= 1.0
+        return float(row[in_band].sum() / total)
 
 
 class GroupColumns(NamedTuple):
@@ -289,28 +287,26 @@ def compute_step_metrics(
     fresh = [pass_count(g) for g in batch if g.origin is GroupOrigin.FRESH]
     rerollouts = [g for g in batch if g.origin is not GroupOrigin.FRESH]
     ks = np.array(fresh + [pass_count(g) for g in rerollouts], dtype=np.int64)
-    parents = [g.parent_bucket.label for g in rerollouts]
+    parents = [bucket_label(g.parent_bucket, n) for g in rerollouts]
     return _step_metrics(step, n, ks, len(fresh), parents, audit_loss)
 
 
-def compute_transition_matrix(
-    pairs: list[tuple[Bucket, int]], n: int
-) -> TransitionMatrix:
-    """Row-normalizable counts of (source bucket, child pass count) pairs."""
-    buckets = controlled_buckets(n)
-    labels = tuple(b.label for b in buckets)
-    index = {b: i for i, b in enumerate(buckets)}
-    counts = np.zeros((len(buckets), n + 1), dtype=np.int64)
-    for bucket, child_k in pairs:
-        if bucket not in index:
-            raise ContractError(
-                f"transitions are recorded only for controlled buckets, "
-                f"got {bucket.label}"
-            )
-        if not 0 <= child_k <= n:
-            raise DomainError(f"child pass count {child_k} outside [0, {n}]")
-        counts[index[bucket], child_k] += 1
-    return TransitionMatrix(group_size=n, labels=labels, counts=counts)
+def compute_transition_matrix(pairs, n: int) -> TransitionMatrix:
+    """Row-normalizable counts of (source bucket k, child pass count) pairs."""
+    ks = np.array(controlled_buckets(n))
+    parents, children = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    uncontrolled = parents[~np.isin(parents, ks)]
+    if uncontrolled.size:
+        raise ContractError(
+            f"transitions are recorded only for controlled buckets, "
+            f"got {bucket_label(uncontrolled[0], n)}"
+        )
+    outside = children[(children < 0) | (children > n)]
+    if outside.size:
+        raise DomainError(f"child pass count {outside[0]} outside [0, {n}]")
+    counts = np.zeros((len(ks), n + 1), dtype=np.int64)
+    np.add.at(counts, (np.searchsorted(ks, parents), children), 1)
+    return TransitionMatrix(n, tuple(bucket_label(k, n) for k in ks.tolist()), counts)
 
 
 def _audit_policy(seed: int) -> ToyPolicy:
@@ -344,18 +340,19 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     population = env_mod.make_task_population(config.population, seed)
     task_by_id = {task.task_id: task for task in population}
     base_logits = np.array([task.base_logit for task in population])
-    # Bucket kinds whose fresh groups save a prefix.
+    # Kinds of bucket whose fresh groups save a prefix.
     saving = (BucketKind.HARD, BucketKind.EASY) if easy_enabled else (BucketKind.HARD,)
     if not replay_enabled:
         saving = ()
-    states: dict[Bucket, BucketControllerState] = {
-        bucket: initial_controller_state(bucket, params) for bucket in controlled_buckets(n)
+    states: dict[int, BucketControllerState] = {
+        k: initial_controller_state(classify_bucket(k, n), params) for k in controlled_buckets(n)
     }
+    bucket_labels = {k: bucket_label(k, n) for k in states}
     log_probs = _audit_policy(seed).log_probs()
     pool = PrefixPool()
     metrics: list[StepMetrics] = []
     controller_rows: list[ControllerRow] = []
-    transition_pairs: list[tuple[Bucket, int]] = []
+    transition_pairs: list[tuple[int, int]] = []
     # run.jsonl's columns, one part per step after an empty one that holds
     # their dtypes and shapes for a run without steps.
     empty = np.zeros((0, n), np.int64)
@@ -405,12 +402,12 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             log_probs,
             config.loss,
         )
-        labels = [bucket.label for bucket in parents]
+        labels = [bucket_labels[k] for k in parents]
         metrics.append(_step_metrics(step, n, ks, len(tasks), labels, loss))
         if replay_enabled:
             controller_rows.extend(
-                ControllerRow(step, bucket.label, state.ratio, state.ema, state.cooldown_remaining)
-                for bucket, state in states.items()
+                ControllerRow(step, bucket_labels[k], s.ratio, s.ema, s.cooldown_remaining)
+                for k, s in states.items()
             )
         # One run.jsonl row per group; its rollouts share its boundary.
         step_groups.append(GroupColumns(
@@ -427,7 +424,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         metrics=tuple(metrics),
         controller_rows=tuple(controller_rows),
         transitions=compute_transition_matrix(transition_pairs, n),
-        final_states={b.label: s for b, s in states.items()},
+        final_states={bucket_labels[k]: s for k, s in states.items()},
         groups=GroupColumns(*map(np.concatenate, zip(*step_groups))),
     )
 
@@ -446,32 +443,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _metrics_rows(result: RunResult) -> tuple[list[str], list[list]]:
     n = result.config.group_size
-    bucket_labels = [b.label for b in controlled_buckets(n)]
+    bucket_labels = [bucket_label(k, n) for k in controlled_buckets(n)]
     header = ["step", "valid_groups"]
     for cohort in ("fresh", "rerollout"):
-        header += [
-            f"{cohort}_count",
-            f"{cohort}_degenerate_share",
-            f"{cohort}_target_band_share",
-            f"{cohort}_exact_half_share",
-            f"{cohort}_mean_distance",
-        ]
+        header += [f"{cohort}_{name}" for name in CohortStats._fields]
     header.append("audit_loss")
     for label in bucket_labels:
         tag = label.replace("/", "_")
         header += [f"rerollout_rate_{tag}", f"rerollout_n_{tag}"]
     rows = []
     for m in result.metrics:
-        row: list = [m.step, m.valid_groups]
-        for cohort in (m.fresh, m.rerollout):
-            row += [
-                cohort.count,
-                cohort.degenerate_share,
-                cohort.target_band_share,
-                cohort.exact_half_share,
-                cohort.mean_distance,
-            ]
-        row.append(m.audit_loss)
+        row: list = [m.step, m.valid_groups, *m.fresh, *m.rerollout, m.audit_loss]
         for label in bucket_labels:
             row.append(m.bucket_pass_rates.get(label, float("nan")))
             row.append(m.bucket_group_counts.get(label, 0))

@@ -50,8 +50,8 @@ def _check_pass_count(k, n: int, min_n: int = 1) -> np.ndarray:
     if n < min_n:
         raise DomainError(f"group size N must be >= {min_n}, got {n}")
     arr = np.asarray(k)
-    if np.any(arr < 0) or np.any(arr > n):
-        raise DomainError(f"pass count k must lie in [0, {n}], got {k!r}")
+    if np.any(arr < 0) or np.any(arr > n) or np.any(arr != np.floor(arr)):
+        raise DomainError(f"pass count k must be a whole number in [0, {n}], got {k!r}")
     return arr
 
 

@@ -28,7 +28,7 @@ from .controller import (
     prefix_pool_memory_bound,
     update_controller,
 )
-from .groups import BucketKind, controlled_buckets
+from .groups import BucketKind, bucket_label, classify_bucket, controlled_buckets
 from .signals import (
     contrastive_pair_count,
     expected_pair_count,
@@ -235,13 +235,13 @@ def check_gradients(seed: int = 0, instances: int = 50) -> CheckResult:
 
 
 def _controller_sequence_ok(
-    bucket, rng, params: ControllerParams
+    kind: BucketKind, rng, params: ControllerParams
 ) -> str | None:
-    state = initial_controller_state(bucket, params)
+    state = initial_controller_state(kind, params)
     last_change_update = None
     low = params.target - params.deadzone
     high = params.target + params.deadzone
-    hard = bucket.kind is BucketKind.HARD
+    hard = kind is BucketKind.HARD
     for p_new in rng.random(int(rng.integers(10, 31))).tolist():
         new_state = update_controller(state, p_new, params)
         expected_ema = (1.0 - params.alpha) * state.ema + params.alpha * p_new
@@ -283,8 +283,7 @@ def check_controller(seed: int = 0, sequences: int = 10**4) -> CheckResult:
     """
     params = ControllerParams()
     failures: list[str] = []
-    buckets = controlled_buckets(8)
-    state = BucketControllerState(bucket=buckets[0], ratio=0.5, ema=1.0)
+    state = BucketControllerState(kind=BucketKind.HARD, ratio=0.5, ema=1.0)
     crossing = None
     for update in range(1, 30):
         state = update_controller(state, 0.0, params)
@@ -293,11 +292,12 @@ def check_controller(seed: int = 0, sequences: int = 10**4) -> CheckResult:
     if crossing != 14:
         failures.append(f"EMA crossed 0.5 at update {crossing}, want 14")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 779)))
-    for bucket in buckets:
+    for k in controlled_buckets(8):
+        kind = classify_bucket(k, 8)
         for i in range(sequences):
-            problem = _controller_sequence_ok(bucket, rng, params)
+            problem = _controller_sequence_ok(kind, rng, params)
             if problem:
-                failures.append(f"bucket {bucket.label}, sequence {i}: {problem}")
+                failures.append(f"bucket {bucket_label(k, 8)}, sequence {i}: {problem}")
                 break
     return CheckResult(
         name="controller unit behavior",

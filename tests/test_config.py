@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -244,6 +245,30 @@ class TestErrors:
             ExperimentConfig(steps=-1)
         with pytest.raises(DomainError):
             ExperimentConfig(fixed_ratio=1.5)
+
+
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (ExperimentConfig, "group_size"),
+            (ExperimentConfig, "batch_size"),
+            (ExperimentConfig, "steps"),
+            (ExperimentConfig, "seed"),
+            (ControllerParams, "cooldown"),
+            (PopulationSpec, "size"),
+            (PopulationSpec, "length_min"),
+            (PopulationSpec, "length_max"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [2.5, 8.0, True, "8", None])
+    def test_integer_fields_reject_non_ints(self, cls, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an int"):
+            cls(**{field: value})
+
+    def test_integer_fields_take_numpy_ints(self):
+        assert ExperimentConfig(steps=np.int64(3)).steps == 3
+        assert PopulationSpec(size=np.int32(7)).size == 7
+        assert ControllerParams(cooldown=np.uint8(2)).cooldown == 2
 
 
 class TestLoadConfig:

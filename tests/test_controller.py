@@ -19,6 +19,7 @@ from passband.controller import (
     select_prefix,
     update_controller,
 )
+from passband.env import SyntheticTask, sample_rerollout_group
 from passband.errors import ContractError, DomainError
 from passband.groups import (
     BucketKind,
@@ -29,9 +30,7 @@ from passband.groups import (
 )
 
 
-HARD1 = classify_bucket(1, 8)
-HARD2 = classify_bucket(2, 8)
-EASY7 = classify_bucket(7, 8)
+HARD, EASY = BucketKind.HARD, BucketKind.EASY
 PARAMS = ControllerParams()
 
 
@@ -66,8 +65,8 @@ class TestControllerParams:
 
 class TestInitialState:
     def test_values(self):
-        state = initial_controller_state(HARD1, PARAMS)
-        assert state.bucket == HARD1
+        state = initial_controller_state(HARD, PARAMS)
+        assert state.kind is HARD
         assert state.ratio == 0.5
         assert state.ema == 0.5
         assert state.cooldown_remaining == 0
@@ -81,21 +80,21 @@ class TestInitialState:
 class TestStateRecord:
     def test_fields_and_defaults(self):
         assert BucketControllerState._fields == (
-            "bucket", "ratio", "ema", "cooldown_remaining", "updates_seen"
+            "kind", "ratio", "ema", "cooldown_remaining", "updates_seen"
         )
-        assert BucketControllerState(HARD1, 0.5, 0.5) == (HARD1, 0.5, 0.5, 0, 0)
+        assert BucketControllerState(HARD, 0.5, 0.5) == (HARD, 0.5, 0.5, 0, 0)
 
     def test_immutable_and_hashable(self):
-        state = initial_controller_state(HARD1, PARAMS)
+        state = initial_controller_state(HARD, PARAMS)
         for field in BucketControllerState._fields:
             with pytest.raises(AttributeError):
                 setattr(state, field, getattr(state, field))
-        assert hash(state) == hash(initial_controller_state(HARD1, PARAMS))
+        assert hash(state) == hash(initial_controller_state(HARD, PARAMS))
 
     def test_update_returns_exact_type(self):
         # Both branches: the ratio step re-arms the cooldown, which the
         # next update then counts down.
-        state = BucketControllerState(bucket=HARD1, ratio=0.5, ema=0.9)
+        state = BucketControllerState(kind=HARD, ratio=0.5, ema=0.9)
         for _ in range(2):
             state = update_controller(state, 1.0, PARAMS)
             assert type(state) is BucketControllerState
@@ -110,13 +109,13 @@ class TestStateRecord:
 
 class TestEmaDynamics:
     def test_single_update_formula(self):
-        state = initial_controller_state(HARD1, PARAMS)
+        state = initial_controller_state(HARD, PARAMS)
         nxt = update_controller(state, 1.0, PARAMS)
         assert_allclose(nxt.ema, 0.95 * 0.5 + 0.05 * 1.0, rtol=1e-15)
         assert nxt.updates_seen == 1
 
     def test_contraction_towards_constant_input(self):
-        states = run_updates(initial_controller_state(HARD1, PARAMS), [0.8] * 200)
+        states = run_updates(initial_controller_state(HARD, PARAMS), [0.8] * 200)
         gaps = [abs(s.ema - 0.8) for s in states]
         assert gaps[-1] < 1e-4
         # Gap shrinks by (1 - alpha) per update, up to rounding of the
@@ -130,7 +129,7 @@ class TestEmaDynamics:
         assert 0.95**13 == 0.5133420832795048
         assert 0.95**14 == 0.48767497911552954
         states = run_updates(
-            BucketControllerState(bucket=HARD1, ratio=0.5, ema=1.0), [0.0] * 20
+            BucketControllerState(kind=HARD, ratio=0.5, ema=1.0), [0.0] * 20
         )
         below = [i for i, s in enumerate(states) if s.ema < 0.5]
         assert below[0] == 14
@@ -139,14 +138,14 @@ class TestEmaDynamics:
 class TestRatioSteps:
     def test_deadzone_is_fixed_point(self):
         # Inputs inside target +- deadzone never move the ratio.
-        state = initial_controller_state(HARD1, PARAMS)
+        state = initial_controller_state(HARD, PARAMS)
         for obs in (0.5, 0.52, 0.48, 0.529, 0.471):
             state = update_controller(state, obs, PARAMS)
             assert state.ratio == 0.5
             assert state.cooldown_remaining == 0
 
     def test_hard_lowers_ratio_when_passing_too_often(self):
-        state = initial_controller_state(HARD1, PARAMS)
+        state = initial_controller_state(HARD, PARAMS)
         nxt = update_controller(state, 1.0, PARAMS)
         # ema jumps to 0.525 < 0.53: still inside the deadzone.
         assert nxt.ratio == 0.5
@@ -156,20 +155,20 @@ class TestRatioSteps:
         assert nxt.cooldown_remaining == PARAMS.cooldown
 
     def test_hard_raises_ratio_when_failing_too_often(self):
-        state = BucketControllerState(bucket=HARD1, ratio=0.5, ema=0.4)
+        state = BucketControllerState(kind=HARD, ratio=0.5, ema=0.4)
         nxt = update_controller(state, 0.0, PARAMS)
         assert_allclose(nxt.ratio, 0.55, rtol=1e-15)
 
     def test_easy_direction_inverted(self):
-        high = BucketControllerState(bucket=EASY7, ratio=0.5, ema=0.6)
+        high = BucketControllerState(kind=EASY, ratio=0.5, ema=0.6)
         nxt = update_controller(high, 1.0, PARAMS)
         assert_allclose(nxt.ratio, 0.55, rtol=1e-15)
-        low = BucketControllerState(bucket=EASY7, ratio=0.5, ema=0.4)
+        low = BucketControllerState(kind=EASY, ratio=0.5, ema=0.4)
         nxt = update_controller(low, 0.0, PARAMS)
         assert_allclose(nxt.ratio, 0.45, rtol=1e-15)
 
     def test_cooldown_blocks_consecutive_steps(self):
-        state = BucketControllerState(bucket=HARD1, ratio=0.5, ema=0.9)
+        state = BucketControllerState(kind=HARD, ratio=0.5, ema=0.9)
         states = run_updates(state, [1.0] * 12)
         changes = [
             i
@@ -182,7 +181,7 @@ class TestRatioSteps:
             assert b - a >= PARAMS.cooldown + 1
 
     def test_cooldown_counts_down(self):
-        state = BucketControllerState(bucket=HARD1, ratio=0.5, ema=0.9)
+        state = BucketControllerState(kind=HARD, ratio=0.5, ema=0.9)
         nxt = update_controller(state, 1.0, PARAMS)
         assert nxt.cooldown_remaining == 5
         for expected in (4, 3, 2, 1, 0):
@@ -193,28 +192,28 @@ class TestRatioSteps:
         assert states[1].ratio == states[6].ratio
 
     def test_clamp_to_lower_bound(self):
-        state = BucketControllerState(bucket=HARD1, ratio=0.07, ema=0.9)
+        state = BucketControllerState(kind=HARD, ratio=0.07, ema=0.9)
         nxt = update_controller(state, 1.0, PARAMS)
         assert nxt.ratio == PARAMS.ratio_min
         assert nxt.cooldown_remaining == PARAMS.cooldown
 
     def test_at_bound_no_cooldown_rearm(self):
         # Already clamped: the step is a no-op and must not re-arm cooldown.
-        state = BucketControllerState(bucket=HARD1, ratio=PARAMS.ratio_min, ema=0.9)
+        state = BucketControllerState(kind=HARD, ratio=PARAMS.ratio_min, ema=0.9)
         nxt = update_controller(state, 1.0, PARAMS)
         assert nxt.ratio == PARAMS.ratio_min
         assert nxt.cooldown_remaining == 0
 
     def test_step_size_zero_freezes_ratio(self):
         params = ControllerParams(step_size=0.0)
-        state = BucketControllerState(bucket=HARD1, ratio=0.3, ema=0.9)
+        state = BucketControllerState(kind=HARD, ratio=0.3, ema=0.9)
         states = run_updates(state, [1.0, 0.0] * 20, params)
         assert all(s.ratio == 0.3 for s in states)
         # EMA still tracks the inputs.
         assert states[-1].ema != 0.9
 
     def test_observation_domain(self):
-        state = initial_controller_state(HARD1, PARAMS)
+        state = initial_controller_state(HARD, PARAMS)
         with pytest.raises(DomainError):
             update_controller(state, 1.2, PARAMS)
         with pytest.raises(DomainError):
@@ -233,9 +232,9 @@ def replace_update(state, observed_pass_rate, params):
         )
     direction = 0
     if ema > params.target + params.deadzone:
-        direction = -1 if state.bucket.kind is BucketKind.HARD else +1
+        direction = -1 if state.kind is BucketKind.HARD else +1
     elif ema < params.target - params.deadzone:
-        direction = +1 if state.bucket.kind is BucketKind.HARD else -1
+        direction = +1 if state.kind is BucketKind.HARD else -1
     ratio = min(
         params.ratio_max,
         max(params.ratio_min, state.ratio + direction * params.step_size),
@@ -248,9 +247,7 @@ def replace_update(state, observed_pass_rate, params):
 
 unit = st.floats(0.0, 1.0)
 open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-controlled = st.integers(2, 16).flatmap(
-    lambda half: st.sampled_from(controlled_buckets(2 * half))
-)
+controlled = st.sampled_from((HARD, EASY))
 
 
 @st.composite
@@ -300,9 +297,9 @@ class TestUpdateProperties:
         controlled,
         st.lists(unit, max_size=200),
     )
-    @example(PARAMS, HARD1, [1.0] * 40)
-    def test_bounds_and_cooldown_spacing(self, params, bucket, observations):
-        states = run_updates(initial_controller_state(bucket, params), observations, params)
+    @example(PARAMS, HARD, [1.0] * 40)
+    def test_bounds_and_cooldown_spacing(self, params, kind, observations):
+        states = run_updates(initial_controller_state(kind, params), observations, params)
         changes = []
         for update, (old, new) in enumerate(zip(states, states[1:]), start=1):
             assert params.ratio_min <= new.ratio <= params.ratio_max
@@ -315,34 +312,33 @@ class TestUpdateProperties:
 
 class TestPrefixRecord:
     def test_contracts(self):
-        PrefixRecord(
-            task_id="t", source_bucket=HARD1, outcome=PrefixOutcome.SUCCESS,
-            steps=(1, 2, 3),
-        )
+        # sample_rerollout_group knows the group size, so it checks that a
+        # record's source bucket is controlled and matches its outcome.
+        task = SyntheticTask("t", 0.0, 3.0, (4, 8))
+        success, failure = PrefixOutcome.SUCCESS, PrefixOutcome.FAILURE
+
+        def rerollout(source_bucket, outcome, steps=(1, 2, 3), n=8):
+            record = PrefixRecord("t", source_bucket, outcome, steps)
+            return sample_rerollout_group(task, record, 1, n, rng_seed=0)
+
+        assert rerollout(1, success).group.parent_bucket == 1
+        assert rerollout(7, failure).group.parent_bucket == 7
+        assert rerollout(3, success, n=12).group.parent_bucket == 3
+        for source_bucket, outcome in (
+            (1, failure), (7, success), (4, success), (3, success), (0, failure), (8, success)
+        ):
+            with pytest.raises(ContractError):
+                rerollout(source_bucket, outcome)
+        # An empty prefix admits no boundary 1 <= m < 0.
         with pytest.raises(ContractError):
-            PrefixRecord(
-                task_id="t", source_bucket=HARD1, outcome=PrefixOutcome.FAILURE,
-                steps=(1, 2),
-            )
-        with pytest.raises(ContractError):
-            PrefixRecord(
-                task_id="t", source_bucket=EASY7, outcome=PrefixOutcome.SUCCESS,
-                steps=(1, 2),
-            )
-        with pytest.raises(ContractError):
-            PrefixRecord(
-                task_id="t", source_bucket=classify_bucket(4, 8),
-                outcome=PrefixOutcome.SUCCESS, steps=(1, 2),
-            )
-        with pytest.raises(ContractError):
-            PrefixRecord(
-                task_id="t", source_bucket=HARD1, outcome=PrefixOutcome.SUCCESS,
-                steps=(),
-            )
+            rerollout(1, success, steps=())
+        for source_bucket in (-1, 9, 1.5):
+            with pytest.raises(DomainError):
+                rerollout(source_bucket, success)
 
     def test_length(self):
         rec = PrefixRecord(
-            task_id="t", source_bucket=HARD1, outcome=PrefixOutcome.SUCCESS,
+            task_id="t", source_bucket=1, outcome=PrefixOutcome.SUCCESS,
             steps=(9, 9, 9, 9),
         )
         assert rec.length == 4
@@ -360,14 +356,14 @@ class TestSelectPrefix:
         rec = select_prefix(self._group(rewards), self._rollouts(rewards))
         assert rec.outcome is PrefixOutcome.SUCCESS
         assert rec.steps == (2, 2, 2)
-        assert rec.source_bucket == HARD2
+        assert rec.source_bucket == 2
 
     def test_easy_picks_first_failure(self):
         rewards = [1, 1, 1, 0, 1, 1, 1, 1]
         rec = select_prefix(self._group(rewards), self._rollouts(rewards, length=4))
         assert rec.outcome is PrefixOutcome.FAILURE
         assert rec.steps == (3, 3, 3, 3)
-        assert rec.source_bucket == EASY7
+        assert rec.source_bucket == 7
 
     def test_balanced_returns_none(self):
         rewards = [1, 1, 1, 1, 0, 0, 0, 0]
@@ -382,7 +378,7 @@ class TestSelectPrefix:
         rewards = (1, 0, 0, 0, 0, 0, 0, 0)
         group = RolloutGroup(
             task_id="t", rewards=rewards,
-            origin=GroupOrigin.REROLLOUT, parent_bucket=HARD1,
+            origin=GroupOrigin.REROLLOUT, parent_bucket=1,
         )
         with pytest.raises(ContractError):
             select_prefix(group, self._rollouts(rewards))
@@ -420,9 +416,22 @@ class TestPrefixRecords:
             want += prefix_records([task_ids[j]], row[None], steps, cut, kinds)
         assert prefix_records(task_ids, rewards, steps, offsets, kinds) == want
         for record in want:
-            assert record.source_bucket.kind in kinds
+            assert classify_bucket(record.source_bucket, 8) in kinds
+
+    @given(
+        half=st.integers(2, 8),
+        rows=st.lists(st.integers(0, 2**16 - 1), max_size=12),
+    )
+    def test_outcome_follows_source_bucket(self, half, rows):
+        # SUCCESS exactly for hard buckets, and only controlled buckets save.
+        n = 2 * half
+        rewards = (np.array(rows, np.int64)[:, None] >> np.arange(n) & 1).astype(bool)
+        offsets = np.arange(len(rows) * n + 1, dtype=np.int64)
+        records = prefix_records([f"t{j}" for j in range(len(rows))], rewards, offsets, offsets)
+        for record in records:
+            assert record.source_bucket in controlled_buckets(n)
             assert (record.outcome is PrefixOutcome.SUCCESS) == (
-                record.source_bucket.kind is BucketKind.HARD
+                classify_bucket(record.source_bucket, n) is BucketKind.HARD
             )
 
 
@@ -484,10 +493,10 @@ class TestMemoryBound:
 
 
 class TestPrefixPool:
-    def _record(self, task_id, bucket=HARD1, steps=(1, 2)):
+    def _record(self, task_id, bucket=1, steps=(1, 2)):
         outcome = (
             PrefixOutcome.SUCCESS
-            if bucket.kind is BucketKind.HARD
+            if classify_bucket(bucket, 8) is BucketKind.HARD
             else PrefixOutcome.FAILURE
         )
         return PrefixRecord(
@@ -497,7 +506,7 @@ class TestPrefixPool:
     def test_save_and_drain(self):
         pool = PrefixPool()
         pool.save(self._record("a"))
-        pool.save(self._record("b", HARD2))
+        pool.save(self._record("b", 2))
         assert len(pool) == 2
         drained = pool.drain()
         assert [r.task_id for r in drained] == ["a", "b"]
@@ -513,6 +522,6 @@ class TestPrefixPool:
 
     def test_same_task_different_bucket_kept_separately(self):
         pool = PrefixPool()
-        pool.save(self._record("a", HARD1))
-        pool.save(self._record("a", HARD2))
+        pool.save(self._record("a", 1))
+        pool.save(self._record("a", 2))
         assert len(pool) == 2

@@ -128,7 +128,7 @@ def make_task(p0=0.5, sensitivity=4.0, lengths=(4, 12), task_id="t0"):
 LONG_TASKS = [make_task(0.3 + 0.02 * i, lengths=(100, 300), task_id=f"t{i}") for i in range(20)]
 FAILURE_PREFIX = PrefixRecord(
     task_id="t0",
-    source_bucket=classify_bucket(7, 8),
+    source_bucket=7,
     outcome=PrefixOutcome.FAILURE,
     steps=tuple(range(100, 112)),
 )
@@ -263,7 +263,7 @@ class TestRerolloutSampling:
     def _prefix(self, length=8):
         return PrefixRecord(
             task_id="t0",
-            source_bucket=classify_bucket(1, 8),
+            source_bucket=1,
             outcome=PrefixOutcome.SUCCESS,
             steps=tuple(range(100, 100 + length)),
         )
@@ -281,7 +281,7 @@ class TestRerolloutSampling:
         task = make_task(0.125)
         sample = sample_rerollout_group(task, self._prefix(), 4, 8, rng_seed=5)
         assert sample.group.origin is GroupOrigin.REROLLOUT
-        assert sample.group.parent_bucket == classify_bucket(1, 8)
+        assert sample.group.parent_bucket == 1
         assert sample.group.task_id == "t0"
 
     def test_deterministic(self):
@@ -382,7 +382,7 @@ class TestRolloutSeeding:
         task = make_task(0.5)
         prefix = PrefixRecord(
             task_id="t0",
-            source_bucket=classify_bucket(1, 8),
+            source_bucket=1,
             outcome=PrefixOutcome.SUCCESS,
             steps=tuple(range(100, 108)),
         )
@@ -443,7 +443,7 @@ class TestRolloutKernel:
         task = make_task(0.4)
         prefix = PrefixRecord(
             task_id="t0",
-            source_bucket=classify_bucket(1, 8),
+            source_bucket=1,
             outcome=PrefixOutcome.SUCCESS,
             steps=tuple(range(100, 110)),
         )
@@ -554,7 +554,7 @@ class TestStepArrays:
         rewards = fresh.uniforms < p0[:, None]
         prefix = PrefixRecord(
             task_id="t0",
-            source_bucket=classify_bucket(1, 8),
+            source_bucket=1,
             outcome=PrefixOutcome.SUCCESS,
             steps=tuple(range(100, 100 + prefix_length)),
         )
@@ -574,6 +574,16 @@ class TestStepArrays:
 
             m = 1 + j % (prefix_length - 1)
             p = conditioned_pass_probability(task, prefix.outcome, m / prefix_length)
+            want = reference_draw(seed + (j,), _PURPOSE_REROLLOUT, task, n)
+            cut = slice(rerollouts.offsets[j * n], rerollouts.offsets[(j + 1) * n])
+            assert tuple(rerollouts.lengths[j].tolist()) == want[0]
+            assert tuple(rerollouts.steps[cut].tolist()) == want[1]
+            assert tuple(rerollouts.uniforms[j].tolist()) == want[2]
+            if n < 4 or n % 2:
+                # No bucket, so no prefix, exists at a group size bucketing rejects.
+                with pytest.raises(DomainError):
+                    sample_rerollout_group(task, prefix, m, n, seed + (j,))
+                continue
             view = sample_rerollout_group(task, prefix, m, n, seed + (j,))
             ends = rerollouts.offsets[j * n + 1:(j + 1) * n + 1].tolist()
             steps = rerollouts.steps.tolist()
@@ -657,15 +667,13 @@ class TestSelectThenRerollout:
         for i in range(50):
             candidate = sample_fresh_group(task, 8, rng_seed=(31, i))
             bucket = classify_bucket(pass_count(candidate.group), 8)
-            if bucket.kind is BucketKind.HARD:
+            if bucket is BucketKind.HARD:
                 sample = candidate
                 break
         assert sample is not None
         record = select_prefix(sample.group, rollout_steps(sample))
         child = sample_rerollout_group(task, record, 2, 8, rng_seed=(31, 777))
-        assert child.group.parent_bucket == classify_bucket(
-            pass_count(sample.group), 8
-        )
+        assert child.group.parent_bucket == pass_count(sample.group)
         for steps in rollout_steps(child):
             assert steps[:2] == record.steps[:2]
 

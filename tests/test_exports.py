@@ -1,7 +1,10 @@
 """Every export list names something that exists."""
 
 import importlib
+import importlib.util
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +36,25 @@ def test_star_import_of_package():
     exec("from passband import *", namespace)
     assert "run_experiment" in namespace
     assert "ExperimentConfig" in namespace
+
+
+def test_benchmark_call_sites_resolve(monkeypatch):
+    # The benchmark times each layer by replacing the attribute at its
+    # 'module:attr' sites, so each must exist; read its table, not a copy.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules while it loads.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    sites = [site for layer in workloads.LAYERS for site in layer.sites]
+    assert sites
+    missing = []
+    for site in sites:
+        module_name, attr = site.split(":")
+        target = importlib.import_module(module_name)
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if target is None:
+            missing.append(site)
+    assert missing == []

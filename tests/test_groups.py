@@ -1,13 +1,14 @@
 """Bucket classification and group contracts."""
 
+import numpy as np
 import pytest
 
 from passband.errors import ContractError, DomainError
 from passband.groups import (
-    Bucket,
     BucketKind,
     GroupOrigin,
     RolloutGroup,
+    bucket_label,
     classify_bucket,
     controlled_buckets,
     pass_count,
@@ -23,42 +24,27 @@ def make_group(k, n, origin=GroupOrigin.FRESH, parent=None):
 
 class TestClassifyBucket:
     def test_n8_full_partition(self):
-        # Balanced buckets drop the pass count; every other kind keeps it.
-        expected = {
-            0: (BucketKind.DEGENERATE, 0),
-            1: (BucketKind.HARD, 1),
-            2: (BucketKind.HARD, 2),
-            3: (BucketKind.BALANCED, None),
-            4: (BucketKind.BALANCED, None),
-            5: (BucketKind.BALANCED, None),
-            6: (BucketKind.EASY, 6),
-            7: (BucketKind.EASY, 7),
-            8: (BucketKind.DEGENERATE, 8),
-        }
-        for k, (kind, pc) in expected.items():
-            bucket = classify_bucket(k, 8)
-            assert bucket.kind is kind
-            assert bucket.pass_count == pc
+        d, h, b, e = BucketKind.DEGENERATE, BucketKind.HARD, BucketKind.BALANCED, BucketKind.EASY
+        assert [classify_bucket(k, 8) for k in range(9)] == [d, h, h, b, b, b, e, e, d]
+        assert [classify_bucket(np.int64(k), np.int64(8)) for k in (1, 7)] == [h, e]
 
     def test_labels(self):
-        assert classify_bucket(1, 8).label == "1/8"
-        assert classify_bucket(2, 8).label == "2/8"
-        assert classify_bucket(6, 8).label == "6/8"
-        assert classify_bucket(7, 8).label == "7/8"
-        assert classify_bucket(4, 8).label == "balanced"
-        assert classify_bucket(0, 8).label == "0/8"
-        assert classify_bucket(8, 8).label == "8/8"
+        assert bucket_label(1, 8) == "1/8"
+        assert bucket_label(2, 8) == "2/8"
+        assert bucket_label(6, 8) == "6/8"
+        assert bucket_label(7, 8) == "7/8"
+        assert bucket_label(np.int64(3), 12) == "3/12"
 
     def test_n12_scaling(self):
-        hard = [k for k in range(13) if classify_bucket(k, 12).kind is BucketKind.HARD]
-        easy = [k for k in range(13) if classify_bucket(k, 12).kind is BucketKind.EASY]
+        hard = [k for k in range(13) if classify_bucket(k, 12) is BucketKind.HARD]
+        easy = [k for k in range(13) if classify_bucket(k, 12) is BucketKind.EASY]
         assert hard == [1, 2, 3]
         assert easy == [9, 10, 11]
 
     def test_partition_property(self):
         # Every k lands in exactly one bucket kind for all even sizes.
         for n in range(4, 17, 2):
-            kinds = [classify_bucket(k, n).kind for k in range(n + 1)]
+            kinds = [classify_bucket(k, n) for k in range(n + 1)]
             assert kinds[0] is BucketKind.DEGENERATE
             assert kinds[-1] is BucketKind.DEGENERATE
             assert kinds.count(BucketKind.HARD) == kinds.count(BucketKind.EASY)
@@ -72,32 +58,29 @@ class TestClassifyBucket:
         with pytest.raises(DomainError):
             classify_bucket(9, 8)
 
+    @pytest.mark.parametrize("k, n", [(1.5, 8), (1, 8.0), (1.0, 8), (True, 8), ("1", 8), (1, None)])
+    def test_whole_numbers_only(self, k, n):
+        with pytest.raises(DomainError):
+            classify_bucket(k, n)
+
 
 class TestControlledBuckets:
     def test_n8(self):
-        buckets = controlled_buckets(8)
-        assert [b.label for b in buckets] == ["1/8", "2/8", "6/8", "7/8"]
-        assert all(b.is_controlled for b in buckets)
+        assert controlled_buckets(8) == (1, 2, 6, 7)
+        assert controlled_buckets(12) == (1, 2, 3, 9, 10, 11)
+        for n in range(4, 17, 2):
+            assert controlled_buckets(n) == tuple(
+                k for k in range(n + 1)
+                if classify_bucket(k, n) in (BucketKind.HARD, BucketKind.EASY)
+            )
 
     def test_balanced_not_controlled(self):
-        assert not classify_bucket(4, 8).is_controlled
-        assert not classify_bucket(0, 8).is_controlled
+        assert not {0, 3, 4, 5, 8} & set(controlled_buckets(8))
 
-
-class TestBucketContracts:
-    def test_pass_count_required_for_controlled(self):
-        with pytest.raises(ContractError):
-            Bucket(kind=BucketKind.HARD, group_size=8)
-
-    def test_pass_count_forbidden_for_balanced(self):
-        with pytest.raises(ContractError):
-            Bucket(kind=BucketKind.BALANCED, group_size=8, pass_count=4)
-
-    def test_hashable_and_equal(self):
-        a = classify_bucket(2, 8)
-        b = classify_bucket(2, 8)
-        assert a == b
-        assert len({a, b}) == 1
+    def test_domain(self):
+        for n in (2, 7, 8.0):
+            with pytest.raises(DomainError):
+                controlled_buckets(n)
 
 
 class TestRolloutGroup:
@@ -116,9 +99,9 @@ class TestRolloutGroup:
 
     def test_fresh_forbids_parent(self):
         with pytest.raises(ContractError):
-            make_group(3, 8, parent=classify_bucket(1, 8))
+            make_group(3, 8, parent=1)
 
     def test_rerollout_with_parent(self):
-        g = make_group(3, 8, origin=GroupOrigin.REROLLOUT, parent=classify_bucket(1, 8))
-        assert g.parent_bucket.label == "1/8"
+        g = make_group(3, 8, origin=GroupOrigin.REROLLOUT, parent=1)
+        assert g.parent_bucket == 1
 

@@ -113,6 +113,21 @@ class TestPairCounts:
         with pytest.raises(DomainError):
             contrastive_pair_count(-1, 8)
 
+    @pytest.mark.parametrize("k", [1.5, np.array([1.0, 2.5]), float("nan")])
+    def test_pass_count_must_be_whole(self, k):
+        for quantity in (
+            contrastive_pair_count,
+            rloo_advantage_energy,
+            mean_centered_advantage_variance,
+            signal_report,
+        ):
+            with pytest.raises(DomainError, match="whole number"):
+                quantity(k, 8)
+
+    def test_whole_floats_still_count(self):
+        assert contrastive_pair_count(2.0, 8) == 12
+        assert rloo_advantage_energy(np.array([2.0, 4.0]), 8).tolist() == [12 / 49, 16 / 49]
+
 
 class TestExpectedPairCount:
     def test_reference_values(self):
