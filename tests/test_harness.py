@@ -1,5 +1,6 @@
 """Closed-loop harness: step metrics, transitions, runs, and trace emission."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -24,6 +25,20 @@ from passband.harness import (
 )
 
 TRACE_FILES = ["metrics.csv", "controller.csv", "transitions.csv", "run.jsonl"]
+
+# A config that sets at least one key at the top level and in every section.
+EVERY_SECTION = (
+    "arm = ps-fix\n"
+    "steps = 3\n"
+    "seed = 11\n"
+    "fixed_ratio = 0.3\n"
+    "controller.alpha = 0.1\n"
+    "controller.cooldown = 2\n"
+    "loss.length_normalized = true\n"
+    "population.preset = uniform\n"
+    "population.size = 50\n"
+    "population.mirror = true\n"
+)
 
 
 def make_group(k, n=8, task_id="t", origin=GroupOrigin.FRESH, parent=None):
@@ -344,6 +359,23 @@ class TestEmitTraces:
         assert {path.name: path.read_bytes() for path in old.iterdir()} == before
         # No new destination, no partial file and no temporary directory.
         assert [path.name for path in tmp_path.iterdir()] == ["old"]
+
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            ("", "89a7ff2fdf70a163ce285cde99f026122c87fd2ad639c87ae03ea1aaa33b8168"),
+            (
+                EVERY_SECTION,
+                "38156b5df880fe3ff1033a5a945bbb763b670f18df3d255ccbaeacefa708a6b6",
+            ),
+        ],
+        ids=["default", "every-section"],
+    )
+    def test_meta_json_bytes_are_pinned(self, tmp_path, text, digest):
+        # meta.json echoes every config key; a change to the key set, a key's
+        # name or a value's rendering changes these bytes.
+        emit_traces(run_experiment(parse_config(text)), tmp_path)
+        assert hashlib.sha256((tmp_path / "meta.json").read_bytes()).hexdigest() == digest
 
     def test_byte_identical_across_repeats(self, tmp_path):
         config = small_config(steps=4)
