@@ -16,7 +16,7 @@ harness echoes it to meta.json.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -73,7 +73,7 @@ class ExperimentConfig:
     population: PopulationSpec = field(default_factory=PopulationSpec)
 
     def __post_init__(self) -> None:
-        check_int_fields(self, "group_size", "batch_size", "steps", "seed")
+        check_int_fields(self)
         if self.group_size < 4 or self.group_size % 2 != 0:
             raise DomainError(
                 f"group_size must be even and >= 4, got {self.group_size}"
@@ -107,42 +107,25 @@ def _parse_arm(raw: str) -> Arm:
         raise ValueError(f"must be one of {choices}") from None
 
 
-# key -> (section, field name, value parser); sections group the keys into
-# the nested config dataclasses.
-_KEY_TABLE: dict[str, tuple[str, str, object]] = {
-    "arm": ("", "arm", _parse_arm),
-    "group_size": ("", "group_size", int),
-    "batch_size": ("", "batch_size", int),
-    "steps": ("", "steps", int),
-    "seed": ("", "seed", int),
-    "fixed_ratio": ("", "fixed_ratio", float),
-    "same_step_rerollout": ("", "same_step_rerollout", _parse_bool),
-    "controller.alpha": ("controller", "alpha", float),
-    "controller.deadzone": ("controller", "deadzone", float),
-    "controller.step_size": ("controller", "step_size", float),
-    "controller.ratio_min": ("controller", "ratio_min", float),
-    "controller.ratio_max": ("controller", "ratio_max", float),
-    "controller.cooldown": ("controller", "cooldown", int),
-    "controller.initial_ratio": ("controller", "initial_ratio", float),
-    "controller.target": ("controller", "target", float),
-    "loss.length_normalized": ("loss", "length_normalized", _parse_bool),
-    "loss.group_reduction": ("loss", "group_reduction", str),
-    "population.preset": ("population", "preset", str),
-    "population.size": ("population", "size", int),
-    "population.p0": ("population", "p0", float),
-    "population.p_min": ("population", "p_min", float),
-    "population.p_max": ("population", "p_max", float),
-    "population.sensitivity_min": ("population", "sensitivity_min", float),
-    "population.sensitivity_max": ("population", "sensitivity_max", float),
-    "population.length_min": ("population", "length_min", int),
-    "population.length_max": ("population", "length_max", int),
-    "population.mirror": ("population", "mirror", _parse_bool),
-}
+# Value parser by field annotation (a string, under `from __future__ import
+# annotations` in every module that defines a config dataclass).
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool, "Arm": _parse_arm}
 
+# The config dataclasses are the schema. A field of ExperimentConfig with a
+# parsed annotation is the key `name`; any other field is a section, whose
+# class is the field's default_factory and whose fields are the keys
+# `section.name`.
 _SECTION_TYPES = {
-    "controller": ControllerParams,
-    "loss": LossOptions,
-    "population": PopulationSpec,
+    f.name: f.default_factory for f in fields(ExperimentConfig) if f.type not in _PARSERS
+}
+# key -> (section, field name, value parser); "" is the top-level section.
+_KEY_TABLE = {
+    f.name: ("", f.name, _PARSERS[f.type])
+    for f in fields(ExperimentConfig) if f.type in _PARSERS
+} | {
+    f"{section}.{f.name}": (section, f.name, _PARSERS[f.type])
+    for section, cls in _SECTION_TYPES.items()
+    for f in fields(cls)
 }
 
 

@@ -46,18 +46,23 @@ __all__ = [
 ]
 
 
-_SAVING_KINDS = (BucketKind.HARD, BucketKind.EASY)
-
-
 class PrefixOutcome(Enum):
     SUCCESS = "success"
     FAILURE = "failure"
 
 
+# The outcome each controlled bucket kind saves for replay: a hard bucket its
+# rare success, an easy bucket its rare failure.
+SAVED_OUTCOME = {
+    BucketKind.HARD: PrefixOutcome.SUCCESS,
+    BucketKind.EASY: PrefixOutcome.FAILURE,
+}
+
+
 class PrefixRecord(NamedTuple):
     """A saved trajectory eligible for replay: its task, its source bucket
     (the pass count of the fresh group it came from), its outcome and its
-    step ids. Hard buckets save successes, easy buckets failures;
+    step ids. Each bucket kind saves its SAVED_OUTCOME;
     sample_rerollout_group, which knows the group size, rejects any other
     pairing."""
 
@@ -101,7 +106,7 @@ class ControllerParams:
                 f"initial ratio {self.initial_ratio} outside bounds "
                 f"[{self.ratio_min}, {self.ratio_max}]"
             )
-        check_int_fields(self, "cooldown")
+        check_int_fields(self)
         if self.cooldown < 0:
             raise DomainError(f"cooldown must be >= 0, got {self.cooldown}")
         if not 0.0 < self.target < 1.0:
@@ -123,7 +128,7 @@ def initial_controller_state(
 ) -> BucketControllerState:
     """Neutral starting state of a hard or easy bucket: ratio and EMA both
     at their initial values."""
-    if kind not in _SAVING_KINDS:
+    if kind not in SAVED_OUTCOME:
         raise ContractError(f"{kind.value} buckets are not controlled")
     return BucketControllerState(kind=kind, ratio=params.initial_ratio, ema=params.target)
 
@@ -181,28 +186,26 @@ def select_prefix(group: RolloutGroup, rollouts) -> PrefixRecord | None:
 
 
 def prefix_records(
-    task_ids, rewards: np.ndarray, steps: np.ndarray, offsets, kinds=_SAVING_KINDS
+    task_ids, rewards: np.ndarray, steps: np.ndarray, offsets, kinds=tuple(SAVED_OUTCOME)
 ) -> list[PrefixRecord]:
     """The replay material of G fresh groups with (G, N) bool rewards, whose
     rollout r = j * N + i spans steps[offsets[r]:offsets[r + 1]]. A group
     whose bucket kind is in kinds saves one trajectory: its lowest-index
-    success if hard, its lowest-index failure if easy."""
+    rollout with the kind's SAVED_OUTCOME."""
+    if not set(kinds) <= SAVED_OUTCOME.keys():
+        raise ContractError(f"only hard and easy buckets save prefixes, got {kinds!r}")
     n = rewards.shape[1]
     by_k = [classify_bucket(k, n) for k in range(n + 1)]
+    saved = [SAVED_OUTCOME.get(kind) for kind in by_k]
     ks = rewards.sum(axis=1)
     saving = np.flatnonzero(np.array([kind in kinds for kind in by_k])[ks])
-    hard = np.array([kind is BucketKind.HARD for kind in by_k])[ks[saving]]
-    picked = saving * n + np.argmax(rewards[saving] == hard[:, None], axis=1)
+    success = np.array([o is PrefixOutcome.SUCCESS for o in saved])[ks[saving]]
+    picked = saving * n + np.argmax(rewards[saving] == success[:, None], axis=1)
     return [
         PrefixRecord(
-            task_ids[j],
-            k,
-            PrefixOutcome.SUCCESS if success else PrefixOutcome.FAILURE,
-            tuple(steps[offsets[r]:offsets[r + 1]].tolist()),
+            task_ids[j], k, saved[k], tuple(steps[offsets[r]:offsets[r + 1]].tolist())
         )
-        for j, k, success, r in zip(
-            saving.tolist(), ks[saving].tolist(), hard.tolist(), picked.tolist()
-        )
+        for j, k, r in zip(saving.tolist(), ks[saving].tolist(), picked.tolist())
     ]
 
 

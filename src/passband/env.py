@@ -37,9 +37,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit, logit
 
-from .controller import PrefixOutcome, PrefixRecord
+from .controller import SAVED_OUTCOME, PrefixOutcome, PrefixRecord
 from .errors import ContractError, DomainError, check_int_fields, is_int
-from .groups import BucketKind, GroupOrigin, RolloutGroup, bucket_label, classify_bucket
+from .groups import GroupOrigin, RolloutGroup, bucket_label, classify_bucket
 
 __all__ = [
     "SyntheticTask",
@@ -342,8 +342,7 @@ def sample_rerollout_group(
     bucket's success or an easy bucket's failure is replayed.
     """
     kind = classify_bucket(prefix.source_bucket, n)
-    saved = {BucketKind.HARD: PrefixOutcome.SUCCESS, BucketKind.EASY: PrefixOutcome.FAILURE}
-    if prefix.outcome is not saved.get(kind):
+    if prefix.outcome is not SAVED_OUTCOME.get(kind):
         raise ContractError(
             f"bucket {bucket_label(prefix.source_bucket, n)} is {kind.value} and "
             f"saves no {prefix.outcome.value} prefix"
@@ -381,7 +380,7 @@ class PopulationSpec:
     mirror: bool = False
 
     def __post_init__(self) -> None:
-        check_int_fields(self, "size", "length_min", "length_max")
+        check_int_fields(self)
         if self.preset not in ("single", "uniform", "hard_skewed"):
             raise DomainError(f"unknown population preset {self.preset!r}")
         if not 1 <= self.size <= MAX_POPULATION_SIZE:

@@ -6,6 +6,8 @@ configuration input. All are ValueError subclasses, so generic handling
 still works.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
 
@@ -31,8 +33,10 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_int_fields(holder, *names: str) -> None:
-    """DomainError naming the first of holder's named fields that is not an int."""
-    for name in names:
-        if not is_int(value := getattr(holder, name)):
-            raise DomainError(f"{name} must be an int, got {value!r}")
+def check_int_fields(holder) -> None:
+    """DomainError naming the first of a dataclass's int-annotated fields
+    that does not hold an int. The annotations are read as the strings that
+    `from __future__ import annotations` leaves in place."""
+    for f in fields(holder):
+        if f.type == "int" and not is_int(value := getattr(holder, f.name)):
+            raise DomainError(f"{f.name} must be an int, got {value!r}")

@@ -286,6 +286,13 @@ def compute_step_metrics(
         raise ContractError("empty batch needs an explicit group_size")
     fresh = [pass_count(g) for g in batch if g.origin is GroupOrigin.FRESH]
     rerollouts = [g for g in batch if g.origin is not GroupOrigin.FRESH]
+    controlled = controlled_buckets(n)
+    for g in rerollouts:
+        if g.parent_bucket not in controlled:
+            raise ContractError(
+                f"rerollouts come only from controlled buckets, "
+                f"got parent {bucket_label(g.parent_bucket, n)}"
+            )
     ks = np.array(fresh + [pass_count(g) for g in rerollouts], dtype=np.int64)
     parents = [bucket_label(g.parent_bucket, n) for g in rerollouts]
     return _step_metrics(step, n, ks, len(fresh), parents, audit_loss)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import DomainError
+from .errors import DomainError, is_int
 
 __all__ = [
     "SignalReport",
@@ -46,9 +46,13 @@ def _check_probability(p, name: str = "p") -> np.ndarray:
     return arr
 
 
+def _check_group_size(n, min_n: int) -> None:
+    if not (is_int(n) and n >= min_n):
+        raise DomainError(f"group size N must be an int >= {min_n}, got {n!r}")
+
+
 def _check_pass_count(k, n: int, min_n: int = 1) -> np.ndarray:
-    if n < min_n:
-        raise DomainError(f"group size N must be >= {min_n}, got {n}")
+    _check_group_size(n, min_n)
     arr = np.asarray(k)
     if np.any(arr < 0) or np.any(arr > n) or np.any(arr != np.floor(arr)):
         raise DomainError(f"pass count k must be a whole number in [0, {n}], got {k!r}")
@@ -80,8 +84,7 @@ def group_survival_probability(p, n: int) -> float | np.ndarray:
     1 - (1-p)^n - p^n, the chance the group contributes any contrast.
     """
     arr = _check_probability(p)
-    if n < 1:
-        raise DomainError(f"group size N must be >= 1, got {n}")
+    _check_group_size(n, 1)
     surv = 1.0 - (1.0 - arr) ** n - arr**n
     return _scalarize(surv, p)
 
@@ -112,8 +115,7 @@ def expected_pair_count(p, n: int) -> float | np.ndarray:
     E[K (n-K)] = n (n-1) p (1-p), again maximized at p = 0.5.
     """
     arr = _check_probability(p)
-    if n < 2:
-        raise DomainError(f"group size N must be >= 2, got {n}")
+    _check_group_size(n, 2)
     mean = n * (n - 1) * arr * (1.0 - arr)
     return _scalarize(mean, p)
 
@@ -130,8 +132,7 @@ def mean_centered_advantage_variance(k, n: int) -> float | np.ndarray:
 
 def max_pair_count(n: int) -> int:
     """Largest achievable pair count over k in {0..n}: floor(n/2) ceil(n/2)."""
-    if n < 1:
-        raise DomainError(f"group size N must be >= 1, got {n}")
+    _check_group_size(n, 1)
     return (n // 2) * (n - n // 2)
 
 

@@ -1,6 +1,7 @@
 """Experiment configuration parsing, validation, and arm wiring."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +99,17 @@ class TestDefaults:
         assert config.controller.alpha == 0.05
         assert config.loss.group_reduction == "sum"
         assert config.population.preset == "hard_skewed"
+
+    def test_readme_block_lists_every_key_at_its_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+        keys = [
+            line.split("=", 1)[0].strip()
+            for line in (raw.split("#", 1)[0] for raw in block.splitlines())
+            if line.strip()
+        ]
+        assert parse_config(block) == ExperimentConfig()
+        assert keys == list(config_to_flat_dict(ExperimentConfig()))
 
     def test_comments_and_blank_lines_ignored(self):
         text = """

@@ -418,6 +418,12 @@ class TestPrefixRecords:
         for record in want:
             assert classify_bucket(record.source_bucket, 8) in kinds
 
+    def test_only_controlled_kinds_save(self):
+        rewards = np.array([[True] * 4 + [False] * 4])
+        offsets = np.arange(9, dtype=np.int64)
+        with pytest.raises(ContractError, match="only hard and easy buckets"):
+            prefix_records(["t"], rewards, offsets, offsets, (BucketKind.BALANCED,))
+
     @given(
         half=st.integers(2, 8),
         rows=st.lists(st.integers(0, 2**16 - 1), max_size=12),

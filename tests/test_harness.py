@@ -106,6 +106,13 @@ class TestComputeStepMetrics:
         with pytest.raises(ContractError):
             compute_step_metrics([make_group(1, 8)], group_size=4)
 
+    @pytest.mark.parametrize("parent", [99, 4])
+    def test_parent_must_be_a_controlled_bucket(self, parent):
+        # 99 lies outside [0, 8]; 4/8 is balanced, so nothing replays it.
+        rerollout = make_group(3, origin=GroupOrigin.REROLLOUT, parent=parent)
+        with pytest.raises(ContractError, match=f"got parent {parent}/8"):
+            compute_step_metrics([make_group(1), rerollout])
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(2, 16),

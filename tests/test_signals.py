@@ -129,6 +129,34 @@ class TestPairCounts:
         assert rloo_advantage_energy(np.array([2.0, 4.0]), 8).tolist() == [12 / 49, 16 / 49]
 
 
+@pytest.mark.parametrize("n", [8.5, True, np.float64(8.0), "8"])
+@pytest.mark.parametrize(
+    "quantity",
+    [
+        lambda n: group_survival_probability(0.5, n),
+        lambda n: rloo_advantage_energy(1, n),
+        lambda n: contrastive_pair_count(2, n),
+        lambda n: expected_pair_count(0.5, n),
+        lambda n: mean_centered_advantage_variance(2, n),
+        lambda n: max_pair_count(n),
+        lambda n: signal_report(2, n),
+    ],
+    ids=[
+        "survival", "rloo_energy", "pair_count", "expected_pairs",
+        "centered_variance", "max_pairs", "signal_report",
+    ],
+)
+def test_group_size_must_be_an_int(quantity, n):
+    # True would otherwise read as N = 1, and 8.5 as a group of 8.5 rollouts.
+    with pytest.raises(DomainError, match="group size N must be an int"):
+        quantity(n)
+
+
+def test_numpy_int_group_size_counts():
+    assert contrastive_pair_count(2, np.int64(8)) == 12
+    assert max_pair_count(np.int32(8)) == 16
+
+
 class TestExpectedPairCount:
     def test_reference_values(self):
         assert expected_pair_count(0.5, 8) == 14.0
