@@ -537,6 +537,27 @@ class TestAggregateAndCompare:
         header = (tmp_path / "summary.csv").read_text().splitlines()[0]
         assert header.startswith("arm,seed,mean_valid_groups")
 
+    def test_summary_csv_bytes_are_pinned(self, tmp_path):
+        # The baseline rows hold the nan cells of an arm without rerollouts;
+        # a change to how any cell is rendered changes these bytes.
+        compare_arms(
+            small_config(steps=3, batch_size=8),
+            seeds=[0, 1],
+            destination=tmp_path,
+            arms=(Arm.BASELINE, Arm.PS_ADA),
+        )
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            b"arm,seed,mean_valid_groups,fresh_count,fresh_degenerate_share,"
+            b"fresh_target_band_share,fresh_mean_distance,rerollout_count,"
+            b"rerollout_degenerate_share,rerollout_target_band_share,rerollout_mean_distance\n"
+            b"baseline,0,5.0,24.0,0.375,0.16666666666666666,2.7916666666666665,0.0,nan,nan,nan\n"
+            b"baseline,1,5.0,24.0,0.375,0.16666666666666666,2.8333333333333335,0.0,nan,nan,nan\n"
+            b"ps-ada,0,8.666666666666666,24.0,0.375,0.16666666666666666,2.7916666666666665,"
+            b"11.0,0.0,0.7272727272727273,1.1818181818181819\n"
+            b"ps-ada,1,8.333333333333334,24.0,0.375,0.16666666666666666,2.8333333333333335,"
+            b"10.0,0.0,0.5,1.7\n"
+        )
+
     def test_compare_arms_no_destination(self):
         rows = compare_arms(
             small_config(steps=2, batch_size=8), seeds=[0], arms=(Arm.BASELINE,)
