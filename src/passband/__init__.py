@@ -58,7 +58,6 @@ from .groups import (
 from .harness import (
     RunResult,
     StepMetrics,
-    TransitionMatrix,
     compare_arms,
     compute_step_metrics,
     compute_transition_matrix,

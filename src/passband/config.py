@@ -20,9 +20,10 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
-from .controller import ControllerParams
+from .controller import SAVED_OUTCOME, ControllerParams
 from .env import PopulationSpec
-from .errors import ConfigError, DomainError, check_int_fields
+from .errors import ConfigError, DomainError, check_field_types
+from .groups import BucketKind
 
 __all__ = [
     "Arm",
@@ -32,6 +33,7 @@ __all__ = [
     "load_config",
     "config_to_flat_dict",
     "arm_controller_params",
+    "SAVING_KINDS",
 ]
 
 
@@ -50,6 +52,7 @@ class LossOptions:
     group_reduction: str = "sum"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.group_reduction not in ("sum", "mean"):
             raise DomainError(
                 f"group_reduction must be 'sum' or 'mean', "
@@ -73,7 +76,7 @@ class ExperimentConfig:
     population: PopulationSpec = field(default_factory=PopulationSpec)
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_field_types(self)
         if self.group_size < 4 or self.group_size % 2 != 0:
             raise DomainError(
                 f"group_size must be even and >= 4, got {self.group_size}"
@@ -200,3 +203,13 @@ def arm_controller_params(config: ExperimentConfig) -> ControllerParams:
             config.controller, step_size=0.0, initial_ratio=config.fixed_ratio
         )
     return config.controller
+
+
+# Kinds of bucket whose fresh groups save a prefix for replay under each arm:
+# the baseline replays nothing and the hard-only arm ignores easy buckets.
+SAVING_KINDS = {
+    Arm.BASELINE: (),
+    Arm.PS_FIX: tuple(SAVED_OUTCOME),
+    Arm.PS_ADA_HARD_ONLY: (BucketKind.HARD,),
+    Arm.PS_ADA: tuple(SAVED_OUTCOME),
+}

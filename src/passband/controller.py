@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DomainError, check_int_fields
+from .errors import ContractError, DomainError, check_field_types
 from .groups import BucketKind, GroupOrigin, RolloutGroup, classify_bucket, pass_count
 
 __all__ = [
@@ -90,6 +90,7 @@ class ControllerParams:
     target: float = 0.5
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 < self.alpha <= 1.0:
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0.0 <= self.deadzone < 0.5:
@@ -106,7 +107,6 @@ class ControllerParams:
                 f"initial ratio {self.initial_ratio} outside bounds "
                 f"[{self.ratio_min}, {self.ratio_max}]"
             )
-        check_int_fields(self)
         if self.cooldown < 0:
             raise DomainError(f"cooldown must be >= 0, got {self.cooldown}")
         if not 0.0 < self.target < 1.0:

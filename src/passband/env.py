@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .controller import SAVED_OUTCOME, PrefixOutcome, PrefixRecord
-from .errors import ContractError, DomainError, check_int_fields, is_int
+from .errors import ContractError, DomainError, check_field_types, is_int
 from .groups import GroupOrigin, RolloutGroup, bucket_label, classify_bucket
 
 __all__ = [
@@ -380,7 +380,7 @@ class PopulationSpec:
     mirror: bool = False
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_field_types(self)
         if self.preset not in ("single", "uniform", "hard_skewed"):
             raise DomainError(f"unknown population preset {self.preset!r}")
         if not 1 <= self.size <= MAX_POPULATION_SIZE:

@@ -22,9 +22,11 @@ depends on the controller state the step's earlier rerollouts left.
 A run's groups stay arrays too: RunResult.groups holds run.jsonl's fields
 as columns, one row per group, and run.jsonl is formatted from them.
 
-Four arms share this loop: the baseline disables replay entirely, the
-fixed-ratio arm runs the controller with a zero step size, the hard-only
-arm ignores easy buckets, and the adaptive arm runs everything.
+Four arms share this loop, which takes their semantics from config's
+SAVING_KINDS and arm_controller_params: the baseline saves no prefix, so
+nothing replays; the fixed-ratio arm runs the controller with a zero step
+size, the hard-only arm ignores easy buckets, and the adaptive arm runs
+everything.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .advantages import (  # noqa: F401
     rloo_advantages,
 )
 from .config import (
+    SAVING_KINDS,
     Arm,
     ExperimentConfig,
     LossOptions,
@@ -71,7 +74,6 @@ from .controller import (  # noqa: F401
 )
 from .errors import ContractError, DomainError
 from .groups import (
-    BucketKind,
     GroupOrigin,
     RolloutGroup,
     bucket_label,
@@ -84,7 +86,6 @@ __all__ = [
     "CohortStats",
     "StepMetrics",
     "ControllerRow",
-    "TransitionMatrix",
     "GroupColumns",
     "RunResult",
     "compute_step_metrics",
@@ -137,40 +138,6 @@ class ControllerRow(NamedTuple):
     cooldown_remaining: int
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Parent-bucket to child-pass-count empirical transition counts."""
-
-    group_size: int
-    labels: tuple[str, ...]
-    counts: np.ndarray
-
-    def row_total(self, label: str) -> int:
-        return int(self.counts[self.labels.index(label)].sum())
-
-    def row_probabilities(self, label: str) -> np.ndarray:
-        row = self.counts[self.labels.index(label)]
-        total = row.sum()
-        if total == 0:
-            return np.full(row.size, np.nan)
-        return row / total
-
-    def row_mean(self, label: str) -> float:
-        row = self.counts[self.labels.index(label)]
-        total = row.sum()
-        if total == 0:
-            return float("nan")
-        return float((row * np.arange(row.size)).sum() / total)
-
-    def row_band_share(self, label: str) -> float:
-        row = self.counts[self.labels.index(label)]
-        total = row.sum()
-        if total == 0:
-            return float("nan")
-        in_band = np.abs(np.arange(row.size) - self.group_size / 2) <= 1.0
-        return float(row[in_band].sum() / total)
-
-
 class GroupColumns(NamedTuple):
     """run.jsonl's fields as columns, one row per group in file order: object
     arrays of task ids and parent labels (None for a fresh group; the origin
@@ -212,7 +179,8 @@ class RunResult:
     config: ExperimentConfig
     metrics: tuple[StepMetrics, ...]
     controller_rows: tuple[ControllerRow, ...]
-    transitions: TransitionMatrix
+    # compute_transition_matrix's counts of the run's rerollouts.
+    transitions: np.ndarray
     final_states: dict[str, BucketControllerState]
     groups: GroupColumns
 
@@ -298,8 +266,10 @@ def compute_step_metrics(
     return _step_metrics(step, n, ks, len(fresh), parents, audit_loss)
 
 
-def compute_transition_matrix(pairs, n: int) -> TransitionMatrix:
-    """Row-normalizable counts of (source bucket k, child pass count) pairs."""
+def compute_transition_matrix(pairs, n: int) -> np.ndarray:
+    """Counts of (source bucket k, child pass count) pairs as an int64 array
+    of shape (len(controlled_buckets(n)), n + 1): row i counts the children of
+    bucket controlled_buckets(n)[i], column c those with pass count c."""
     ks = np.array(controlled_buckets(n))
     parents, children = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     uncontrolled = parents[~np.isin(parents, ks)]
@@ -313,7 +283,7 @@ def compute_transition_matrix(pairs, n: int) -> TransitionMatrix:
         raise DomainError(f"child pass count {outside[0]} outside [0, {n}]")
     counts = np.zeros((len(ks), n + 1), dtype=np.int64)
     np.add.at(counts, (np.searchsorted(ks, parents), children), 1)
-    return TransitionMatrix(n, tuple(bucket_label(k, n) for k in ks.tolist()), counts)
+    return counts
 
 
 def _audit_policy(seed: int) -> ToyPolicy:
@@ -342,15 +312,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     n = config.group_size
     seed = config.seed
     params = arm_controller_params(config)
-    replay_enabled = config.arm is not Arm.BASELINE
-    easy_enabled = config.arm in (Arm.PS_FIX, Arm.PS_ADA)
     population = env_mod.make_task_population(config.population, seed)
     task_by_id = {task.task_id: task for task in population}
     base_logits = np.array([task.base_logit for task in population])
-    # Kinds of bucket whose fresh groups save a prefix.
-    saving = (BucketKind.HARD, BucketKind.EASY) if easy_enabled else (BucketKind.HARD,)
-    if not replay_enabled:
-        saving = ()
+    saving = SAVING_KINDS[config.arm]
     states: dict[int, BucketControllerState] = {
         k: initial_controller_state(classify_bucket(k, n), params) for k in controlled_buckets(n)
     }
@@ -381,7 +346,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             [task.task_id for task in tasks], fresh_rewards, fresh.steps, fresh.offsets, saving
         ):
             pool.save(record)
-        if config.same_step_rerollout and replay_enabled:
+        if config.same_step_rerollout:
             pending = pool.drain()
         # The random draws do not depend on the replay boundary, so they are
         # made for the whole step before the controllers move.
@@ -411,7 +376,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         )
         labels = [bucket_labels[k] for k in parents]
         metrics.append(_step_metrics(step, n, ks, len(tasks), labels, loss))
-        if replay_enabled:
+        if saving:
             controller_rows.extend(
                 ControllerRow(step, bucket_labels[k], s.ratio, s.ema, s.cooldown_remaining)
                 for k, s in states.items()
@@ -436,15 +401,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+def _write_csv(path: Path, header, rows) -> None:
+    """One line per row of Python ints, floats and strs; str(float) is its
+    repr, so a float's cell reads back as the same float."""
+    lines = [",".join(map(str, row)) for row in [header, *rows]]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -500,30 +460,28 @@ def emit_traces(result: RunResult, destination) -> list[Path]:
 
 def _write_traces(result: RunResult, out: Path) -> None:
     _write_csv(out / "metrics.csv", *_metrics_rows(result))
-    _write_csv(
-        out / "controller.csv",
-        ["step", "bucket", "r_b", "ema", "cooldown_remaining"],
-        [
-            [r.step, r.bucket, r.r_b, r.ema, r.cooldown_remaining]
-            for r in result.controller_rows
-        ],
-    )
+    _write_csv(out / "controller.csv", ControllerRow._fields, result.controller_rows)
 
-    n = result.config.group_size
-    trans = result.transitions
-    trans_rows = []
-    for label in trans.labels:
-        probs = trans.row_probabilities(label)
-        trans_rows.append(
-            [label, trans.row_total(label), trans.row_mean(label),
-             trans.row_band_share(label)]
-            + [float(p) for p in probs]
-        )
+    # Every row at once; an empty row divides 0 by 0 into nan cells.
+    counts = result.transitions
+    n = counts.shape[1] - 1
+    totals = counts.sum(axis=1)
+    child_k = np.arange(n + 1)
+    with np.errstate(invalid="ignore"):
+        means = (counts * child_k).sum(axis=1) / totals
+        band_shares = counts[:, np.abs(child_k - n / 2) <= 1.0].sum(axis=1) / totals
+        distributions = counts / totals[:, None]
     _write_csv(
         out / "transitions.csv",
         ["bucket", "count", "mean_child_pass_count", "target_band_share"]
         + [f"child_{k}" for k in range(n + 1)],
-        trans_rows,
+        [
+            [bucket_label(k, n), total, mean, share, *distribution]
+            for k, total, mean, share, distribution in zip(
+                controlled_buckets(n), totals.tolist(), means.tolist(),
+                band_shares.tolist(), distributions.tolist(),
+            )
+        ],
     )
 
     # Streamed line by line: one join of every line would hold the whole

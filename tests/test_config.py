@@ -1,6 +1,7 @@
 """Experiment configuration parsing, validation, and arm wiring."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from passband.config import (
+    SAVING_KINDS,
     Arm,
     ExperimentConfig,
     LossOptions,
@@ -20,6 +22,7 @@ from passband.config import (
 from passband.controller import ControllerParams
 from passband.env import MAX_POPULATION_SIZE, MAX_TRAJECTORY_LENGTH, PopulationSpec
 from passband.errors import ConfigError, DomainError
+from passband.groups import BucketKind
 
 
 def as_text(config: ExperimentConfig) -> str:
@@ -282,6 +285,55 @@ class TestErrors:
         assert PopulationSpec(size=np.int32(7)).size == 7
         assert ControllerParams(cooldown=np.uint8(2)).cooldown == 2
 
+    @pytest.mark.parametrize(
+        "cls, kwargs, message",
+        [
+            # Ran as the hard-only arm while meta.json said ps-ada.
+            (ExperimentConfig, {"arm": "ps-ada"}, "arm must be an Arm"),
+            # A non-empty string is true, so p0 was mirrored to 0.875.
+            (PopulationSpec, {"preset": "single", "p0": 0.125, "mirror": "false"},
+             "mirror must be a bool"),
+            (LossOptions, {"length_normalized": "false"}, "length_normalized must be a bool"),
+            (ExperimentConfig, {"same_step_rerollout": "no"},
+             "same_step_rerollout must be a bool"),
+            # A bool is an int, so True was taken as 1.0.
+            (ControllerParams, {"alpha": True}, "alpha must be a float"),
+            # These two failed with a bare TypeError from a comparison.
+            (ControllerParams, {"alpha": "0.1"}, "alpha must be a float"),
+            (ExperimentConfig, {"fixed_ratio": "0.5"}, "fixed_ratio must be a float"),
+        ],
+    )
+    def test_scalar_fields_reject_wrong_types(self, cls, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            cls(**kwargs)
+
+    @pytest.mark.parametrize(
+        "cls, field, kind",
+        [
+            (cls, f.name, f.type)
+            for cls in (ExperimentConfig, ControllerParams, LossOptions, PopulationSpec)
+            for f in fields(cls)
+            if f.type in ("float", "bool", "str", "Arm")
+        ],
+    )
+    def test_every_scalar_field_is_type_checked(self, cls, field, kind):
+        wrong = {
+            "float": [True, "0.5", None],
+            "bool": ["false", 1, np.True_, None],
+            "str": [1, b"sum", None],
+            "Arm": ["ps-ada", None],
+        }[kind]
+        for value in wrong:
+            with pytest.raises(DomainError, match=f"{field} must be an? {kind}"):
+                cls(**{field: value})
+
+    def test_float_fields_take_ints_and_numpy_numbers(self):
+        assert ControllerParams(step_size=0).step_size == 0
+        assert ControllerParams(alpha=np.float32(0.25)).alpha == 0.25
+        assert ControllerParams(alpha=np.int64(1)).alpha == 1
+        assert ExperimentConfig(fixed_ratio=np.float64(0.3)).fixed_ratio == 0.3
+        assert PopulationSpec(sensitivity_max=np.int8(5)).sensitivity_max == 5
+
 
 class TestLoadConfig:
     def test_reads_file(self, tmp_path):
@@ -317,6 +369,14 @@ class TestArmControllerParams:
         # Everything else passes through unchanged.
         assert params.alpha == config.controller.alpha
         assert params.cooldown == config.controller.cooldown
+
+    def test_saving_kinds_of_each_arm(self):
+        assert SAVING_KINDS == {
+            Arm.BASELINE: (),
+            Arm.PS_FIX: (BucketKind.HARD, BucketKind.EASY),
+            Arm.PS_ADA_HARD_ONLY: (BucketKind.HARD,),
+            Arm.PS_ADA: (BucketKind.HARD, BucketKind.EASY),
+        }
 
     def test_hard_only_same_params_as_ada(self):
         ada = parse_config("arm = ps-ada")

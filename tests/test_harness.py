@@ -4,17 +4,24 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from passband import harness
 from passband.config import Arm, ExperimentConfig, parse_config
 from passband.errors import ContractError, DomainError
-from passband.groups import GroupOrigin, RolloutGroup, classify_bucket
+from passband.groups import (
+    GroupOrigin,
+    RolloutGroup,
+    bucket_label,
+    classify_bucket,
+    controlled_buckets,
+)
 from passband.harness import (
     aggregate_run,
     compare_arms,
@@ -171,30 +178,49 @@ class TestRecordTypes:
                 setattr(record, field, 0)
 
 
+def transition_rows(tmp_path, counts):
+    """transitions.csv of a run whose transition counts are counts: its
+    header and a dict from each row's bucket label to the cells after it."""
+    emit_traces(replace(run_experiment(small_config(steps=0)), transitions=counts), tmp_path)
+    header, *lines = (tmp_path / "transitions.csv").read_text().splitlines()
+    return header.split(","), {
+        line.split(",")[0]: line.split(",")[1:] for line in lines
+    }
+
+
 class TestTransitionMatrix:
-    def test_single_pair_point_mass(self):
-        matrix = compute_transition_matrix([(1, 4)], 8)
-        assert matrix.labels == ("1/8", "2/8", "6/8", "7/8")
-        assert matrix.row_total("1/8") == 1
-        probs = matrix.row_probabilities("1/8")
-        assert probs[4] == 1.0
-        assert probs.sum() == 1.0
-        assert matrix.row_mean("1/8") == 4.0
-        assert matrix.row_band_share("1/8") == 1.0
+    def test_single_pair_point_mass(self, tmp_path):
+        counts = compute_transition_matrix([(1, 4)], 8)
+        expected = np.zeros((4, 9), np.int64)
+        expected[0, 4] = 1
+        assert counts.dtype == np.int64
+        assert_array_equal(counts, expected)
+        header, rows = transition_rows(tmp_path, counts)
+        assert header == [
+            "bucket", "count", "mean_child_pass_count", "target_band_share",
+            *(f"child_{k}" for k in range(9)),
+        ]
+        assert list(rows) == ["1/8", "2/8", "6/8", "7/8"]
+        # Count, mean child k, band share, then the child distribution.
+        assert rows["1/8"] == ["1", "4.0", "1.0"] + ["0.0"] * 4 + ["1.0"] + ["0.0"] * 4
 
-    def test_empty_row_is_nan(self):
-        matrix = compute_transition_matrix([], 8)
-        assert matrix.row_total("2/8") == 0
-        assert math.isnan(matrix.row_mean("2/8"))
-        assert math.isnan(matrix.row_band_share("2/8"))
-        assert np.isnan(matrix.row_probabilities("2/8")).all()
+    def test_empty_row_is_nan(self, tmp_path):
+        counts = compute_transition_matrix([], 8)
+        assert counts.shape == (4, 9)
+        assert counts.sum() == 0
+        _, rows = transition_rows(tmp_path, counts)
+        assert rows["2/8"] == ["0"] + ["nan"] * 11
 
-    def test_row_probabilities_normalized(self):
+    def test_row_probabilities_normalized(self, tmp_path):
         pairs = [(2, k) for k in (0, 3, 4, 4, 5, 8)]
-        matrix = compute_transition_matrix(pairs, 8)
-        assert_allclose(matrix.row_probabilities("2/8").sum(), 1.0, rtol=1e-12)
-        assert matrix.row_mean("2/8") == 4.0
-        assert_allclose(matrix.row_band_share("2/8"), 4 / 6, rtol=1e-15)
+        counts = compute_transition_matrix(pairs, 8)
+        assert counts[1].tolist() == [1, 0, 0, 1, 2, 1, 0, 0, 1]
+        _, rows = transition_rows(tmp_path, counts)
+        total, mean, band_share, *distribution = map(float, rows["2/8"])
+        assert total == 6
+        assert mean == 4.0
+        assert_allclose(band_share, 4 / 6, rtol=1e-15)
+        assert_allclose(sum(distribution), 1.0, rtol=1e-12)
 
     def test_contracts(self):
         for parent in (0, 4, 8, 9, -1):
@@ -231,7 +257,7 @@ class TestRunExperiment:
     def test_baseline_never_replays(self):
         result = run_experiment(small_config(arm="baseline"))
         assert result.controller_rows == ()
-        assert result.transitions.counts.sum() == 0
+        assert result.transitions.sum() == 0
         assert all(r["origin"] == "fresh" for r in result.group_records)
         for m in result.metrics:
             assert m.rerollout.count == 0
@@ -246,7 +272,7 @@ class TestRunExperiment:
         assert parents & {"1/8", "2/8"}
         assert parents & {"6/8", "7/8"}
 
-    def test_hard_only_skips_easy_buckets(self):
+    def test_hard_only_skips_easy_buckets(self, tmp_path):
         result = run_experiment(small_config(arm="ps-ada-hard-only"))
         parents = {
             r["parent_bucket"]
@@ -260,7 +286,27 @@ class TestRunExperiment:
             state = result.final_states[label]
             assert state.updates_seen == 0
             assert state.ema == 0.5
-            assert result.transitions.row_total(label) == 0
+        # Rows 2 and 3 are the easy buckets 6/8 and 7/8.
+        assert result.transitions[2:].sum() == 0
+        emit_traces(result, tmp_path)
+        lines = (tmp_path / "transitions.csv").read_text().splitlines()
+        assert lines[3:] == [f"{label},0" + ",nan" * 11 for label in ("6/8", "7/8")]
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"arm": "ps-ada-hard-only", "same_step_rerollout": "false"}]
+    )
+    def test_transitions_match_rerollout_rows(self, overrides):
+        # The counts array recounted from the run.jsonl columns: one
+        # (parent k, child k) pair per rerollout row.
+        result = run_experiment(small_config(**overrides))
+        labels = [bucket_label(k, 8) for k in controlled_buckets(8)]
+        expected = np.zeros((len(labels), 9), np.int64)
+        for parent, rewards in zip(result.groups.parent_bucket, result.groups.rewards):
+            if parent is not None:
+                expected[labels.index(parent), rewards.sum()] += 1
+        assert expected.sum() > 0
+        assert result.transitions.dtype == np.int64
+        assert_array_equal(result.transitions, expected)
 
     def test_record_structure(self):
         result = run_experiment(small_config(steps=3))
@@ -291,7 +337,7 @@ class TestRunExperiment:
         result = run_experiment(small_config(steps=0))
         assert result.metrics == ()
         assert list(result.group_records) == []
-        assert result.transitions.counts.sum() == 0
+        assert result.transitions.sum() == 0
 
     def test_deterministic(self):
         a = run_experiment(small_config(steps=5))
