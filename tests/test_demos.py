@@ -1,6 +1,7 @@
 """The demos run against the current package."""
 
 import ast
+import hashlib
 import importlib
 import os
 import subprocess
@@ -13,10 +14,15 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["01_signal_landscape.py", "02_controller_dynamics.py", "04_masking_gradients.py"],
-)
+# sha256 of each demo's stdout: a refactor that keeps the numbers keeps these.
+STDOUT_DIGESTS = {
+    "01_signal_landscape.py": "aaa08aa2e7946a3e00a2665efcd74c497061d7adb50069c1d508f68825f8b573",
+    "02_controller_dynamics.py": "3f0037948b6e137916d4f760e5705d8e2b5a17bad7ffe03081a7223e2983f4bf",
+    "04_masking_gradients.py": "40d3824b3f9c37aba955f9966b869f23ff62d2701994831429051c570e06f8c2",
+}
+
+
+@pytest.mark.parametrize("name", list(STDOUT_DIGESTS))
 def test_demo_runs(name, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -32,6 +38,7 @@ def test_demo_runs(name, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == STDOUT_DIGESTS[name]
 
 
 def test_closed_loop_demo_imports_resolve():
