@@ -49,11 +49,9 @@ from .errors import ConfigError, ContractError, DomainError, PassbandError
 from .groups import (
     BucketKind,
     GroupOrigin,
-    RolloutGroup,
     bucket_label,
     classify_bucket,
     controlled_buckets,
-    pass_count,
 )
 from .harness import (
     RunResult,

@@ -182,11 +182,17 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_to_flat_dict(config: ExperimentConfig) -> dict[str, object]:
-    """Flatten a config back to its dotted-key form, for metadata echoes."""
+    """Flatten a config back to its dotted-key form, for metadata echoes.
+
+    An int or float field echoes as the Python int or float its key parses
+    to, so a numpy number, or an int in a float field, echoes as parse_config
+    would have read it."""
     flat: dict[str, object] = {}
-    for key, (section, field_name, _parser) in _KEY_TABLE.items():
+    for key, (section, field_name, parser) in _KEY_TABLE.items():
         holder = config if not section else getattr(config, section)
         value = getattr(holder, field_name)
+        if parser in (int, float):
+            value = parser(value)
         flat[key] = value.value if isinstance(value, Enum) else value
     return flat
 

@@ -23,13 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, DomainError, check_field_types
-from .groups import BucketKind, GroupOrigin, RolloutGroup, classify_bucket, pass_count
+from .groups import BucketKind, classify_bucket
 
 __all__ = [
     "PrefixOutcome",
@@ -39,7 +38,6 @@ __all__ = [
     "initial_controller_state",
     "update_controller",
     "select_prefix",
-    "prefix_records",
     "replay_boundary",
     "prefix_pool_memory_bound",
     "PrefixPool",
@@ -167,25 +165,7 @@ def update_controller(
     return BucketControllerState(state.kind, ratio, ema, cooldown, updates)
 
 
-def select_prefix(group: RolloutGroup, rollouts) -> PrefixRecord | None:
-    """prefix_records of one fresh group, or None if it saves nothing.
-    rollouts[i] holds the step ids of the rollout behind group.rewards[i].
-    Degenerate or rerollout groups must not be offered."""
-    if group.origin is not GroupOrigin.FRESH:
-        raise ContractError("rerollout groups never seed prefixes")
-    if classify_bucket(pass_count(group), group.group_size) is BucketKind.DEGENERATE:
-        raise ContractError("degenerate groups carry no replay material")
-    if len(rollouts) != group.group_size:
-        raise ContractError(
-            f"got {len(rollouts)} rollouts for a group of {group.group_size}"
-        )
-    steps = np.fromiter(chain.from_iterable(rollouts), dtype=np.int64)
-    offsets = list(accumulate((len(rollout) for rollout in rollouts), initial=0))
-    records = prefix_records([group.task_id], np.array([group.rewards]) == 1, steps, offsets)
-    return records[0] if records else None
-
-
-def prefix_records(
+def select_prefix(
     task_ids, rewards: np.ndarray, steps: np.ndarray, offsets, kinds=tuple(SAVED_OUTCOME)
 ) -> list[PrefixRecord]:
     """The replay material of G fresh groups with (G, N) bool rewards, whose
@@ -194,7 +174,12 @@ def prefix_records(
     rollout with the kind's SAVED_OUTCOME."""
     if not set(kinds) <= SAVED_OUTCOME.keys():
         raise ContractError(f"only hard and easy buckets save prefixes, got {kinds!r}")
-    n = rewards.shape[1]
+    g, n = rewards.shape
+    if len(task_ids) != g or len(offsets) != g * n + 1:
+        raise ContractError(
+            f"{g} groups of {n} rollouts need {g} task ids and {g * n + 1} offsets, "
+            f"got {len(task_ids)} and {len(offsets)}"
+        )
     by_k = [classify_bucket(k, n) for k in range(n + 1)]
     saved = [SAVED_OUTCOME.get(kind) for kind in by_k]
     ks = rewards.sum(axis=1)

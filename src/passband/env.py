@@ -39,7 +39,7 @@ from scipy.special import expit, logit
 
 from .controller import SAVED_OUTCOME, PrefixOutcome, PrefixRecord
 from .errors import ContractError, DomainError, check_field_types, is_int
-from .groups import GroupOrigin, RolloutGroup, bucket_label, classify_bucket
+from .groups import bucket_label, classify_bucket
 
 __all__ = [
     "SyntheticTask",
@@ -99,14 +99,18 @@ class SyntheticTask:
 
 
 class GroupSample(NamedTuple):
-    """A rollout group and its rollouts, in reward order.
+    """One task's group of N rollouts: run.jsonl's fields plus the step ids.
 
-    steps holds every rollout's step ids back to back and lengths[i] is
-    rollout i's length. The first `boundary` steps of every rollout were
-    replayed from a prefix; fresh groups have boundary 0.
+    rewards[i] is rollout i's 0/1 reward and lengths[i] its length; steps
+    holds every rollout's step ids back to back. parent_bucket is the pass
+    count of the fresh group a rerollout's prefix came from, None for a
+    fresh group. The first `boundary` steps of every rollout were replayed
+    from a prefix; fresh groups have boundary 0.
     """
 
-    group: RolloutGroup
+    task_id: str
+    rewards: tuple[int, ...]
+    parent_bucket: int | None
     lengths: tuple[int, ...]
     steps: tuple[int, ...]
     boundary: int
@@ -282,13 +286,8 @@ def _group_sample(
             for end, length in zip(accumulate(lengths), lengths)
         ))
         lengths = tuple(boundary + length for length in lengths)
-    group = RolloutGroup(
-        task_id=task.task_id,
-        rewards=tuple(rollout_rewards(draw.uniforms[0], p).astype(int).tolist()),
-        origin=GroupOrigin.FRESH if parent_bucket is None else GroupOrigin.REROLLOUT,
-        parent_bucket=parent_bucket,
-    )
-    return GroupSample(group, lengths, steps, boundary)
+    rewards = tuple(rollout_rewards(draw.uniforms[0], p).astype(int).tolist())
+    return GroupSample(task.task_id, rewards, parent_bucket, lengths, steps, boundary)
 
 
 def draw_fresh_step(tasks: Sequence[SyntheticTask], n: int, rng_seed) -> StepDraws:

@@ -22,8 +22,9 @@ class DomainError(PassbandError, ValueError):
 
 
 class ContractError(PassbandError, ValueError):
-    """A caller violated an interface contract (for example, mixed group
-    sizes in one batch, or requesting a prefix from a degenerate group)."""
+    """A caller violated an interface contract (for example, a rerollout
+    whose parent bucket is not controlled, or offsets that do not match a
+    step's groups)."""
 
 
 class ConfigError(PassbandError, ValueError):

@@ -16,19 +16,16 @@ and easy buckets are the controlled ones: they seed prefix replay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ContractError, DomainError, is_int
+from .errors import DomainError, is_int
 
 __all__ = [
     "BucketKind",
     "GroupOrigin",
-    "RolloutGroup",
     "bucket_label",
     "classify_bucket",
     "controlled_buckets",
-    "pass_count",
 ]
 
 
@@ -40,42 +37,10 @@ class BucketKind(Enum):
 
 
 class GroupOrigin(Enum):
+    """A group's origin, as run.jsonl names it."""
+
     FRESH = "fresh"
     REROLLOUT = "rerollout"
-
-
-@dataclass(frozen=True)
-class RolloutGroup:
-    """One task's N binary-reward rollouts plus origin metadata: a rerollout
-    group carries the pass count of the fresh group its prefix came from.
-
-    The group itself never embeds trajectories; whatever produced it holds
-    them in reward order.
-    """
-
-    task_id: str
-    rewards: tuple[int, ...]
-    origin: GroupOrigin = GroupOrigin.FRESH
-    parent_bucket: int | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.rewards) == 0:
-            raise ContractError("a rollout group must contain at least one rollout")
-        if any(r not in (0, 1) for r in self.rewards):
-            raise ContractError(f"rewards must be binary, got {self.rewards!r}")
-        if (self.parent_bucket is not None) != (self.origin is GroupOrigin.REROLLOUT):
-            raise ContractError(
-                "parent_bucket must be set exactly when origin is rerollout"
-            )
-
-    @property
-    def group_size(self) -> int:
-        return len(self.rewards)
-
-
-def pass_count(group: RolloutGroup) -> int:
-    """Number of successful rollouts in the group."""
-    return sum(group.rewards)
 
 
 def _hard_upper(n: int) -> int:

@@ -61,26 +61,16 @@ from .config import (
     arm_controller_params,
     config_to_flat_dict,
 )
-# select_prefix is the object-level form of the loop's prefix picks; it
-# stays importable from here for code that looks it up on this module.
-from .controller import (  # noqa: F401
+from .controller import (
     BucketControllerState,
     PrefixPool,
     initial_controller_state,
-    prefix_records,
     replay_boundary,
     select_prefix,
     update_controller,
 )
 from .errors import ContractError, DomainError
-from .groups import (
-    GroupOrigin,
-    RolloutGroup,
-    bucket_label,
-    classify_bucket,
-    controlled_buckets,
-    pass_count,
-)
+from .groups import GroupOrigin, bucket_label, classify_bucket, controlled_buckets
 
 __all__ = [
     "CohortStats",
@@ -207,14 +197,27 @@ def _cohort_stats(counts: list[int], n: int) -> CohortStats:
     )
 
 
-def _step_metrics(
-    step: int, n: int, ks: np.ndarray, n_fresh: int, parents: list[str], audit_loss: float
+def compute_step_metrics(
+    step: int, n: int, ks, n_fresh: int, parents, audit_loss: float
 ) -> StepMetrics:
-    """Metrics of one step from its groups' pass counts, fresh groups first,
-    and each rerollout's parent bucket label."""
-    by_bucket: dict[str, list[int]] = {}
-    for label, k in zip(parents, ks[n_fresh:].tolist()):
-        by_bucket.setdefault(label, []).append(k)
+    """Metrics of one step from its groups' pass counts ks, fresh groups
+    first, and the parent pass count of each rerollout after them."""
+    ks = np.asarray(ks, dtype=np.int64)
+    parents = np.asarray(parents, dtype=np.int64)
+    distinct = set(parents.tolist())
+    uncontrolled = distinct.difference(controlled_buckets(n))
+    if uncontrolled:
+        raise ContractError(
+            f"rerollouts come only from controlled buckets, "
+            f"got parent {bucket_label(min(uncontrolled), n)}"
+        )
+    outside = ks[(ks < 0) | (ks > n)]
+    if outside.size:
+        raise DomainError(f"pass count {outside[0]} outside [0, {n}]")
+    # Rerollout groups and their passes per parent bucket.
+    groups = np.bincount(parents, minlength=n + 1).tolist()
+    passes = np.bincount(parents, ks[n_fresh:], minlength=n + 1).tolist()
+    by_label = sorted((bucket_label(k, n), k) for k in distinct)
     distances = np.abs(2 * ks - n)
     fresh = np.bincount(distances[:n_fresh], minlength=n + 1).tolist()
     rerollout = np.bincount(distances[n_fresh:], minlength=n + 1).tolist()
@@ -223,47 +226,10 @@ def _step_metrics(
         valid_groups=len(ks) - fresh[n] - rerollout[n],
         fresh=_cohort_stats(fresh, n),
         rerollout=_cohort_stats(rerollout, n),
-        bucket_pass_rates={
-            label: sum(v) / len(v) / n for label, v in sorted(by_bucket.items())
-        },
-        bucket_group_counts={label: len(v) for label, v in sorted(by_bucket.items())},
+        bucket_pass_rates={label: passes[k] / groups[k] / n for label, k in by_label},
+        bucket_group_counts={label: groups[k] for label, k in by_label},
         audit_loss=audit_loss,
     )
-
-
-def compute_step_metrics(
-    batch: list[RolloutGroup],
-    *,
-    step: int = 0,
-    audit_loss: float = float("nan"),
-    group_size: int | None = None,
-) -> StepMetrics:
-    """Aggregate one step's groups (pre-filter, both cohorts) into metrics."""
-    sizes = {g.group_size for g in batch}
-    if len(sizes) > 1:
-        raise ContractError(f"mixed group sizes in one batch: {sorted(sizes)}")
-    if sizes:
-        n = sizes.pop()
-        if group_size is not None and group_size != n:
-            raise ContractError(
-                f"groups have size {n} but group_size={group_size} was claimed"
-            )
-    elif group_size is not None:
-        n = group_size
-    else:
-        raise ContractError("empty batch needs an explicit group_size")
-    fresh = [pass_count(g) for g in batch if g.origin is GroupOrigin.FRESH]
-    rerollouts = [g for g in batch if g.origin is not GroupOrigin.FRESH]
-    controlled = controlled_buckets(n)
-    for g in rerollouts:
-        if g.parent_bucket not in controlled:
-            raise ContractError(
-                f"rerollouts come only from controlled buckets, "
-                f"got parent {bucket_label(g.parent_bucket, n)}"
-            )
-    ks = np.array(fresh + [pass_count(g) for g in rerollouts], dtype=np.int64)
-    parents = [bucket_label(g.parent_bucket, n) for g in rerollouts]
-    return _step_metrics(step, n, ks, len(fresh), parents, audit_loss)
 
 
 def compute_transition_matrix(pairs, n: int) -> np.ndarray:
@@ -342,7 +308,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         fresh = env_mod.draw_fresh_step(tasks, n, (seed, step))
         fresh_rewards = env_mod.rollout_rewards(fresh.uniforms, expit(base_logits[picks]))
         pending = [] if config.same_step_rerollout else pool.drain()
-        for record in prefix_records(
+        for record in select_prefix(
             [task.task_id for task in tasks], fresh_rewards, fresh.steps, fresh.offsets, saving
         ):
             pool.save(record)
@@ -375,7 +341,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             config.loss,
         )
         labels = [bucket_labels[k] for k in parents]
-        metrics.append(_step_metrics(step, n, ks, len(tasks), labels, loss))
+        metrics.append(compute_step_metrics(step, n, ks, len(tasks), parents, loss))
         if saving:
             controller_rows.extend(
                 ControllerRow(step, bucket_labels[k], s.ratio, s.ema, s.cooldown_remaining)

@@ -14,20 +14,13 @@ from passband.controller import (
     PrefixRecord,
     initial_controller_state,
     prefix_pool_memory_bound,
-    prefix_records,
     replay_boundary,
     select_prefix,
     update_controller,
 )
 from passband.env import SyntheticTask, sample_rerollout_group
 from passband.errors import ContractError, DomainError
-from passband.groups import (
-    BucketKind,
-    GroupOrigin,
-    RolloutGroup,
-    classify_bucket,
-    controlled_buckets,
-)
+from passband.groups import BucketKind, classify_bucket, controlled_buckets
 
 
 HARD, EASY = BucketKind.HARD, BucketKind.EASY
@@ -321,9 +314,9 @@ class TestPrefixRecord:
             record = PrefixRecord("t", source_bucket, outcome, steps)
             return sample_rerollout_group(task, record, 1, n, rng_seed=0)
 
-        assert rerollout(1, success).group.parent_bucket == 1
-        assert rerollout(7, failure).group.parent_bucket == 7
-        assert rerollout(3, success, n=12).group.parent_bucket == 3
+        assert rerollout(1, success).parent_bucket == 1
+        assert rerollout(7, failure).parent_bucket == 7
+        assert rerollout(3, success, n=12).parent_bucket == 3
         for source_bucket, outcome in (
             (1, failure), (7, success), (4, success), (3, success), (0, failure), (8, success)
         ):
@@ -344,53 +337,49 @@ class TestPrefixRecord:
         assert rec.length == 4
 
 
+def select_one(rewards, length=3):
+    """select_prefix of one fresh group whose rollout i is (i,) * length."""
+    offsets = np.arange(len(rewards) + 1, dtype=np.int64) * length
+    steps = np.repeat(np.arange(len(rewards), dtype=np.int64), length)
+    return select_prefix(["t"], np.array([rewards]) == 1, steps, offsets)
+
+
 class TestSelectPrefix:
-    def _group(self, rewards):
-        return RolloutGroup(task_id="t", rewards=tuple(rewards))
-
-    def _rollouts(self, rewards, length=3):
-        return [(i,) * length for i in range(len(rewards))]
-
     def test_hard_picks_first_success(self):
-        rewards = [0, 0, 1, 0, 0, 1, 0, 0]
-        rec = select_prefix(self._group(rewards), self._rollouts(rewards))
+        [rec] = select_one([0, 0, 1, 0, 0, 1, 0, 0])
         assert rec.outcome is PrefixOutcome.SUCCESS
         assert rec.steps == (2, 2, 2)
         assert rec.source_bucket == 2
 
     def test_easy_picks_first_failure(self):
-        rewards = [1, 1, 1, 0, 1, 1, 1, 1]
-        rec = select_prefix(self._group(rewards), self._rollouts(rewards, length=4))
+        [rec] = select_one([1, 1, 1, 0, 1, 1, 1, 1], length=4)
         assert rec.outcome is PrefixOutcome.FAILURE
         assert rec.steps == (3, 3, 3, 3)
         assert rec.source_bucket == 7
 
-    def test_balanced_returns_none(self):
-        rewards = [1, 1, 1, 1, 0, 0, 0, 0]
-        assert select_prefix(self._group(rewards), self._rollouts(rewards)) is None
-
-    def test_degenerate_rejected(self):
-        rewards = [1] * 8
-        with pytest.raises(ContractError):
-            select_prefix(self._group(rewards), self._rollouts(rewards))
-
-    def test_rerollout_group_rejected(self):
-        rewards = (1, 0, 0, 0, 0, 0, 0, 0)
-        group = RolloutGroup(
-            task_id="t", rewards=rewards,
-            origin=GroupOrigin.REROLLOUT, parent_bucket=1,
-        )
-        with pytest.raises(ContractError):
-            select_prefix(group, self._rollouts(rewards))
+    @pytest.mark.parametrize(
+        "rewards", [[1, 1, 1, 1, 0, 0, 0, 0], [1] * 8, [0] * 8], ids=["balanced", "all-pass", "all-fail"]
+    )
+    def test_balanced_and_degenerate_save_nothing(self, rewards):
+        assert select_one(rewards) == []
 
     @pytest.mark.parametrize("count", [7, 9])
     @pytest.mark.parametrize("rewards", [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)])
     def test_rollout_count_must_match_group(self, rewards, count):
         # One rollout per reward: a short list must not pick from the wrong
         # rollout or fail on its index, and a long one must not be cut.
-        rollouts = [(i,) * 3 for i in range(count)]
-        with pytest.raises(ContractError, match=f"got {count} rollouts for a group of 8"):
-            select_prefix(self._group(rewards), rollouts)
+        offsets = np.arange(count + 1, dtype=np.int64) * 3
+        steps = np.arange(offsets[-1], dtype=np.int64)
+        want = f"need 1 task ids and 9 offsets, got 1 and {count + 1}"
+        with pytest.raises(ContractError, match=want):
+            select_prefix(["t"], np.array([rewards]) == 1, steps, offsets)
+
+    def test_task_count_must_match_groups(self):
+        rewards = np.zeros((2, 8), bool)
+        offsets = np.arange(17, dtype=np.int64)
+        want = "need 2 task ids and 17 offsets, got 1 and 17"
+        with pytest.raises(ContractError, match=want):
+            select_prefix(["t"], rewards, offsets, offsets)
 
 
 class TestPrefixRecords:
@@ -413,8 +402,8 @@ class TestPrefixRecords:
         want = []
         for j, row in enumerate(rewards):
             cut = offsets[j * 8:(j + 1) * 8 + 1]
-            want += prefix_records([task_ids[j]], row[None], steps, cut, kinds)
-        assert prefix_records(task_ids, rewards, steps, offsets, kinds) == want
+            want += select_prefix([task_ids[j]], row[None], steps, cut, kinds)
+        assert select_prefix(task_ids, rewards, steps, offsets, kinds) == want
         for record in want:
             assert classify_bucket(record.source_bucket, 8) in kinds
 
@@ -422,7 +411,7 @@ class TestPrefixRecords:
         rewards = np.array([[True] * 4 + [False] * 4])
         offsets = np.arange(9, dtype=np.int64)
         with pytest.raises(ContractError, match="only hard and easy buckets"):
-            prefix_records(["t"], rewards, offsets, offsets, (BucketKind.BALANCED,))
+            select_prefix(["t"], rewards, offsets, offsets, (BucketKind.BALANCED,))
 
     @given(
         half=st.integers(2, 8),
@@ -433,7 +422,7 @@ class TestPrefixRecords:
         n = 2 * half
         rewards = (np.array(rows, np.int64)[:, None] >> np.arange(n) & 1).astype(bool)
         offsets = np.arange(len(rows) * n + 1, dtype=np.int64)
-        records = prefix_records([f"t{j}" for j in range(len(rows))], rewards, offsets, offsets)
+        records = select_prefix([f"t{j}" for j in range(len(rows))], rewards, offsets, offsets)
         for record in records:
             assert record.source_bucket in controlled_buckets(n)
             assert (record.outcome is PrefixOutcome.SUCCESS) == (

@@ -34,7 +34,7 @@ from passband.env import (
     stream_uniforms,
 )
 from passband.errors import ContractError, DomainError
-from passband.groups import BucketKind, GroupOrigin, classify_bucket, pass_count
+from passband.groups import BucketKind, classify_bucket
 
 
 def rollout_steps(sample):
@@ -45,7 +45,7 @@ def rollout_steps(sample):
 
 def rollouts(sample):
     """(step ids, reward) of every rollout of a sample."""
-    return list(zip(rollout_steps(sample), sample.group.rewards))
+    return list(zip(rollout_steps(sample), sample.rewards))
 
 
 def step_group(draws, j):
@@ -153,7 +153,7 @@ class TestFreshSampling:
         task = make_task(0.3)
         a = sample_fresh_group(task, 8, rng_seed=(7, 0, 0))
         b = sample_fresh_group(task, 8, rng_seed=(7, 0, 0))
-        assert a.group.rewards == b.group.rewards
+        assert a.rewards == b.rewards
         assert (a.lengths, a.steps) == (b.lengths, b.steps)
 
     def test_seed_sensitivity(self):
@@ -161,17 +161,20 @@ class TestFreshSampling:
         a = sample_fresh_group(task, 8, rng_seed=(7, 0, 0))
         b = sample_fresh_group(task, 8, rng_seed=(7, 0, 1))
         assert (
-            a.group.rewards != b.group.rewards
+            a.rewards != b.rewards
             or (a.lengths, a.steps) != (b.lengths, b.steps)
         )
 
     def test_structure(self):
         task = make_task(0.5, lengths=(4, 12))
         sample = sample_fresh_group(task, 8, rng_seed=11)
-        assert sample.group.origin is GroupOrigin.FRESH
-        assert sample.group.parent_bucket is None
-        assert len(sample.group.rewards) == len(sample.lengths) == 8
-        assert set(sample.group.rewards) <= {0, 1}
+        # run.jsonl's fields in its order, then the rollouts' step ids.
+        assert sample._fields == (
+            "task_id", "rewards", "parent_bucket", "lengths", "steps", "boundary"
+        )
+        assert sample.parent_bucket is None
+        assert len(sample.rewards) == len(sample.lengths) == 8
+        assert set(sample.rewards) <= {0, 1}
         assert sample.boundary == 0
         assert len(sample.steps) == sum(sample.lengths)
         for length in sample.lengths:
@@ -180,8 +183,8 @@ class TestFreshSampling:
     def test_extreme_probabilities(self):
         always = sample_fresh_group(make_task(1.0), 8, rng_seed=3)
         never = sample_fresh_group(make_task(0.0), 8, rng_seed=3)
-        assert pass_count(always.group) == 8
-        assert pass_count(never.group) == 0
+        assert sum(always.rewards) == 8
+        assert sum(never.rewards) == 0
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -280,15 +283,14 @@ class TestRerolloutSampling:
     def test_group_metadata(self):
         task = make_task(0.125)
         sample = sample_rerollout_group(task, self._prefix(), 4, 8, rng_seed=5)
-        assert sample.group.origin is GroupOrigin.REROLLOUT
-        assert sample.group.parent_bucket == 1
-        assert sample.group.task_id == "t0"
+        assert sample.parent_bucket == 1
+        assert sample.task_id == "t0"
 
     def test_deterministic(self):
         task = make_task(0.125)
         a = sample_rerollout_group(task, self._prefix(), 4, 8, rng_seed=(2, 2))
         b = sample_rerollout_group(task, self._prefix(), 4, 8, rng_seed=(2, 2))
-        assert a.group.rewards == b.group.rewards
+        assert a.rewards == b.rewards
         assert (a.lengths, a.steps) == (b.lengths, b.steps)
 
     def test_continuations_differ_across_rollouts(self):
@@ -312,7 +314,7 @@ class TestRerolloutSampling:
         total = passed = 0
         for i in range(400):
             sample = sample_rerollout_group(task, prefix, 4, 8, rng_seed=(7, i))
-            passed += pass_count(sample.group)
+            passed += sum(sample.rewards)
             total += 8
         rate = passed / total
         want = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, 0.5)
@@ -563,7 +565,7 @@ class TestStepArrays:
             view = sample_fresh_group(task, n, seed + (j,))
             assert tuple(fresh.lengths[j].tolist()) == view.lengths
             assert tuple(fresh.steps[cut].tolist()) == view.steps
-            assert tuple(rewards[j].astype(int).tolist()) == view.group.rewards
+            assert tuple(rewards[j].astype(int).tolist()) == view.rewards
             assert view.boundary == 0
             # The arrays hold the reference's full step ids, not reduced ones.
             _, want_steps, want_uniforms = reference_draw(
@@ -594,7 +596,7 @@ class TestStepArrays:
                 for step in prefix.steps[:m] + tuple(steps[end - length:end])
             )
             assert tuple((rerollouts.uniforms[j] < p).astype(int).tolist()) == (
-                view.group.rewards
+                view.rewards
             )
             assert view.boundary == m
 
@@ -618,7 +620,7 @@ class TestGroupSampleInvariants:
         fresh = sample_fresh_group(task, 8, seed)
         child = sample_rerollout_group(task, prefix, m, 8, seed)
         for sample in (fresh, child):
-            assert len(sample.lengths) == len(sample.group.rewards) == 8
+            assert len(sample.lengths) == len(sample.rewards) == 8
             assert len(sample.steps) == sum(sample.lengths)
         assert fresh.boundary == 0
         assert child.boundary == m
@@ -666,14 +668,17 @@ class TestSelectThenRerollout:
         sample = None
         for i in range(50):
             candidate = sample_fresh_group(task, 8, rng_seed=(31, i))
-            bucket = classify_bucket(pass_count(candidate.group), 8)
+            bucket = classify_bucket(sum(candidate.rewards), 8)
             if bucket is BucketKind.HARD:
                 sample = candidate
                 break
         assert sample is not None
-        record = select_prefix(sample.group, rollout_steps(sample))
+        offsets = [0, *accumulate(sample.lengths)]
+        [record] = select_prefix(
+            [sample.task_id], np.array([sample.rewards]) == 1, np.array(sample.steps), offsets
+        )
         child = sample_rerollout_group(task, record, 2, 8, rng_seed=(31, 777))
-        assert child.group.parent_bucket == pass_count(sample.group)
+        assert child.parent_bucket == sum(sample.rewards)
         for steps in rollout_steps(child):
             assert steps[:2] == record.steps[:2]
 

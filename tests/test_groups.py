@@ -1,25 +1,10 @@
-"""Bucket classification and group contracts."""
+"""Bucket classification."""
 
 import numpy as np
 import pytest
 
-from passband.errors import ContractError, DomainError
-from passband.groups import (
-    BucketKind,
-    GroupOrigin,
-    RolloutGroup,
-    bucket_label,
-    classify_bucket,
-    controlled_buckets,
-    pass_count,
-)
-
-
-def make_group(k, n, origin=GroupOrigin.FRESH, parent=None):
-    rewards = tuple([1] * k + [0] * (n - k))
-    return RolloutGroup(
-        task_id="t", rewards=rewards, origin=origin, parent_bucket=parent
-    )
+from passband.errors import DomainError
+from passband.groups import BucketKind, bucket_label, classify_bucket, controlled_buckets
 
 
 class TestClassifyBucket:
@@ -81,27 +66,3 @@ class TestControlledBuckets:
         for n in (2, 7, 8.0):
             with pytest.raises(DomainError):
                 controlled_buckets(n)
-
-
-class TestRolloutGroup:
-    def test_basic(self):
-        g = make_group(3, 8)
-        assert pass_count(g) == 3
-        assert g.group_size == 8
-
-    def test_reward_values_checked(self):
-        with pytest.raises(ContractError):
-            RolloutGroup(task_id="t", rewards=(0, 1, 2, 0, 0, 0, 0, 0))
-
-    def test_rerollout_requires_parent(self):
-        with pytest.raises(ContractError):
-            make_group(3, 8, origin=GroupOrigin.REROLLOUT)
-
-    def test_fresh_forbids_parent(self):
-        with pytest.raises(ContractError):
-            make_group(3, 8, parent=1)
-
-    def test_rerollout_with_parent(self):
-        g = make_group(3, 8, origin=GroupOrigin.REROLLOUT, parent=1)
-        assert g.parent_bucket == 1
-

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,14 +15,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from passband import harness
 from passband.config import Arm, ExperimentConfig, parse_config
+from passband.controller import ControllerParams
 from passband.errors import ContractError, DomainError
-from passband.groups import (
-    GroupOrigin,
-    RolloutGroup,
-    bucket_label,
-    classify_bucket,
-    controlled_buckets,
-)
+from passband.groups import bucket_label, classify_bucket, controlled_buckets
 from passband.harness import (
     aggregate_run,
     compare_arms,
@@ -48,35 +44,24 @@ EVERY_SECTION = (
 )
 
 
-def make_group(k, n=8, task_id="t", origin=GroupOrigin.FRESH, parent=None):
-    return RolloutGroup(
-        task_id=task_id,
-        rewards=tuple([1] * k + [0] * (n - k)),
-        origin=origin,
-        parent_bucket=parent,
-    )
-
-
 def small_config(**overrides):
     entries = {"steps": 10, "batch_size": 16, "population.size": 100}
     entries.update({k.replace("__", "."): v for k, v in overrides.items()})
     return parse_config("\n".join(f"{k} = {v}" for k, v in entries.items()))
 
 
+def step_metrics(fresh, rerollouts, step=0, n=8):
+    """compute_step_metrics of fresh pass counts and (parent, pass count)
+    rerollouts."""
+    ks = list(fresh) + [k for _, k in rerollouts]
+    parents = [parent for parent, _ in rerollouts]
+    return compute_step_metrics(step, n, ks, len(fresh), parents, 0.0)
+
+
 class TestComputeStepMetrics:
     def test_hand_fixture(self):
         hard1, easy6 = 1, 6
-        batch = [
-            make_group(0, task_id="a"),
-            make_group(1, task_id="b"),
-            make_group(4, task_id="c"),
-            make_group(8, task_id="d"),
-            make_group(3, task_id="e"),
-            make_group(4, task_id="f", origin=GroupOrigin.REROLLOUT, parent=hard1),
-            make_group(5, task_id="g", origin=GroupOrigin.REROLLOUT, parent=hard1),
-            make_group(2, task_id="h", origin=GroupOrigin.REROLLOUT, parent=easy6),
-        ]
-        m = compute_step_metrics(batch, step=3)
+        m = step_metrics([0, 1, 4, 8, 3], [(hard1, 4), (hard1, 5), (easy6, 2)], step=3)
         assert m.step == 3
         assert m.valid_groups == 6
         assert m.fresh.count == 5
@@ -92,49 +77,52 @@ class TestComputeStepMetrics:
         assert m.bucket_group_counts == {"1/8": 2, "6/8": 1}
 
     def test_all_degenerate(self):
-        m = compute_step_metrics([make_group(0), make_group(8)])
+        m = step_metrics([0, 8], [])
         assert m.valid_groups == 0
         assert m.fresh.degenerate_share == 1.0
         assert m.rerollout.count == 0
         assert math.isnan(m.rerollout.mean_distance)
 
     def test_empty_batch_needs_size(self):
-        m = compute_step_metrics([], group_size=8)
+        # The group size is an argument, so an empty step still has one and
+        # gives empty cohorts with nan shares.
+        m = step_metrics([], [])
         assert m.valid_groups == 0
-        assert m.fresh.count == 0
-        with pytest.raises(ContractError):
-            compute_step_metrics([])
-
-    def test_mixed_sizes_rejected(self):
-        with pytest.raises(ContractError):
-            compute_step_metrics([make_group(1, 8), make_group(1, 4)])
-
-    def test_size_claim_must_match(self):
-        with pytest.raises(ContractError):
-            compute_step_metrics([make_group(1, 8)], group_size=4)
+        assert m.fresh.count == m.rerollout.count == 0
+        assert math.isnan(m.fresh.degenerate_share)
+        assert m.bucket_pass_rates == m.bucket_group_counts == {}
 
     @pytest.mark.parametrize("parent", [99, 4])
     def test_parent_must_be_a_controlled_bucket(self, parent):
         # 99 lies outside [0, 8]; 4/8 is balanced, so nothing replays it.
-        rerollout = make_group(3, origin=GroupOrigin.REROLLOUT, parent=parent)
         with pytest.raises(ContractError, match=f"got parent {parent}/8"):
-            compute_step_metrics([make_group(1), rerollout])
+            step_metrics([1], [(1, 3), (parent, 3)])
+
+    def test_size_claim_must_match(self):
+        # Six passes cannot come from a group of the claimed size 4.
+        with pytest.raises(DomainError, match=r"pass count 6 outside \[0, 4\]"):
+            step_metrics([6, 1], [], n=4)
+
+    def test_pass_count_outside_range(self):
+        with pytest.raises(DomainError, match=r"pass count -1 outside \[0, 8\]"):
+            step_metrics([1], [(1, -1)])
 
     @settings(max_examples=200, deadline=None)
     @given(
-        n=st.integers(2, 16),
+        half=st.integers(2, 8),
         data=st.data(),
     )
-    def test_counts_match_float_means(self, n, data):
+    def test_counts_match_float_means(self, half, data):
         # The shares come from integer counts of |2k - n|; the float means
         # over the groups are the reference and must agree to the last bit.
+        n = 2 * half
         ks = data.draw(st.lists(st.integers(0, n), max_size=80))
         n_fresh = data.draw(st.integers(0, len(ks)))
         parents = data.draw(
-            st.lists(st.sampled_from(["1/8", "2/8", "6/8"]),
+            st.lists(st.sampled_from(controlled_buckets(n)),
                      min_size=len(ks) - n_fresh, max_size=len(ks) - n_fresh)
         )
-        m = harness._step_metrics(0, n, np.array(ks, dtype=np.int64), n_fresh, parents, 0.0)
+        m = compute_step_metrics(0, n, np.array(ks, dtype=np.int64), n_fresh, parents, 0.0)
 
         def reference(cohort):
             arr = np.asarray(cohort, dtype=float)
@@ -156,8 +144,8 @@ class TestComputeStepMetrics:
             assert got == reference(cohort)
         assert m.valid_groups == sum(0 < k < n for k in ks)
         by_bucket: dict[str, list[int]] = {}
-        for label, k in zip(parents, ks[n_fresh:]):
-            by_bucket.setdefault(label, []).append(k)
+        for parent, k in zip(parents, ks[n_fresh:]):
+            by_bucket.setdefault(bucket_label(parent, n), []).append(k)
         assert m.bucket_pass_rates == {
             label: float(np.mean(v)) / n for label, v in sorted(by_bucket.items())
         }
@@ -339,6 +327,19 @@ class TestRunExperiment:
         assert list(result.group_records) == []
         assert result.transitions.sum() == 0
 
+    def test_loop_calls_the_benchmarked_step_functions(self, monkeypatch):
+        # The benchmark times these layers by replacing the module attributes
+        # the loop looks up, so the loop must call them by these names.
+        calls = Counter()
+        for name in ("compute_step_metrics", "select_prefix"):
+            def counted(*args, _real=getattr(harness, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        run_experiment(small_config(steps=3, arm="ps-ada"))
+        assert calls == {"compute_step_metrics": 3, "select_prefix": 3}
+
     def test_deterministic(self):
         a = run_experiment(small_config(steps=5))
         b = run_experiment(small_config(steps=5))
@@ -429,6 +430,31 @@ class TestEmitTraces:
         # name or a value's rendering changes these bytes.
         emit_traces(run_experiment(parse_config(text)), tmp_path)
         assert hashlib.sha256((tmp_path / "meta.json").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "config, text",
+        [
+            (ExperimentConfig(steps=np.int64(0)), "steps = 0"),
+            (
+                ExperimentConfig(steps=0, controller=ControllerParams(alpha=np.float32(0.25))),
+                "steps = 0\ncontroller.alpha = 0.25",
+            ),
+            (
+                ExperimentConfig(steps=0, controller=ControllerParams(step_size=0)),
+                "steps = 0\ncontroller.step_size = 0",
+            ),
+        ],
+        ids=["int64", "float32", "int-in-float-field"],
+    )
+    def test_meta_json_echoes_values_as_parsed(self, tmp_path, config, text):
+        # The dataclasses accept numpy numbers and an int in a float field;
+        # meta.json writes them as the equal parsed config's values.
+        parsed = parse_config(text)
+        assert config == parsed
+        emit_traces(run_experiment(config), tmp_path / "built")
+        emit_traces(run_experiment(parsed), tmp_path / "parsed")
+        meta = (tmp_path / "built" / "meta.json").read_bytes()
+        assert meta == (tmp_path / "parsed" / "meta.json").read_bytes()
 
     def test_byte_identical_across_repeats(self, tmp_path):
         config = small_config(steps=4)
