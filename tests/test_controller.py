@@ -358,7 +358,9 @@ class TestSelectPrefix:
         assert rec.source_bucket == 7
 
     @pytest.mark.parametrize(
-        "rewards", [[1, 1, 1, 1, 0, 0, 0, 0], [1] * 8, [0] * 8], ids=["balanced", "all-pass", "all-fail"]
+        "rewards",
+        [[1, 1, 1, 1, 0, 0, 0, 0], [1] * 8, [0] * 8],
+        ids=["balanced", "all-pass", "all-fail"],
     )
     def test_balanced_and_degenerate_save_nothing(self, rewards):
         assert select_one(rewards) == []
@@ -366,8 +368,8 @@ class TestSelectPrefix:
     @pytest.mark.parametrize("count", [7, 9])
     @pytest.mark.parametrize("rewards", [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)])
     def test_rollout_count_must_match_group(self, rewards, count):
-        # One rollout per reward: a short list must not pick from the wrong
-        # rollout or fail on its index, and a long one must not be cut.
+        # One rollout per reward: offsets of too few rollouts must not pick
+        # from the wrong one or fail on an index, and too many must not be cut.
         offsets = np.arange(count + 1, dtype=np.int64) * 3
         steps = np.arange(offsets[-1], dtype=np.int64)
         want = f"need 1 task ids and 9 offsets, got 1 and {count + 1}"
