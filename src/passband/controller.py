@@ -59,14 +59,11 @@ SAVED_OUTCOME = {
 
 class PrefixRecord(NamedTuple):
     """A saved trajectory eligible for replay: its task, its source bucket
-    (the pass count of the fresh group it came from), its outcome and its
-    step ids. Each bucket kind saves its SAVED_OUTCOME;
-    sample_rerollout_group, which knows the group size, rejects any other
-    pairing."""
+    (the pass count of the fresh group it came from) and its step ids. Its
+    outcome is SAVED_OUTCOME of the source bucket's kind at the group size."""
 
     task_id: str
     source_bucket: int
-    outcome: PrefixOutcome
     steps: tuple[int, ...]
 
     @property
@@ -181,15 +178,12 @@ def select_prefix(
             f"got {len(task_ids)} and {len(offsets)}"
         )
     by_k = [classify_bucket(k, n) for k in range(n + 1)]
-    saved = [SAVED_OUTCOME.get(kind) for kind in by_k]
     ks = rewards.sum(axis=1)
     saving = np.flatnonzero(np.array([kind in kinds for kind in by_k])[ks])
-    success = np.array([o is PrefixOutcome.SUCCESS for o in saved])[ks[saving]]
+    success = np.array([kind is BucketKind.HARD for kind in by_k])[ks[saving]]
     picked = saving * n + np.argmax(rewards[saving] == success[:, None], axis=1)
     return [
-        PrefixRecord(
-            task_ids[j], k, saved[k], tuple(steps[offsets[r]:offsets[r + 1]].tolist())
-        )
+        PrefixRecord(task_ids[j], k, tuple(steps[offsets[r]:offsets[r + 1]].tolist()))
         for j, k, r in zip(saving.tolist(), ks[saving].tolist(), picked.tolist())
     ]
 

@@ -51,7 +51,6 @@ __all__ = [
     "draw_rerollout_step",
     "conditioned_pass_probability",
     "sample_rerollout_group",
-    "rerollout_probability",
     "rollout_rewards",
     "make_task_population",
     "stream_uniforms",
@@ -321,15 +320,6 @@ def conditioned_pass_probability(
     return float(expit(task.base_logit - shift))
 
 
-def rerollout_probability(task: SyntheticTask, prefix: PrefixRecord, m: int) -> float:
-    """Pass probability of a continuation after the prefix's first m steps."""
-    if not 1 <= m < prefix.length:
-        raise ContractError(
-            f"replay boundary m must satisfy 1 <= m < {prefix.length}, got {m}"
-        )
-    return conditioned_pass_probability(task, prefix.outcome, m / prefix.length)
-
-
 def sample_rerollout_group(
     task: SyntheticTask, prefix: PrefixRecord, m: int, n: int, rng_seed
 ) -> GroupSample:
@@ -337,17 +327,19 @@ def sample_rerollout_group(
 
     The replayed steps are copied verbatim; each continuation draws its
     own length from the task's range and an independent outcome at the
-    conditioned pass probability for share m / len(prefix). Only a hard
-    bucket's success or an easy bucket's failure is replayed.
+    conditioned pass probability for share m / len(prefix), with the outcome
+    its source bucket saves: a hard bucket's success, an easy bucket's failure.
     """
     kind = classify_bucket(prefix.source_bucket, n)
-    if prefix.outcome is not SAVED_OUTCOME.get(kind):
-        raise ContractError(
-            f"bucket {bucket_label(prefix.source_bucket, n)} is {kind.value} and "
-            f"saves no {prefix.outcome.value} prefix"
-        )
+    if kind not in SAVED_OUTCOME:
+        label = bucket_label(prefix.source_bucket, n)
+        raise ContractError(f"bucket {label} is {kind.value} and saves no prefix")
     draw = _draw_groups([task], n, _PURPOSE_REROLLOUT, _key_hash(rng_seed))
-    p = rerollout_probability(task, prefix, m)
+    if not 1 <= m < prefix.length:
+        raise ContractError(
+            f"replay boundary m must satisfy 1 <= m < {prefix.length}, got {m}"
+        )
+    p = conditioned_pass_probability(task, SAVED_OUTCOME[kind], m / prefix.length)
     return _group_sample(task, p, prefix.steps[:m], draw, prefix.source_bucket)
 
 

@@ -62,6 +62,7 @@ from .config import (
     config_to_flat_dict,
 )
 from .controller import (
+    SAVED_OUTCOME,
     BucketControllerState,
     PrefixPool,
     initial_controller_state,
@@ -105,8 +106,7 @@ class CohortStats(NamedTuple):
     mean_distance: float
 
 
-@dataclass(frozen=True)
-class StepMetrics:
+class StepMetrics(NamedTuple):
     """Per-step aggregates over every group the step produced."""
 
     step: int
@@ -197,13 +197,21 @@ def _cohort_stats(counts: list[int], n: int) -> CohortStats:
     )
 
 
+def _int_array(values, what: str) -> np.ndarray:
+    """values as int64; DomainError for a non-empty float, bool or object array."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise DomainError(f"{what} must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64)
+
+
 def compute_step_metrics(
     step: int, n: int, ks, n_fresh: int, parents, audit_loss: float
 ) -> StepMetrics:
     """Metrics of one step from its groups' pass counts ks, fresh groups
     first, and the parent pass count of each rerollout after them."""
-    ks = np.asarray(ks, dtype=np.int64)
-    parents = np.asarray(parents, dtype=np.int64)
+    ks = _int_array(ks, "pass counts")
+    parents = _int_array(parents, "parent pass counts")
     distinct = set(parents.tolist())
     uncontrolled = distinct.difference(controlled_buckets(n))
     if uncontrolled:
@@ -237,7 +245,7 @@ def compute_transition_matrix(pairs, n: int) -> np.ndarray:
     of shape (len(controlled_buckets(n)), n + 1): row i counts the children of
     bucket controlled_buckets(n)[i], column c those with pass count c."""
     ks = np.array(controlled_buckets(n))
-    parents, children = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    parents, children = _int_array(pairs, "transition pairs").reshape(-1, 2).T
     uncontrolled = parents[~np.isin(parents, ks)]
     if uncontrolled.size:
         raise ContractError(
@@ -324,8 +332,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             zip(pending, pending_tasks, draws.uniforms), len(tasks)
         ):
             state = states[record.source_bucket]
+            # 1 <= m < T: replay_boundary clamps m, and every population has T >= 2.
             m = boundaries[j, 0] = replay_boundary(state.ratio, record.length)
-            p = env_mod.rerollout_probability(task, record, m)
+            p = env_mod.conditioned_pass_probability(
+                task, SAVED_OUTCOME[state.kind], m / record.length
+            )
             row = rewards[j] = env_mod.rollout_rewards(uniforms, p)
             states[record.source_bucket] = update_controller(state, int(row.sum()) / n, params)
         ks = rewards.sum(axis=1)

@@ -17,7 +17,7 @@ quantities produced downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import xlogy
@@ -136,8 +136,7 @@ def max_pair_count(n: int) -> int:
     return (n // 2) * (n - n // 2)
 
 
-@dataclass(frozen=True)
-class SignalReport:
+class SignalReport(NamedTuple):
     """All signal quantities of one observed group, evaluated at phat = k/N."""
 
     pass_count: int

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from passband.controller import (
     BucketControllerState,
     ControllerParams,
-    PrefixOutcome,
     PrefixPool,
     PrefixRecord,
     initial_controller_state,
@@ -306,35 +305,32 @@ class TestUpdateProperties:
 class TestPrefixRecord:
     def test_contracts(self):
         # sample_rerollout_group knows the group size, so it checks that a
-        # record's source bucket is controlled and matches its outcome.
+        # record's source bucket is controlled; that bucket sets the outcome.
         task = SyntheticTask("t", 0.0, 3.0, (4, 8))
-        success, failure = PrefixOutcome.SUCCESS, PrefixOutcome.FAILURE
 
-        def rerollout(source_bucket, outcome, steps=(1, 2, 3), n=8):
-            record = PrefixRecord("t", source_bucket, outcome, steps)
+        def rerollout(source_bucket, steps=(1, 2, 3), n=8):
+            record = PrefixRecord("t", source_bucket, steps)
             return sample_rerollout_group(task, record, 1, n, rng_seed=0)
 
-        assert rerollout(1, success).parent_bucket == 1
-        assert rerollout(7, failure).parent_bucket == 7
-        assert rerollout(3, success, n=12).parent_bucket == 3
-        for source_bucket, outcome in (
-            (1, failure), (7, success), (4, success), (3, success), (0, failure), (8, success)
+        assert rerollout(1).parent_bucket == 1
+        assert rerollout(7).parent_bucket == 7
+        assert rerollout(3, n=12).parent_bucket == 3
+        for source_bucket, kind in (
+            (4, "balanced"), (3, "balanced"), (0, "degenerate"), (8, "degenerate")
         ):
-            with pytest.raises(ContractError):
-                rerollout(source_bucket, outcome)
+            with pytest.raises(ContractError, match=f"bucket {source_bucket}/8 is {kind} "):
+                rerollout(source_bucket)
         # An empty prefix admits no boundary 1 <= m < 0.
         with pytest.raises(ContractError):
-            rerollout(1, success, steps=())
+            rerollout(1, steps=())
         for source_bucket in (-1, 9, 1.5):
             with pytest.raises(DomainError):
-                rerollout(source_bucket, success)
+                rerollout(source_bucket)
 
     def test_length(self):
-        rec = PrefixRecord(
-            task_id="t", source_bucket=1, outcome=PrefixOutcome.SUCCESS,
-            steps=(9, 9, 9, 9),
-        )
+        rec = PrefixRecord(task_id="t", source_bucket=1, steps=(9, 9, 9, 9))
         assert rec.length == 4
+        assert PrefixRecord._fields == ("task_id", "source_bucket", "steps")
 
 
 def select_one(rewards, length=3):
@@ -346,15 +342,17 @@ def select_one(rewards, length=3):
 
 class TestSelectPrefix:
     def test_hard_picks_first_success(self):
-        [rec] = select_one([0, 0, 1, 0, 0, 1, 0, 0])
-        assert rec.outcome is PrefixOutcome.SUCCESS
+        rewards = [0, 0, 1, 0, 0, 1, 0, 0]
+        [rec] = select_one(rewards)
         assert rec.steps == (2, 2, 2)
+        assert rewards[rec.steps[0]] == 1
         assert rec.source_bucket == 2
 
     def test_easy_picks_first_failure(self):
-        [rec] = select_one([1, 1, 1, 0, 1, 1, 1, 1], length=4)
-        assert rec.outcome is PrefixOutcome.FAILURE
+        rewards = [1, 1, 1, 0, 1, 1, 1, 1]
+        [rec] = select_one(rewards, length=4)
         assert rec.steps == (3, 3, 3, 3)
+        assert rewards[rec.steps[0]] == 0
         assert rec.source_bucket == 7
 
     @pytest.mark.parametrize(
@@ -420,14 +418,16 @@ class TestPrefixRecords:
         rows=st.lists(st.integers(0, 2**16 - 1), max_size=12),
     )
     def test_outcome_follows_source_bucket(self, half, rows):
-        # SUCCESS exactly for hard buckets, and only controlled buckets save.
+        # A saved rollout passed exactly for hard buckets, and only controlled
+        # buckets save. Rollout r's one step id is r.
         n = 2 * half
         rewards = (np.array(rows, np.int64)[:, None] >> np.arange(n) & 1).astype(bool)
         offsets = np.arange(len(rows) * n + 1, dtype=np.int64)
         records = select_prefix([f"t{j}" for j in range(len(rows))], rewards, offsets, offsets)
         for record in records:
             assert record.source_bucket in controlled_buckets(n)
-            assert (record.outcome is PrefixOutcome.SUCCESS) == (
+            [r] = record.steps
+            assert rewards.ravel()[r] == (
                 classify_bucket(record.source_bucket, n) is BucketKind.HARD
             )
 
@@ -491,14 +491,7 @@ class TestMemoryBound:
 
 class TestPrefixPool:
     def _record(self, task_id, bucket=1, steps=(1, 2)):
-        outcome = (
-            PrefixOutcome.SUCCESS
-            if classify_bucket(bucket, 8) is BucketKind.HARD
-            else PrefixOutcome.FAILURE
-        )
-        return PrefixRecord(
-            task_id=task_id, source_bucket=bucket, outcome=outcome, steps=steps
-        )
+        return PrefixRecord(task_id=task_id, source_bucket=bucket, steps=steps)
 
     def test_save_and_drain(self):
         pool = PrefixPool()

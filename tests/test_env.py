@@ -26,7 +26,6 @@ from passband.env import (
     draw_fresh_step,
     draw_rerollout_step,
     make_task_population,
-    rerollout_probability,
     rollout_rewards,
     sample_fresh_group,
     sample_rerollout_group,
@@ -129,7 +128,6 @@ LONG_TASKS = [make_task(0.3 + 0.02 * i, lengths=(100, 300), task_id=f"t{i}") for
 FAILURE_PREFIX = PrefixRecord(
     task_id="t0",
     source_bucket=7,
-    outcome=PrefixOutcome.FAILURE,
     steps=tuple(range(100, 112)),
 )
 
@@ -267,7 +265,6 @@ class TestRerolloutSampling:
         return PrefixRecord(
             task_id="t0",
             source_bucket=1,
-            outcome=PrefixOutcome.SUCCESS,
             steps=tuple(range(100, 100 + length)),
         )
 
@@ -385,11 +382,10 @@ class TestRolloutSeeding:
         prefix = PrefixRecord(
             task_id="t0",
             source_bucket=1,
-            outcome=PrefixOutcome.SUCCESS,
             steps=tuple(range(100, 108)),
         )
         sample = sample_rerollout_group(task, prefix, 3, 8, rng_seed=entry)
-        p = conditioned_pass_probability(task, prefix.outcome, 3 / 8)
+        p = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, 3 / 8)
         assert rollouts(sample) == reference_draws(
             (entry,), _PURPOSE_REROLLOUT, task, p, 8, prefix.steps[:3]
         )
@@ -446,13 +442,12 @@ class TestRolloutKernel:
         prefix = PrefixRecord(
             task_id="t0",
             source_bucket=1,
-            outcome=PrefixOutcome.SUCCESS,
             steps=tuple(range(100, 110)),
         )
         draws = draw_rerollout_step([task] * 3, 8, (5,))
         for j, m in enumerate((1, 5, 9)):
             want = sample_rerollout_group(task, prefix, m, 8, rng_seed=(5, j))
-            p = rerollout_probability(task, prefix, m)
+            p = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, m / prefix.length)
             assert completed(step_group(draws, j), p, prefix.steps[:m]) == rollouts(want)
             assert want.boundary == m
 
@@ -515,7 +510,9 @@ class TestBatchKeys:
         for j, task in enumerate(LONG_TASKS):
             m = 1 + j % 11
             sample = sample_rerollout_group(task, FAILURE_PREFIX, m, 8, seed + (j,))
-            p = rerollout_probability(task, FAILURE_PREFIX, m)
+            p = conditioned_pass_probability(
+                task, PrefixOutcome.FAILURE, m / FAILURE_PREFIX.length
+            )
             prefix_steps = FAILURE_PREFIX.steps[:m]
             assert completed(step_group(rerollouts, j), p, prefix_steps) == rollouts(sample)
             assert sample.boundary == m
@@ -557,7 +554,6 @@ class TestStepArrays:
         prefix = PrefixRecord(
             task_id="t0",
             source_bucket=1,
-            outcome=PrefixOutcome.SUCCESS,
             steps=tuple(range(100, 100 + prefix_length)),
         )
         for j, task in enumerate(tasks):
@@ -575,7 +571,7 @@ class TestStepArrays:
             assert tuple(fresh.uniforms[j].tolist()) == want_uniforms
 
             m = 1 + j % (prefix_length - 1)
-            p = conditioned_pass_probability(task, prefix.outcome, m / prefix_length)
+            p = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, m / prefix_length)
             want = reference_draw(seed + (j,), _PURPOSE_REROLLOUT, task, n)
             cut = slice(rerollouts.offsets[j * n], rerollouts.offsets[(j + 1) * n])
             assert tuple(rerollouts.lengths[j].tolist()) == want[0]

@@ -96,3 +96,46 @@ def test_src_modules_use_their_imports():
     # An import kept only for code that looks it up on the module says so
     # with noqa: F401; each such name is listed here.
     assert exempt == ["harness.masked_grpo_loss"]
+
+
+def private_definitions(tree):
+    """Module-level functions, classes and assigned names that start with
+    one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def referenced_names(tree):
+    """Every name a module reads: bare names, attributes and imported names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_src_private_names_are_used():
+    # A private helper that nothing in the package reads is left over from a
+    # deletion; tests alone do not keep one alive.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    referenced = set().union(*map(referenced_names, trees.values()))
+    unused = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in private_definitions(tree)
+        if name not in referenced
+    ]
+    assert unused == []

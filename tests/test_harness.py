@@ -107,6 +107,22 @@ class TestComputeStepMetrics:
         with pytest.raises(DomainError, match=r"pass count -1 outside \[0, 8\]"):
             step_metrics([1], [(1, -1)])
 
+    @pytest.mark.parametrize(
+        "fresh, rerollouts, what, dtype",
+        [
+            ([2.5, 3.9], [(1, 1)], "pass counts", "float64"),
+            ([True, False], [], "pass counts", "bool"),
+            ([2, None], [], "pass counts", "object"),
+            ([2, 3], [(1.7, 1)], "parent pass counts", "float64"),
+            ([2, 3], [(True, 1)], "parent pass counts", "bool"),
+        ],
+    )
+    def test_non_integer_dtype_rejected(self, fresh, rerollouts, what, dtype):
+        # A cast to int64 would truncate 2.5 to 2 and 1.7 to the bucket 1.
+        # Empty lists stay valid: a step without rerollouts passes one.
+        with pytest.raises(DomainError, match=f"^{what} must be integers, got dtype {dtype}$"):
+            step_metrics(fresh, rerollouts)
+
     @settings(max_examples=200, deadline=None)
     @given(
         half=st.integers(2, 8),
@@ -159,9 +175,14 @@ class TestRecordTypes:
             "count", "degenerate_share", "target_band_share", "exact_half_share", "mean_distance",
         )
         assert harness.ControllerRow._fields == ("step", "bucket", "r_b", "ema", "cooldown_remaining")
+        assert harness.StepMetrics._fields == (
+            "step", "valid_groups", "fresh", "rerollout", "bucket_pass_rates",
+            "bucket_group_counts", "audit_loss",
+        )
         row = harness.ControllerRow(0, "1/8", 0.5, 0.5, 0)
         stats = harness.CohortStats(1, 0.0, 1.0, 1.0, 0.0)
-        for record, field in ((row, "ema"), (stats, "count")):
+        metrics = step_metrics([1], [])
+        for record, field in ((row, "ema"), (stats, "count"), (metrics, "audit_loss")):
             with pytest.raises(AttributeError):
                 setattr(record, field, 0)
 
@@ -217,6 +238,15 @@ class TestTransitionMatrix:
         for child in (9, -1):
             with pytest.raises(DomainError, match=f"child pass count {child} "):
                 compute_transition_matrix([(1, 4), (7, child)], 8)
+
+    @pytest.mark.parametrize(
+        "pairs, dtype",
+        [([(1.9, 2.5)], "float64"), ([(True, False)], "bool"), ([(1, None)], "object")],
+    )
+    def test_non_integer_dtype_rejected(self, pairs, dtype):
+        # A cast to int64 would count (1.9, 2.5) as a child 2 of bucket 1.
+        with pytest.raises(DomainError, match=f"got dtype {dtype}$"):
+            compute_transition_matrix(pairs, 8)
 
 
 class TestRunExperiment:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from passband.errors import DomainError
 from passband.signals import (
+    SignalReport,
     contrastive_pair_count,
     expected_pair_count,
     group_survival_probability,
@@ -182,6 +183,14 @@ class TestMeanCenteredVariance:
 
 
 class TestSignalReport:
+    def test_fields(self):
+        assert SignalReport._fields == (
+            "pass_count", "group_size", "entropy_bits", "survival_prob",
+            "rloo_energy", "pair_count", "pair_count_relative",
+        )
+        with pytest.raises(AttributeError):
+            signal_report(4, 8).pair_count = 0
+
     def test_balanced_group(self):
         rep = signal_report(4, 8)
         assert rep.entropy_bits == 1.0

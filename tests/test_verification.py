@@ -38,6 +38,7 @@ def skip_cooldown_rearm(state, p, params):
 
 def test_real_controller_passes():
     result = verification.check_controller(seed=0, sequences=20)
+    assert verification.CheckResult._fields == ("name", "passed", "detail")
     assert result.passed
     assert result.detail == "half-crossing at update 14; 20 sequences per bucket clean"
 
