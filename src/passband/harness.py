@@ -11,8 +11,8 @@ One step of the replay pipeline:
    rate to that bucket's controller
 5. form the mixed batch of non-degenerate fresh and rerollout groups and
    evaluate the masked surrogate on it for audit (nothing is trained)
-6. record step metrics, controller snapshots, and parent-to-child
-   transitions
+6. record the step's groups as columns, its audit loss and the
+   controllers' snapshots
 
 A step is held as arrays, not per-group objects: env's StepDraws, (G, N)
 rewards, and the pass counts, RLOO advantages and one padded audit-loss
@@ -20,7 +20,9 @@ term matrix computed from them. Only the rerollouts' boundaries, pass
 probabilities and controller updates run group by group, since each
 depends on the controller state the step's earlier rerollouts left.
 A run's groups stay arrays too: RunResult.groups holds run.jsonl's fields
-as columns, one row per group, and run.jsonl is formatted from them.
+as columns, one row per group. After the loop, the step metrics and the
+parent-to-child transitions are counted from them in one pass each, and
+run.jsonl is formatted from them.
 
 Four arms share this loop, which takes their semantics from config's
 SAVING_KINDS and arm_controller_params: the baseline saves no prefix, so
@@ -129,9 +131,10 @@ class ControllerRow(NamedTuple):
 
 
 class GroupColumns(NamedTuple):
-    """run.jsonl's fields as columns, one row per group in file order: object
-    arrays of task ids and parent labels (None for a fresh group; the origin
-    follows from it), rewards (R, N) int8, steps, lengths (R, N), boundaries."""
+    """run.jsonl's fields as columns, one row per group in file order: an
+    object array of task ids, rewards (R, N) int8, each group's parent pass
+    count (-1 for a fresh group; the origin follows from it), steps, lengths
+    (R, N), boundaries."""
 
     task_id: np.ndarray
     rewards: np.ndarray
@@ -157,14 +160,16 @@ class _GroupRecords(Sequence):
         task_id, rewards, parent, step, lengths, boundary = (c[i] for c in self._groups)
         return {
             "task_id": task_id, "rewards": rewards.tolist(),
-            "origin": _FRESH if parent is None else _REROLLOUT, "parent_bucket": parent,
+            "origin": _FRESH if parent < 0 else _REROLLOUT,
+            "parent_bucket": None if parent < 0 else bucket_label(parent, len(rewards)),
             "step": int(step), "lengths": lengths.tolist(), "boundary": int(boundary),
         }
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything one run produces, ready for emission or analysis."""
+    """Everything one run produces, ready for emission or analysis. metrics
+    and transitions are computed from groups once the loop is done."""
 
     config: ExperimentConfig
     metrics: tuple[StepMetrics, ...]
@@ -180,84 +185,94 @@ class RunResult:
         return _GroupRecords(self.groups)
 
 
-def _cohort_stats(counts: list[int], n: int) -> CohortStats:
-    """Shares of a cohort whose counts[d] groups have |2k - n| = d. Each is
-    an exact integer over the cohort size, so it equals the float mean over
-    the groups."""
-    count = sum(counts)
-    if count == 0:
-        nan = float("nan")
-        return CohortStats(0, nan, nan, nan, nan)
-    return CohortStats(
-        count=count,
-        degenerate_share=counts[n] / count,
-        target_band_share=sum(counts[:3]) / count,
-        exact_half_share=counts[0] / count,
-        mean_distance=sum(d * c for d, c in enumerate(counts)) / (2 * count),
-    )
-
-
 def _int_array(values, what: str) -> np.ndarray:
-    """values as int64; DomainError for a non-empty float, bool or object array."""
+    """values as an array; DomainError for a non-empty float, bool or object
+    array, and for a bool anywhere in a list, whose dtype numpy infers."""
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         raise DomainError(f"{what} must be integers, got dtype {array.dtype}")
-    return array.astype(np.int64)
+    listed = () if isinstance(values, np.ndarray) else np.asarray(values, object).flat
+    if any(isinstance(v, (bool, np.bool_)) for v in listed):
+        raise DomainError(f"{what} must be integers, got a bool")
+    return array
 
 
-def compute_step_metrics(
-    step: int, n: int, ks, n_fresh: int, parents, audit_loss: float
-) -> StepMetrics:
-    """Metrics of one step from its groups' pass counts ks, fresh groups
-    first, and the parent pass count of each rerollout after them."""
-    ks = _int_array(ks, "pass counts")
-    parents = _int_array(parents, "parent pass counts")
-    distinct = set(parents.tolist())
-    uncontrolled = distinct.difference(controlled_buckets(n))
-    if uncontrolled:
-        raise ContractError(
-            f"rerollouts come only from controlled buckets, "
-            f"got parent {bucket_label(min(uncontrolled), n)}"
+def _columns(groups: GroupColumns, n: int, steps: int | None = None):
+    """(step, pass count, parent) of every group as int64 arrays, from
+    checked columns; steps, when given, bounds the step column. The rewards
+    are summed as they are, not copied."""
+    rewards = _int_array(groups.rewards, "rewards")
+    step = _int_array(groups.step, "steps").astype(np.int64, copy=False)
+    parent = _int_array(groups.parent_bucket, "parent pass counts").astype(np.int64, copy=False)
+    if rewards.ndim != 2 or rewards.shape[1] != n:
+        raise ContractError(f"rewards of shape {rewards.shape} for group size {n}")
+    if not len(rewards) == len(parent) == len(step):
+        raise ContractError(f"{len(rewards)} rewards, {len(parent)} parents, {len(step)} steps")
+    if rewards.size and (rewards.min() < 0 or rewards.max() > 1):
+        raise DomainError("rewards must be 0 or 1")
+    if steps is not None:
+        outside = step[(step < 0) | (step >= steps)]
+        if outside.size:
+            raise ContractError(f"step {outside[0]} outside [0, {steps}), the steps with a loss")
+    uncontrolled = parent[(parent != -1) & ~np.isin(parent, controlled_buckets(n))]
+    if uncontrolled.size:
+        raise ContractError(f"rerollouts come only from controlled buckets, "
+                            f"got parent {bucket_label(uncontrolled[0], n)}")
+    return step, rewards.sum(axis=1, dtype=np.int64), parent
+
+
+def _table(rows, cols, shape, weights=None) -> np.ndarray:
+    """Counts (or summed weights) of the (row, col) pairs as an array of shape."""
+    return np.bincount(rows * shape[1] + cols, weights, shape[0] * shape[1]).reshape(shape)
+
+
+def _cohort_stats(counts: np.ndarray, n: int) -> list[CohortStats]:
+    """One CohortStats per row of counts, whose cell d counts the groups with
+    |2k - n| = d. Each share is an exact integer over the row's size, so it
+    equals the float mean over the groups; an empty row's shares are nan."""
+    count = counts.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        shares = (counts[:, n] / count, counts[:, :3].sum(axis=1) / count,
+                  counts[:, 0] / count, counts @ np.arange(n + 1) / (2 * count))
+    return [CohortStats(*row) for row in zip(count.tolist(), *(s.tolist() for s in shares))]
+
+
+def compute_step_metrics(groups: GroupColumns, n: int, audit_losses) -> tuple[StepMetrics, ...]:
+    """The metrics of every step of a run from its columns: step s scores
+    the groups whose step is s, with audit loss audit_losses[s]."""
+    steps = len(audit_losses)
+    step, k, parent = _columns(groups, n, steps)
+    rerolled = parent >= 0
+    # Rows 2s and 2s + 1 count step s's fresh and rerollout groups by |2k - n|.
+    cohorts = _table(2 * step + rerolled, np.abs(2 * k - n), (2 * steps, n + 1))
+    valid = cohorts[:, :n].sum(axis=1).reshape(steps, 2).sum(axis=1).tolist()
+    stats = _cohort_stats(cohorts, n)
+    # Rerollout groups and their passes per (step, parent bucket).
+    by_parent = step[rerolled], parent[rerolled], (steps, n + 1)
+    counts = _table(*by_parent)
+    with np.errstate(invalid="ignore"):
+        rates = (_table(*by_parent, k[rerolled]) / counts / n).tolist()
+    by_label = sorted((bucket_label(b, n), b) for b in controlled_buckets(n))
+    return tuple(
+        StepMetrics(
+            s, valid[s], stats[2 * s], stats[2 * s + 1],
+            bucket_pass_rates={label: rate[b] for label, b in by_label if count[b]},
+            bucket_group_counts={label: count[b] for label, b in by_label if count[b]},
+            audit_loss=loss,
         )
-    outside = ks[(ks < 0) | (ks > n)]
-    if outside.size:
-        raise DomainError(f"pass count {outside[0]} outside [0, {n}]")
-    # Rerollout groups and their passes per parent bucket.
-    groups = np.bincount(parents, minlength=n + 1).tolist()
-    passes = np.bincount(parents, ks[n_fresh:], minlength=n + 1).tolist()
-    by_label = sorted((bucket_label(k, n), k) for k in distinct)
-    distances = np.abs(2 * ks - n)
-    fresh = np.bincount(distances[:n_fresh], minlength=n + 1).tolist()
-    rerollout = np.bincount(distances[n_fresh:], minlength=n + 1).tolist()
-    return StepMetrics(
-        step=step,
-        valid_groups=len(ks) - fresh[n] - rerollout[n],
-        fresh=_cohort_stats(fresh, n),
-        rerollout=_cohort_stats(rerollout, n),
-        bucket_pass_rates={label: passes[k] / groups[k] / n for label, k in by_label},
-        bucket_group_counts={label: groups[k] for label, k in by_label},
-        audit_loss=audit_loss,
+        for s, (rate, count, loss) in enumerate(zip(rates, counts.tolist(), audit_losses))
     )
 
 
-def compute_transition_matrix(pairs, n: int) -> np.ndarray:
-    """Counts of (source bucket k, child pass count) pairs as an int64 array
-    of shape (len(controlled_buckets(n)), n + 1): row i counts the children of
-    bucket controlled_buckets(n)[i], column c those with pass count c."""
-    ks = np.array(controlled_buckets(n))
-    parents, children = _int_array(pairs, "transition pairs").reshape(-1, 2).T
-    uncontrolled = parents[~np.isin(parents, ks)]
-    if uncontrolled.size:
-        raise ContractError(
-            f"transitions are recorded only for controlled buckets, "
-            f"got {bucket_label(uncontrolled[0], n)}"
-        )
-    outside = children[(children < 0) | (children > n)]
-    if outside.size:
-        raise DomainError(f"child pass count {outside[0]} outside [0, {n}]")
-    counts = np.zeros((len(ks), n + 1), dtype=np.int64)
-    np.add.at(counts, (np.searchsorted(ks, parents), children), 1)
-    return counts
+def compute_transition_matrix(groups: GroupColumns, n: int) -> np.ndarray:
+    """Counts of the rerollouts in a run's columns by (parent bucket, pass
+    count) as an int64 array of shape (len(controlled_buckets(n)), n + 1):
+    row i counts the children of bucket controlled_buckets(n)[i], column c
+    those with pass count c."""
+    _, k, parent = _columns(groups, n)
+    ks = controlled_buckets(n)
+    rerolled = parent >= 0
+    return _table(np.searchsorted(ks, parent[rerolled]), k[rerolled], (len(ks), n + 1))
 
 
 def _audit_policy(seed: int) -> ToyPolicy:
@@ -296,15 +311,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     bucket_labels = {k: bucket_label(k, n) for k in states}
     log_probs = _audit_policy(seed).log_probs()
     pool = PrefixPool()
-    metrics: list[StepMetrics] = []
+    audit_losses: list[float] = []
     controller_rows: list[ControllerRow] = []
-    transition_pairs: list[tuple[int, int]] = []
     # run.jsonl's columns, one part per step after an empty one that holds
     # their dtypes and shapes for a run without steps.
     empty = np.zeros((0, n), np.int64)
     step_groups = [GroupColumns(
         task_id=np.zeros(0, object), rewards=empty.astype(np.int8),
-        parent_bucket=np.zeros(0, object), step=empty[:, 0], lengths=empty, boundary=empty[:, 0],
+        parent_bucket=empty[:, 0], step=empty[:, 0], lengths=empty, boundary=empty[:, 0],
     )]
 
     for step in range(config.steps):
@@ -339,20 +353,15 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             )
             row = rewards[j] = env_mod.rollout_rewards(uniforms, p)
             states[record.source_bucket] = update_controller(state, int(row.sum()) / n, params)
-        ks = rewards.sum(axis=1)
-        parents = [record.source_bucket for record in pending]
-        transition_pairs.extend(zip(parents, ks[len(tasks):].tolist()))
         counts = np.concatenate((fresh.lengths, draws.lengths))
-        loss = _audit_loss(
+        audit_losses.append(_audit_loss(
             np.concatenate((fresh.steps, draws.steps)) % _AUDIT_VOCAB,
             boundaries,
             counts,
             rloo_advantages(rewards),
             log_probs,
             config.loss,
-        )
-        labels = [bucket_labels[k] for k in parents]
-        metrics.append(compute_step_metrics(step, n, ks, len(tasks), parents, loss))
+        ))
         if saving:
             controller_rows.extend(
                 ControllerRow(step, bucket_labels[k], s.ratio, s.ema, s.cooldown_remaining)
@@ -362,19 +371,23 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         step_groups.append(GroupColumns(
             task_id=np.array([task.task_id for task in tasks + pending_tasks], object),
             rewards=rewards.view(np.int8),
-            parent_bucket=np.array([None] * len(tasks) + labels, object),
+            parent_bucket=np.array(
+                [-1] * len(tasks) + [record.source_bucket for record in pending], np.int64
+            ),
             step=np.full(len(rewards), step),
             lengths=counts + boundaries,
             boundary=boundaries[:, 0],
         ))
 
+    groups = GroupColumns(*map(np.concatenate, zip(*step_groups)))
+    del step_groups  # the parts, before the metrics pass adds its own arrays
     return RunResult(
         config=config,
-        metrics=tuple(metrics),
+        metrics=compute_step_metrics(groups, n, audit_losses),
         controller_rows=tuple(controller_rows),
-        transitions=compute_transition_matrix(transition_pairs, n),
+        transitions=compute_transition_matrix(groups, n),
         final_states={bucket_labels[k]: s for k, s in states.items()},
-        groups=GroupColumns(*map(np.concatenate, zip(*step_groups))),
+        groups=groups,
     )
 
 
@@ -395,23 +408,20 @@ def _metrics_rows(result: RunResult) -> tuple[list[str], list[list]]:
     for label in bucket_labels:
         tag = label.replace("/", "_")
         header += [f"rerollout_rate_{tag}", f"rerollout_n_{tag}"]
-    rows = []
-    for m in result.metrics:
-        row: list = [m.step, m.valid_groups, *m.fresh, *m.rerollout, m.audit_loss]
-        for label in bucket_labels:
-            row.append(m.bucket_pass_rates.get(label, float("nan")))
-            row.append(m.bucket_group_counts.get(label, 0))
-        rows.append(row)
-    return header, rows
+    return header, [
+        [m.step, m.valid_groups, *m.fresh, *m.rerollout, m.audit_loss, *(
+            cell for label in bucket_labels for cell in
+            (m.bucket_pass_rates.get(label, float("nan")), m.bucket_group_counts.get(label, 0))
+        )]
+        for m in result.metrics
+    ]
 
 
 # One compact encoder for every run.jsonl record; _record_lines writes its
 # bytes from the columns, turning this many rows into lists at a time.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _LINE_CHUNK_ROWS = 4096
-_TRACE_FILES = (
-    "metrics.csv", "controller.csv", "transitions.csv", "run.jsonl", "meta.json"
-)
+_TRACE_FILES = ("metrics.csv", "controller.csv", "transitions.csv", "run.jsonl", "meta.json")
 
 
 def emit_traces(result: RunResult, destination) -> list[Path]:
@@ -475,13 +485,14 @@ def _write_traces(result: RunResult, out: Path) -> None:
 
 def _record_lines(groups: GroupColumns) -> Iterator[str]:
     """_RECORD_ENCODER.encode(record) + "\\n" for each group's record, with
-    each distinct task id and parent label encoded once."""
+    each distinct task id and parent encoded once."""
     encode = _RECORD_ENCODER.encode
+    n = groups.rewards.shape[1]
     ids = {task_id: encode(task_id) for task_id in set(groups.task_id)}
     origins = {
-        parent: f'"origin":{encode(_FRESH if parent is None else _REROLLOUT)},'
-        f'"parent_bucket":{encode(parent)}'
-        for parent in set(groups.parent_bucket)
+        parent: f'"origin":{encode(_FRESH if parent < 0 else _REROLLOUT)},'
+        f'"parent_bucket":{encode(None if parent < 0 else bucket_label(parent, n))}'
+        for parent in set(groups.parent_bucket.tolist())
     }
     for start in range(0, len(groups.step), _LINE_CHUNK_ROWS):
         chunk = (column[start:start + _LINE_CHUNK_ROWS].tolist() for column in groups)
@@ -494,26 +505,17 @@ def _record_lines(groups: GroupColumns) -> Iterator[str]:
 
 
 def aggregate_run(result: RunResult) -> dict[str, float]:
-    """Whole-run aggregates: mean valid groups and pooled cohort shares."""
-    out: dict[str, float] = {
-        "mean_valid_groups": float(
-            np.mean([m.valid_groups for m in result.metrics])
-        )
-        if result.metrics
-        else float("nan"),
-    }
-    for cohort in ("fresh", "rerollout"):
-        stats = [getattr(m, cohort) for m in result.metrics]
-        total = sum(s.count for s in stats)
-        out[f"{cohort}_count"] = float(total)
+    """Whole-run aggregates: mean valid groups per step and the cohort
+    shares of the run's groups pooled over its steps."""
+    n = result.config.group_size
+    steps = len(result.metrics)
+    _, k, parent = _columns(result.groups, n, steps)
+    cohorts = _table(parent >= 0, np.abs(2 * k - n), (2, n + 1))
+    out = {"mean_valid_groups": float(cohorts[:, :n].sum() / steps) if steps else float("nan")}
+    for cohort, stats in zip(("fresh", "rerollout"), _cohort_stats(cohorts, n)):
+        out[f"{cohort}_count"] = float(stats.count)
         for name in ("degenerate_share", "target_band_share", "mean_distance"):
-            if total == 0:
-                out[f"{cohort}_{name}"] = float("nan")
-            else:
-                out[f"{cohort}_{name}"] = float(
-                    sum(getattr(s, name) * s.count for s in stats if s.count)
-                    / total
-                )
+            out[f"{cohort}_{name}"] = getattr(stats, name)
     return out
 
 
@@ -543,7 +545,5 @@ def compare_arms(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         header = list(rows[0].keys()) if rows else ["arm", "seed"]
-        _write_csv(
-            out / "summary.csv", header, [[row[h] for h in header] for row in rows]
-        )
+        _write_csv(out / "summary.csv", header, [[row[h] for h in header] for row in rows])
     return rows

@@ -1,20 +1,37 @@
-"""Every export list names something that exists, and every import is used."""
+"""Every export list names something that exists, every import is used, and
+what the benchmark looks up and reads is there."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import passband
+from passband.config import parse_config
+from passband.harness import emit_traces, run_experiment
 
 SUBMODULES = sorted(
     info.name for info in pkgutil.iter_modules(passband.__path__)
 )
 SRC = Path(passband.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name, monkeypatch):
+    """perfbench/<name>.py loaded by path under its own name, as the
+    benchmark's scripts import each other; sys.modules forgets it after the
+    test."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules while it loads.
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_submodules_found():
@@ -43,12 +60,7 @@ def test_star_import_of_package():
 def test_benchmark_call_sites_resolve(monkeypatch):
     # The benchmark times each layer by replacing the attribute at its
     # 'module:attr' sites, so each must exist; read its table, not a copy.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up in sys.modules while it loads.
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = load_perfbench("workloads", monkeypatch)
     sites = [site for layer in workloads.LAYERS for site in layer.sites]
     assert sites
     missing = []
@@ -60,6 +72,32 @@ def test_benchmark_call_sites_resolve(monkeypatch):
         if target is None:
             missing.append(site)
     assert missing == []
+
+
+def test_benchmark_output_checks_hold(monkeypatch, tmp_path):
+    # The benchmark's worker checks a closed-loop run through
+    # RunResult.metrics, group_records and final_states; run its own checks
+    # on a short steer run, so that a change to what it reads fails here.
+    for name in ("calibrate", "spans", "workloads"):
+        load_perfbench(name, monkeypatch)
+    worker = load_perfbench("worker", monkeypatch)
+    steer = worker.WORKLOADS["steer"]
+    config = replace(parse_config(steer.config_text(5)), steps=120)
+    result = run_experiment(config)
+    emit_traces(result, tmp_path)
+    checks, digests, info = worker.closed_loop_checks(steer, result, tmp_path)
+    assert checks["audit_losses_finite"] and checks["rewards_binary"]
+    assert set(digests) == set(worker.TRACE_FILES)
+    # The worker pools per-step rates weighted by their counts; pool the
+    # passes of the last steps' rerollouts straight from the columns.
+    groups, n = result.groups, config.group_size
+    tail = groups.step >= config.steps - worker.POOLED_TAIL_STEPS
+    direct = {}
+    for label in result.final_states:
+        rows = tail & (groups.parent_bucket == int(label.split("/")[0]))
+        assert rows.any()
+        direct[label] = groups.rewards[rows].sum() / (rows.sum() * n)
+    assert info["pooled_tail_rates"] == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 def unused_imports(path):

@@ -50,19 +50,40 @@ def small_config(**overrides):
     return parse_config("\n".join(f"{k} = {v}" for k, v in entries.items()))
 
 
-def step_metrics(fresh, rerollouts, step=0, n=8):
-    """compute_step_metrics of fresh pass counts and (parent, pass count)
-    rerollouts."""
-    ks = list(fresh) + [k for _, k in rerollouts]
-    parents = [parent for parent, _ in rerollouts]
-    return compute_step_metrics(step, n, ks, len(fresh), parents, 0.0)
+def columns(fresh=(), rerollouts=(), n=8, step=0):
+    """One step's GroupColumns from fresh pass counts and (parent, pass
+    count) rerollouts, fresh groups first; a group of pass count k passes
+    its first k rollouts. The parent column is a list, as a caller may pass."""
+    ks = [*fresh, *(k for _, k in rerollouts)]
+    rows = len(ks)
+    return harness.GroupColumns(
+        task_id=np.array([f"t{i}" for i in range(rows)], object),
+        rewards=(np.arange(n) < np.reshape(np.array(ks, np.int64), (-1, 1))).view(np.int8),
+        parent_bucket=[-1] * len(fresh) + [parent for parent, _ in rerollouts],
+        step=np.full(rows, step),
+        lengths=np.full((rows, n), 4),
+        boundary=np.zeros(rows, np.int64),
+    )
+
+
+def one_step(groups, n=8):
+    """The one StepMetrics of one-step columns."""
+    (m,) = compute_step_metrics(groups, n, [0.0])
+    return m
+
+
+def step_metrics(fresh, rerollouts, n=8):
+    """The StepMetrics of one step of these groups (see columns)."""
+    return one_step(columns(fresh, rerollouts, n), n)
 
 
 class TestComputeStepMetrics:
     def test_hand_fixture(self):
         hard1, easy6 = 1, 6
-        m = step_metrics([0, 1, 4, 8, 3], [(hard1, 4), (hard1, 5), (easy6, 2)], step=3)
+        groups = columns([0, 1, 4, 8, 3], [(hard1, 4), (hard1, 5), (easy6, 2)], step=3)
+        m = compute_step_metrics(groups, 8, [9.0, 9.0, 9.0, -0.5])[3]
         assert m.step == 3
+        assert m.audit_loss == -0.5
         assert m.valid_groups == 6
         assert m.fresh.count == 5
         assert m.fresh.degenerate_share == 0.4
@@ -84,13 +105,26 @@ class TestComputeStepMetrics:
         assert math.isnan(m.rerollout.mean_distance)
 
     def test_empty_batch_needs_size(self):
-        # The group size is an argument, so an empty step still has one and
-        # gives empty cohorts with nan shares.
+        # The group size is an argument, so a step without groups still has
+        # one and gives empty cohorts with nan shares.
         m = step_metrics([], [])
         assert m.valid_groups == 0
         assert m.fresh.count == m.rerollout.count == 0
         assert math.isnan(m.fresh.degenerate_share)
         assert m.bucket_pass_rates == m.bucket_group_counts == {}
+
+    def test_steps_score_their_own_rows(self):
+        # Step 1 has no rows; steps 0 and 2 score exactly their own groups.
+        first, last = columns([1, 4], [(2, 3)]), columns([8], [(7, 5), (1, 0)], step=2)
+        run = harness.GroupColumns(*(np.concatenate((a, b)) for a, b in zip(first, last)))
+        metrics = compute_step_metrics(run, 8, [0.25, 0.5, 0.75])
+        assert [m.step for m in metrics] == [0, 1, 2]
+        assert [m.audit_loss for m in metrics] == [0.25, 0.5, 0.75]
+        (alone,) = compute_step_metrics(last._replace(step=np.zeros(3, np.int64)), 8, [0.75])
+        assert metrics[2] == alone._replace(step=2)
+        assert metrics[0] == step_metrics([1, 4], [(2, 3)])._replace(audit_loss=0.25)
+        assert metrics[1].fresh.count == metrics[1].rerollout.count == 0
+        assert math.isnan(metrics[1].fresh.mean_distance)
 
     @pytest.mark.parametrize("parent", [99, 4])
     def test_parent_must_be_a_controlled_bucket(self, parent):
@@ -99,29 +133,71 @@ class TestComputeStepMetrics:
             step_metrics([1], [(1, 3), (parent, 3)])
 
     def test_size_claim_must_match(self):
-        # Six passes cannot come from a group of the claimed size 4.
-        with pytest.raises(DomainError, match=r"pass count 6 outside \[0, 4\]"):
-            step_metrics([6, 1], [], n=4)
+        # Rewards eight wide cannot come from groups of the claimed size 4.
+        with pytest.raises(ContractError, match=r"^rewards of shape \(2, 8\) for group size 4$"):
+            compute_step_metrics(columns([6, 1]), 4, [0.0])
+
+    def test_row_counts_must_agree(self):
+        groups = columns([1, 2], [(1, 3)])._replace(step=np.zeros(2, np.int64))
+        with pytest.raises(ContractError, match="^3 rewards, 3 parents, 2 steps$"):
+            compute_step_metrics(groups, 8, [0.0])
+
+    @pytest.mark.parametrize("step", [1, 5, -1])
+    def test_step_needs_an_audit_loss(self, step):
+        # One audit loss per step: a step at or beyond their count, or below
+        # 0, has none.
+        with pytest.raises(
+            ContractError, match=fr"^step {step} outside \[0, 1\), the steps with a loss$"
+        ):
+            compute_step_metrics(columns([1, 2], step=step), 8, [0.0])
 
     def test_pass_count_outside_range(self):
-        with pytest.raises(DomainError, match=r"pass count -1 outside \[0, 8\]"):
-            step_metrics([1], [(1, -1)])
+        # A pass count outside [0, n] needs a reward other than 0 or 1.
+        for reward in (2, -1):
+            groups = columns([1], [(1, 3)])
+            groups.rewards[1, 0] = reward
+            with pytest.raises(DomainError, match="^rewards must be 0 or 1$"):
+                one_step(groups)
 
     @pytest.mark.parametrize(
         "fresh, rerollouts, what, dtype",
         [
-            ([2.5, 3.9], [(1, 1)], "pass counts", "float64"),
-            ([True, False], [], "pass counts", "bool"),
-            ([2, None], [], "pass counts", "object"),
+            ([2, 3], [(1, 1)], "rewards", "float64"),
+            ([2, 3], [], "rewards", "bool"),
+            ([2, 3], [], "rewards", "object"),
             ([2, 3], [(1.7, 1)], "parent pass counts", "float64"),
             ([2, 3], [(True, 1)], "parent pass counts", "bool"),
         ],
     )
     def test_non_integer_dtype_rejected(self, fresh, rerollouts, what, dtype):
-        # A cast to int64 would truncate 2.5 to 2 and 1.7 to the bucket 1.
-        # Empty lists stay valid: a step without rerollouts passes one.
-        with pytest.raises(DomainError, match=f"^{what} must be integers, got dtype {dtype}$"):
-            step_metrics(fresh, rerollouts)
+        # A cast to int64 would truncate the parent 1.7 to the bucket 1; the
+        # list [-1, -1, True] is an int64 array to numpy. An empty parent
+        # list stays valid: a run without rerollouts may pass one.
+        groups = columns(fresh, rerollouts)
+        if what == "rewards":
+            groups = groups._replace(rewards=groups.rewards.astype(dtype))
+        with pytest.raises(
+            DomainError, match=f"^{what} must be integers, got (dtype |a ){dtype}$"
+        ):
+            one_step(groups)
+
+    @pytest.mark.parametrize(
+        "column, values, what",
+        [
+            ("step", [0, True], "steps"),
+            ("parent_bucket", [-1, True], "parent pass counts"),
+            ("rewards", [[1] * 7 + [0], [True] + [0] * 7], "rewards"),
+        ],
+    )
+    def test_bool_in_a_list_column_rejected(self, column, values, what):
+        # numpy reads a list that mixes True with ints as int64, so the guard
+        # looks at the list's elements.
+        assert np.asarray(values).dtype == np.int64
+        groups = columns([1, 2])._replace(**{column: values})
+        with pytest.raises(DomainError, match=f"^{what} must be integers, got a bool$"):
+            one_step(groups)
+        with pytest.raises(DomainError, match=f"^{what} must be integers, got a bool$"):
+            compute_transition_matrix(groups, 8)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -138,7 +214,7 @@ class TestComputeStepMetrics:
             st.lists(st.sampled_from(controlled_buckets(n)),
                      min_size=len(ks) - n_fresh, max_size=len(ks) - n_fresh)
         )
-        m = compute_step_metrics(0, n, np.array(ks, dtype=np.int64), n_fresh, parents, 0.0)
+        m = step_metrics(ks[:n_fresh], list(zip(parents, ks[n_fresh:])), n=n)
 
         def reference(cohort):
             arr = np.asarray(cohort, dtype=float)
@@ -197,9 +273,15 @@ def transition_rows(tmp_path, counts):
     }
 
 
+def transitions(pairs, n=8):
+    """compute_transition_matrix of one step's rerollouts, one per (parent,
+    pass count) pair."""
+    return compute_transition_matrix(columns((), pairs, n), n)
+
+
 class TestTransitionMatrix:
     def test_single_pair_point_mass(self, tmp_path):
-        counts = compute_transition_matrix([(1, 4)], 8)
+        counts = transitions([(1, 4)])
         expected = np.zeros((4, 9), np.int64)
         expected[0, 4] = 1
         assert counts.dtype == np.int64
@@ -214,15 +296,17 @@ class TestTransitionMatrix:
         assert rows["1/8"] == ["1", "4.0", "1.0"] + ["0.0"] * 4 + ["1.0"] + ["0.0"] * 4
 
     def test_empty_row_is_nan(self, tmp_path):
-        counts = compute_transition_matrix([], 8)
+        # Fresh groups are no transitions.
+        counts = compute_transition_matrix(columns([0, 3, 8]), 8)
         assert counts.shape == (4, 9)
         assert counts.sum() == 0
+        assert_array_equal(transitions([]), counts)
         _, rows = transition_rows(tmp_path, counts)
         assert rows["2/8"] == ["0"] + ["nan"] * 11
 
     def test_row_probabilities_normalized(self, tmp_path):
         pairs = [(2, k) for k in (0, 3, 4, 4, 5, 8)]
-        counts = compute_transition_matrix(pairs, 8)
+        counts = transitions(pairs)
         assert counts[1].tolist() == [1, 0, 0, 1, 2, 1, 0, 0, 1]
         _, rows = transition_rows(tmp_path, counts)
         total, mean, band_share, *distribution = map(float, rows["2/8"])
@@ -232,21 +316,27 @@ class TestTransitionMatrix:
         assert_allclose(sum(distribution), 1.0, rtol=1e-12)
 
     def test_contracts(self):
-        for parent in (0, 4, 8, 9, -1):
-            with pytest.raises(ContractError, match=f"got {parent}/8"):
-                compute_transition_matrix([(1, 4), (parent, 4)], 8)
-        for child in (9, -1):
-            with pytest.raises(DomainError, match=f"child pass count {child} "):
-                compute_transition_matrix([(1, 4), (7, child)], 8)
+        # -1 marks a fresh group; any other parent must be a controlled bucket.
+        for parent in (0, 4, 8, 9, -2):
+            with pytest.raises(ContractError, match=f"got parent {parent}/8$"):
+                transitions([(1, 4), (parent, 4)])
+        # A child pass count outside [0, 8] needs a reward other than 0 or 1.
+        for reward in (2, -1):
+            groups = columns((), [(1, 4), (7, 4)])
+            groups.rewards[1, 0] = reward
+            with pytest.raises(DomainError, match="^rewards must be 0 or 1$"):
+                compute_transition_matrix(groups, 8)
+        with pytest.raises(ContractError, match=r"^rewards of shape \(1, 8\) for group size 4$"):
+            compute_transition_matrix(columns((), [(1, 4)]), 4)
 
     @pytest.mark.parametrize(
         "pairs, dtype",
-        [([(1.9, 2.5)], "float64"), ([(True, False)], "bool"), ([(1, None)], "object")],
+        [([(1.9, 2)], "float64"), ([(True, 2)], "bool"), ([(None, 2)], "object")],
     )
     def test_non_integer_dtype_rejected(self, pairs, dtype):
-        # A cast to int64 would count (1.9, 2.5) as a child 2 of bucket 1.
+        # A cast to int64 would count the parent 1.9 as the bucket 1.
         with pytest.raises(DomainError, match=f"got dtype {dtype}$"):
-            compute_transition_matrix(pairs, 8)
+            transitions(pairs)
 
 
 class TestRunExperiment:
@@ -320,8 +410,8 @@ class TestRunExperiment:
         labels = [bucket_label(k, 8) for k in controlled_buckets(8)]
         expected = np.zeros((len(labels), 9), np.int64)
         for parent, rewards in zip(result.groups.parent_bucket, result.groups.rewards):
-            if parent is not None:
-                expected[labels.index(parent), rewards.sum()] += 1
+            if parent >= 0:
+                expected[labels.index(bucket_label(parent, 8)), rewards.sum()] += 1
         assert expected.sum() > 0
         assert result.transitions.dtype == np.int64
         assert_array_equal(result.transitions, expected)
@@ -359,16 +449,19 @@ class TestRunExperiment:
 
     def test_loop_calls_the_benchmarked_step_functions(self, monkeypatch):
         # The benchmark times these layers by replacing the module attributes
-        # the loop looks up, so the loop must call them by these names.
+        # the loop looks up, so the loop must call them by these names. The
+        # metrics and transitions are computed from the columns once per run.
         calls = Counter()
-        for name in ("compute_step_metrics", "select_prefix"):
+        for name in ("compute_step_metrics", "compute_transition_matrix", "select_prefix"):
             def counted(*args, _real=getattr(harness, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
 
             monkeypatch.setattr(harness, name, counted)
         run_experiment(small_config(steps=3, arm="ps-ada"))
-        assert calls == {"compute_step_metrics": 3, "select_prefix": 3}
+        assert calls == {
+            "compute_step_metrics": 1, "compute_transition_matrix": 1, "select_prefix": 3,
+        }
 
     def test_deterministic(self):
         a = run_experiment(small_config(steps=5))
@@ -496,6 +589,48 @@ class TestEmitTraces:
             assert a == b, f"{name} differs between identical runs"
 
 
+def read_columns(path, n):
+    """run.jsonl's records read back into GroupColumns."""
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    parents = [r["parent_bucket"] for r in records]
+    assert [r["origin"] for r in records] == [
+        "fresh" if parent is None else "rerollout" for parent in parents
+    ]
+    return harness.GroupColumns(
+        task_id=np.array([r["task_id"] for r in records], object),
+        rewards=np.array([r["rewards"] for r in records], np.int8).reshape(-1, n),
+        parent_bucket=np.array(
+            [-1 if parent is None else int(parent.split("/")[0]) for parent in parents], np.int64
+        ),
+        step=np.array([r["step"] for r in records], np.int64),
+        lengths=np.array([r["lengths"] for r in records], np.int64).reshape(-1, n),
+        boundary=np.array([r["boundary"] for r in records], np.int64),
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"arm": "ps-ada-hard-only", "same_step_rerollout": "false"}]
+)
+def test_metrics_and_transitions_rederive_from_run_jsonl(tmp_path, overrides):
+    # run.jsonl and the audit losses hold everything metrics.csv and
+    # transitions.csv say: scored again from the file, they match byte for byte.
+    result = run_experiment(small_config(**overrides))
+    emit_traces(result, tmp_path / "run")
+    n = result.config.group_size
+    groups = read_columns(tmp_path / "run" / "run.jsonl", n)
+    rescored = replace(
+        result,
+        metrics=compute_step_metrics(groups, n, [m.audit_loss for m in result.metrics]),
+        transitions=compute_transition_matrix(groups, n),
+        groups=groups,
+    )
+    assert rescored.transitions.sum() > 0
+    emit_traces(rescored, tmp_path / "rescored")
+    for name in ("metrics.csv", "transitions.csv", "run.jsonl"):
+        rescored_bytes = (tmp_path / "rescored" / name).read_bytes()
+        assert rescored_bytes == (tmp_path / "run" / name).read_bytes(), name
+
+
 class TestRecordLines:
     """run.jsonl's formatter against the encoder whose bytes it gives: every
     line is _RECORD_ENCODER.encode(record) + "\n" for the view's record."""
@@ -521,13 +656,15 @@ class TestRecordLines:
         ]
 
     def test_escaped_ids_and_labels(self, monkeypatch):
+        # Task ids are free text; a parent label is always "k/n", formatted
+        # from the int parent column.
         monkeypatch.setattr(harness, "_LINE_CHUNK_ROWS", 2)
         odd = ['q"uote', "back\\slash", "sl/ash", "n\u00efve \u2028\U0001f600", "tab\t"]
         groups = harness.GroupColumns(
             task_id=np.array(["plain"] + odd, object),
             rewards=np.array([[1, 0, 0], [0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 0, 1], [0, 0, 1]],
                              np.int8),
-            parent_bucket=np.array([None] + odd[::-1], object),
+            parent_bucket=np.array([-1, 2, 1, 2, 1, 1]),
             step=np.array([0, 0, 1, 1, 1, 4]),
             lengths=np.array([[3, 4, 5]] * 5 + [[2**40, 7, 8]]),
             boundary=np.array([0, 2, 1, 2, 1, 1]),
@@ -537,7 +674,8 @@ class TestRecordLines:
         assert lines == [harness._RECORD_ENCODER.encode(r) + "\n" for r in records]
         assert [json.loads(line)["task_id"] for line in lines] == ["plain"] + odd
         assert json.loads(lines[0])["origin"] == "fresh"
-        assert json.loads(lines[1])["parent_bucket"] == odd[-1]
+        assert json.loads(lines[0])["parent_bucket"] is None
+        assert json.loads(lines[1])["parent_bucket"] == "2/3"
 
 
 class TestRunResultReads:
@@ -576,6 +714,7 @@ class TestRunResultReads:
         assert groups.step.shape == groups.boundary.shape == (rows,)
         assert groups.rewards.shape == groups.lengths.shape == (rows, 8)
         assert groups.rewards.dtype == np.int8
+        assert groups.parent_bucket.dtype == np.int64
         assert np.all(np.diff(groups.step) >= 0)
         records = result.group_records
         assert records[-1] == list(records)[-1]
