@@ -185,23 +185,35 @@ def masked_loss_kernel(
     """
     counts = np.asarray(counts)
     g, n = counts.shape
-    width = int(counts.max(initial=0))
-    j = np.arange(width)
-    keep = j < counts[..., None]
-    starts = (np.cumsum(counts) - counts.ravel()).reshape(g, n, 1)
-    picked = tokens[np.where(keep, starts + j, 0)]
-    contexts = np.minimum(np.asarray(boundaries)[..., None] + j, log_probs.shape[0] - 1)
-    # One padded (G, N * width) term matrix; padding cells are 0.0.
-    terms = np.where(keep, advantages[..., None] * log_probs[contexts, picked], 0.0)
-    # The traces are byte-stable, so each row must round exactly as a plain
-    # loop over trajectories and then tokens does: np.sum adds pairwise and
+    flat = counts.ravel()
+    # Token t of trajectory r sits at position boundary_r + (t - start_r).
+    shift = (boundaries - (np.cumsum(flat) - flat).reshape(g, n)).ravel()
+    # Each token's cell of the log-prob table, built in place: the per-token
+    # arrays are the kernel's largest.
+    cells = np.arange(flat.sum())
+    cells += np.repeat(shift, flat)
+    np.minimum(cells, log_probs.shape[0] - 1, out=cells)
+    cells *= log_probs.shape[1]
+    cells += tokens
+    terms = log_probs.ravel()[cells]
+    del cells
+    terms *= np.repeat(advantages.ravel(), flat)
+    # One row per group, its terms back to back and 0.0 after them. The
+    # traces are byte-stable, so each row must round exactly as a plain loop
+    # over trajectories and then tokens does: np.sum adds pairwise and
     # changes the last bits. np.add.accumulate adds strictly left to right,
     # and a 0.0 padding cell changes at most the sign of a zero partial sum;
     # the final + 0.0 stands for the loop's 0.0 start, which turns a sum of
     # negative zeros into +0.0.
-    terms = terms.reshape(g, n * width)
-    totals = np.add.accumulate(terms, axis=1)[:, -1] + 0.0 if width else np.zeros(g)
-    return _scale(-totals, n, counts.sum(axis=1), length_normalized, group_reduction)
+    sizes = counts.sum(axis=1)
+    width = int(sizes.max(initial=0))
+    if g * width == terms.size:
+        rows = terms.reshape(g, width)  # no group is short of the longest
+    else:
+        rows = np.zeros((g, width))
+        rows[np.arange(width) < sizes[:, None]] = terms
+    totals = np.add.accumulate(rows, axis=1, out=rows)[:, -1] + 0.0 if width else np.zeros(g)
+    return _scale(-totals, n, sizes, length_normalized, group_reduction)
 
 
 def masked_grpo_loss(

@@ -13,17 +13,25 @@ start raises the pass rate, a longer failing one lowers it, which is the
 response the replay controller relies on.
 
 Sampling is deterministic: every rollout draws from its own random stream,
-keyed by (caller seed entries, purpose, task, rollout index), so results
-are independent of scheduling order. A step's draw takes one seed and keys
-its group j as seed + (j,), so group j of draw_fresh_step(tasks, n, seed)
-is the group sample_fresh_group(tasks[j], n, seed + (j,)) draws. Every
-stream, the population's and the harness's task picks and audit policy
-included, comes from one keyed SplitMix64 counter generator in uint64 array
-arithmetic, so no numpy Generator stands behind any trace.
+keyed by (group key, purpose, task uid, rollout index), so results are
+independent of scheduling order and of how many groups one call draws.
+Every stream, the population's and the harness's task picks and audit
+policy included, comes from one keyed SplitMix64 counter generator in
+uint64 array arithmetic, so no numpy Generator stands behind any trace.
 
-A step's draws are arrays (StepDraws): lengths and uniforms (G, N), and
-every rollout's step ids in one flat int64 array with offsets. The closed
-loop uses them as they are; the per-group samplers are G = 1 views of them.
+One rollout kernel draws every group: per group, a key hash, a task uid
+(the crc32 of its id) and a length range, all arrays. Tasks enter it as
+columns (TaskColumns), which the closed loop builds once per population.
+draw_fresh_groups and draw_rerollout_groups key group g as seed +
+tuple(subkeys[g]); the loop passes (step, j) subkeys for a whole block of
+steps at once, and stream_integer_rows draws the block's task picks the
+same way. draw_fresh_step and draw_rerollout_step are their one-step views
+with subkeys (j,), and the per-group samplers are G = 1 views keyed by the
+seed alone, so group j of draw_fresh_step(tasks, n, seed) is the group
+sample_fresh_group(tasks[j], n, seed + (j,)) draws.
+
+Draws are arrays (StepDraws): lengths and uniforms (G, N), and every
+rollout's step ids in one flat int64 array with offsets.
 """
 
 from __future__ import annotations
@@ -47,6 +55,10 @@ __all__ = [
     "PopulationSpec",
     "StepDraws",
     "sample_fresh_group",
+    "TaskColumns",
+    "task_columns",
+    "draw_fresh_groups",
+    "draw_rerollout_groups",
     "draw_fresh_step",
     "draw_rerollout_step",
     "conditioned_pass_probability",
@@ -55,6 +67,7 @@ __all__ = [
     "make_task_population",
     "stream_uniforms",
     "stream_integers",
+    "stream_integer_rows",
     "MAX_TRAJECTORY_LENGTH",
     "MAX_POPULATION_SIZE",
 ]
@@ -137,10 +150,6 @@ def _seed_base(rng_seed) -> tuple[int, ...]:
     return base
 
 
-def _task_uid(task_id: str) -> int:
-    return zlib.crc32(task_id.encode("utf-8"))
-
-
 # Every random draw behind a trace comes from one keyed counter-based
 # generator (the style of Salmon et al., SC'11). mix is SplitMix64's
 # finaliser (Steele, Lea & Flood, OOPSLA 2014). A key's hash folds in its
@@ -151,8 +160,9 @@ def _task_uid(task_id: str) -> int:
 _U64 = np.uint64
 _GAMMA = _U64(0x9E3779B97F4A7C15)
 _MASK64 = (1 << 64) - 1
-# Rough upper bound on the 64-bit words one rollout-kernel call computes,
-# which bounds the size of its temporary arrays.
+# Rough upper bound on the 64-bit words the rollout kernel computes at a
+# time: it draws its groups in chunks of this size, which bounds the size of
+# its temporary arrays.
 _CHUNK_WORDS = 16384
 
 
@@ -204,11 +214,22 @@ def stream_uniforms(rng_seed, count: int) -> np.ndarray:
     return _uniform(_words(_key_hash(rng_seed), _counters(count)))
 
 
-def stream_integers(rng_seed, count: int, bound: int) -> np.ndarray:
-    """Integers in [0, bound) from words 0 .. count-1 of the seed's stream."""
+def _integers(keys: np.ndarray, count, bound) -> np.ndarray:
     if not (is_int(bound) and 1 <= bound <= 2**32):
         raise DomainError(f"bound must be an int in [1, 2**32], got {bound!r}")
-    return _below(_words(_key_hash(rng_seed), _counters(count)), bound)
+    return _below(_words(keys, _counters(count)), bound)
+
+
+def stream_integers(rng_seed, count: int, bound: int) -> np.ndarray:
+    """Integers in [0, bound) from words 0 .. count-1 of the seed's stream."""
+    return _integers(_key_hash(rng_seed), count, bound)
+
+
+def stream_integer_rows(rng_seed, subkeys, count: int, bound: int) -> np.ndarray:
+    """stream_integers of several streams as a (B, count) array: row b is
+    stream_integers(rng_seed + tuple(subkeys[b]), count, bound), for a (B, K)
+    array of subkeys, ints in [0, 2**64)."""
+    return _integers(_group_keys(rng_seed, subkeys)[:, None], count, bound)
 
 
 class StepDraws(NamedTuple):
@@ -222,35 +243,75 @@ class StepDraws(NamedTuple):
     offsets: np.ndarray
 
 
-def _batch_keys(rng_seed, count: int) -> np.ndarray:
-    """Key hashes of a batch's groups: group j is keyed by seed + (j,)."""
-    return _extend(_key_hash(rng_seed), np.arange(count, dtype=_U64))
+class TaskColumns(NamedTuple):
+    """Tasks as columns, row i for task i: an object array of task ids, their
+    uids (crc32 of the id, as uint64), base logits and length ranges (P, 2)."""
+
+    task_id: np.ndarray
+    uid: np.ndarray
+    base_logit: np.ndarray
+    length_range: np.ndarray
+
+
+def task_columns(tasks: Sequence[SyntheticTask]) -> TaskColumns:
+    """The columns of a list of tasks, in its order."""
+    return TaskColumns(
+        task_id=np.array([task.task_id for task in tasks], object),
+        uid=np.array([zlib.crc32(task.task_id.encode("utf-8")) for task in tasks], _U64),
+        base_logit=np.array([task.base_logit for task in tasks], float),
+        length_range=np.array([task.length_range for task in tasks], np.int64).reshape(-1, 2),
+    )
+
+
+def _group_keys(rng_seed, subkeys) -> np.ndarray:
+    """Key hashes of groups keyed rng_seed + tuple(subkeys[g]), for a (G, K)
+    array of ints in [0, 2**64) with K >= 1."""
+    words = np.asarray(subkeys)
+    if words.ndim != 2 or not words.shape[1] or words.dtype.kind not in "iu":
+        raise DomainError(
+            f"subkeys must be a (G, K) int array with K >= 1, "
+            f"got shape {words.shape} of dtype {words.dtype}"
+        )
+    if words.size and words.min() < 0:
+        raise DomainError(f"subkeys must be >= 0, got minimum {words.min()}")
+    h = _key_hash(rng_seed)
+    for column in words.T.astype(_U64):
+        h = _extend(h, column)
+    return h
 
 
 def _draw_groups(
-    tasks: Sequence[SyntheticTask], n: int, purpose: int, keys: np.ndarray
+    tasks: TaskColumns, rows, n: int, purpose: int, keys: np.ndarray
 ) -> StepDraws:
-    """Draws of one group per task: rollout i of group j is keyed by
-    keys[j] + (purpose, crc32(task id), i), where keys holds the groups' key
-    hashes. Word 0 of a rollout's stream gives its length, word 1 its
-    uniform and words 2 .. length + 1 its step ids."""
+    """Draws of one group per entry of rows, for task rows[g] of tasks:
+    rollout i of group g is keyed keys[g] + (purpose, uid, i), where keys
+    holds the groups' key hashes and uid is the task's. Word 0 of a
+    rollout's stream gives its length, word 1 its uniform and words
+    2 .. length + 1 its step ids."""
     if not (is_int(n) and n >= 2):
         raise DomainError(f"group size must be an int >= 2, got {n!r}")
-    longest = max((task.length_range[1] for task in tasks), default=0)
-    per_chunk = max(1, _CHUNK_WORDS // (n * (longest + 2)))
+    rows = np.asarray(rows)
+    if rows.size and rows.dtype.kind not in "iu":
+        raise DomainError(f"task rows must be ints, got dtype {rows.dtype}")
+    rows = rows.astype(np.int64, copy=False)
+    if rows.size and not 0 <= rows.min() <= rows.max() < len(tasks.uid):
+        raise ContractError(f"task rows must lie in [0, {len(tasks.uid)})")
+    if len(keys) != len(rows):
+        raise ContractError(f"{len(rows)} task rows but {len(keys)} group keys")
+    uids, ranges = tasks.uid[rows], tasks.length_range[rows]
+    per_chunk = max(1, _CHUNK_WORDS // (n * (int(ranges[:, 1].max(initial=0)) + 2)))
     lengths, uniforms, steps = [np.zeros(0, np.int64)], [np.zeros(0)], [np.zeros(0, _U64)]
-    for start in range(0, len(tasks), per_chunk):
-        chunk = tasks[start:start + per_chunk]
-        uids = np.array([_task_uid(task.task_id) for task in chunk], dtype=_U64)
-        groups = _extend(_extend(keys[start:start + len(chunk)], _U64(purpose)), uids)
-        rows = _extend(groups[:, None], np.arange(n, dtype=_U64)).ravel()
-        lo, hi = np.repeat([task.length_range for task in chunk], n, axis=0).T
-        head = _words(rows[:, None], np.arange(2, dtype=_U64))
+    for start in range(0, len(rows), per_chunk):
+        chunk = slice(start, start + per_chunk)
+        groups = _extend(_extend(keys[chunk], _U64(purpose)), uids[chunk])
+        ids = _extend(groups[:, None], np.arange(n, dtype=_U64)).ravel()
+        lo, hi = np.repeat(ranges[chunk], n, axis=0).T
+        head = _words(ids[:, None], np.arange(2, dtype=_U64))
         drawn = lo + _below(head[:, 0], hi - lo + 1).astype(np.int64)
         # Step ids: words 2 .. length + 1 of every rollout, back to back.
         starts = np.cumsum(drawn) - drawn
         counters = np.arange(drawn.sum()) - np.repeat(starts - 2, drawn)
-        steps.append(_words(np.repeat(rows, drawn), counters.astype(_U64)) >> _U64(2))
+        steps.append(_words(np.repeat(ids, drawn), counters.astype(_U64)) >> _U64(2))
         lengths.append(drawn)
         uniforms.append(_uniform(head[:, 1]))
     lengths = np.concatenate(lengths)
@@ -289,22 +350,37 @@ def _group_sample(
     return GroupSample(task.task_id, rewards, parent_bucket, lengths, steps, boundary)
 
 
+def draw_fresh_groups(tasks: TaskColumns, rows, n: int, rng_seed, subkeys) -> StepDraws:
+    """One fresh group of n rollouts per entry of rows, as arrays: group g
+    is drawn for task rows[g] of tasks and keyed rng_seed + tuple(subkeys[g]),
+    subkeys being a (G, K) array of ints in [0, 2**64)."""
+    return _draw_groups(tasks, rows, n, _PURPOSE_FRESH, _group_keys(rng_seed, subkeys))
+
+
+def draw_rerollout_groups(tasks: TaskColumns, rows, n: int, rng_seed, subkeys) -> StepDraws:
+    """draw_fresh_groups for rerollouts. The draws do not depend on the
+    replay boundary, so they can precede the boundaries."""
+    return _draw_groups(tasks, rows, n, _PURPOSE_REROLLOUT, _group_keys(rng_seed, subkeys))
+
+
 def draw_fresh_step(tasks: Sequence[SyntheticTask], n: int, rng_seed) -> StepDraws:
-    """One fresh group's draws per task, as arrays; group j is the one
-    sample_fresh_group(tasks[j], n, rng_seed + (j,)) draws."""
-    return _draw_groups(tasks, n, _PURPOSE_FRESH, _batch_keys(rng_seed, len(tasks)))
+    """One fresh group's draws per task, as arrays; group j is keyed
+    rng_seed + (j,), the one sample_fresh_group(tasks[j], n, rng_seed + (j,))
+    draws."""
+    slots = np.arange(len(tasks))
+    return draw_fresh_groups(task_columns(tasks), slots, n, rng_seed, slots[:, None])
 
 
 def draw_rerollout_step(tasks: Sequence[SyntheticTask], n: int, rng_seed) -> StepDraws:
     """draw_fresh_step for rerollouts: group j is the one sample_rerollout_group
-    draws under rng_seed + (j,). They do not depend on the replay boundary,
-    so a step's draws can precede its boundaries."""
-    return _draw_groups(tasks, n, _PURPOSE_REROLLOUT, _batch_keys(rng_seed, len(tasks)))
+    draws under rng_seed + (j,)."""
+    slots = np.arange(len(tasks))
+    return draw_rerollout_groups(task_columns(tasks), slots, n, rng_seed, slots[:, None])
 
 
 def sample_fresh_group(task: SyntheticTask, n: int, rng_seed) -> GroupSample:
     """Sample n independent fresh rollouts of a task."""
-    draw = _draw_groups([task], n, _PURPOSE_FRESH, _key_hash(rng_seed))
+    draw = _draw_groups(task_columns([task]), [0], n, _PURPOSE_FRESH, _key_hash(rng_seed))
     return _group_sample(task, task.fresh_pass_probability, (), draw)
 
 
@@ -334,7 +410,7 @@ def sample_rerollout_group(
     if kind not in SAVED_OUTCOME:
         label = bucket_label(prefix.source_bucket, n)
         raise ContractError(f"bucket {label} is {kind.value} and saves no prefix")
-    draw = _draw_groups([task], n, _PURPOSE_REROLLOUT, _key_hash(rng_seed))
+    draw = _draw_groups(task_columns([task]), [0], n, _PURPOSE_REROLLOUT, _key_hash(rng_seed))
     if not 1 <= m < prefix.length:
         raise ContractError(
             f"replay boundary m must satisfy 1 <= m < {prefix.length}, got {m}"

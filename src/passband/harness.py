@@ -14,15 +14,27 @@ One step of the replay pipeline:
 6. record the step's groups as columns, its audit loss and the
    controllers' snapshots
 
-A step is held as arrays, not per-group objects: env's StepDraws, (G, N)
-rewards, and the pass counts, RLOO advantages and one padded audit-loss
-term matrix computed from them. Only the rerollouts' boundaries, pass
-probabilities and controller updates run group by group, since each
-depends on the controller state the step's earlier rerollouts left.
-A run's groups stay arrays too: RunResult.groups holds run.jsonl's fields
-as columns, one row per group. After the loop, the step metrics and the
-parent-to-child transitions are counted from them in one pass each, and
-run.jsonl is formatted from them.
+The loop walks the run in blocks of consecutive steps, as many as fit a
+budget of drawn words (_BLOCK_WORDS), and at least one. Only the
+controllers carry state that a rerollout's outcome changes, and nothing
+drawn depends on them: the task picks, every fresh and rerollout draw
+(group j of step s keyed (seed, s, j)) and the prefixes that fresh groups
+save. So a block draws its task picks, its fresh groups and its rerollouts
+with one env call each, from the population's columns (env.TaskColumns),
+and select_prefix and the prefix pool run once per step of it, in step
+order. Then the rerollouts' boundaries, pass probabilities and controller
+updates run one by one, in step order, since each depends on the state the
+earlier ones left, and each step ends with its controller rows. Last, one
+masked_loss_kernel call scores every group of the block, and each step's
+audit loss adds its groups' losses left to right from 0.0, in run.jsonl
+order. Where the blocks end shows in nothing the run records.
+
+A block is held as arrays, not per-group objects: env's StepDraws, (G, N)
+rewards, RLOO advantages and one audit-loss term row per group. A run's
+groups stay arrays too: RunResult.groups holds run.jsonl's fields as
+columns, one row per group, one part per block. After the loop, the step
+metrics and the parent-to-child transitions are counted from them in one
+pass each, and run.jsonl is formatted from them.
 
 Four arms share this loop, which takes their semantics from config's
 SAVING_KINDS and arm_controller_params: the baseline saves no prefix, so
@@ -33,6 +45,8 @@ everything.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import os
 import shutil
@@ -91,6 +105,11 @@ __all__ = [
 
 _TASK_STREAM = 1001
 _POLICY_STREAM = 1002
+
+# Rough upper bound on the rollout words the fresh groups of one block of
+# steps draw, which bounds the size of the block's arrays. A block takes
+# as many steps as fit, and at least one.
+_BLOCK_WORDS = 2**15
 
 _AUDIT_CONTEXTS = 8
 _AUDIT_VOCAB = 16
@@ -281,29 +300,39 @@ def _audit_policy(seed: int) -> ToyPolicy:
     return ToyPolicy(logits.reshape(shape))
 
 
-def _audit_loss(
-    tokens, boundaries, counts, advantages, log_probs: np.ndarray, options: LossOptions
-) -> float:
-    """Masked surrogate of a step's groups (masked_loss_kernel's arguments),
-    added left to right from 0.0 (audit only). A degenerate group has
-    all-zero RLOO advantages, so its loss is a zero of either sign and
-    leaves the sum as it is: the sum is that of the non-degenerate groups."""
+def _audit_losses(
+    tokens, boundaries, counts, advantages, log_probs: np.ndarray, options: LossOptions,
+    order, sizes,
+) -> np.ndarray:
+    """Audit loss of each step of a block (audit only): the masked surrogate
+    of every group from one masked_loss_kernel call on its arguments, taken
+    in order, with step s's sizes[s] of them added left to right from 0.0.
+    A degenerate group has all-zero RLOO advantages, so its loss is a zero
+    of either sign and leaves the sum as it is: the sum is that of the
+    non-degenerate groups."""
     losses = masked_loss_kernel(
         tokens, boundaries, counts, advantages, log_probs,
         length_normalized=options.length_normalized,
         group_reduction=options.group_reduction,
     )
-    return float(np.add.accumulate(np.concatenate(([0.0], losses)))[-1])
+    # Row s: 0.0, step s's losses, then 0.0 padding. A sum from 0.0 is never
+    # -0.0, so the padding leaves it as it is.
+    sizes = np.asarray(sizes)
+    rows = np.zeros((len(sizes), 1 + int(sizes.max(initial=0))))
+    rows[:, 1:][np.arange(rows.shape[1] - 1) < sizes[:, None]] = losses[order]
+    return np.add.accumulate(rows, axis=1)[:, -1]
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run one arm for the configured number of steps. Deterministic."""
     n = config.group_size
+    g = config.batch_size
     seed = config.seed
     params = arm_controller_params(config)
     population = env_mod.make_task_population(config.population, seed)
-    task_by_id = {task.task_id: task for task in population}
-    base_logits = np.array([task.base_logit for task in population])
+    tasks = env_mod.task_columns(population)
+    row_of = {task_id: i for i, task_id in enumerate(tasks.task_id.tolist())}
+    fresh_p = expit(tasks.base_logit)
     saving = SAVING_KINDS[config.arm]
     states: dict[int, BucketControllerState] = {
         k: initial_controller_state(classify_bucket(k, n), params) for k in controlled_buckets(n)
@@ -313,70 +342,106 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     pool = PrefixPool()
     audit_losses: list[float] = []
     controller_rows: list[ControllerRow] = []
-    # run.jsonl's columns, one part per step after an empty one that holds
+    # run.jsonl's columns, one part per block after an empty one that holds
     # their dtypes and shapes for a run without steps.
     empty = np.zeros((0, n), np.int64)
     step_groups = [GroupColumns(
         task_id=np.zeros(0, object), rewards=empty.astype(np.int8),
         parent_bucket=empty[:, 0], step=empty[:, 0], lengths=empty, boundary=empty[:, 0],
     )]
+    span = max(1, _BLOCK_WORDS // (g * n * (config.population.length_max + 2)))
 
-    for step in range(config.steps):
-        picks = env_mod.stream_integers(
-            (seed, _TASK_STREAM, step), config.batch_size, len(population)
+    for first in range(0, config.steps, span):
+        # A block of steps. Its task picks, its draws and the prefixes its
+        # fresh groups save do not depend on the controllers, so they are
+        # made for the whole block first; group j of step s is keyed
+        # (seed, s, j), fresh and rerollout alike.
+        steps = np.arange(first, min(first + span, config.steps))
+        picks = env_mod.stream_integer_rows(
+            (seed, _TASK_STREAM), steps[:, None], g, len(population)
+        ).ravel().astype(np.int64)
+        fresh_step = np.repeat(steps, g)
+        fresh_slot = np.tile(np.arange(g), len(steps))
+        fresh = env_mod.draw_fresh_groups(
+            tasks, picks, n, seed, np.column_stack((fresh_step, fresh_slot))
         )
-        # Group j of a step's batch is keyed (seed, step, j).
-        tasks = [population[i] for i in picks.tolist()]
-        fresh = env_mod.draw_fresh_step(tasks, n, (seed, step))
-        fresh_rewards = env_mod.rollout_rewards(fresh.uniforms, expit(base_logits[picks]))
-        pending = [] if config.same_step_rerollout else pool.drain()
-        for record in select_prefix(
-            [task.task_id for task in tasks], fresh_rewards, fresh.steps, fresh.offsets, saving
-        ):
-            pool.save(record)
-        if config.same_step_rerollout:
-            pending = pool.drain()
-        # The random draws do not depend on the replay boundary, so they are
-        # made for the whole step before the controllers move.
-        pending_tasks = [task_by_id[record.task_id] for record in pending]
-        draws = env_mod.draw_rerollout_step(pending_tasks, n, (seed, step))
-        rewards = np.concatenate((fresh_rewards, np.zeros(draws.uniforms.shape, bool)))
-        boundaries = np.zeros((len(rewards), 1), np.int64)
-        for j, (record, task, uniforms) in enumerate(
-            zip(pending, pending_tasks, draws.uniforms), len(tasks)
-        ):
-            state = states[record.source_bucket]
-            # 1 <= m < T: replay_boundary clamps m, and every population has T >= 2.
-            m = boundaries[j, 0] = replay_boundary(state.ratio, record.length)
-            p = env_mod.conditioned_pass_probability(
-                task, SAVED_OUTCOME[state.kind], m / record.length
-            )
-            row = rewards[j] = env_mod.rollout_rewards(uniforms, p)
-            states[record.source_bucket] = update_controller(state, int(row.sum()) / n, params)
-        counts = np.concatenate((fresh.lengths, draws.lengths))
-        audit_losses.append(_audit_loss(
+        fresh_rewards = env_mod.rollout_rewards(fresh.uniforms, fresh_p[picks])
+        fresh_ids = tasks.task_id[picks]
+        pending = []
+        for i in range(len(steps)):
+            if not config.same_step_rerollout:
+                pending.append(pool.drain())
+            rows = slice(i * g, (i + 1) * g)
+            for record in select_prefix(
+                fresh_ids[rows], fresh_rewards[rows], fresh.steps,
+                fresh.offsets[i * g * n:(i + 1) * g * n + 1], saving,
+            ):
+                pool.save(record)
+            if config.same_step_rerollout:
+                pending.append(pool.drain())
+        per_step = [len(records) for records in pending]
+        records = [record for records in pending for record in records]
+        rerolled = np.array([row_of[record.task_id] for record in records], np.int64)
+        rerollout_step = np.repeat(steps, per_step)
+        slots = np.arange(len(records)) - np.repeat(np.cumsum(per_step) - per_step, per_step)
+        draws = env_mod.draw_rerollout_groups(
+            tasks, rerolled, n, seed, np.column_stack((rerollout_step, slots))
+        )
+        # The controllers move rerollout by rerollout, in step order, and
+        # each step ends with a controller row per bucket. A rerollout's pass
+        # count at p is the number of its uniforms below p.
+        ms: list[int] = []
+        ps: list[float] = []
+        rollouts = zip(
+            records, [population[i] for i in rerolled.tolist()],
+            np.sort(draws.uniforms, axis=1).tolist(),
+        )
+        for step, count in zip(steps.tolist(), per_step):
+            for record, task, uniforms in itertools.islice(rollouts, count):
+                state = states[record.source_bucket]
+                length = record.length
+                # 1 <= m < T: replay_boundary clamps m, and every population has T >= 2.
+                m = replay_boundary(state.ratio, length)
+                p = env_mod.conditioned_pass_probability(
+                    task, SAVED_OUTCOME[state.kind], m / length
+                )
+                passed = bisect.bisect_left(uniforms, p)
+                states[record.source_bucket] = update_controller(state, passed / n, params)
+                ms.append(m)
+                ps.append(p)
+            if saving:
+                controller_rows.extend(
+                    ControllerRow(step, bucket_labels[k], s.ratio, s.ema, s.cooldown_remaining)
+                    for k, s in states.items()
+                )
+        rewards = np.concatenate(
+            (fresh_rewards, env_mod.rollout_rewards(draws.uniforms, np.array(ps, float)))
+        )
+        boundaries = np.array([0] * len(picks) + ms, np.int64)[:, None]
+        lengths = np.concatenate((fresh.lengths, draws.lengths))
+        # run.jsonl's order: each step's fresh groups, then its rerollouts.
+        block_step = np.concatenate((fresh_step, rerollout_step))
+        order = np.argsort(block_step, kind="stable")
+        audit_losses.extend(_audit_losses(
             np.concatenate((fresh.steps, draws.steps)) % _AUDIT_VOCAB,
             boundaries,
-            counts,
+            lengths,
             rloo_advantages(rewards),
             log_probs,
             config.loss,
-        ))
-        if saving:
-            controller_rows.extend(
-                ControllerRow(step, bucket_labels[k], s.ratio, s.ema, s.cooldown_remaining)
-                for k, s in states.items()
-            )
+            order,
+            g + np.array(per_step, np.int64),
+        ).tolist())
         # One run.jsonl row per group; its rollouts share its boundary.
         step_groups.append(GroupColumns(
-            task_id=np.array([task.task_id for task in tasks + pending_tasks], object),
-            rewards=rewards.view(np.int8),
+            task_id=tasks.task_id[np.concatenate((picks, rerolled))[order]],
+            rewards=rewards[order].view(np.int8),
             parent_bucket=np.array(
-                [-1] * len(tasks) + [record.source_bucket for record in pending], np.int64
-            ),
-            step=np.full(len(rewards), step),
-            lengths=counts + boundaries,
-            boundary=boundaries[:, 0],
+                [-1] * len(picks) + [record.source_bucket for record in records], np.int64
+            )[order],
+            step=block_step[order],
+            lengths=(lengths + boundaries)[order],
+            boundary=boundaries[order, 0],
         ))
 
     groups = GroupColumns(*map(np.concatenate, zip(*step_groups)))

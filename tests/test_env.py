@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit, logit
@@ -23,17 +23,22 @@ from passband.env import (
     _key_hash,
     _words,
     conditioned_pass_probability,
+    draw_fresh_groups,
     draw_fresh_step,
+    draw_rerollout_groups,
     draw_rerollout_step,
     make_task_population,
     rollout_rewards,
     sample_fresh_group,
     sample_rerollout_group,
+    stream_integer_rows,
     stream_integers,
     stream_uniforms,
+    task_columns,
 )
 from passband.errors import ContractError, DomainError
 from passband.groups import BucketKind, classify_bucket
+from passband.harness import _TASK_STREAM
 
 
 def rollout_steps(sample):
@@ -450,6 +455,71 @@ class TestRolloutKernel:
             p = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, m / prefix.length)
             assert completed(step_group(draws, j), p, prefix.steps[:m]) == rollouts(want)
             assert want.boundary == m
+
+
+class TestBlockDraws:
+    """The run loop draws a block of steps per call: group j of step s is
+    keyed (seed, s, j), fresh and rerollout alike, and each step's task picks
+    come from the stream (seed, 1001, s)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70),
+        first=st.integers(0, 2**40),
+        per_step=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+        n=st.integers(2, 9),
+        chunk_words=st.one_of(st.just(_CHUNK_WORDS), st.integers(1, 600)),
+    )
+    @example(seed=5, first=0, per_step=[3, 0, 1, 2], n=8, chunk_words=_CHUNK_WORDS)
+    @example(seed=5, first=12, per_step=[0, 0, 0], n=8, chunk_words=_CHUNK_WORDS)
+    def test_ragged_block_matches_reference(self, seed, first, per_step, n, chunk_words):
+        tasks = [
+            make_task(0.2 + 0.1 * i, lengths=(2 + i, 4 + 3 * i), task_id=f"t{i}")
+            for i in range(5)
+        ]
+        columns = task_columns(tasks)
+        steps = np.repeat(first + np.arange(len(per_step)), per_step)
+        slots = np.arange(len(steps)) - np.repeat(np.cumsum(per_step) - per_step, per_step)
+        rows = 3 * np.arange(len(steps)) % len(tasks)
+        for draw_groups, purpose in (
+            (draw_fresh_groups, _PURPOSE_FRESH),
+            (draw_rerollout_groups, _PURPOSE_REROLLOUT),
+        ):
+            with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
+                draws = draw_groups(columns, rows, n, seed, np.column_stack((steps, slots)))
+            assert draws.lengths.shape == draws.uniforms.shape == (len(steps), n)
+            keys = zip(steps.tolist(), slots.tolist(), rows.tolist())
+            for g, (step, slot, row) in enumerate(keys):
+                want = reference_draw((seed, step, slot), purpose, tasks[row], n)
+                assert step_group(draws, g) == want
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 7])
+    def test_task_picks_are_per_step_streams(self, seed):
+        steps = np.arange(40, 45)
+        picks = stream_integer_rows((seed, _TASK_STREAM), steps[:, None], 64, 1000)
+        assert picks.shape == (5, 64)
+        for step, row in zip(steps.tolist(), picks.tolist()):
+            assert row == stream_integers((seed, _TASK_STREAM, step), 64, 1000).tolist()
+
+    @pytest.mark.parametrize(
+        "subkeys, rows, error",
+        [
+            (np.array([[1, -1]]), [0], DomainError),
+            (np.array([1]), [0], DomainError),
+            (np.zeros((1, 0), np.int64), [0], DomainError),
+            (np.array([[0.5]]), [0], DomainError),
+            (np.array([[True]]), [0], DomainError),
+            (np.array([[1], [2]]), [0], ContractError),
+            (np.array([[1]]), [1], ContractError),
+            (np.array([[1]]), [-1], ContractError),
+            (np.array([[1]]), [0.0], DomainError),
+        ],
+    )
+    def test_bad_keys_or_rows_rejected(self, subkeys, rows, error):
+        columns = task_columns([make_task()])
+        for draw_groups in (draw_fresh_groups, draw_rerollout_groups):
+            with pytest.raises(error):
+                draw_groups(columns, rows, 8, 3, subkeys)
 
 
 class TestDistributions:

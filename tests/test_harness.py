@@ -470,6 +470,51 @@ class TestRunExperiment:
         assert a.controller_rows == b.controller_rows
 
 
+class TestBlocks:
+    """The loop walks a run in blocks of steps; where a block ends must not
+    show in anything the run records."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            # The pending pool carries prefixes across block edges.
+            {"same_step_rerollout": "false"},
+            {"group_size": 16},
+            {"population__length_min": 2, "population__length_max": 2},
+            {"loss__length_normalized": "true", "loss__group_reduction": "mean"},
+        ],
+        ids=["default", "next-step-rerollout", "n16", "length-2", "mean-normalized"],
+    )
+    def test_block_edges_are_invisible(self, monkeypatch, overrides):
+        config = small_config(steps=7, **overrides)
+        step_words = config.batch_size * config.group_size * (config.population.length_max + 2)
+        draws = Counter()
+        real = harness.env_mod.draw_fresh_groups
+
+        def counted(*args):
+            draws[steps_per_block] += 1
+            return real(*args)
+
+        monkeypatch.setattr(harness.env_mod, "draw_fresh_groups", counted)
+        runs = []
+        # One step per block, three with a ragged last block, the whole run.
+        for steps_per_block in (1, 3, config.steps):
+            monkeypatch.setattr(harness, "_BLOCK_WORDS", steps_per_block * step_words)
+            runs.append(run_experiment(config))
+        assert draws == {1: 7, 3: 3, 7: 1}
+        first, *others = runs
+        assert first.groups.parent_bucket.max() >= 0
+        for other in others:
+            for want, got in zip(first.groups, other.groups):
+                assert got.dtype == want.dtype
+                assert_array_equal(got, want)
+            losses = [np.array([m.audit_loss for m in run.metrics]) for run in (first, other)]
+            assert losses[0].tobytes() == losses[1].tobytes()
+            assert other.controller_rows == first.controller_rows
+            assert other.final_states == first.final_states
+
+
 class TestEmitTraces:
     def test_files_written(self, tmp_path):
         result = run_experiment(small_config(steps=3))

@@ -2,8 +2,9 @@
 
 The audit loss lands in byte-stable traces, so the kernel must round
 exactly as the loop below does: every comparison is on the float's bytes,
-not approximate. A step's audit loss must also round exactly as adding each
-group's loss to 0.0, group by group.
+not approximate. The run loop scores a block of steps with one kernel call,
+and each step's audit loss must still round exactly as adding each of its
+groups' losses to 0.0, group by group.
 """
 
 import struct
@@ -22,7 +23,7 @@ from passband.advantages import (
 )
 from passband.config import LossOptions
 from passband.errors import DomainError
-from passband.harness import _audit_loss
+from passband.harness import _audit_losses
 
 
 def reference_loss(trajectories, advantages, log_probs, length_normalized, group_reduction):
@@ -127,11 +128,12 @@ def test_kernel_matches_reference_loop_bitwise(group, length_normalized, group_r
 
 
 @st.composite
-def steps(draw):
-    """A step of G groups of N trajectories with ragged lengths, boundaries
-    from 0 to T - 1, and degenerate groups (all rewards equal) interleaved.
-    kind "all-degenerate" makes every group degenerate, and "zero" replaces
-    the RLOO advantages by zeros."""
+def blocks(draw):
+    """A block of G groups of N trajectories with ragged lengths, boundaries
+    from 0 to T - 1, and degenerate groups (all rewards equal) interleaved,
+    cut into steps of ragged sizes (some possibly empty), and the shuffled
+    order in which the kernel gets the groups. kind "all-degenerate" makes
+    every group degenerate, and "zero" replaces the RLOO advantages by zeros."""
     n_contexts = draw(st.integers(1, 8))
     vocab = draw(st.integers(2, 16))
     logits = draw(
@@ -150,7 +152,7 @@ def steps(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     groups = []
     for _ in range(draw(st.integers(1, 12))):
-        # Equal lengths leave a group's term rows without padding.
+        # Equal lengths leave a group's term row without padding.
         lengths = [draw(length)] * n if draw(st.booleans()) else [draw(length) for _ in range(n)]
         if shared:
             boundaries = [draw(st.integers(0, min(lengths) - 1))] * n
@@ -159,46 +161,59 @@ def steps(draw):
         tokens = [tuple(rng.integers(0, vocab, t).tolist()) for t in lengths]
         rewards = draw(equal if kind == "all-degenerate" else equal | any_rewards)
         groups.append((tokens, boundaries, rewards))
+    cuts = sorted(draw(st.lists(st.integers(0, len(groups)), max_size=4)))
+    sizes = np.diff([0, *cuts, len(groups)])
+    shuffled = draw(st.permutations(range(len(groups))))
     policy = ToyPolicy(np.reshape(logits, (n_contexts, vocab)))
-    return policy, groups, kind, shared
+    return policy, groups, kind, shared, sizes, shuffled
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    step=steps(),
+    block=blocks(),
     length_normalized=st.booleans(),
     group_reduction=st.sampled_from(["sum", "mean"]),
 )
-def test_step_loss_adds_group_losses_left_to_right(step, length_normalized, group_reduction):
-    policy, groups, kind, shared = step
+def test_step_loss_adds_group_losses_left_to_right(block, length_normalized, group_reduction):
+    policy, groups, kind, shared, sizes, shuffled = block
     log_probs = policy.log_probs()
     options = {"length_normalized": length_normalized, "group_reduction": group_reduction}
-    rewards = np.array([r for _, _, r in groups], dtype=bool)
+    # Kernel argument i is group shuffled[i]; order[g] is group g's argument.
+    kernel_groups = [groups[i] for i in shuffled]
+    order = np.argsort(shuffled)
+    rewards = np.array([r for _, _, r in kernel_groups], dtype=bool)
     advantages = rloo_advantages(rewards)
     if kind == "zero":
         advantages = np.zeros_like(advantages)
     tokens = np.array(
-        [t for traj, bs, _ in groups for tok, b in zip(traj, bs) for t in tok[b:]],
+        [t for traj, bs, _ in kernel_groups for tok, b in zip(traj, bs) for t in tok[b:]],
         dtype=np.int64,
     )
-    boundaries = np.array([bs[:1] if shared else bs for _, bs, _ in groups])
-    counts = np.array([[len(tok) - b for tok, b in zip(traj, bs)] for traj, bs, _ in groups])
-    got = _audit_loss(tokens, boundaries, counts, advantages, log_probs, LossOptions(**options))
+    boundaries = np.array([bs[:1] if shared else bs for _, bs, _ in kernel_groups])
+    counts = np.array([[len(tok) - b for tok, b in zip(traj, bs)] for traj, bs, _ in kernel_groups])
+    got = _audit_losses(
+        tokens, boundaries, counts, advantages, log_probs, LossOptions(**options), order, sizes
+    )
     losses = masked_loss_kernel(tokens, boundaries, counts, advantages, log_probs, **options)
 
-    public = reference = 0.0
-    for g, ((traj, bs, r), adv) in enumerate(zip(groups, advantages)):
-        trajectories = list(zip(traj, bs))
-        want = reference_loss(trajectories, adv, log_probs, **options)
-        assert bits(losses[g]) == bits(want)
-        if 0 < sum(r) < len(r):
-            public += masked_grpo_loss(
-                [TokenTrajectory(tok, b) for tok, b in trajectories], adv, policy, **options
-            )
-            reference += want
-    assert bits(got) == bits(public) == bits(reference)
-    if kind != "mixed":
-        assert bits(got) == bits(0.0)
+    assert got.shape == sizes.shape
+    ends = np.cumsum(sizes)
+    for s, (start, end) in enumerate(zip(ends - sizes, ends)):
+        public = reference = 0.0
+        for g in range(start, end):
+            traj, bs, r = groups[g]
+            adv = advantages[order[g]]
+            trajectories = list(zip(traj, bs))
+            want = reference_loss(trajectories, adv, log_probs, **options)
+            assert bits(losses[order[g]]) == bits(want)
+            if 0 < sum(r) < len(r):
+                public += masked_grpo_loss(
+                    [TokenTrajectory(tok, b) for tok, b in trajectories], adv, policy, **options
+                )
+                reference += want
+        assert bits(got[s]) == bits(public) == bits(reference)
+        if kind != "mixed":
+            assert bits(got[s]) == bits(0.0)
 
 
 @pytest.mark.parametrize("shape", [(), (2, 3, 4)])
