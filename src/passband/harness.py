@@ -34,7 +34,9 @@ rewards, RLOO advantages and one audit-loss term row per group. A run's
 groups stay arrays too: RunResult.groups holds run.jsonl's fields as
 columns, one row per group, one part per block. After the loop, the step
 metrics and the parent-to-child transitions are counted from them in one
-pass each, and run.jsonl is formatted from them.
+pass each, and run.jsonl is formatted from them a chunk of rows at a time:
+each chunk's cells are gathered from tables of its distinct values and
+joined once.
 
 Four arms share this loop, which takes their semantics from config's
 SAVING_KINDS and arm_controller_params: the baseline saves no prefix, so
@@ -483,9 +485,15 @@ def _metrics_rows(result: RunResult) -> tuple[list[str], list[list]]:
 
 
 # One compact encoder for every run.jsonl record; _record_lines writes its
-# bytes from the columns, turning this many rows into lists at a time.
+# bytes from the columns, this many rows per string. The chunk's size bounds
+# the memory emission adds; from about a thousand rows up, a larger chunk is
+# no faster.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
-_LINE_CHUNK_ROWS = 4096
+_LINE_CHUNK_ROWS = 1024
+# The text after each kind of int cell of a run.jsonl line: a reward or
+# length other than the last, the last reward, the step, the last length and
+# the boundary.
+_INT_SUFFIXES = (",", "],", ',"lengths":[', '],"boundary":', "}\n")
 _TRACE_FILES = ("metrics.csv", "controller.csv", "transitions.csv", "run.jsonl", "meta.json")
 
 
@@ -536,8 +544,8 @@ def _write_traces(result: RunResult, out: Path) -> None:
         ],
     )
 
-    # Streamed line by line: one join of every line would hold the whole
-    # file in memory at once.
+    # Streamed a chunk of lines at a time: one join of every line would hold
+    # the whole file in memory at once.
     with (out / "run.jsonl").open("w", encoding="utf-8") as fh:
         fh.writelines(_record_lines(result.groups))
 
@@ -549,24 +557,43 @@ def _write_traces(result: RunResult, out: Path) -> None:
 
 
 def _record_lines(groups: GroupColumns) -> Iterator[str]:
-    """_RECORD_ENCODER.encode(record) + "\\n" for each group's record, with
-    each distinct task id and parent encoded once."""
+    """_RECORD_ENCODER.encode(record) + "\\n" for each group's record, joined
+    _LINE_CHUNK_ROWS rows at a time. Each distinct task id and parent is
+    encoded once per run and each distinct int once per chunk; a chunk's
+    cells are gathered from those tables and joined in one call."""
     encode = _RECORD_ENCODER.encode
     n = groups.rewards.shape[1]
-    ids = {task_id: encode(task_id) for task_id in set(groups.task_id)}
+    heads = {
+        task_id: f'{{"task_id":{encode(task_id)},"rewards":['
+        for task_id in set(groups.task_id)
+    }
     origins = {
         parent: f'"origin":{encode(_FRESH if parent < 0 else _REROLLOUT)},'
-        f'"parent_bucket":{encode(None if parent < 0 else bucket_label(parent, n))}'
+        f'"parent_bucket":{encode(None if parent < 0 else bucket_label(parent, n))},"step":'
         for parent in set(groups.parent_bucket.tolist())
     }
+    # A line's cells: its head, n rewards, its origin, then the step, n
+    # lengths and the boundary. The int cells, all but the head and the
+    # origin, take their text from the chunk's table row of their suffix.
+    suffixes = np.array([0] * (n - 1) + [1, 2] + [0] * (n - 1) + [3, 4])
+    int_cells = np.r_[1:n + 1, n + 2:2 * n + 4]
     for start in range(0, len(groups.step), _LINE_CHUNK_ROWS):
-        chunk = (column[start:start + _LINE_CHUNK_ROWS].tolist() for column in groups)
-        for task_id, rewards, parent, step, lengths, boundary in zip(*chunk):
-            yield (
-                f'{{"task_id":{ids[task_id]},"rewards":{str(rewards).replace(" ", "")},'
-                f'{origins[parent]},"step":{step},'
-                f'"lengths":{str(lengths).replace(" ", "")},"boundary":{boundary}}}\n'
-            )
+        rows = slice(start, start + _LINE_CHUNK_ROWS)
+        ints = np.concatenate(
+            (groups.rewards[rows], groups.step[rows, None], groups.lengths[rows],
+             groups.boundary[rows, None]),
+            axis=1, dtype=np.int64,
+        )
+        values, inverse = np.unique(ints, return_inverse=True)
+        table = np.array(
+            [[f"{value}{suffix}" for value in values.tolist()] for suffix in _INT_SUFFIXES],
+            object,
+        )
+        cells = np.empty((len(ints), 2 * n + 4), object)
+        cells[:, 0] = list(map(heads.__getitem__, groups.task_id[rows]))
+        cells[:, n + 1] = list(map(origins.__getitem__, groups.parent_bucket[rows].tolist()))
+        cells[:, int_cells] = table[suffixes, inverse.reshape(ints.shape)]
+        yield "".join(cells.ravel().tolist())
 
 
 def aggregate_run(result: RunResult) -> dict[str, float]:

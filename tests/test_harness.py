@@ -6,6 +6,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -573,6 +574,10 @@ class TestEmitTraces:
             yield from itertools.islice(real_lines(groups), 3)
             raise OSError("disk full")
 
+        # Chunks of 2 rows, so that the failure comes after 3 real chunks and
+        # before the last.
+        monkeypatch.setattr(harness, "_LINE_CHUNK_ROWS", 2)
+        assert len(result.group_records) > 3 * 2
         monkeypatch.setattr(harness, "_record_lines", lines_failing_mid_jsonl)
         for destination in (old, tmp_path / "new"):
             with pytest.raises(OSError, match="disk full"):
@@ -676,11 +681,28 @@ def test_metrics_and_transitions_rederive_from_run_jsonl(tmp_path, overrides):
         assert rescored_bytes == (tmp_path / "run" / name).read_bytes(), name
 
 
-class TestRecordLines:
-    """run.jsonl's formatter against the encoder whose bytes it gives: every
-    line is _RECORD_ENCODER.encode(record) + "\n" for the view's record."""
+def encoded(records) -> str:
+    """The text of run.jsonl for these records."""
+    return "".join(harness._RECORD_ENCODER.encode(record) + "\n" for record in records)
 
-    @pytest.mark.parametrize("chunk_rows", [7, harness._LINE_CHUNK_ROWS])
+
+def chunked_text(groups) -> str:
+    """_record_lines's output joined, after checking its chunks: one per
+    _LINE_CHUNK_ROWS rows begun, none holding more lines than that."""
+    chunks = list(harness._record_lines(groups))
+    rows, chunk_rows = len(groups.step), harness._LINE_CHUNK_ROWS
+    assert len(chunks) == -(-rows // chunk_rows)
+    assert all(0 < chunk.count("\n") <= chunk_rows for chunk in chunks)
+    return "".join(chunks)
+
+
+class TestRecordLines:
+    """run.jsonl's formatter against the encoder whose bytes it gives: the
+    file is _RECORD_ENCODER.encode(record) + "\n" for each of the view's
+    records, formatted _LINE_CHUNK_ROWS rows at a time."""
+
+    # 4096 rows hold each of these runs in one chunk, as the default does.
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -694,11 +716,10 @@ class TestRecordLines:
         monkeypatch.setattr(harness, "_LINE_CHUNK_ROWS", chunk_rows)
         result = run_experiment(small_config(steps=6, **overrides))
         emit_traces(result, tmp_path)
-        lines = (tmp_path / "run.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-        assert len(lines) == len(result.group_records) > 0
-        assert lines == [
-            harness._RECORD_ENCODER.encode(record) + "\n" for record in result.group_records
-        ]
+        text = encoded(result.group_records)
+        assert len(result.group_records) > 0
+        assert (tmp_path / "run.jsonl").read_text(encoding="utf-8") == text
+        assert chunked_text(result.groups) == text
 
     def test_escaped_ids_and_labels(self, monkeypatch):
         # Task ids are free text; a parent label is always "k/n", formatted
@@ -714,13 +735,41 @@ class TestRecordLines:
             lengths=np.array([[3, 4, 5]] * 5 + [[2**40, 7, 8]]),
             boundary=np.array([0, 2, 1, 2, 1, 1]),
         )
-        records = harness._GroupRecords(groups)
-        lines = list(harness._record_lines(groups))
-        assert lines == [harness._RECORD_ENCODER.encode(r) + "\n" for r in records]
+        text = chunked_text(groups)
+        assert text == encoded(harness._GroupRecords(groups))
+        lines = text.splitlines()
         assert [json.loads(line)["task_id"] for line in lines] == ["plain"] + odd
         assert json.loads(lines[0])["origin"] == "fresh"
         assert json.loads(lines[0])["parent_bucket"] is None
         assert json.loads(lines[1])["parent_bucket"] == "2/3"
+        assert json.loads(lines[5])["lengths"] == [2**40, 7, 8]
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), chunk_rows=st.integers(1, 5))
+    def test_any_columns_match_encoder(self, data, n, chunk_rows):
+        # Free-text ids, with quotes, backslashes, control and non-BMP
+        # characters made likely, and ints anywhere in int64, in chunks of 1
+        # to 5 rows.
+        rows = data.draw(st.integers(0, 20))
+
+        def draw(values, shape):
+            size = int(np.prod(shape))
+            drawn = data.draw(st.lists(values, min_size=size, max_size=size))
+            return np.array(drawn, np.int64).reshape(shape)
+
+        ints = st.integers(-2**63, 2**63 - 1)
+        chars = st.one_of(st.sampled_from('"\\/\t\n\x00\x7f\u2028\U0001f600'), st.characters())
+        ids = data.draw(st.lists(st.text(chars), min_size=rows, max_size=rows))
+        groups = harness.GroupColumns(
+            task_id=np.array(ids, object),
+            rewards=draw(st.integers(0, 1), (rows, n)).astype(np.int8),
+            parent_bucket=draw(st.integers(-1, n), rows),
+            step=draw(ints, rows),
+            lengths=draw(ints, (rows, n)),
+            boundary=draw(ints, rows),
+        )
+        with mock.patch.object(harness, "_LINE_CHUNK_ROWS", chunk_rows):
+            assert chunked_text(groups) == encoded(harness._GroupRecords(groups))
 
 
 class TestRunResultReads:
