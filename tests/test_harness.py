@@ -4,21 +4,29 @@ import hashlib
 import itertools
 import json
 import math
+import tempfile
+import zlib
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from passband import harness
-from passband.config import Arm, ExperimentConfig, parse_config
-from passband.controller import ControllerParams
+from passband import env, harness
+from passband.config import SAVING_KINDS, Arm, ExperimentConfig, arm_controller_params, parse_config
+from passband.controller import (
+    ControllerParams,
+    initial_controller_state,
+    replay_boundary,
+    update_controller,
+)
 from passband.errors import ContractError, DomainError
-from passband.groups import bucket_label, classify_bucket, controlled_buckets
+from passband.groups import BucketKind, bucket_label, classify_bucket, controlled_buckets
 from passband.harness import (
     aggregate_run,
     compare_arms,
@@ -658,27 +666,150 @@ def read_columns(path, n):
     )
 
 
-@pytest.mark.parametrize(
-    "overrides", [{}, {"arm": "ps-ada-hard-only", "same_step_rerollout": "false"}]
-)
-def test_metrics_and_transitions_rederive_from_run_jsonl(tmp_path, overrides):
-    # run.jsonl and the audit losses hold everything metrics.csv and
-    # transitions.csv say: scored again from the file, they match byte for byte.
-    result = run_experiment(small_config(**overrides))
-    emit_traces(result, tmp_path / "run")
-    n = result.config.group_size
-    groups = read_columns(tmp_path / "run" / "run.jsonl", n)
-    rescored = replace(
-        result,
-        metrics=compute_step_metrics(groups, n, [m.audit_loss for m in result.metrics]),
-        transitions=compute_transition_matrix(groups, n),
-        groups=groups,
-    )
-    assert rescored.transitions.sum() > 0
-    emit_traces(rescored, tmp_path / "rescored")
-    for name in ("metrics.csv", "transitions.csv", "run.jsonl"):
-        rescored_bytes = (tmp_path / "rescored" / name).read_bytes()
-        assert rescored_bytes == (tmp_path / "run" / name).read_bytes(), name
+@st.composite
+def small_configs(draw):
+    """Configs of any arm, small enough to run many: N even in 4-16, 1-8
+    groups, 0-12 steps, lengths down to 2..2 and populations down to one task,
+    so that one step often saves twice for the same task and bucket."""
+    length_min = draw(st.integers(2, 6))
+    entries = {
+        "arm": draw(st.sampled_from([arm.value for arm in Arm])),
+        "group_size": 2 * draw(st.integers(2, 8)),
+        "batch_size": draw(st.integers(1, 8)),
+        "steps": draw(st.integers(0, 12)),
+        "seed": draw(st.integers(0, 2**40)),
+        "fixed_ratio": draw(st.sampled_from([0.05, 0.3, 0.5, 0.95])),
+        "same_step_rerollout": draw(st.booleans()),
+        "controller.step_size": draw(st.sampled_from([0.0, 0.05, 0.2])),
+        "controller.cooldown": draw(st.integers(0, 3)),
+        "population.preset": draw(st.sampled_from(["single", "uniform", "hard_skewed"])),
+        "population.size": draw(st.integers(1, 12)),
+        "population.length_min": length_min,
+        "population.length_max": length_min + draw(st.integers(0, 6)),
+        "population.mirror": draw(st.booleans()),
+    }
+    return parse_config("\n".join(f"{k} = {v}" for k, v in entries.items()))
+
+
+def drawn_words(config, steps, slots, purpose, task_ids, count, bound):
+    """Words 0 .. count-1 below bound of every rollout of groups keyed
+    (seed, step, slot) for these tasks, as (G, N, count): rollout i's stream
+    is keyed (seed, step, slot, purpose, crc32(task id), i)."""
+    n = config.group_size
+    uids = [zlib.crc32(task_id.encode("utf-8")) for task_id in task_ids]
+    subkeys = np.array(
+        [(s, j, purpose, uid, i) for s, j, uid in zip(steps, slots, uids) for i in range(n)],
+        np.int64,
+    ).reshape(-1, 5)
+    return env.stream_integer_rows(config.seed, subkeys, count, bound).reshape(-1, n, count)
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=small_configs())
+@example(config=small_config())
+@example(config=small_config(arm="ps-ada-hard-only", same_step_rerollout="false"))
+def test_metrics_and_transitions_rederive_from_run_jsonl(config):
+    # The trace files explain the run: run.jsonl and the audit losses hold
+    # everything metrics.csv and transitions.csv say, each step's rerollouts
+    # are the prefixes its drain window saved, every group's draws are keyed
+    # by its step and slot, and controller.csv is the controller replayed over
+    # run.jsonl's rerollouts.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        result = run_experiment(config)
+        emit_traces(result, out / "run")
+        n = config.group_size
+        groups = read_columns(out / "run" / "run.jsonl", n)
+        rescored = replace(
+            result,
+            metrics=compute_step_metrics(groups, n, [m.audit_loss for m in result.metrics]),
+            transitions=compute_transition_matrix(groups, n),
+            groups=groups,
+        )
+        emit_traces(rescored, out / "rescored")
+        for name in ("metrics.csv", "transitions.csv", "run.jsonl"):
+            rescored_bytes = (out / "rescored" / name).read_bytes()
+            assert rescored_bytes == (out / "run" / name).read_bytes(), name
+        controller_lines = (out / "run" / "controller.csv").read_text().splitlines()[1:]
+
+    # ps-fix is ps-ada with a zero step size started at the fixed ratio: the
+    # same columns, audit losses, transitions and controller rows, from which
+    # the four trace files other than meta.json are written.
+    fix = run_experiment(replace(config, arm=Arm.PS_FIX))
+    ada = run_experiment(replace(config, arm=Arm.PS_ADA, controller=replace(
+        config.controller, step_size=0.0, initial_ratio=config.fixed_ratio
+    )))
+    for want, got in zip(fix.groups, ada.groups):
+        assert want.dtype == got.dtype
+        assert_array_equal(want, got)
+    losses = [np.array([m.audit_loss for m in run.metrics]) for run in (fix, ada)]
+    assert losses[0].tobytes() == losses[1].tobytes()
+    assert_array_equal(fix.transitions, ada.transitions)
+    assert fix.controller_rows == ada.controller_rows
+
+    saving = SAVING_KINDS[config.arm]
+    task_ids, parents = groups.task_id.tolist(), groups.parent_bucket.tolist()
+    ks = groups.rewards.sum(axis=1).tolist()
+    rerolled = groups.parent_bucket >= 0
+    # Each step's fresh groups, then its rerollouts.
+    assert groups.step.tolist() == sorted(groups.step.tolist())
+    assert (np.diff(rerolled.astype(int))[np.diff(groups.step) == 0] >= 0).all()
+    if config.arm is Arm.BASELINE:
+        assert not rerolled.any()
+    if config.arm is Arm.PS_ADA_HARD_ONLY:
+        assert (groups.parent_bucket[rerolled] < n / 2).all()
+
+    # Every group's length and reward draws, keyed (seed, step, slot) with the
+    # slot counted within the step's fresh groups or its rerollouts; a group's
+    # passes are its rollouts of lowest uniforms (compared by top 32 bits).
+    lo, hi = config.population.length_min, config.population.length_max
+    for origin, purpose in ((~rerolled, env._PURPOSE_FRESH), (rerolled, env._PURPOSE_REROLLOUT)):
+        rows = np.flatnonzero(origin)
+        steps = groups.step[rows]
+        slots = np.arange(len(rows)) - np.searchsorted(steps, steps)
+        ids = groups.task_id[rows].tolist()
+        lengths = drawn_words(config, steps, slots, purpose, ids, 1, hi - lo + 1)[..., 0]
+        assert_array_equal(groups.lengths[rows] - groups.boundary[rows, None], lo + lengths)
+        tops = drawn_words(config, steps, slots, purpose, ids, 2, 2**32)[..., 1]
+        passed = groups.rewards[rows] == 1
+        highest_pass = np.where(passed, tops, 0).max(axis=1, initial=0)
+        lowest_fail = np.where(passed, 2**32, tops).min(axis=1, initial=2**32)
+        assert (highest_pass <= lowest_fail).all()
+    for s in range(config.steps):
+        picks = env.stream_integers((config.seed, harness._TASK_STREAM, s), config.batch_size,
+                                    config.population.size)
+        fresh_ids = groups.task_id[(groups.step == s) & ~rerolled].tolist()
+        assert fresh_ids == [f"task-{i:05d}" for i in picks.tolist()]
+
+    # Step s drains the saves of its own fresh groups, or of step s - 1's
+    # when rerollouts wait a step: one per (task, bucket), in the order of
+    # first save, from the last save's group.
+    params = arm_controller_params(config)
+    states = {
+        k: initial_controller_state(classify_bucket(k, n), params) for k in controlled_buckets(n)
+    }
+    replayed = []
+    for s in range(config.steps):
+        window = s if config.same_step_rerollout else s - 1
+        saves = {}
+        for r in np.flatnonzero((groups.step == window) & ~rerolled).tolist():
+            if classify_bucket(ks[r], n) in saving:
+                saves[(task_ids[r], ks[r])] = r
+        step_rerollouts = np.flatnonzero((groups.step == s) & rerolled).tolist()
+        assert [(task_ids[r], parents[r]) for r in step_rerollouts] == list(saves)
+        for r, source in zip(step_rerollouts, saves.values()):
+            # The saved rollout: the source group's first with the saved outcome.
+            state = states[parents[r]]
+            success = state.kind is BucketKind.HARD
+            length = groups.lengths[source][np.argmax(groups.rewards[source] == success)]
+            assert groups.boundary[r] == replay_boundary(state.ratio, int(length))
+            states[parents[r]] = update_controller(state, ks[r] / n, params)
+        if saving:
+            replayed += [
+                ",".join(map(str, (s, bucket_label(k, n), b.ratio, b.ema, b.cooldown_remaining)))
+                for k, b in states.items()
+            ]
+    assert controller_lines == replayed
 
 
 def encoded(records) -> str:
