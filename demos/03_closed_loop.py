@@ -16,6 +16,7 @@ Run:  python3 demos/03_closed_loop.py        (about half a minute)
 """
 
 import numpy as np
+from scipy.special import expit
 
 from passband.config import Arm, parse_config
 from passband.controller import PrefixOutcome
@@ -28,8 +29,8 @@ print("1. What the population looks like before any replay")
 print()
 population = parse_config(CONFIG_TEXT).population
 tasks = make_task_population(population, rng_seed=0)
-ps = np.array([t.fresh_pass_probability for t in tasks])
-print(f"   {len(tasks)} tasks, preset {population.preset!r}")
+ps = expit(tasks.base_logit)
+print(f"   {len(ps)} tasks, preset {population.preset!r}")
 print(f"   fresh pass probability: median {np.median(ps):.3f}, "
       f"mean {ps.mean():.3f}")
 print(f"   tasks below p=0.2: {(ps < 0.2).mean():.0%}, "
@@ -38,13 +39,14 @@ print()
 
 print("2. Why a partial replay can rescue such tasks")
 print()
-task = min(tasks, key=lambda t: abs(t.fresh_pass_probability - 0.1))
-print(f"   take {task.task_id}: fresh pass probability "
-      f"{task.fresh_pass_probability:.3f}, sensitivity "
-      f"{task.prefix_sensitivity:.2f}")
+# argmin takes the first of equally close tasks, as min does.
+i = int(np.argmin(np.abs(ps - 0.1)))
+b, s = tasks.base_logit[i], tasks.prefix_sensitivity[i]
+print(f"   take {tasks.task_id[i]}: fresh pass probability "
+      f"{ps[i]:.3f}, sensitivity {s:.2f}")
 print(f"   {'replayed share':>14} {'p(pass | success prefix)':>25}")
 for share in (0.0, 0.25, 0.5, 0.75):
-    p = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, share)
+    p = conditioned_pass_probability(b, s, PrefixOutcome.SUCCESS, share)
     print(f"   {share:>14.2f} {p:>25.3f}")
 print("   the replayed share is a knob on the child pass rate; the")
 print("   controller turns it until observed rates sit at 1/2.")

@@ -39,7 +39,7 @@ from .controller import (
 from .env import (
     GroupSample,
     PopulationSpec,
-    SyntheticTask,
+    TaskColumns,
     conditioned_pass_probability,
     make_task_population,
     sample_fresh_group,

@@ -87,9 +87,12 @@ class ExperimentConfig:
             raise DomainError(f"steps must be >= 0, got {self.steps}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.fixed_ratio < 1.0:
+        # Checked for every arm: compare runs every arm from one config.
+        bounds = self.controller.ratio_min, self.controller.ratio_max
+        if not bounds[0] <= self.fixed_ratio <= bounds[1]:
             raise DomainError(
-                f"fixed_ratio must lie in (0, 1), got {self.fixed_ratio}"
+                f"fixed_ratio {self.fixed_ratio} outside the controller's ratio "
+                f"bounds [{bounds[0]}, {bounds[1]}]"
             )
 
 

@@ -58,11 +58,11 @@ SAVED_OUTCOME = {
 
 
 class PrefixRecord(NamedTuple):
-    """A saved trajectory eligible for replay: its task, its source bucket
-    (the pass count of the fresh group it came from) and its step ids. Its
-    outcome is SAVED_OUTCOME of the source bucket's kind at the group size."""
+    """A saved trajectory eligible for replay: its task's row, its source
+    bucket (the pass count of the fresh group it came from) and its step ids.
+    Its outcome is SAVED_OUTCOME of the source bucket's kind at the group size."""
 
-    task_id: str
+    task_row: int
     source_bucket: int
     steps: tuple[int, ...]
 
@@ -163,28 +163,29 @@ def update_controller(
 
 
 def select_prefix(
-    task_ids, rewards: np.ndarray, steps: np.ndarray, offsets, kinds=tuple(SAVED_OUTCOME)
+    task_rows, rewards: np.ndarray, steps: np.ndarray, offsets, kinds=tuple(SAVED_OUTCOME)
 ) -> list[PrefixRecord]:
-    """The replay material of G fresh groups with (G, N) bool rewards, whose
-    rollout r = j * N + i spans steps[offsets[r]:offsets[r + 1]]. A group
-    whose bucket kind is in kinds saves one trajectory: its lowest-index
-    rollout with the kind's SAVED_OUTCOME."""
+    """The replay material of G fresh groups of tasks task_rows, with (G, N)
+    bool rewards, whose rollout r = j * N + i spans steps[offsets[r]:offsets[r + 1]].
+    A group whose bucket kind is in kinds saves one trajectory: its
+    lowest-index rollout with the kind's SAVED_OUTCOME."""
     if not set(kinds) <= SAVED_OUTCOME.keys():
         raise ContractError(f"only hard and easy buckets save prefixes, got {kinds!r}")
     g, n = rewards.shape
-    if len(task_ids) != g or len(offsets) != g * n + 1:
+    if len(task_rows) != g or len(offsets) != g * n + 1:
         raise ContractError(
-            f"{g} groups of {n} rollouts need {g} task ids and {g * n + 1} offsets, "
-            f"got {len(task_ids)} and {len(offsets)}"
+            f"{g} groups of {n} rollouts need {g} task rows and {g * n + 1} offsets, "
+            f"got {len(task_rows)} and {len(offsets)}"
         )
     by_k = [classify_bucket(k, n) for k in range(n + 1)]
     ks = rewards.sum(axis=1)
     saving = np.flatnonzero(np.array([kind in kinds for kind in by_k])[ks])
     success = np.array([kind is BucketKind.HARD for kind in by_k])[ks[saving]]
     picked = saving * n + np.argmax(rewards[saving] == success[:, None], axis=1)
+    rows = np.asarray(task_rows)[saving].tolist()
     return [
-        PrefixRecord(task_ids[j], k, tuple(steps[offsets[r]:offsets[r + 1]].tolist()))
-        for j, k, r in zip(saving.tolist(), ks[saving].tolist(), picked.tolist())
+        PrefixRecord(row, k, tuple(steps[offsets[r]:offsets[r + 1]].tolist()))
+        for row, k, r in zip(rows, ks[saving].tolist(), picked.tolist())
     ]
 
 
@@ -233,10 +234,10 @@ class PrefixPool:
     """
 
     def __init__(self) -> None:
-        self._records: dict[tuple[str, int], PrefixRecord] = {}
+        self._records: dict[tuple[int, int], PrefixRecord] = {}
 
     def save(self, record: PrefixRecord) -> None:
-        self._records[(record.task_id, record.source_bucket)] = record
+        self._records[(record.task_row, record.source_bucket)] = record
 
     def drain(self) -> list[PrefixRecord]:
         records = list(self._records.values())

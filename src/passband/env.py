@@ -19,16 +19,17 @@ Every stream, the population's and the harness's task picks and audit
 policy included, comes from one keyed SplitMix64 counter generator in
 uint64 array arithmetic, so no numpy Generator stands behind any trace.
 
-One rollout kernel draws every group: per group, a key hash, a task uid
-(the crc32 of its id) and a length range, all arrays. Tasks enter it as
-columns (TaskColumns), which the closed loop builds once per population.
-draw_fresh_groups and draw_rerollout_groups key group g as seed +
-tuple(subkeys[g]); the loop passes (step, j) subkeys for a whole block of
-steps at once, and stream_integer_rows draws the block's task picks the
-same way. draw_fresh_step and draw_rerollout_step are their one-step views
-with subkeys (j,), and the per-group samplers are G = 1 views keyed by the
-seed alone, so group j of draw_fresh_step(tasks, n, seed) is the group
-sample_fresh_group(tasks[j], n, seed + (j,)) draws.
+A population is its columns (TaskColumns): row i holds task i's id, uid
+(the crc32 of its id), base logit, prefix sensitivity and length range.
+make_task_population draws them as arrays, and every sampler takes tasks
+by row. One rollout kernel draws every group: per group, a key hash and
+its task's uid and length range, all arrays. draw_fresh_groups and
+draw_rerollout_groups key group g as seed + tuple(subkeys[g]); the loop
+passes (step, j) subkeys for a whole block of steps at once, and
+stream_integer_rows draws the block's task picks the same way. The
+per-group samplers are G = 1 views keyed by the seed alone, so group g of
+draw_fresh_groups(tasks, rows, n, seed, subkeys) is the group
+sample_fresh_group(tasks, rows[g], n, seed + tuple(subkeys[g])) draws.
 
 Draws are arrays (StepDraws): lengths and uniforms (G, N), and every
 rollout's step ids in one flat int64 array with offsets.
@@ -37,7 +38,7 @@ rollout's step ids in one flat int64 array with offsets.
 from __future__ import annotations
 
 import zlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import NamedTuple
@@ -50,17 +51,13 @@ from .errors import ContractError, DomainError, check_field_types, is_int
 from .groups import bucket_label, classify_bucket
 
 __all__ = [
-    "SyntheticTask",
     "GroupSample",
     "PopulationSpec",
     "StepDraws",
     "sample_fresh_group",
     "TaskColumns",
-    "task_columns",
     "draw_fresh_groups",
     "draw_rerollout_groups",
-    "draw_fresh_step",
-    "draw_rerollout_step",
     "conditioned_pass_probability",
     "sample_rerollout_group",
     "rollout_rewards",
@@ -83,31 +80,6 @@ MAX_POPULATION_SIZE = 2**32
 _PURPOSE_POPULATION = 1
 _PURPOSE_FRESH = 2
 _PURPOSE_REROLLOUT = 3
-
-
-@dataclass(frozen=True)
-class SyntheticTask:
-    """A simulated task: base pass logit, prefix sensitivity, length range."""
-
-    task_id: str
-    base_logit: float
-    prefix_sensitivity: float
-    length_range: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        if self.prefix_sensitivity < 0.0:
-            raise DomainError(
-                f"prefix sensitivity must be >= 0, got {self.prefix_sensitivity}"
-            )
-        lo, hi = self.length_range
-        if lo < 2 or hi < lo:
-            raise DomainError(
-                f"length range must satisfy 2 <= min <= max, got {self.length_range}"
-            )
-
-    @property
-    def fresh_pass_probability(self) -> float:
-        return float(expit(self.base_logit))
 
 
 class GroupSample(NamedTuple):
@@ -244,23 +216,18 @@ class StepDraws(NamedTuple):
 
 
 class TaskColumns(NamedTuple):
-    """Tasks as columns, row i for task i: an object array of task ids, their
-    uids (crc32 of the id, as uint64), base logits and length ranges (P, 2)."""
+    """A task population as columns, row i for task i: an object array of
+    task ids, their uids (crc32 of the id, as uint64), base logits b, prefix
+    sensitivities s and length ranges (P, 2) int64; task i's fresh pass
+    probability is expit(b[i]). make_task_population's columns satisfy
+    PopulationSpec's checks (s >= 0, 2 <= min <= max); hand-built columns
+    are trusted, as masked_loss_kernel's inputs are."""
 
     task_id: np.ndarray
     uid: np.ndarray
     base_logit: np.ndarray
+    prefix_sensitivity: np.ndarray
     length_range: np.ndarray
-
-
-def task_columns(tasks: Sequence[SyntheticTask]) -> TaskColumns:
-    """The columns of a list of tasks, in its order."""
-    return TaskColumns(
-        task_id=np.array([task.task_id for task in tasks], object),
-        uid=np.array([zlib.crc32(task.task_id.encode("utf-8")) for task in tasks], _U64),
-        base_logit=np.array([task.base_logit for task in tasks], float),
-        length_range=np.array([task.length_range for task in tasks], np.int64).reshape(-1, 2),
-    )
 
 
 def _group_keys(rng_seed, subkeys) -> np.ndarray:
@@ -331,7 +298,7 @@ def rollout_rewards(uniforms, p) -> np.ndarray:
 
 
 def _group_sample(
-    task: SyntheticTask,
+    task_id: str,
     p: float,
     prefix_steps: tuple[int, ...],
     draw: StepDraws,
@@ -347,7 +314,7 @@ def _group_sample(
         ))
         lengths = tuple(boundary + length for length in lengths)
     rewards = tuple(rollout_rewards(draw.uniforms[0], p).astype(int).tolist())
-    return GroupSample(task.task_id, rewards, parent_bucket, lengths, steps, boundary)
+    return GroupSample(task_id, rewards, parent_bucket, lengths, steps, boundary)
 
 
 def draw_fresh_groups(tasks: TaskColumns, rows, n: int, rng_seed, subkeys) -> StepDraws:
@@ -363,43 +330,32 @@ def draw_rerollout_groups(tasks: TaskColumns, rows, n: int, rng_seed, subkeys) -
     return _draw_groups(tasks, rows, n, _PURPOSE_REROLLOUT, _group_keys(rng_seed, subkeys))
 
 
-def draw_fresh_step(tasks: Sequence[SyntheticTask], n: int, rng_seed) -> StepDraws:
-    """One fresh group's draws per task, as arrays; group j is keyed
-    rng_seed + (j,), the one sample_fresh_group(tasks[j], n, rng_seed + (j,))
-    draws."""
-    slots = np.arange(len(tasks))
-    return draw_fresh_groups(task_columns(tasks), slots, n, rng_seed, slots[:, None])
-
-
-def draw_rerollout_step(tasks: Sequence[SyntheticTask], n: int, rng_seed) -> StepDraws:
-    """draw_fresh_step for rerollouts: group j is the one sample_rerollout_group
-    draws under rng_seed + (j,)."""
-    slots = np.arange(len(tasks))
-    return draw_rerollout_groups(task_columns(tasks), slots, n, rng_seed, slots[:, None])
-
-
-def sample_fresh_group(task: SyntheticTask, n: int, rng_seed) -> GroupSample:
-    """Sample n independent fresh rollouts of a task."""
-    draw = _draw_groups(task_columns([task]), [0], n, _PURPOSE_FRESH, _key_hash(rng_seed))
-    return _group_sample(task, task.fresh_pass_probability, (), draw)
+def sample_fresh_group(tasks: TaskColumns, row: int, n: int, rng_seed) -> GroupSample:
+    """Sample n independent fresh rollouts of task row of tasks."""
+    draw = _draw_groups(tasks, [row], n, _PURPOSE_FRESH, _key_hash(rng_seed))
+    p = float(expit(tasks.base_logit[row]))
+    return _group_sample(tasks.task_id[row], p, (), draw)
 
 
 def conditioned_pass_probability(
-    task: SyntheticTask, prefix_outcome: PrefixOutcome, ratio: float
+    base_logit: float, sensitivity: float, prefix_outcome: PrefixOutcome, ratio: float
 ) -> float:
-    """Continuation pass probability after replaying a share of a prefix."""
+    """Continuation pass probability of a task with base logit b and prefix
+    sensitivity s after replaying a share of a prefix: expit(b + s * ratio)
+    after a success, expit(b - s * ratio) after a failure."""
     if not 0.0 <= ratio <= 1.0:
         raise DomainError(f"replayed share must lie in [0, 1], got {ratio}")
-    shift = task.prefix_sensitivity * ratio
+    shift = sensitivity * ratio
     if prefix_outcome is PrefixOutcome.SUCCESS:
-        return float(expit(task.base_logit + shift))
-    return float(expit(task.base_logit - shift))
+        return float(expit(base_logit + shift))
+    return float(expit(base_logit - shift))
 
 
 def sample_rerollout_group(
-    task: SyntheticTask, prefix: PrefixRecord, m: int, n: int, rng_seed
+    tasks: TaskColumns, prefix: PrefixRecord, m: int, n: int, rng_seed
 ) -> GroupSample:
-    """Sample n rollouts that all restart from the prefix's first m steps.
+    """Sample n rollouts of the prefix's task that all restart from the
+    prefix's first m steps.
 
     The replayed steps are copied verbatim; each continuation draws its
     own length from the task's range and an independent outcome at the
@@ -410,13 +366,17 @@ def sample_rerollout_group(
     if kind not in SAVED_OUTCOME:
         label = bucket_label(prefix.source_bucket, n)
         raise ContractError(f"bucket {label} is {kind.value} and saves no prefix")
-    draw = _draw_groups(task_columns([task]), [0], n, _PURPOSE_REROLLOUT, _key_hash(rng_seed))
+    row = prefix.task_row
+    draw = _draw_groups(tasks, [row], n, _PURPOSE_REROLLOUT, _key_hash(rng_seed))
     if not 1 <= m < prefix.length:
         raise ContractError(
             f"replay boundary m must satisfy 1 <= m < {prefix.length}, got {m}"
         )
-    p = conditioned_pass_probability(task, SAVED_OUTCOME[kind], m / prefix.length)
-    return _group_sample(task, p, prefix.steps[:m], draw, prefix.source_bucket)
+    p = conditioned_pass_probability(
+        tasks.base_logit[row], tasks.prefix_sensitivity[row], SAVED_OUTCOME[kind],
+        m / prefix.length,
+    )
+    return _group_sample(tasks.task_id[row], p, prefix.steps[:m], draw, prefix.source_bucket)
 
 
 @dataclass(frozen=True)
@@ -483,8 +443,9 @@ _HARD_SKEWED_BETA = 8.0
 _HARD_SKEWED_CLIP = 0.05
 
 
-def make_task_population(spec: PopulationSpec, rng_seed) -> list[SyntheticTask]:
-    """Draw a deterministic task population from a spec."""
+def make_task_population(spec: PopulationSpec, rng_seed) -> TaskColumns:
+    """Draw a deterministic task population from a spec: task i is
+    task-{i:05d}."""
     # Task i is keyed by seed + (purpose, i); words 0 .. 3 are its uniforms.
     key = _extend(_key_hash(rng_seed), _U64(_PURPOSE_POPULATION))
     keys = _extend(key, np.arange(spec.size, dtype=_U64))
@@ -503,12 +464,11 @@ def make_task_population(spec: PopulationSpec, rng_seed) -> list[SyntheticTask]:
     if spec.mirror:
         p0 = 1.0 - p0
     sens = spec.sensitivity_min + (spec.sensitivity_max - spec.sensitivity_min) * u3
-    return [
-        SyntheticTask(
-            task_id=f"task-{i:05d}",
-            base_logit=float(logit(p0[i])),
-            prefix_sensitivity=float(sens[i]),
-            length_range=(spec.length_min, spec.length_max),
-        )
-        for i in range(n)
-    ]
+    task_ids = [f"task-{i:05d}" for i in range(n)]
+    return TaskColumns(
+        task_id=np.array(task_ids, object),
+        uid=np.array([zlib.crc32(task_id.encode("utf-8")) for task_id in task_ids], _U64),
+        base_logit=logit(p0),
+        prefix_sensitivity=sens,
+        length_range=np.tile(np.array([spec.length_min, spec.length_max], np.int64), (n, 1)),
+    )

@@ -22,9 +22,11 @@ drawn depends on them: the task picks, every fresh and rerollout draw
 save. So a block draws its task picks, its fresh groups and its rerollouts
 with one env call each, from the population's columns (env.TaskColumns),
 and select_prefix and the prefix pool run once per step of it, in step
-order. Then the rerollouts' boundaries, pass probabilities and controller
-updates run one by one, in step order, since each depends on the state the
-earlier ones left, and each step ends with its controller rows. Last, one
+order; a saved prefix carries its task's row. Then the rerollouts'
+boundaries, pass probabilities and controller updates run one by one, in
+step order, since each depends on the state the earlier ones left, and each
+step ends with its controller rows. The block's rerollout base logits and
+sensitivities are gathered from the columns with one index each. Last, one
 masked_loss_kernel call scores every group of the block, and each step's
 audit loss adds its groups' losses left to right from 0.0, in run.jsonl
 order. Where the blocks end shows in nothing the run records.
@@ -331,9 +333,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     g = config.batch_size
     seed = config.seed
     params = arm_controller_params(config)
-    population = env_mod.make_task_population(config.population, seed)
-    tasks = env_mod.task_columns(population)
-    row_of = {task_id: i for i, task_id in enumerate(tasks.task_id.tolist())}
+    tasks = env_mod.make_task_population(config.population, seed)
     fresh_p = expit(tasks.base_logit)
     saving = SAVING_KINDS[config.arm]
     states: dict[int, BucketControllerState] = {
@@ -360,7 +360,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         # (seed, s, j), fresh and rerollout alike.
         steps = np.arange(first, min(first + span, config.steps))
         picks = env_mod.stream_integer_rows(
-            (seed, _TASK_STREAM), steps[:, None], g, len(population)
+            (seed, _TASK_STREAM), steps[:, None], g, len(tasks.task_id)
         ).ravel().astype(np.int64)
         fresh_step = np.repeat(steps, g)
         fresh_slot = np.tile(np.arange(g), len(steps))
@@ -368,14 +368,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             tasks, picks, n, seed, np.column_stack((fresh_step, fresh_slot))
         )
         fresh_rewards = env_mod.rollout_rewards(fresh.uniforms, fresh_p[picks])
-        fresh_ids = tasks.task_id[picks]
         pending = []
         for i in range(len(steps)):
             if not config.same_step_rerollout:
                 pending.append(pool.drain())
             rows = slice(i * g, (i + 1) * g)
             for record in select_prefix(
-                fresh_ids[rows], fresh_rewards[rows], fresh.steps,
+                picks[rows], fresh_rewards[rows], fresh.steps,
                 fresh.offsets[i * g * n:(i + 1) * g * n + 1], saving,
             ):
                 pool.save(record)
@@ -383,7 +382,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 pending.append(pool.drain())
         per_step = [len(records) for records in pending]
         records = [record for records in pending for record in records]
-        rerolled = np.array([row_of[record.task_id] for record in records], np.int64)
+        rerolled = np.array([record.task_row for record in records], np.int64)
         rerollout_step = np.repeat(steps, per_step)
         slots = np.arange(len(records)) - np.repeat(np.cumsum(per_step) - per_step, per_step)
         draws = env_mod.draw_rerollout_groups(
@@ -395,17 +394,18 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         ms: list[int] = []
         ps: list[float] = []
         rollouts = zip(
-            records, [population[i] for i in rerolled.tolist()],
+            records, tasks.base_logit[rerolled].tolist(),
+            tasks.prefix_sensitivity[rerolled].tolist(),
             np.sort(draws.uniforms, axis=1).tolist(),
         )
         for step, count in zip(steps.tolist(), per_step):
-            for record, task, uniforms in itertools.islice(rollouts, count):
+            for record, base_logit, sensitivity, uniforms in itertools.islice(rollouts, count):
                 state = states[record.source_bucket]
                 length = record.length
                 # 1 <= m < T: replay_boundary clamps m, and every population has T >= 2.
                 m = replay_boundary(state.ratio, length)
                 p = env_mod.conditioned_pass_probability(
-                    task, SAVED_OUTCOME[state.kind], m / length
+                    base_logit, sensitivity, SAVED_OUTCOME[state.kind], m / length
                 )
                 passed = bisect.bisect_left(uniforms, p)
                 states[record.source_bucket] = update_controller(state, passed / n, params)

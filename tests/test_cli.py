@@ -92,6 +92,16 @@ class TestSimulate:
         assert "length_max" in err
         assert not (tmp_path / "o").exists()
 
+    def test_fixed_ratio_outside_ratio_bounds(self, tmp_path, capsys):
+        bad = tmp_path / "fix.cfg"
+        bad.write_text("steps = 2\nbatch_size = 2\narm = ps-fix\nfixed_ratio = 0.01\n")
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "fixed_ratio" in err
+        assert not (tmp_path / "o").exists()
+
     def test_oversized_population_rejected(self, tmp_path, capsys):
         bad = tmp_path / "big.cfg"
         bad.write_text(f"steps = 2\nbatch_size = 2\npopulation.size = {2**32 + 1}\n")
@@ -193,6 +203,19 @@ class TestCompare:
         )
         assert code == 2
         assert "unknown arm" in capsys.readouterr().err
+
+    def test_fixed_ratio_outside_ratio_bounds_writes_nothing(self, tmp_path, capsys):
+        # The baseline arm runs first; a fixed ratio that ps-fix cannot use
+        # fails before any arm writes its traces.
+        bad = tmp_path / "fix.cfg"
+        bad.write_text("steps = 2\nbatch_size = 2\nfixed_ratio = 0.01\n")
+        code = main(
+            ["compare", "--config", str(bad), "--arms", "baseline,ps-fix",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "fixed_ratio" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_seed_count(self, config_file, tmp_path, capsys):
         code = main(

@@ -69,23 +69,26 @@ def population_specs(draw) -> PopulationSpec:
     )
 
 
-experiment_configs = st.builds(
-    ExperimentConfig,
-    arm=st.sampled_from(Arm),
-    group_size=st.integers(2, 10**4).map(lambda half: 2 * half),
-    batch_size=st.integers(1, 10**6),
-    steps=st.integers(0, 10**9),
-    seed=st.integers(0, 2**128),
-    fixed_ratio=open_unit(),
-    same_step_rerollout=st.booleans(),
-    controller=controller_params(),
-    loss=st.builds(
-        LossOptions,
-        length_normalized=st.booleans(),
-        group_reduction=st.sampled_from(["sum", "mean"]),
-    ),
-    population=population_specs(),
-)
+@st.composite
+def experiment_configs(draw) -> ExperimentConfig:
+    # fixed_ratio must lie within the controller's ratio bounds.
+    controller = draw(controller_params())
+    return ExperimentConfig(
+        arm=draw(st.sampled_from(Arm)),
+        group_size=2 * draw(st.integers(2, 10**4)),
+        batch_size=draw(st.integers(1, 10**6)),
+        steps=draw(st.integers(0, 10**9)),
+        seed=draw(st.integers(0, 2**128)),
+        fixed_ratio=draw(st.floats(controller.ratio_min, controller.ratio_max)),
+        same_step_rerollout=draw(st.booleans()),
+        controller=controller,
+        loss=draw(st.builds(
+            LossOptions,
+            length_normalized=st.booleans(),
+            group_reduction=st.sampled_from(["sum", "mean"]),
+        )),
+        population=draw(population_specs()),
+    )
 
 
 class TestDefaults:
@@ -154,7 +157,7 @@ class TestParsing:
         )
         assert parse_config(as_text(original)) == original
 
-    @given(experiment_configs)
+    @given(experiment_configs())
     def test_roundtrip_property(self, config):
         assert parse_config(as_text(config)) == config
 
@@ -260,6 +263,19 @@ class TestErrors:
             ExperimentConfig(steps=-1)
         with pytest.raises(DomainError):
             ExperimentConfig(fixed_ratio=1.5)
+
+    @pytest.mark.parametrize("arm", [arm.value for arm in Arm])
+    def test_fixed_ratio_outside_ratio_bounds(self, arm):
+        # Every arm: compare runs every arm from one config, so a ps-fix run
+        # must not fail after the others have written their traces.
+        for text in (
+            "fixed_ratio = 0.01",
+            "fixed_ratio = 0.96",
+            "fixed_ratio = 0.3\ncontroller.ratio_min = 0.4",
+            "fixed_ratio = 0.7\ncontroller.ratio_max = 0.6",
+        ):
+            with pytest.raises(ConfigError, match=r"^fixed_ratio .* outside the controller's"):
+                parse_config(f"arm = {arm}\n{text}")
 
 
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Per-bucket EMA controller dynamics, prefix selection, and the prefix pool."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -17,7 +19,7 @@ from passband.controller import (
     select_prefix,
     update_controller,
 )
-from passband.env import SyntheticTask, sample_rerollout_group
+from passband.env import TaskColumns, sample_rerollout_group
 from passband.errors import ContractError, DomainError
 from passband.groups import BucketKind, classify_bucket, controlled_buckets
 
@@ -306,11 +308,17 @@ class TestPrefixRecord:
     def test_contracts(self):
         # sample_rerollout_group knows the group size, so it checks that a
         # record's source bucket is controlled; that bucket sets the outcome.
-        task = SyntheticTask("t", 0.0, 3.0, (4, 8))
+        tasks = TaskColumns(
+            task_id=np.array(["t"], object),
+            uid=np.array([zlib.crc32(b"t")], np.uint64),
+            base_logit=np.zeros(1),
+            prefix_sensitivity=np.array([3.0]),
+            length_range=np.array([[4, 8]]),
+        )
 
         def rerollout(source_bucket, steps=(1, 2, 3), n=8):
-            record = PrefixRecord("t", source_bucket, steps)
-            return sample_rerollout_group(task, record, 1, n, rng_seed=0)
+            record = PrefixRecord(0, source_bucket, steps)
+            return sample_rerollout_group(tasks, record, 1, n, rng_seed=0)
 
         assert rerollout(1).parent_bucket == 1
         assert rerollout(7).parent_bucket == 7
@@ -328,16 +336,16 @@ class TestPrefixRecord:
                 rerollout(source_bucket)
 
     def test_length(self):
-        rec = PrefixRecord(task_id="t", source_bucket=1, steps=(9, 9, 9, 9))
+        rec = PrefixRecord(task_row=0, source_bucket=1, steps=(9, 9, 9, 9))
         assert rec.length == 4
-        assert PrefixRecord._fields == ("task_id", "source_bucket", "steps")
+        assert PrefixRecord._fields == ("task_row", "source_bucket", "steps")
 
 
 def select_one(rewards, length=3):
     """select_prefix of one fresh group whose rollout i is (i,) * length."""
     offsets = np.arange(len(rewards) + 1, dtype=np.int64) * length
     steps = np.repeat(np.arange(len(rewards), dtype=np.int64), length)
-    return select_prefix(["t"], np.array([rewards]) == 1, steps, offsets)
+    return select_prefix([0], np.array([rewards]) == 1, steps, offsets)
 
 
 class TestSelectPrefix:
@@ -370,16 +378,16 @@ class TestSelectPrefix:
         # from the wrong one or fail on an index, and too many must not be cut.
         offsets = np.arange(count + 1, dtype=np.int64) * 3
         steps = np.arange(offsets[-1], dtype=np.int64)
-        want = f"need 1 task ids and 9 offsets, got 1 and {count + 1}"
+        want = f"need 1 task rows and 9 offsets, got 1 and {count + 1}"
         with pytest.raises(ContractError, match=want):
-            select_prefix(["t"], np.array([rewards]) == 1, steps, offsets)
+            select_prefix([0], np.array([rewards]) == 1, steps, offsets)
 
     def test_task_count_must_match_groups(self):
         rewards = np.zeros((2, 8), bool)
         offsets = np.arange(17, dtype=np.int64)
-        want = "need 2 task ids and 17 offsets, got 1 and 17"
+        want = "need 2 task rows and 17 offsets, got 1 and 17"
         with pytest.raises(ContractError, match=want):
-            select_prefix(["t"], rewards, offsets, offsets)
+            select_prefix([0], rewards, offsets, offsets)
 
 
 class TestPrefixRecords:
@@ -398,20 +406,22 @@ class TestPrefixRecords:
         lengths = lengths[: rewards.size]
         offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
         steps = np.arange(offsets[-1], dtype=np.int64) * 3
-        task_ids = [f"t{j}" for j in range(len(rewards))]
+        # Rows as the loop passes them: an int64 array, repeats allowed.
+        task_rows = 5 * np.arange(len(rewards), dtype=np.int64) % 7
         want = []
         for j, row in enumerate(rewards):
             cut = offsets[j * 8:(j + 1) * 8 + 1]
-            want += select_prefix([task_ids[j]], row[None], steps, cut, kinds)
-        assert select_prefix(task_ids, rewards, steps, offsets, kinds) == want
+            want += select_prefix(task_rows[j:j + 1], row[None], steps, cut, kinds)
+        assert select_prefix(task_rows, rewards, steps, offsets, kinds) == want
         for record in want:
+            assert type(record.task_row) is int
             assert classify_bucket(record.source_bucket, 8) in kinds
 
     def test_only_controlled_kinds_save(self):
         rewards = np.array([[True] * 4 + [False] * 4])
         offsets = np.arange(9, dtype=np.int64)
         with pytest.raises(ContractError, match="only hard and easy buckets"):
-            select_prefix(["t"], rewards, offsets, offsets, (BucketKind.BALANCED,))
+            select_prefix([0], rewards, offsets, offsets, (BucketKind.BALANCED,))
 
     @given(
         half=st.integers(2, 8),
@@ -423,7 +433,7 @@ class TestPrefixRecords:
         n = 2 * half
         rewards = (np.array(rows, np.int64)[:, None] >> np.arange(n) & 1).astype(bool)
         offsets = np.arange(len(rows) * n + 1, dtype=np.int64)
-        records = select_prefix([f"t{j}" for j in range(len(rows))], rewards, offsets, offsets)
+        records = select_prefix(list(range(len(rows))), rewards, offsets, offsets)
         for record in records:
             assert record.source_bucket in controlled_buckets(n)
             [r] = record.steps
@@ -490,28 +500,28 @@ class TestMemoryBound:
 
 
 class TestPrefixPool:
-    def _record(self, task_id, bucket=1, steps=(1, 2)):
-        return PrefixRecord(task_id=task_id, source_bucket=bucket, steps=steps)
+    def _record(self, task_row, bucket=1, steps=(1, 2)):
+        return PrefixRecord(task_row=task_row, source_bucket=bucket, steps=steps)
 
     def test_save_and_drain(self):
         pool = PrefixPool()
-        pool.save(self._record("a"))
-        pool.save(self._record("b", 2))
+        pool.save(self._record(3))
+        pool.save(self._record(0, 2))
         assert len(pool) == 2
         drained = pool.drain()
-        assert [r.task_id for r in drained] == ["a", "b"]
+        assert [r.task_row for r in drained] == [3, 0]
         assert len(pool) == 0
         assert pool.drain() == []
 
     def test_newest_wins(self):
         pool = PrefixPool()
-        pool.save(self._record("a", steps=(1,)))
-        pool.save(self._record("a", steps=(2, 3)))
+        pool.save(self._record(0, steps=(1,)))
+        pool.save(self._record(0, steps=(2, 3)))
         assert len(pool) == 1
         assert pool.drain()[0].steps == (2, 3)
 
     def test_same_task_different_bucket_kept_separately(self):
         pool = PrefixPool()
-        pool.save(self._record("a", 1))
-        pool.save(self._record("a", 2))
+        pool.save(self._record(0, 1))
+        pool.save(self._record(0, 2))
         assert len(pool) == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit, logit
 from scipy.stats import beta, binom, chisquare
 
@@ -19,14 +19,12 @@ from passband.env import (
     _PURPOSE_FRESH,
     _PURPOSE_REROLLOUT,
     PopulationSpec,
-    SyntheticTask,
+    TaskColumns,
     _key_hash,
     _words,
     conditioned_pass_probability,
     draw_fresh_groups,
-    draw_fresh_step,
     draw_rerollout_groups,
-    draw_rerollout_step,
     make_task_population,
     rollout_rewards,
     sample_fresh_group,
@@ -34,7 +32,6 @@ from passband.env import (
     stream_integer_rows,
     stream_integers,
     stream_uniforms,
-    task_columns,
 )
 from passband.errors import ContractError, DomainError
 from passband.groups import BucketKind, classify_bucket
@@ -100,13 +97,13 @@ def ref_word(key_hash, c):
     return ref_mix(key_hash + (c + 1) * GAMMA & MASK64)
 
 
-def reference_draw(key, purpose, task, n):
-    """A group's (lengths, steps, uniforms) from the reference: rollout i is
-    keyed key + (purpose, crc32(task id), i)."""
-    lo, hi = task.length_range
+def reference_draw(key, purpose, tasks, row, n):
+    """A group of task row of tasks as (lengths, steps, uniforms) from the
+    reference: rollout i is keyed key + (purpose, crc32(task id), i)."""
+    lo, hi = tasks.length_range[row].tolist()
     lengths, steps, uniforms = [], [], []
     for i in range(n):
-        h = ref_hash(key + (purpose, zlib.crc32(task.task_id.encode()), i))
+        h = ref_hash(key + (purpose, zlib.crc32(tasks.task_id[row].encode()), i))
         length = lo + ((ref_word(h, 0) >> 32) * (hi - lo + 1) >> 32)
         lengths.append(length)
         uniforms.append((ref_word(h, 1) >> 11) * 2.0**-53)
@@ -114,55 +111,71 @@ def reference_draw(key, purpose, task, n):
     return tuple(lengths), tuple(steps), tuple(uniforms)
 
 
-def reference_draws(key, purpose, task, p, n, prefix_steps=()):
+def reference_draws(key, purpose, tasks, row, p, n, prefix_steps=()):
     """(step ids, reward) of every rollout of a group, from the reference."""
-    return completed(reference_draw(key, purpose, task, n), p, prefix_steps)
+    return completed(reference_draw(key, purpose, tasks, row, n), p, prefix_steps)
 
 
 def make_task(p0=0.5, sensitivity=4.0, lengths=(4, 12), task_id="t0"):
-    return SyntheticTask(
-        task_id=task_id,
-        base_logit=float(logit(p0)) if 0 < p0 < 1 else (np.inf if p0 == 1 else -np.inf),
-        prefix_sensitivity=sensitivity,
-        length_range=lengths,
+    """Columns of one hand-built task; p0 = 1 and 0 give base logits of
+    +-inf."""
+    with np.errstate(divide="ignore"):
+        base_logit = logit(np.array([p0], float))
+    return TaskColumns(
+        task_id=np.array([task_id], object),
+        uid=np.array([zlib.crc32(task_id.encode("utf-8"))], np.uint64),
+        base_logit=base_logit,
+        prefix_sensitivity=np.array([sensitivity], float),
+        length_range=np.array([lengths], np.int64),
     )
 
 
+def stack(tasks):
+    """The columns of several one-task columns, in their order."""
+    return TaskColumns(*map(np.concatenate, zip(*tasks)))
+
+
+def fresh_p(tasks, row=0):
+    """Fresh pass probability of task row."""
+    return float(expit(tasks.base_logit[row]))
+
+
+def conditioned(tasks, outcome, ratio, row=0):
+    """conditioned_pass_probability of task row of tasks."""
+    return conditioned_pass_probability(
+        tasks.base_logit[row], tasks.prefix_sensitivity[row], outcome, ratio
+    )
+
+
+def step_draws(draw_groups, tasks, n, seed):
+    """One group per task, group j of task j keyed seed + (j,)."""
+    slots = np.arange(len(tasks.task_id))
+    return draw_groups(tasks, slots, n, seed, slots[:, None])
+
+
 # Long rollouts make a batch of these tasks span several kernel chunks.
-LONG_TASKS = [make_task(0.3 + 0.02 * i, lengths=(100, 300), task_id=f"t{i}") for i in range(20)]
+LONG_TASKS = stack(
+    [make_task(0.3 + 0.02 * i, lengths=(100, 300), task_id=f"t{i}") for i in range(20)]
+)
 FAILURE_PREFIX = PrefixRecord(
-    task_id="t0",
+    task_row=0,
     source_bucket=7,
     steps=tuple(range(100, 112)),
 )
 
 
-class TestSyntheticTask:
-    def test_fresh_pass_probability(self):
-        assert make_task(0.5).fresh_pass_probability == 0.5
-        assert_allclose(make_task(0.125).fresh_pass_probability, 0.125, rtol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            make_task(sensitivity=-1.0)
-        with pytest.raises(DomainError):
-            make_task(lengths=(1, 12))
-        with pytest.raises(DomainError):
-            make_task(lengths=(12, 4))
-
-
 class TestFreshSampling:
     def test_deterministic(self):
         task = make_task(0.3)
-        a = sample_fresh_group(task, 8, rng_seed=(7, 0, 0))
-        b = sample_fresh_group(task, 8, rng_seed=(7, 0, 0))
+        a = sample_fresh_group(task, 0, 8, rng_seed=(7, 0, 0))
+        b = sample_fresh_group(task, 0, 8, rng_seed=(7, 0, 0))
         assert a.rewards == b.rewards
         assert (a.lengths, a.steps) == (b.lengths, b.steps)
 
     def test_seed_sensitivity(self):
         task = make_task(0.5)
-        a = sample_fresh_group(task, 8, rng_seed=(7, 0, 0))
-        b = sample_fresh_group(task, 8, rng_seed=(7, 0, 1))
+        a = sample_fresh_group(task, 0, 8, rng_seed=(7, 0, 0))
+        b = sample_fresh_group(task, 0, 8, rng_seed=(7, 0, 1))
         assert (
             a.rewards != b.rewards
             or (a.lengths, a.steps) != (b.lengths, b.steps)
@@ -170,7 +183,7 @@ class TestFreshSampling:
 
     def test_structure(self):
         task = make_task(0.5, lengths=(4, 12))
-        sample = sample_fresh_group(task, 8, rng_seed=11)
+        sample = sample_fresh_group(task, 0, 8, rng_seed=11)
         # run.jsonl's fields in its order, then the rollouts' step ids.
         assert sample._fields == (
             "task_id", "rewards", "parent_bucket", "lengths", "steps", "boundary"
@@ -184,23 +197,23 @@ class TestFreshSampling:
             assert 4 <= length <= 12
 
     def test_extreme_probabilities(self):
-        always = sample_fresh_group(make_task(1.0), 8, rng_seed=3)
-        never = sample_fresh_group(make_task(0.0), 8, rng_seed=3)
+        always = sample_fresh_group(make_task(1.0), 0, 8, rng_seed=3)
+        never = sample_fresh_group(make_task(0.0), 0, 8, rng_seed=3)
         assert sum(always.rewards) == 8
         assert sum(never.rewards) == 0
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sample_fresh_group(make_task(), 1, rng_seed=0)
+            sample_fresh_group(make_task(), 0, 1, rng_seed=0)
 
     @pytest.mark.parametrize("n", [1, 2.5, 8.0, np.float64(8.0), True])
     def test_group_size_outside_domain(self, n):
         # numpy failed on a float group size with a bare TypeError.
-        tasks = [make_task(), make_task(task_id="t1")]
+        tasks = stack([make_task(), make_task(task_id="t1")])
         for draw in (
-            lambda: draw_fresh_step(tasks, n, (3, 0)),
-            lambda: draw_rerollout_step(tasks, n, (3, 0)),
-            lambda: sample_fresh_group(tasks[0], n, rng_seed=3),
+            lambda: step_draws(draw_fresh_groups, tasks, n, (3, 0)),
+            lambda: step_draws(draw_rerollout_groups, tasks, n, (3, 0)),
+            lambda: sample_fresh_group(tasks, 0, n, rng_seed=3),
         ):
             with pytest.raises(DomainError, match="group size must be an int >= 2"):
                 draw()
@@ -209,11 +222,14 @@ class TestFreshSampling:
         # Chi-squared against Binomial(8, 0.5) pooled over fresh groups.
         # 50k groups keeps the smallest expected cell near 150 while staying
         # well under the acceptance-run budget. Group i of the step is keyed
-        # (99, 0, i), so one step draws the same groups as 50k calls of
+        # (99, 0, i), so one call draws the same groups as 50k calls of
         # sample_fresh_group; TestRolloutSeeding and TestRolloutKernel check
         # both paths against the pure-Python reference of the generator.
         n_groups = 50_000
-        draws = draw_fresh_step([make_task(0.5)] * n_groups, 8, (99, 0))
+        slots = np.arange(n_groups)
+        draws = draw_fresh_groups(
+            make_task(0.5), np.zeros(n_groups, np.int64), 8, (99, 0), slots[:, None]
+        )
         ks = rollout_rewards(draws.uniforms, np.full(n_groups, 0.5)).sum(axis=1)
         counts = np.bincount(ks, minlength=9)
         expected = binom.pmf(np.arange(9), 8, 0.5) * n_groups
@@ -224,51 +240,43 @@ class TestFreshSampling:
 
 class TestConditionedProbability:
     def test_landmark_value(self):
-        task = make_task(0.125, sensitivity=4.0)
-        got = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, 0.5)
+        got = conditioned_pass_probability(logit(0.125), 4.0, PrefixOutcome.SUCCESS, 0.5)
         assert_allclose(got, expit(logit(0.125) + 4.0 * 0.5), rtol=1e-12)
         assert_allclose(got, 0.5135191667978681, rtol=1e-12)
 
     def test_failure_prefix_lowers(self):
-        task = make_task(0.5, sensitivity=3.0)
-        got = conditioned_pass_probability(task, PrefixOutcome.FAILURE, 0.5)
+        got = conditioned_pass_probability(0.0, 3.0, PrefixOutcome.FAILURE, 0.5)
         assert_allclose(got, expit(-1.5), rtol=1e-12)
 
     def test_monotone_in_replay_share(self):
-        task = make_task(0.25, sensitivity=4.0)
+        base = logit(0.25)
         grid = np.linspace(0.0, 1.0, 21)
-        up = [
-            conditioned_pass_probability(task, PrefixOutcome.SUCCESS, r) for r in grid
-        ]
-        down = [
-            conditioned_pass_probability(task, PrefixOutcome.FAILURE, r) for r in grid
-        ]
+        up = [conditioned_pass_probability(base, 4.0, PrefixOutcome.SUCCESS, r) for r in grid]
+        down = [conditioned_pass_probability(base, 4.0, PrefixOutcome.FAILURE, r) for r in grid]
         assert all(a < b for a, b in zip(up, up[1:]))
         assert all(a > b for a, b in zip(down, down[1:]))
 
     def test_zero_share_recovers_fresh_rate(self):
-        task = make_task(0.3, sensitivity=5.0)
         for outcome in PrefixOutcome:
-            got = conditioned_pass_probability(task, outcome, 0.0)
-            assert_allclose(got, task.fresh_pass_probability, rtol=1e-12)
+            got = conditioned_pass_probability(logit(0.3), 5.0, outcome, 0.0)
+            assert_allclose(got, 0.3, rtol=1e-12)
 
     def test_zero_sensitivity_is_flat(self):
-        task = make_task(0.3, sensitivity=0.0)
         for r in (0.0, 0.5, 1.0):
-            got = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, r)
+            got = conditioned_pass_probability(logit(0.3), 0.0, PrefixOutcome.SUCCESS, r)
             assert_allclose(got, 0.3, rtol=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            conditioned_pass_probability(make_task(), PrefixOutcome.SUCCESS, 1.5)
+            conditioned_pass_probability(0.0, 4.0, PrefixOutcome.SUCCESS, 1.5)
         with pytest.raises(DomainError):
-            conditioned_pass_probability(make_task(), PrefixOutcome.SUCCESS, -0.1)
+            conditioned_pass_probability(0.0, 4.0, PrefixOutcome.SUCCESS, -0.1)
 
 
 class TestRerolloutSampling:
     def _prefix(self, length=8):
         return PrefixRecord(
-            task_id="t0",
+            task_row=0,
             source_bucket=1,
             steps=tuple(range(100, 100 + length)),
         )
@@ -319,7 +327,7 @@ class TestRerolloutSampling:
             passed += sum(sample.rewards)
             total += 8
         rate = passed / total
-        want = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, 0.5)
+        want = conditioned(task, PrefixOutcome.SUCCESS, 0.5)
         se = np.sqrt(want * (1 - want) / total)
         assert abs(rate - want) < 4 * se
 
@@ -360,10 +368,10 @@ class TestStreamPins:
             stream_integers(5, count, 7)
 
     def test_population_values(self):
-        task = make_task_population(PopulationSpec(), 5)[0]
-        assert task.task_id == "task-00000"
-        assert task.base_logit == 2.0368401453937257
-        assert task.prefix_sensitivity == 2.6963751628841157
+        tasks = make_task_population(PopulationSpec(), 5)
+        assert tasks.task_id[0] == "task-00000"
+        assert tasks.base_logit[0] == 2.0368401453937257
+        assert tasks.prefix_sensitivity[0] == 2.6963751628841157
 
 
 class TestRolloutSeeding:
@@ -376,23 +384,23 @@ class TestRolloutSeeding:
     def test_fresh_matches_tuple_entropy(self, entry):
         task = make_task(0.5)
         seed_tuple = (entry, 3, entry)
-        sample = sample_fresh_group(task, 8, rng_seed=seed_tuple)
+        sample = sample_fresh_group(task, 0, 8, rng_seed=seed_tuple)
         assert rollouts(sample) == reference_draws(
-            seed_tuple, _PURPOSE_FRESH, task, 0.5, 8
+            seed_tuple, _PURPOSE_FRESH, task, 0, 0.5, 8
         )
 
     @pytest.mark.parametrize("entry", SEED_ENTRIES)
     def test_rerollout_matches_tuple_entropy(self, entry):
         task = make_task(0.5)
         prefix = PrefixRecord(
-            task_id="t0",
+            task_row=0,
             source_bucket=1,
             steps=tuple(range(100, 108)),
         )
         sample = sample_rerollout_group(task, prefix, 3, 8, rng_seed=entry)
-        p = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, 3 / 8)
+        p = conditioned(task, PrefixOutcome.SUCCESS, 3 / 8)
         assert rollouts(sample) == reference_draws(
-            (entry,), _PURPOSE_REROLLOUT, task, p, 8, prefix.steps[:3]
+            (entry,), _PURPOSE_REROLLOUT, task, 0, p, 8, prefix.steps[:3]
         )
 
 
@@ -415,44 +423,43 @@ class TestRolloutKernel:
     )
     def test_matches_reference_stream(self, seed, n, ranges, chunk_words):
         # A small chunk size makes even a short step span several chunks.
-        tasks = [
+        tasks = stack([
             make_task(0.2 + 0.1 * j, lengths=(lo, lo + extra), task_id=f"t{j}")
             for j, (lo, extra) in enumerate(ranges)
-        ]
+        ])
         with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
-            fresh = draw_fresh_step(tasks, n, seed)
-            rerollouts = draw_rerollout_step(tasks, n, seed)
-        assert fresh.lengths.shape == rerollouts.lengths.shape == (len(tasks), n)
-        for j, task in enumerate(tasks):
+            fresh = step_draws(draw_fresh_groups, tasks, n, seed)
+            rerollouts = step_draws(draw_rerollout_groups, tasks, n, seed)
+        assert fresh.lengths.shape == rerollouts.lengths.shape == (len(ranges), n)
+        for j in range(len(ranges)):
             key = tuple(seed) + (j,)
-            assert step_group(fresh, j) == reference_draw(key, _PURPOSE_FRESH, task, n)
+            assert step_group(fresh, j) == reference_draw(key, _PURPOSE_FRESH, tasks, j, n)
             assert step_group(rerollouts, j) == reference_draw(
-                key, _PURPOSE_REROLLOUT, task, n
+                key, _PURPOSE_REROLLOUT, tasks, j, n
             )
 
     def test_batches_match_reference_per_group(self):
         # Enough long rollouts for several kernel chunks, under a seed of
         # three words; group j is keyed seed + (j,).
         seed = (2**70 + 3, 1)
-        fresh = draw_fresh_step(LONG_TASKS, 8, seed)
-        p0 = expit(np.array([task.base_logit for task in LONG_TASKS]))
-        rewards = rollout_rewards(fresh.uniforms, p0).astype(int).tolist()
-        for j, task in enumerate(LONG_TASKS):
-            want = reference_draw(seed + (j,), _PURPOSE_FRESH, task, 8)
+        fresh = step_draws(draw_fresh_groups, LONG_TASKS, 8, seed)
+        rewards = rollout_rewards(fresh.uniforms, expit(LONG_TASKS.base_logit))
+        for j, rewarded in enumerate(rewards.astype(int).tolist()):
+            want = reference_draw(seed + (j,), _PURPOSE_FRESH, LONG_TASKS, j, 8)
             assert step_group(fresh, j) == want
-            assert rewards[j] == [int(u < task.fresh_pass_probability) for u in want[2]]
+            assert rewarded == [int(u < fresh_p(LONG_TASKS, j)) for u in want[2]]
 
     def test_rerollout_draws_complete_like_the_sampler(self):
         task = make_task(0.4)
         prefix = PrefixRecord(
-            task_id="t0",
+            task_row=0,
             source_bucket=1,
             steps=tuple(range(100, 110)),
         )
-        draws = draw_rerollout_step([task] * 3, 8, (5,))
+        draws = draw_rerollout_groups(task, np.zeros(3, np.int64), 8, 5, np.arange(3)[:, None])
         for j, m in enumerate((1, 5, 9)):
             want = sample_rerollout_group(task, prefix, m, 8, rng_seed=(5, j))
-            p = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, m / prefix.length)
+            p = conditioned(task, PrefixOutcome.SUCCESS, m / prefix.length)
             assert completed(step_group(draws, j), p, prefix.steps[:m]) == rollouts(want)
             assert want.boundary == m
 
@@ -473,24 +480,23 @@ class TestBlockDraws:
     @example(seed=5, first=0, per_step=[3, 0, 1, 2], n=8, chunk_words=_CHUNK_WORDS)
     @example(seed=5, first=12, per_step=[0, 0, 0], n=8, chunk_words=_CHUNK_WORDS)
     def test_ragged_block_matches_reference(self, seed, first, per_step, n, chunk_words):
-        tasks = [
+        tasks = stack([
             make_task(0.2 + 0.1 * i, lengths=(2 + i, 4 + 3 * i), task_id=f"t{i}")
             for i in range(5)
-        ]
-        columns = task_columns(tasks)
+        ])
         steps = np.repeat(first + np.arange(len(per_step)), per_step)
         slots = np.arange(len(steps)) - np.repeat(np.cumsum(per_step) - per_step, per_step)
-        rows = 3 * np.arange(len(steps)) % len(tasks)
+        rows = 3 * np.arange(len(steps)) % len(tasks.task_id)
         for draw_groups, purpose in (
             (draw_fresh_groups, _PURPOSE_FRESH),
             (draw_rerollout_groups, _PURPOSE_REROLLOUT),
         ):
             with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
-                draws = draw_groups(columns, rows, n, seed, np.column_stack((steps, slots)))
+                draws = draw_groups(tasks, rows, n, seed, np.column_stack((steps, slots)))
             assert draws.lengths.shape == draws.uniforms.shape == (len(steps), n)
             keys = zip(steps.tolist(), slots.tolist(), rows.tolist())
             for g, (step, slot, row) in enumerate(keys):
-                want = reference_draw((seed, step, slot), purpose, tasks[row], n)
+                want = reference_draw((seed, step, slot), purpose, tasks, row, n)
                 assert step_group(draws, g) == want
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 7])
@@ -516,10 +522,9 @@ class TestBlockDraws:
         ],
     )
     def test_bad_keys_or_rows_rejected(self, subkeys, rows, error):
-        columns = task_columns([make_task()])
         for draw_groups in (draw_fresh_groups, draw_rerollout_groups):
             with pytest.raises(error):
-                draw_groups(columns, rows, 8, 3, subkeys)
+                draw_groups(make_task(), rows, 8, 3, subkeys)
 
 
 class TestDistributions:
@@ -527,7 +532,10 @@ class TestDistributions:
 
     def test_lengths_uniform(self):
         lo, hi = 3, 13
-        draws = draw_fresh_step([make_task(lengths=(lo, hi))] * 2000, 8, (17,))
+        slots = np.arange(2000)
+        draws = draw_fresh_groups(
+            make_task(lengths=(lo, hi)), np.zeros(2000, np.int64), 8, 17, slots[:, None]
+        )
         lengths = draws.lengths.ravel()
         assert lengths.min() >= lo and lengths.max() <= hi
         counts = np.bincount(lengths - lo, minlength=hi - lo + 1)
@@ -539,7 +547,7 @@ class TestDistributions:
         # logit/expit round trip at the atoms.
         size = 20_000
         tasks = make_task_population(PopulationSpec(size=size), rng_seed=23)
-        ps = np.array([t.fresh_pass_probability for t in tasks])
+        ps = expit(tasks.base_logit)
         clip = 0.05
         inner = np.linspace(clip, 1.0 - clip, 19)
         edges = np.concatenate(
@@ -561,36 +569,37 @@ class TestBatchKeys:
 
     def test_batch_spans_several_chunks(self):
         # Groups per chunk, as _draw_groups computes it: at least 4 chunks.
-        assert 3 * (_CHUNK_WORDS // (8 * (300 + 2))) < len(LONG_TASKS)
+        assert 3 * (_CHUNK_WORDS // (8 * (300 + 2))) < len(LONG_TASKS.task_id)
 
     @pytest.mark.parametrize("seed", [(5, 6, 7), (2**40 + 1, 2)])
     def test_fresh_batch_is_groups_of_one(self, seed):
-        fresh = draw_fresh_step(LONG_TASKS, 8, seed)
-        assert fresh.lengths.shape == (len(LONG_TASKS), 8)
-        for j, task in enumerate(LONG_TASKS):
-            sample = sample_fresh_group(task, 8, seed + (j,))
-            p = task.fresh_pass_probability
-            assert completed(step_group(fresh, j), p) == rollouts(sample)
+        fresh = step_draws(draw_fresh_groups, LONG_TASKS, 8, seed)
+        assert fresh.lengths.shape == (20, 8)
+        for j in range(20):
+            sample = sample_fresh_group(LONG_TASKS, j, 8, seed + (j,))
+            assert sample.task_id == f"t{j}"
+            assert completed(step_group(fresh, j), fresh_p(LONG_TASKS, j)) == rollouts(sample)
             assert sample.boundary == 0
 
     @pytest.mark.parametrize("seed", [(5, 6, 7), (2**40 + 1, 2)])
     def test_rerollout_batch_is_groups_of_one(self, seed):
-        rerollouts = draw_rerollout_step(LONG_TASKS, 8, seed)
-        assert rerollouts.lengths.shape == (len(LONG_TASKS), 8)
-        for j, task in enumerate(LONG_TASKS):
+        rerollouts = step_draws(draw_rerollout_groups, LONG_TASKS, 8, seed)
+        assert rerollouts.lengths.shape == (20, 8)
+        for j in range(20):
             m = 1 + j % 11
-            sample = sample_rerollout_group(task, FAILURE_PREFIX, m, 8, seed + (j,))
-            p = conditioned_pass_probability(
-                task, PrefixOutcome.FAILURE, m / FAILURE_PREFIX.length
-            )
+            prefix = FAILURE_PREFIX._replace(task_row=j)
+            sample = sample_rerollout_group(LONG_TASKS, prefix, m, 8, seed + (j,))
+            assert sample.task_id == f"t{j}"
+            p = conditioned(LONG_TASKS, PrefixOutcome.FAILURE, m / FAILURE_PREFIX.length, j)
             prefix_steps = FAILURE_PREFIX.steps[:m]
             assert completed(step_group(rerollouts, j), p, prefix_steps) == rollouts(sample)
             assert sample.boundary == m
 
     def test_empty_batch(self):
         # No task, no group to key: both draws are empty and so are their rewards.
-        fresh = draw_fresh_step([], 8, (1, 2))
-        rerollouts = draw_rerollout_step([], 8, 3)
+        none = np.zeros(0, np.int64)
+        fresh = draw_fresh_groups(make_task(), none, 8, (1, 2), none[:, None])
+        rerollouts = draw_rerollout_groups(make_task(), none, 8, 3, none[:, None])
         for draws in (fresh, rerollouts):
             assert len(draws.lengths) == 0
             assert rollout_rewards(draws.uniforms, np.zeros(0)).shape == (0, 8)
@@ -598,8 +607,9 @@ class TestBatchKeys:
 
 class TestStepArrays:
     """A step's arrays against the per-group views: group j of
-    draw_fresh_step and draw_rerollout_step under one seed is the group that
-    sample_fresh_group and sample_rerollout_group draw under seed + (j,)."""
+    draw_fresh_groups and draw_rerollout_groups under one seed and subkeys
+    (j,) is the group that sample_fresh_group and sample_rerollout_group draw
+    under seed + (j,)."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -612,37 +622,36 @@ class TestStepArrays:
     )
     def test_groups_match_views(self, seed, n, ranges, prefix_length):
         seed = tuple(seed)
-        tasks = [
+        tasks = stack([
             make_task(0.15 + 0.12 * j, lengths=(lo, lo + extra), task_id=f"t{j}")
             for j, (lo, extra) in enumerate(ranges)
-        ]
-        fresh = draw_fresh_step(tasks, n, seed)
-        rerollouts = draw_rerollout_step(tasks, n, seed)
+        ])
+        fresh = step_draws(draw_fresh_groups, tasks, n, seed)
+        rerollouts = step_draws(draw_rerollout_groups, tasks, n, seed)
         assert fresh.steps.dtype == rerollouts.steps.dtype == np.int64
-        p0 = expit(np.array([task.base_logit for task in tasks]))
-        rewards = fresh.uniforms < p0[:, None]
-        prefix = PrefixRecord(
-            task_id="t0",
-            source_bucket=1,
-            steps=tuple(range(100, 100 + prefix_length)),
-        )
-        for j, task in enumerate(tasks):
+        rewards = fresh.uniforms < expit(tasks.base_logit)[:, None]
+        for j in range(len(ranges)):
+            prefix = PrefixRecord(
+                task_row=j,
+                source_bucket=1,
+                steps=tuple(range(100, 100 + prefix_length)),
+            )
             cut = slice(fresh.offsets[j * n], fresh.offsets[(j + 1) * n])
-            view = sample_fresh_group(task, n, seed + (j,))
+            view = sample_fresh_group(tasks, j, n, seed + (j,))
             assert tuple(fresh.lengths[j].tolist()) == view.lengths
             assert tuple(fresh.steps[cut].tolist()) == view.steps
             assert tuple(rewards[j].astype(int).tolist()) == view.rewards
             assert view.boundary == 0
             # The arrays hold the reference's full step ids, not reduced ones.
             _, want_steps, want_uniforms = reference_draw(
-                seed + (j,), _PURPOSE_FRESH, task, n
+                seed + (j,), _PURPOSE_FRESH, tasks, j, n
             )
             assert tuple(fresh.steps[cut].tolist()) == want_steps
             assert tuple(fresh.uniforms[j].tolist()) == want_uniforms
 
             m = 1 + j % (prefix_length - 1)
-            p = conditioned_pass_probability(task, PrefixOutcome.SUCCESS, m / prefix_length)
-            want = reference_draw(seed + (j,), _PURPOSE_REROLLOUT, task, n)
+            p = conditioned(tasks, PrefixOutcome.SUCCESS, m / prefix_length, j)
+            want = reference_draw(seed + (j,), _PURPOSE_REROLLOUT, tasks, j, n)
             cut = slice(rerollouts.offsets[j * n], rerollouts.offsets[(j + 1) * n])
             assert tuple(rerollouts.lengths[j].tolist()) == want[0]
             assert tuple(rerollouts.steps[cut].tolist()) == want[1]
@@ -650,9 +659,9 @@ class TestStepArrays:
             if n < 4 or n % 2:
                 # No bucket, so no prefix, exists at a group size bucketing rejects.
                 with pytest.raises(DomainError):
-                    sample_rerollout_group(task, prefix, m, n, seed + (j,))
+                    sample_rerollout_group(tasks, prefix, m, n, seed + (j,))
                 continue
-            view = sample_rerollout_group(task, prefix, m, n, seed + (j,))
+            view = sample_rerollout_group(tasks, prefix, m, n, seed + (j,))
             ends = rerollouts.offsets[j * n + 1:(j + 1) * n + 1].tolist()
             steps = rerollouts.steps.tolist()
             assert tuple((rerollouts.lengths[j] + m).tolist()) == view.lengths
@@ -667,7 +676,11 @@ class TestStepArrays:
             assert view.boundary == m
 
     def test_empty_step(self):
-        for draws in (draw_fresh_step([], 8, (1, 2)), draw_rerollout_step([], 8, 3)):
+        none = np.zeros(0, np.int64)
+        for draws in (
+            draw_fresh_groups(make_task(), none, 8, (1, 2), none[:, None]),
+            draw_rerollout_groups(make_task(), none, 8, 3, none[:, None]),
+        ):
             assert draws.lengths.shape == draws.uniforms.shape == (0, 8)
             assert draws.steps.size == 0 and draws.offsets.tolist() == [0]
 
@@ -683,7 +696,7 @@ class TestGroupSampleInvariants:
         lo, extra = lengths
         task = make_task(0.4, lengths=(lo, lo + extra))
         prefix = FAILURE_PREFIX
-        fresh = sample_fresh_group(task, 8, seed)
+        fresh = sample_fresh_group(task, 0, 8, seed)
         child = sample_rerollout_group(task, prefix, m, 8, seed)
         for sample in (fresh, child):
             assert len(sample.lengths) == len(sample.rewards) == 8
@@ -716,15 +729,15 @@ class TestSeedValidation:
     )
     def test_bad_seed_is_a_domain_error(self, seed):
         with pytest.raises(DomainError):
-            sample_fresh_group(make_task(), 8, rng_seed=seed)
+            sample_fresh_group(make_task(), 0, 8, rng_seed=seed)
 
     def test_numpy_integers_are_ints(self):
         task = make_task()
-        want = sample_fresh_group(task, 8, rng_seed=(7, 3))
-        assert sample_fresh_group(task, 8, rng_seed=(np.uint32(7), np.int64(3))) == want
-        assert sample_fresh_group(task, 8, rng_seed=np.array([7, 3])) == want
-        assert sample_fresh_group(task, 8, rng_seed=np.int64(7)) == sample_fresh_group(
-            task, 8, rng_seed=7
+        want = sample_fresh_group(task, 0, 8, rng_seed=(7, 3))
+        assert sample_fresh_group(task, 0, 8, rng_seed=(np.uint32(7), np.int64(3))) == want
+        assert sample_fresh_group(task, 0, 8, rng_seed=np.array([7, 3])) == want
+        assert sample_fresh_group(task, 0, 8, rng_seed=np.int64(7)) == sample_fresh_group(
+            task, 0, 8, rng_seed=7
         )
 
 
@@ -733,7 +746,7 @@ class TestSelectThenRerollout:
         task = make_task(0.2, sensitivity=3.0)
         sample = None
         for i in range(50):
-            candidate = sample_fresh_group(task, 8, rng_seed=(31, i))
+            candidate = sample_fresh_group(task, 0, 8, rng_seed=(31, i))
             bucket = classify_bucket(sum(candidate.rewards), 8)
             if bucket is BucketKind.HARD:
                 sample = candidate
@@ -741,7 +754,7 @@ class TestSelectThenRerollout:
         assert sample is not None
         offsets = [0, *accumulate(sample.lengths)]
         [record] = select_prefix(
-            [sample.task_id], np.array([sample.rewards]) == 1, np.array(sample.steps), offsets
+            [0], np.array([sample.rewards]) == 1, np.array(sample.steps), offsets
         )
         child = sample_rerollout_group(task, record, 2, 8, rng_seed=(31, 777))
         assert child.parent_bucket == sum(sample.rewards)
@@ -753,31 +766,35 @@ class TestPopulation:
     def test_size_and_ids(self):
         spec = PopulationSpec(size=10)
         tasks = make_task_population(spec, rng_seed=0)
-        assert len(tasks) == 10
-        assert [t.task_id for t in tasks] == [f"task-{i:05d}" for i in range(10)]
+        assert isinstance(tasks, TaskColumns)
+        ids = [f"task-{i:05d}" for i in range(10)]
+        assert tasks.task_id.dtype == object and tasks.task_id.tolist() == ids
+        assert tasks.uid.dtype == np.uint64
+        assert tasks.uid.tolist() == [zlib.crc32(task_id.encode()) for task_id in ids]
+        assert tasks.base_logit.shape == tasks.prefix_sensitivity.shape == (10,)
+        assert tasks.length_range.dtype == np.int64 and tasks.length_range.shape == (10, 2)
 
     def test_deterministic(self):
         spec = PopulationSpec(size=50)
         a = make_task_population(spec, rng_seed=4)
         b = make_task_population(spec, rng_seed=4)
-        assert [(t.base_logit, t.prefix_sensitivity, t.length_range) for t in a] == [
-            (t.base_logit, t.prefix_sensitivity, t.length_range) for t in b
-        ]
+        for want, got in zip(a, b):
+            assert_array_equal(want, got)
 
     def test_parameter_ranges(self):
         spec = PopulationSpec(size=200)
-        for task in make_task_population(spec, rng_seed=1):
-            p = task.fresh_pass_probability
-            assert spec.p_min <= p <= spec.p_max
-            assert spec.sensitivity_min <= task.prefix_sensitivity
-            assert task.prefix_sensitivity <= spec.sensitivity_max
-            assert task.length_range == (spec.length_min, spec.length_max)
+        tasks = make_task_population(spec, rng_seed=1)
+        p = expit(tasks.base_logit)
+        assert ((spec.p_min <= p) & (p <= spec.p_max)).all()
+        assert (spec.sensitivity_min <= tasks.prefix_sensitivity).all()
+        assert (tasks.prefix_sensitivity <= spec.sensitivity_max).all()
+        assert (tasks.length_range == (spec.length_min, spec.length_max)).all()
 
     def test_hard_skewed_shape(self):
         # Exact expected shares under the sampled pass rates: the preset must
         # produce many degenerate groups and a thin target band at N=8.
         tasks = make_task_population(PopulationSpec(size=1000), rng_seed=6)
-        ps = np.array([t.fresh_pass_probability for t in tasks])
+        ps = expit(tasks.base_logit)
         ks = np.arange(9)
         pmf = binom.pmf(ks[None, :], 8, ps[:, None])
         degenerate = (pmf[:, 0] + pmf[:, 8]).mean()
@@ -789,21 +806,19 @@ class TestPopulation:
 
     def test_uniform_preset(self):
         spec = PopulationSpec(preset="uniform", size=300, p_min=0.2, p_max=0.8)
-        ps = [t.fresh_pass_probability for t in make_task_population(spec, rng_seed=2)]
-        assert min(ps) >= 0.2 and max(ps) <= 0.8
+        ps = expit(make_task_population(spec, rng_seed=2).base_logit)
+        assert ps.min() >= 0.2 and ps.max() <= 0.8
         assert np.mean(ps) == pytest.approx(0.5, abs=0.06)
 
     def test_single_preset_with_mirror(self):
+        # A task's fresh pass probability is expit of its base logit: p0 back.
+        half = PopulationSpec(preset="single", size=4, p0=0.5)
+        assert expit(make_task_population(half, rng_seed=3).base_logit).tolist() == [0.5] * 4
         spec = PopulationSpec(preset="single", size=4, p0=0.125)
-        probs = [
-            t.fresh_pass_probability for t in make_task_population(spec, rng_seed=3)
-        ]
+        probs = expit(make_task_population(spec, rng_seed=3).base_logit)
         assert_allclose(probs, 0.125, rtol=1e-12)
         flipped = PopulationSpec(preset="single", size=4, p0=0.125, mirror=True)
-        probs = [
-            t.fresh_pass_probability
-            for t in make_task_population(flipped, rng_seed=3)
-        ]
+        probs = expit(make_task_population(flipped, rng_seed=3).base_logit)
         assert_allclose(probs, 0.875, rtol=1e-12)
 
     def test_population_spec_validation(self):
@@ -813,5 +828,10 @@ class TestPopulation:
             PopulationSpec(p_min=0.9, p_max=0.1)
         with pytest.raises(DomainError):
             PopulationSpec(preset="unknown")
-        with pytest.raises(DomainError):
-            PopulationSpec(length_min=1)
+        # A task's sensitivity and length range are checked here, where
+        # every population's columns come from.
+        with pytest.raises(DomainError, match="sensitivity_min"):
+            PopulationSpec(sensitivity_min=-1.0)
+        for length_min, length_max in ((1, 12), (12, 4)):
+            with pytest.raises(DomainError, match="length_min <= length_max"):
+                PopulationSpec(length_min=length_min, length_max=length_max)

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from passband import env, harness
-from passband.config import SAVING_KINDS, Arm, ExperimentConfig, arm_controller_params, parse_config
+from passband.config import (
+    SAVING_KINDS,
+    Arm,
+    ExperimentConfig,
+    arm_controller_params,
+    parse_config,
+)
 from passband.controller import (
     ControllerParams,
     initial_controller_state,
@@ -714,11 +720,12 @@ def test_metrics_and_transitions_rederive_from_run_jsonl(config):
     # are the prefixes its drain window saved, every group's draws are keyed
     # by its step and slot, and controller.csv is the controller replayed over
     # run.jsonl's rerollouts.
+    n = config.group_size
+    lo, hi = config.population.length_min, config.population.length_max
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         result = run_experiment(config)
         emit_traces(result, out / "run")
-        n = config.group_size
         groups = read_columns(out / "run" / "run.jsonl", n)
         rescored = replace(
             result,
@@ -732,20 +739,25 @@ def test_metrics_and_transitions_rederive_from_run_jsonl(config):
             assert rescored_bytes == (out / "run" / name).read_bytes(), name
         controller_lines = (out / "run" / "controller.csv").read_text().splitlines()[1:]
 
-    # ps-fix is ps-ada with a zero step size started at the fixed ratio: the
-    # same columns, audit losses, transitions and controller rows, from which
-    # the four trace files other than meta.json are written.
+    # ps-fix is ps-ada with a zero step size started at the fixed ratio, and
+    # one step per block runs as the whole run in one block (these configs
+    # fit one): the same columns, audit losses, transitions and controller
+    # rows, from which the four trace files other than meta.json are written.
+    assert harness._BLOCK_WORDS // (n * config.batch_size * (hi + 2)) >= config.steps
     fix = run_experiment(replace(config, arm=Arm.PS_FIX))
     ada = run_experiment(replace(config, arm=Arm.PS_ADA, controller=replace(
         config.controller, step_size=0.0, initial_ratio=config.fixed_ratio
     )))
-    for want, got in zip(fix.groups, ada.groups):
-        assert want.dtype == got.dtype
-        assert_array_equal(want, got)
-    losses = [np.array([m.audit_loss for m in run.metrics]) for run in (fix, ada)]
-    assert losses[0].tobytes() == losses[1].tobytes()
-    assert_array_equal(fix.transitions, ada.transitions)
-    assert fix.controller_rows == ada.controller_rows
+    with mock.patch.object(harness, "_BLOCK_WORDS", 1):
+        stepwise = run_experiment(config)
+    for a, b in ((fix, ada), (result, stepwise)):
+        for want, got in zip(a.groups, b.groups):
+            assert want.dtype == got.dtype
+            assert_array_equal(want, got)
+        losses = [np.array([m.audit_loss for m in run.metrics]) for run in (a, b)]
+        assert losses[0].tobytes() == losses[1].tobytes()
+        assert_array_equal(a.transitions, b.transitions)
+        assert a.controller_rows == b.controller_rows
 
     saving = SAVING_KINDS[config.arm]
     task_ids, parents = groups.task_id.tolist(), groups.parent_bucket.tolist()
@@ -762,8 +774,8 @@ def test_metrics_and_transitions_rederive_from_run_jsonl(config):
     # Every group's length and reward draws, keyed (seed, step, slot) with the
     # slot counted within the step's fresh groups or its rerollouts; a group's
     # passes are its rollouts of lowest uniforms (compared by top 32 bits).
-    lo, hi = config.population.length_min, config.population.length_max
-    for origin, purpose in ((~rerolled, env._PURPOSE_FRESH), (rerolled, env._PURPOSE_REROLLOUT)):
+    origins = ((~rerolled, env._PURPOSE_FRESH), (rerolled, env._PURPOSE_REROLLOUT))
+    for origin, purpose in origins:
         rows = np.flatnonzero(origin)
         steps = groups.step[rows]
         slots = np.arange(len(rows)) - np.searchsorted(steps, steps)
