@@ -164,6 +164,32 @@ FAILURE_PREFIX = PrefixRecord(
 )
 
 
+class TestSyntheticTask:
+    """A synthetic task is one row of a population's columns."""
+
+    def test_fresh_pass_probability(self):
+        # A task's fresh pass probability is expit of its base logit: p0 back.
+        half = PopulationSpec(preset="single", size=4, p0=0.5)
+        assert expit(make_task_population(half, rng_seed=3).base_logit).tolist() == [0.5] * 4
+        assert_allclose(fresh_p(make_task(0.125)), 0.125, rtol=1e-12)
+
+    def test_validation(self):
+        # The smallest task a spec admits, zero sensitivity and lengths 2..2,
+        # comes out as such; one step past either edge is rejected.
+        edge = PopulationSpec(
+            preset="single", size=3, sensitivity_min=0.0, sensitivity_max=0.0,
+            length_min=2, length_max=2,
+        )
+        tasks = make_task_population(edge, rng_seed=0)
+        assert tasks.prefix_sensitivity.tolist() == [0.0] * 3
+        assert tasks.length_range.tolist() == [[2, 2]] * 3
+        with pytest.raises(DomainError, match="sensitivity_min"):
+            PopulationSpec(sensitivity_min=-1e-9, sensitivity_max=0.0)
+        for length_min, length_max in ((1, 2), (3, 2)):
+            with pytest.raises(DomainError, match="length_min <= length_max"):
+                PopulationSpec(length_min=length_min, length_max=length_max)
+
+
 class TestFreshSampling:
     def test_deterministic(self):
         task = make_task(0.3)
@@ -811,9 +837,6 @@ class TestPopulation:
         assert np.mean(ps) == pytest.approx(0.5, abs=0.06)
 
     def test_single_preset_with_mirror(self):
-        # A task's fresh pass probability is expit of its base logit: p0 back.
-        half = PopulationSpec(preset="single", size=4, p0=0.5)
-        assert expit(make_task_population(half, rng_seed=3).base_logit).tolist() == [0.5] * 4
         spec = PopulationSpec(preset="single", size=4, p0=0.125)
         probs = expit(make_task_population(spec, rng_seed=3).base_logit)
         assert_allclose(probs, 0.125, rtol=1e-12)

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -710,16 +710,12 @@ def drawn_words(config, steps, slots, purpose, task_ids, count, bound):
     return env.stream_integer_rows(config.seed, subkeys, count, bound).reshape(-1, n, count)
 
 
-@settings(max_examples=20, deadline=None)
-@given(config=small_configs())
-@example(config=small_config())
-@example(config=small_config(arm="ps-ada-hard-only", same_step_rerollout="false"))
-def test_metrics_and_transitions_rederive_from_run_jsonl(config):
-    # The trace files explain the run: run.jsonl and the audit losses hold
-    # everything metrics.csv and transitions.csv say, each step's rerollouts
-    # are the prefixes its drain window saved, every group's draws are keyed
-    # by its step and slot, and controller.csv is the controller replayed over
-    # run.jsonl's rerollouts.
+def assert_traces_explain_run(config):
+    """Assert that the trace files explain the run, and return the run:
+    run.jsonl and the audit losses hold everything metrics.csv and
+    transitions.csv say, each step's rerollouts are the prefixes its drain
+    window saved, every group's draws are keyed by its step and slot, and
+    controller.csv is the controller replayed over run.jsonl's rerollouts."""
     n = config.group_size
     lo, hi = config.population.length_min, config.population.length_max
     with tempfile.TemporaryDirectory() as tmp:
@@ -822,6 +818,21 @@ def test_metrics_and_transitions_rederive_from_run_jsonl(config):
                 for k, b in states.items()
             ]
     assert controller_lines == replayed
+    return result
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"arm": "ps-ada-hard-only", "same_step_rerollout": "false"}]
+)
+def test_metrics_and_transitions_rederive_from_run_jsonl(overrides):
+    result = assert_traces_explain_run(small_config(**overrides))
+    assert result.transitions.sum() > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=small_configs())
+def test_traces_explain_run_over_small_configs(config):
+    assert_traces_explain_run(config)
 
 
 def encoded(records) -> str:
