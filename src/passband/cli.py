@@ -114,9 +114,12 @@ def _parse_arms(raw: str) -> tuple[Arm, ...]:
     for part in raw.split(","):
         part = part.strip()
         try:
-            arms.append(Arm(part))
+            arm = Arm(part)
         except ValueError:
             raise ConfigError(f"unknown arm {part!r}") from None
+        if arm in arms:
+            raise ConfigError(f"arm {part!r} is listed twice")
+        arms.append(arm)
     if not arms:
         raise ConfigError("at least one arm is required")
     return tuple(arms)

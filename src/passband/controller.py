@@ -4,7 +4,10 @@ Skewed fresh groups seed replay material: a hard group (mostly failures)
 saves one successful trajectory, an easy group (mostly successes) saves
 one failing trajectory, tagged with its bucket: the group's pass count k.
 Rerollouts restart from the first M = floor(r_b T) steps of the saved
-trajectory, where r_b is a per-bucket prefix ratio.
+trajectory, where r_b is a per-bucket prefix ratio. A continuation's pass
+probability reads only the replayed share M / T, and the audit loss scores
+only the continuation's steps, so a saved trajectory is kept as its task
+row, its bucket and its length T, without its step ids.
 
 Each controlled bucket b runs an independent feedback loop on its
 rerollout pass rate:
@@ -59,16 +62,12 @@ SAVED_OUTCOME = {
 
 class PrefixRecord(NamedTuple):
     """A saved trajectory eligible for replay: its task's row, its source
-    bucket (the pass count of the fresh group it came from) and its step ids.
+    bucket (the pass count of the fresh group it came from) and its length T.
     Its outcome is SAVED_OUTCOME of the source bucket's kind at the group size."""
 
     task_row: int
     source_bucket: int
-    steps: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
+    length: int
 
 
 @dataclass(frozen=True)
@@ -163,30 +162,32 @@ def update_controller(
 
 
 def select_prefix(
-    task_rows, rewards: np.ndarray, steps: np.ndarray, offsets, kinds=tuple(SAVED_OUTCOME)
+    task_rows, rewards: np.ndarray, lengths: np.ndarray, kinds=tuple(SAVED_OUTCOME)
 ) -> list[PrefixRecord]:
     """The replay material of G fresh groups of tasks task_rows, with (G, N)
-    bool rewards, whose rollout r = j * N + i spans steps[offsets[r]:offsets[r + 1]].
-    A group whose bucket kind is in kinds saves one trajectory: its
-    lowest-index rollout with the kind's SAVED_OUTCOME."""
+    bool rewards and (G, N) rollout lengths. A group whose bucket kind is in
+    kinds saves one trajectory: its lowest-index rollout with the kind's
+    SAVED_OUTCOME, recorded by its task row, its group's pass count and its length."""
     if not set(kinds) <= SAVED_OUTCOME.keys():
         raise ContractError(f"only hard and easy buckets save prefixes, got {kinds!r}")
     g, n = rewards.shape
-    if len(task_rows) != g or len(offsets) != g * n + 1:
+    lengths = np.asarray(lengths)
+    if len(task_rows) != g or lengths.shape != (g, n):
         raise ContractError(
-            f"{g} groups of {n} rollouts need {g} task rows and {g * n + 1} offsets, "
-            f"got {len(task_rows)} and {len(offsets)}"
+            f"{g} groups of {n} rollouts need {g} task rows and lengths of shape "
+            f"{(g, n)}, got {len(task_rows)} and {lengths.shape}"
         )
     by_k = [classify_bucket(k, n) for k in range(n + 1)]
     ks = rewards.sum(axis=1)
     saving = np.flatnonzero(np.array([kind in kinds for kind in by_k])[ks])
     success = np.array([kind is BucketKind.HARD for kind in by_k])[ks[saving]]
-    picked = saving * n + np.argmax(rewards[saving] == success[:, None], axis=1)
-    rows = np.asarray(task_rows)[saving].tolist()
-    return [
-        PrefixRecord(row, k, tuple(steps[offsets[r]:offsets[r + 1]].tolist()))
-        for row, k, r in zip(rows, ks[saving].tolist(), picked.tolist())
-    ]
+    picked = np.argmax(rewards[saving] == success[:, None], axis=1)
+    return list(map(
+        PrefixRecord,
+        np.asarray(task_rows)[saving].tolist(),
+        ks[saving].tolist(),
+        lengths[saving, picked].tolist(),
+    ))
 
 
 def replay_boundary(ratio: float, length: int) -> int:

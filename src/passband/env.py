@@ -32,7 +32,9 @@ draw_fresh_groups(tasks, rows, n, seed, subkeys) is the group
 sample_fresh_group(tasks, rows[g], n, seed + tuple(subkeys[g])) draws.
 
 Draws are arrays (StepDraws): lengths and uniforms (G, N), and every
-rollout's step ids in one flat int64 array with offsets.
+rollout's step ids back to back in one flat int64 array. A rerollout draws
+only its continuation: its prefix is replayed by length alone, and nothing
+reads a replayed step's id.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -83,13 +84,14 @@ _PURPOSE_REROLLOUT = 3
 
 
 class GroupSample(NamedTuple):
-    """One task's group of N rollouts: run.jsonl's fields plus the step ids.
+    """One task's group of N rollouts: run.jsonl's fields plus the drawn step ids.
 
-    rewards[i] is rollout i's 0/1 reward and lengths[i] its length; steps
-    holds every rollout's step ids back to back. parent_bucket is the pass
-    count of the fresh group a rerollout's prefix came from, None for a
-    fresh group. The first `boundary` steps of every rollout were replayed
-    from a prefix; fresh groups have boundary 0.
+    rewards[i] is rollout i's 0/1 reward and lengths[i] its length. The
+    first `boundary` steps of every rollout were replayed from a prefix;
+    fresh groups have boundary 0. steps holds every rollout's drawn step
+    ids back to back, lengths[i] - boundary of them for rollout i: the
+    steps the audit loss scores. parent_bucket is the pass count of the
+    fresh group a rerollout's prefix came from, None for a fresh group.
     """
 
     task_id: str
@@ -207,12 +209,11 @@ def stream_integer_rows(rng_seed, subkeys, count: int, bound: int) -> np.ndarray
 class StepDraws(NamedTuple):
     """The random part of G groups of N rollouts, as arrays: lengths and
     uniforms (G, N), and steps, every rollout's drawn step ids back to back
-    as int64, rollout r = j * N + i spanning steps[offsets[r]:offsets[r + 1]]."""
+    as int64 in the order r = j * N + i, lengths[j, i] of them for rollout r."""
 
     lengths: np.ndarray
     uniforms: np.ndarray
     steps: np.ndarray
-    offsets: np.ndarray
 
 
 class TaskColumns(NamedTuple):
@@ -281,12 +282,10 @@ def _draw_groups(
         steps.append(_words(np.repeat(ids, drawn), counters.astype(_U64)) >> _U64(2))
         lengths.append(drawn)
         uniforms.append(_uniform(head[:, 1]))
-    lengths = np.concatenate(lengths)
     return StepDraws(
-        lengths=lengths.reshape(-1, n),
+        lengths=np.concatenate(lengths).reshape(-1, n),
         uniforms=np.concatenate(uniforms).reshape(-1, n),
         steps=np.concatenate(steps).astype(np.int64),
-        offsets=np.concatenate(([0], np.cumsum(lengths))),
     )
 
 
@@ -298,22 +297,12 @@ def rollout_rewards(uniforms, p) -> np.ndarray:
 
 
 def _group_sample(
-    task_id: str,
-    p: float,
-    prefix_steps: tuple[int, ...],
-    draw: StepDraws,
-    parent_bucket=None,
+    task_id: str, p: float, draw: StepDraws, boundary: int = 0, parent_bucket=None
 ) -> GroupSample:
-    """The group of a one-group draw, prefix_steps replayed ahead of each rollout."""
-    lengths, steps = tuple(draw.lengths[0].tolist()), tuple(draw.steps.tolist())
-    boundary = len(prefix_steps)
-    if boundary:
-        steps = tuple(chain.from_iterable(
-            prefix_steps + steps[end - length:end]
-            for end, length in zip(accumulate(lengths), lengths)
-        ))
-        lengths = tuple(boundary + length for length in lengths)
+    """The group of a one-group draw, `boundary` replayed steps ahead of each rollout."""
     rewards = tuple(rollout_rewards(draw.uniforms[0], p).astype(int).tolist())
+    lengths = tuple((boundary + draw.lengths[0]).tolist())
+    steps = tuple(draw.steps.tolist())
     return GroupSample(task_id, rewards, parent_bucket, lengths, steps, boundary)
 
 
@@ -334,7 +323,7 @@ def sample_fresh_group(tasks: TaskColumns, row: int, n: int, rng_seed) -> GroupS
     """Sample n independent fresh rollouts of task row of tasks."""
     draw = _draw_groups(tasks, [row], n, _PURPOSE_FRESH, _key_hash(rng_seed))
     p = float(expit(tasks.base_logit[row]))
-    return _group_sample(tasks.task_id[row], p, (), draw)
+    return _group_sample(tasks.task_id[row], p, draw)
 
 
 def conditioned_pass_probability(
@@ -343,6 +332,8 @@ def conditioned_pass_probability(
     """Continuation pass probability of a task with base logit b and prefix
     sensitivity s after replaying a share of a prefix: expit(b + s * ratio)
     after a success, expit(b - s * ratio) after a failure."""
+    if not isinstance(prefix_outcome, PrefixOutcome):
+        raise DomainError(f"prefix_outcome must be a PrefixOutcome, got {prefix_outcome!r}")
     if not 0.0 <= ratio <= 1.0:
         raise DomainError(f"replayed share must lie in [0, 1], got {ratio}")
     shift = sensitivity * ratio
@@ -357,10 +348,11 @@ def sample_rerollout_group(
     """Sample n rollouts of the prefix's task that all restart from the
     prefix's first m steps.
 
-    The replayed steps are copied verbatim; each continuation draws its
-    own length from the task's range and an independent outcome at the
-    conditioned pass probability for share m / len(prefix), with the outcome
-    its source bucket saves: a hard bucket's success, an easy bucket's failure.
+    Each continuation draws its own length from the task's range, its step
+    ids and an independent outcome at the conditioned pass probability for
+    share m / prefix.length, with the outcome its source bucket saves: a hard
+    bucket's success, an easy bucket's failure. A rollout's length counts
+    its m replayed steps; its steps are the drawn ones only.
     """
     kind = classify_bucket(prefix.source_bucket, n)
     if kind not in SAVED_OUTCOME:
@@ -368,15 +360,15 @@ def sample_rerollout_group(
         raise ContractError(f"bucket {label} is {kind.value} and saves no prefix")
     row = prefix.task_row
     draw = _draw_groups(tasks, [row], n, _PURPOSE_REROLLOUT, _key_hash(rng_seed))
-    if not 1 <= m < prefix.length:
+    if not (is_int(m) and 1 <= m < prefix.length):
         raise ContractError(
-            f"replay boundary m must satisfy 1 <= m < {prefix.length}, got {m}"
+            f"replay boundary m must be an int with 1 <= m < {prefix.length}, got {m!r}"
         )
     p = conditioned_pass_probability(
         tasks.base_logit[row], tasks.prefix_sensitivity[row], SAVED_OUTCOME[kind],
         m / prefix.length,
     )
-    return _group_sample(tasks.task_id[row], p, prefix.steps[:m], draw, prefix.source_bucket)
+    return _group_sample(tasks.task_id[row], p, draw, m, prefix.source_bucket)
 
 
 @dataclass(frozen=True)

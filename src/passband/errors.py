@@ -23,8 +23,8 @@ class DomainError(PassbandError, ValueError):
 
 class ContractError(PassbandError, ValueError):
     """A caller violated an interface contract (for example, a rerollout
-    whose parent bucket is not controlled, or offsets that do not match a
-    step's groups)."""
+    whose parent bucket is not controlled, or rollout lengths that do not
+    match a step's groups)."""
 
 
 class ConfigError(PassbandError, ValueError):

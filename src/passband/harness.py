@@ -22,10 +22,10 @@ drawn depends on them: the task picks, every fresh and rerollout draw
 save. So a block draws its task picks, its fresh groups and its rerollouts
 with one env call each, from the population's columns (env.TaskColumns),
 and select_prefix and the prefix pool run once per step of it, in step
-order; a saved prefix carries its task's row. Then the rerollouts'
-boundaries, pass probabilities and controller updates run one by one, in
-step order, since each depends on the state the earlier ones left, and each
-step ends with its controller rows. The block's rerollout base logits and
+order; a saved prefix carries its task's row and its length. Then the
+rerollouts' boundaries, pass probabilities and controller updates run one
+by one, in step order, since each depends on the state the earlier ones
+left, and each step ends with its controller rows. The block's rerollout base logits and
 sensitivities are gathered from the columns with one index each. Last, one
 masked_loss_kernel call scores every group of the block, and each step's
 audit loss adds its groups' losses left to right from 0.0, in run.jsonl
@@ -374,8 +374,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 pending.append(pool.drain())
             rows = slice(i * g, (i + 1) * g)
             for record in select_prefix(
-                picks[rows], fresh_rewards[rows], fresh.steps,
-                fresh.offsets[i * g * n:(i + 1) * g * n + 1], saving,
+                picks[rows], fresh_rewards[rows], fresh.lengths[rows], saving
             ):
                 pool.save(record)
             if config.same_step_rerollout:

@@ -217,6 +217,17 @@ class TestCompare:
         assert "fixed_ratio" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_arm_writes_nothing(self, config_file, tmp_path, capsys):
+        # A repeated arm would run twice into the same directory and put two
+        # identical rows in summary.csv.
+        code = main(
+            ["compare", "--config", str(config_file), "--arms", "ps-ada,baseline,ps-ada",
+             "--seeds", "1", "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "arm 'ps-ada' is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_seed_count(self, config_file, tmp_path, capsys):
         code = main(
             ["compare", "--config", str(config_file), "--seeds", "0",

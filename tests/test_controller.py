@@ -316,8 +316,8 @@ class TestPrefixRecord:
             length_range=np.array([[4, 8]]),
         )
 
-        def rerollout(source_bucket, steps=(1, 2, 3), n=8):
-            record = PrefixRecord(0, source_bucket, steps)
+        def rerollout(source_bucket, length=3, n=8):
+            record = PrefixRecord(0, source_bucket, length)
             return sample_rerollout_group(tasks, record, 1, n, rng_seed=0)
 
         assert rerollout(1).parent_bucket == 1
@@ -330,37 +330,37 @@ class TestPrefixRecord:
                 rerollout(source_bucket)
         # An empty prefix admits no boundary 1 <= m < 0.
         with pytest.raises(ContractError):
-            rerollout(1, steps=())
+            rerollout(1, length=0)
         for source_bucket in (-1, 9, 1.5):
             with pytest.raises(DomainError):
                 rerollout(source_bucket)
 
     def test_length(self):
-        rec = PrefixRecord(task_row=0, source_bucket=1, steps=(9, 9, 9, 9))
+        rec = PrefixRecord(task_row=0, source_bucket=1, length=4)
         assert rec.length == 4
-        assert PrefixRecord._fields == ("task_row", "source_bucket", "steps")
+        assert PrefixRecord._fields == ("task_row", "source_bucket", "length")
 
 
-def select_one(rewards, length=3):
-    """select_prefix of one fresh group whose rollout i is (i,) * length."""
-    offsets = np.arange(len(rewards) + 1, dtype=np.int64) * length
-    steps = np.repeat(np.arange(len(rewards), dtype=np.int64), length)
-    return select_prefix([0], np.array([rewards]) == 1, steps, offsets)
+def select_one(rewards, base=3):
+    """select_prefix of one fresh group whose rollout i has length base + i,
+    so a record's length tells which rollout was picked."""
+    lengths = base + np.arange(len(rewards), dtype=np.int64)
+    return select_prefix([0], np.array([rewards]) == 1, lengths[None])
 
 
 class TestSelectPrefix:
     def test_hard_picks_first_success(self):
         rewards = [0, 0, 1, 0, 0, 1, 0, 0]
         [rec] = select_one(rewards)
-        assert rec.steps == (2, 2, 2)
-        assert rewards[rec.steps[0]] == 1
+        assert rec.length == 3 + 2
+        assert rewards[rec.length - 3] == 1
         assert rec.source_bucket == 2
 
     def test_easy_picks_first_failure(self):
         rewards = [1, 1, 1, 0, 1, 1, 1, 1]
-        [rec] = select_one(rewards, length=4)
-        assert rec.steps == (3, 3, 3, 3)
-        assert rewards[rec.steps[0]] == 0
+        [rec] = select_one(rewards, base=4)
+        assert rec.length == 4 + 3
+        assert rewards[rec.length - 4] == 0
         assert rec.source_bucket == 7
 
     @pytest.mark.parametrize(
@@ -374,20 +374,19 @@ class TestSelectPrefix:
     @pytest.mark.parametrize("count", [7, 9])
     @pytest.mark.parametrize("rewards", [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)])
     def test_rollout_count_must_match_group(self, rewards, count):
-        # One rollout per reward: offsets of too few rollouts must not pick
+        # One length per reward: lengths of too few rollouts must not pick
         # from the wrong one or fail on an index, and too many must not be cut.
-        offsets = np.arange(count + 1, dtype=np.int64) * 3
-        steps = np.arange(offsets[-1], dtype=np.int64)
-        want = f"need 1 task rows and 9 offsets, got 1 and {count + 1}"
+        lengths = 3 + np.arange(count, dtype=np.int64)[None]
+        want = rf"need 1 task rows and lengths of shape \(1, 8\), got 1 and \(1, {count}\)"
         with pytest.raises(ContractError, match=want):
-            select_prefix([0], np.array([rewards]) == 1, steps, offsets)
+            select_prefix([0], np.array([rewards]) == 1, lengths)
 
     def test_task_count_must_match_groups(self):
         rewards = np.zeros((2, 8), bool)
-        offsets = np.arange(17, dtype=np.int64)
-        want = "need 2 task rows and 17 offsets, got 1 and 17"
+        lengths = np.full((2, 8), 3, np.int64)
+        want = r"need 2 task rows and lengths of shape \(2, 8\), got 1 and \(2, 8\)"
         with pytest.raises(ContractError, match=want):
-            select_prefix([0], rewards, offsets, offsets)
+            select_prefix([0], rewards, lengths)
 
 
 class TestPrefixRecords:
@@ -403,25 +402,22 @@ class TestPrefixRecords:
     def test_step_equals_groups_of_one(self, rewards, lengths, easy):
         kinds = (BucketKind.HARD, BucketKind.EASY) if easy else (BucketKind.HARD,)
         rewards = np.array(rewards, dtype=bool).reshape(-1, 8)
-        lengths = lengths[: rewards.size]
-        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-        steps = np.arange(offsets[-1], dtype=np.int64) * 3
+        lengths = np.array(lengths[: rewards.size], np.int64).reshape(-1, 8)
         # Rows as the loop passes them: an int64 array, repeats allowed.
         task_rows = 5 * np.arange(len(rewards), dtype=np.int64) % 7
         want = []
         for j, row in enumerate(rewards):
-            cut = offsets[j * 8:(j + 1) * 8 + 1]
-            want += select_prefix(task_rows[j:j + 1], row[None], steps, cut, kinds)
-        assert select_prefix(task_rows, rewards, steps, offsets, kinds) == want
+            want += select_prefix(task_rows[j:j + 1], row[None], lengths[j:j + 1], kinds)
+        assert select_prefix(task_rows, rewards, lengths, kinds) == want
         for record in want:
-            assert type(record.task_row) is int
+            assert type(record.task_row) is int and type(record.length) is int
             assert classify_bucket(record.source_bucket, 8) in kinds
 
     def test_only_controlled_kinds_save(self):
         rewards = np.array([[True] * 4 + [False] * 4])
-        offsets = np.arange(9, dtype=np.int64)
+        lengths = np.full((1, 8), 3, np.int64)
         with pytest.raises(ContractError, match="only hard and easy buckets"):
-            select_prefix([0], rewards, offsets, offsets, (BucketKind.BALANCED,))
+            select_prefix([0], rewards, lengths, (BucketKind.BALANCED,))
 
     @given(
         half=st.integers(2, 8),
@@ -429,14 +425,15 @@ class TestPrefixRecords:
     )
     def test_outcome_follows_source_bucket(self, half, rows):
         # A saved rollout passed exactly for hard buckets, and only controlled
-        # buckets save. Rollout r's one step id is r.
+        # buckets save. Rollout r = j * n + i has length r + 2.
         n = 2 * half
         rewards = (np.array(rows, np.int64)[:, None] >> np.arange(n) & 1).astype(bool)
-        offsets = np.arange(len(rows) * n + 1, dtype=np.int64)
-        records = select_prefix(list(range(len(rows))), rewards, offsets, offsets)
+        lengths = np.arange(len(rows) * n, dtype=np.int64).reshape(-1, n) + 2
+        records = select_prefix(list(range(len(rows))), rewards, lengths)
         for record in records:
             assert record.source_bucket in controlled_buckets(n)
-            [r] = record.steps
+            r = record.length - 2
+            assert r // n == record.task_row
             assert rewards.ravel()[r] == (
                 classify_bucket(record.source_bucket, n) is BucketKind.HARD
             )
@@ -500,8 +497,8 @@ class TestMemoryBound:
 
 
 class TestPrefixPool:
-    def _record(self, task_row, bucket=1, steps=(1, 2)):
-        return PrefixRecord(task_row=task_row, source_bucket=bucket, steps=steps)
+    def _record(self, task_row, bucket=1, length=2):
+        return PrefixRecord(task_row=task_row, source_bucket=bucket, length=length)
 
     def test_save_and_drain(self):
         pool = PrefixPool()
@@ -515,10 +512,10 @@ class TestPrefixPool:
 
     def test_newest_wins(self):
         pool = PrefixPool()
-        pool.save(self._record(0, steps=(1,)))
-        pool.save(self._record(0, steps=(2, 3)))
+        pool.save(self._record(0, length=1))
+        pool.save(self._record(0, length=2))
         assert len(pool) == 1
-        assert pool.drain()[0].steps == (2, 3)
+        assert pool.drain()[0].length == 2
 
     def test_same_task_different_bucket_kept_separately(self):
         pool = PrefixPool()

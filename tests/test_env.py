@@ -39,9 +39,10 @@ from passband.harness import _TASK_STREAM
 
 
 def rollout_steps(sample):
-    """Each rollout's step ids, cut from the sample's flat steps."""
-    ends = accumulate(sample.lengths)
-    return [sample.steps[end - length:end] for end, length in zip(ends, sample.lengths)]
+    """Each rollout's drawn step ids, cut from the sample's flat steps:
+    rollout i drew lengths[i] - boundary of them."""
+    drawn = [length - sample.boundary for length in sample.lengths]
+    return [sample.steps[end - length:end] for end, length in zip(accumulate(drawn), drawn)]
 
 
 def rollouts(sample):
@@ -50,23 +51,24 @@ def rollouts(sample):
 
 
 def step_group(draws, j):
-    """Group j of a step's arrays as (lengths, steps, uniforms) tuples."""
-    n = draws.lengths.shape[1]
-    cut = slice(draws.offsets[j * n], draws.offsets[(j + 1) * n])
+    """Group j of a step's arrays as (lengths, steps, uniforms) tuples; its
+    step ids follow those of the groups before it."""
+    start = int(draws.lengths[:j].sum())
+    lengths = tuple(draws.lengths[j].tolist())
     return (
-        tuple(draws.lengths[j].tolist()),
-        tuple(draws.steps[cut].tolist()),
+        lengths,
+        tuple(draws.steps[start:start + sum(lengths)].tolist()),
         tuple(draws.uniforms[j].tolist()),
     )
 
 
-def completed(draw, p, prefix_steps=()):
+def completed(draw, p):
     """(step ids, reward) of every rollout of a (lengths, steps, uniforms)
-    draw, with prefix_steps replayed ahead and each outcome decided at p."""
+    draw, each outcome decided at p."""
     lengths, steps, uniforms = draw
     ends = accumulate(lengths)
     return [
-        (prefix_steps + steps[end - length:end], int(u < p))
+        (steps[end - length:end], int(u < p))
         for end, length, u in zip(ends, lengths, uniforms)
     ]
 
@@ -111,9 +113,9 @@ def reference_draw(key, purpose, tasks, row, n):
     return tuple(lengths), tuple(steps), tuple(uniforms)
 
 
-def reference_draws(key, purpose, tasks, row, p, n, prefix_steps=()):
+def reference_draws(key, purpose, tasks, row, p, n):
     """(step ids, reward) of every rollout of a group, from the reference."""
-    return completed(reference_draw(key, purpose, tasks, row, n), p, prefix_steps)
+    return completed(reference_draw(key, purpose, tasks, row, n), p)
 
 
 def make_task(p0=0.5, sensitivity=4.0, lengths=(4, 12), task_id="t0"):
@@ -157,11 +159,7 @@ def step_draws(draw_groups, tasks, n, seed):
 LONG_TASKS = stack(
     [make_task(0.3 + 0.02 * i, lengths=(100, 300), task_id=f"t{i}") for i in range(20)]
 )
-FAILURE_PREFIX = PrefixRecord(
-    task_row=0,
-    source_bucket=7,
-    steps=tuple(range(100, 112)),
-)
+FAILURE_PREFIX = PrefixRecord(task_row=0, source_bucket=7, length=12)
 
 
 class TestSyntheticTask:
@@ -298,23 +296,29 @@ class TestConditionedProbability:
         with pytest.raises(DomainError):
             conditioned_pass_probability(0.0, 4.0, PrefixOutcome.SUCCESS, -0.1)
 
+    @pytest.mark.parametrize("outcome", ["success", BucketKind.HARD, None])
+    def test_outcome_must_be_a_prefix_outcome(self, outcome):
+        # Anything but PrefixOutcome.SUCCESS used to fall through to the
+        # failure branch: expit(0 - 2 * 0.5) = 0.2689 for a "success".
+        with pytest.raises(DomainError, match="prefix_outcome must be a PrefixOutcome"):
+            conditioned_pass_probability(0.0, 2.0, outcome, 0.5)
+
 
 class TestRerolloutSampling:
     def _prefix(self, length=8):
-        return PrefixRecord(
-            task_row=0,
-            source_bucket=1,
-            steps=tuple(range(100, 100 + length)),
-        )
+        return PrefixRecord(task_row=0, source_bucket=1, length=length)
 
     def test_prefix_replayed_verbatim(self):
+        # Every rollout counts the 5 replayed steps in its length and holds
+        # only its drawn steps, 4 to 12 of them.
         task = make_task(0.125, sensitivity=4.0)
         prefix = self._prefix(8)
         sample = sample_rerollout_group(task, prefix, m=5, n=8, rng_seed=(1, 2, 3))
         assert sample.boundary == 5
-        for steps in rollout_steps(sample):
-            assert steps[:5] == prefix.steps[:5]
-            assert len(steps) > 5
+        assert len(sample.steps) == sum(sample.lengths) - 8 * 5
+        for length, steps in zip(sample.lengths, rollout_steps(sample)):
+            assert length == 5 + len(steps)
+            assert 4 <= len(steps) <= 12
 
     def test_group_metadata(self):
         task = make_task(0.125)
@@ -332,7 +336,7 @@ class TestRerolloutSampling:
     def test_continuations_differ_across_rollouts(self):
         task = make_task(0.5)
         sample = sample_rerollout_group(task, self._prefix(), 4, 8, rng_seed=9)
-        tails = {steps[4:] for steps in rollout_steps(sample)}
+        tails = set(rollout_steps(sample))
         assert len(tails) > 1
 
     def test_boundary_contract(self):
@@ -341,6 +345,9 @@ class TestRerolloutSampling:
             sample_rerollout_group(task, self._prefix(8), m=8, n=8, rng_seed=0)
         with pytest.raises(ContractError):
             sample_rerollout_group(task, self._prefix(8), m=0, n=8, rng_seed=0)
+        # A boundary that is not an int cannot count replayed steps.
+        with pytest.raises(ContractError, match="must be an int"):
+            sample_rerollout_group(task, self._prefix(8), m=2.5, n=8, rng_seed=0)
 
     def test_success_prefix_raises_pass_rate(self):
         # MC check: a half-replayed success prefix on a hard task should lift
@@ -418,16 +425,12 @@ class TestRolloutSeeding:
     @pytest.mark.parametrize("entry", SEED_ENTRIES)
     def test_rerollout_matches_tuple_entropy(self, entry):
         task = make_task(0.5)
-        prefix = PrefixRecord(
-            task_row=0,
-            source_bucket=1,
-            steps=tuple(range(100, 108)),
-        )
+        prefix = PrefixRecord(task_row=0, source_bucket=1, length=8)
         sample = sample_rerollout_group(task, prefix, 3, 8, rng_seed=entry)
         p = conditioned(task, PrefixOutcome.SUCCESS, 3 / 8)
-        assert rollouts(sample) == reference_draws(
-            (entry,), _PURPOSE_REROLLOUT, task, 0, p, 8, prefix.steps[:3]
-        )
+        want = reference_draw((entry,), _PURPOSE_REROLLOUT, task, 0, 8)
+        assert sample.lengths == tuple(3 + length for length in want[0])
+        assert rollouts(sample) == completed(want, p)
 
 
 class TestRolloutKernel:
@@ -477,16 +480,13 @@ class TestRolloutKernel:
 
     def test_rerollout_draws_complete_like_the_sampler(self):
         task = make_task(0.4)
-        prefix = PrefixRecord(
-            task_row=0,
-            source_bucket=1,
-            steps=tuple(range(100, 110)),
-        )
+        prefix = PrefixRecord(task_row=0, source_bucket=1, length=10)
         draws = draw_rerollout_groups(task, np.zeros(3, np.int64), 8, 5, np.arange(3)[:, None])
         for j, m in enumerate((1, 5, 9)):
             want = sample_rerollout_group(task, prefix, m, 8, rng_seed=(5, j))
             p = conditioned(task, PrefixOutcome.SUCCESS, m / prefix.length)
-            assert completed(step_group(draws, j), p, prefix.steps[:m]) == rollouts(want)
+            assert completed(step_group(draws, j), p) == rollouts(want)
+            assert want.lengths == tuple((m + draws.lengths[j]).tolist())
             assert want.boundary == m
 
 
@@ -617,8 +617,8 @@ class TestBatchKeys:
             sample = sample_rerollout_group(LONG_TASKS, prefix, m, 8, seed + (j,))
             assert sample.task_id == f"t{j}"
             p = conditioned(LONG_TASKS, PrefixOutcome.FAILURE, m / FAILURE_PREFIX.length, j)
-            prefix_steps = FAILURE_PREFIX.steps[:m]
-            assert completed(step_group(rerollouts, j), p, prefix_steps) == rollouts(sample)
+            assert completed(step_group(rerollouts, j), p) == rollouts(sample)
+            assert sample.lengths == tuple((m + rerollouts.lengths[j]).tolist())
             assert sample.boundary == m
 
     def test_empty_batch(self):
@@ -657,45 +657,32 @@ class TestStepArrays:
         assert fresh.steps.dtype == rerollouts.steps.dtype == np.int64
         rewards = fresh.uniforms < expit(tasks.base_logit)[:, None]
         for j in range(len(ranges)):
-            prefix = PrefixRecord(
-                task_row=j,
-                source_bucket=1,
-                steps=tuple(range(100, 100 + prefix_length)),
-            )
-            cut = slice(fresh.offsets[j * n], fresh.offsets[(j + 1) * n])
+            prefix = PrefixRecord(task_row=j, source_bucket=1, length=prefix_length)
+            lengths, steps, uniforms = step_group(fresh, j)
             view = sample_fresh_group(tasks, j, n, seed + (j,))
-            assert tuple(fresh.lengths[j].tolist()) == view.lengths
-            assert tuple(fresh.steps[cut].tolist()) == view.steps
+            assert lengths == view.lengths
+            assert steps == view.steps
             assert tuple(rewards[j].astype(int).tolist()) == view.rewards
             assert view.boundary == 0
             # The arrays hold the reference's full step ids, not reduced ones.
             _, want_steps, want_uniforms = reference_draw(
                 seed + (j,), _PURPOSE_FRESH, tasks, j, n
             )
-            assert tuple(fresh.steps[cut].tolist()) == want_steps
-            assert tuple(fresh.uniforms[j].tolist()) == want_uniforms
+            assert steps == want_steps
+            assert uniforms == want_uniforms
 
             m = 1 + j % (prefix_length - 1)
             p = conditioned(tasks, PrefixOutcome.SUCCESS, m / prefix_length, j)
             want = reference_draw(seed + (j,), _PURPOSE_REROLLOUT, tasks, j, n)
-            cut = slice(rerollouts.offsets[j * n], rerollouts.offsets[(j + 1) * n])
-            assert tuple(rerollouts.lengths[j].tolist()) == want[0]
-            assert tuple(rerollouts.steps[cut].tolist()) == want[1]
-            assert tuple(rerollouts.uniforms[j].tolist()) == want[2]
+            assert step_group(rerollouts, j) == want
             if n < 4 or n % 2:
                 # No bucket, so no prefix, exists at a group size bucketing rejects.
                 with pytest.raises(DomainError):
                     sample_rerollout_group(tasks, prefix, m, n, seed + (j,))
                 continue
             view = sample_rerollout_group(tasks, prefix, m, n, seed + (j,))
-            ends = rerollouts.offsets[j * n + 1:(j + 1) * n + 1].tolist()
-            steps = rerollouts.steps.tolist()
             assert tuple((rerollouts.lengths[j] + m).tolist()) == view.lengths
-            assert view.steps == tuple(
-                step
-                for end, length in zip(ends, rerollouts.lengths[j].tolist())
-                for step in prefix.steps[:m] + tuple(steps[end - length:end])
-            )
+            assert view.steps == want[1]
             assert tuple((rerollouts.uniforms[j] < p).astype(int).tolist()) == (
                 view.rewards
             )
@@ -708,7 +695,7 @@ class TestStepArrays:
             draw_rerollout_groups(make_task(), none, 8, 3, none[:, None]),
         ):
             assert draws.lengths.shape == draws.uniforms.shape == (0, 8)
-            assert draws.steps.size == 0 and draws.offsets.tolist() == [0]
+            assert draws.steps.shape == (0,) and draws.steps.dtype == np.int64
 
 
 class TestGroupSampleInvariants:
@@ -726,12 +713,11 @@ class TestGroupSampleInvariants:
         child = sample_rerollout_group(task, prefix, m, 8, seed)
         for sample in (fresh, child):
             assert len(sample.lengths) == len(sample.rewards) == 8
-            assert len(sample.steps) == sum(sample.lengths)
+            assert len(sample.steps) == sum(sample.lengths) - 8 * sample.boundary
         assert fresh.boundary == 0
         assert child.boundary == m
-        for steps in rollout_steps(child):
-            assert steps[:m] == prefix.steps[:m]
-            assert lo <= len(steps) - m <= lo + extra
+        for length in child.lengths:
+            assert lo <= length - m <= lo + extra
 
 
 class TestSeedValidation:
@@ -778,14 +764,13 @@ class TestSelectThenRerollout:
                 sample = candidate
                 break
         assert sample is not None
-        offsets = [0, *accumulate(sample.lengths)]
-        [record] = select_prefix(
-            [0], np.array([sample.rewards]) == 1, np.array(sample.steps), offsets
-        )
+        [record] = select_prefix([0], np.array([sample.rewards]) == 1, np.array([sample.lengths]))
+        assert record.length == sample.lengths[sample.rewards.index(1)]
         child = sample_rerollout_group(task, record, 2, 8, rng_seed=(31, 777))
         assert child.parent_bucket == sum(sample.rewards)
-        for steps in rollout_steps(child):
-            assert steps[:2] == record.steps[:2]
+        assert child.boundary == 2
+        for length, steps in zip(child.lengths, rollout_steps(child)):
+            assert length == 2 + len(steps)
 
 
 class TestPopulation:
