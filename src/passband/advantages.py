@@ -163,6 +163,23 @@ def _scale(value, n_trajectories: int, n_unmasked,
     return value
 
 
+def _left_to_right_sums(values: np.ndarray, sizes) -> np.ndarray:
+    """Sums of consecutive runs of values, sizes[i] of them in run i, each
+    added left to right from 0.0 as a plain loop adds: np.sum adds pairwise,
+    which changes the last bits of byte-stable traces. values may be
+    overwritten. Each run is a row padded with 0.0, which changes at most the
+    sign of a zero partial sum; the final + 0.0, the loop's 0.0 start, turns
+    a sum of negative zeros into +0.0."""
+    sizes = np.asarray(sizes)
+    g, width = len(sizes), int(sizes.max(initial=0))
+    if g * width == values.size:
+        rows = values.reshape(g, width)  # no run is short of the longest
+    else:
+        rows = np.zeros((g, width))
+        rows[np.arange(width) < sizes[:, None]] = values
+    return np.add.accumulate(rows, axis=1, out=rows)[:, -1] + 0.0 if width else np.zeros(g)
+
+
 def masked_loss_kernel(
     tokens: np.ndarray,
     boundaries,
@@ -198,22 +215,8 @@ def masked_loss_kernel(
     terms = log_probs.ravel()[cells]
     del cells
     terms *= np.repeat(advantages.ravel(), flat)
-    # One row per group, its terms back to back and 0.0 after them. The
-    # traces are byte-stable, so each row must round exactly as a plain loop
-    # over trajectories and then tokens does: np.sum adds pairwise and
-    # changes the last bits. np.add.accumulate adds strictly left to right,
-    # and a 0.0 padding cell changes at most the sign of a zero partial sum;
-    # the final + 0.0 stands for the loop's 0.0 start, which turns a sum of
-    # negative zeros into +0.0.
     sizes = counts.sum(axis=1)
-    width = int(sizes.max(initial=0))
-    if g * width == terms.size:
-        rows = terms.reshape(g, width)  # no group is short of the longest
-    else:
-        rows = np.zeros((g, width))
-        rows[np.arange(width) < sizes[:, None]] = terms
-    totals = np.add.accumulate(rows, axis=1, out=rows)[:, -1] + 0.0 if width else np.zeros(g)
-    return _scale(-totals, n, sizes, length_normalized, group_reduction)
+    return _scale(-_left_to_right_sums(terms, sizes), n, sizes, length_normalized, group_reduction)
 
 
 def masked_grpo_loss(

@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .advantages import _binary_rewards
 from .errors import ContractError, DomainError, check_field_types
 from .groups import BucketKind, classify_bucket
 
@@ -162,32 +163,33 @@ def update_controller(
 
 
 def select_prefix(
-    task_rows, rewards: np.ndarray, lengths: np.ndarray, kinds=tuple(SAVED_OUTCOME)
-) -> list[PrefixRecord]:
-    """The replay material of G fresh groups of tasks task_rows, with (G, N)
-    bool rewards and (G, N) rollout lengths. A group whose bucket kind is in
-    kinds saves one trajectory: its lowest-index rollout with the kind's
-    SAVED_OUTCOME, recorded by its task row, its group's pass count and its length."""
+    steps, task_rows, rewards, lengths: np.ndarray, kinds=tuple(SAVED_OUTCOME)
+) -> dict[tuple[int, int, int], int]:
+    """The replay material of G fresh groups, group j of task row task_rows[j]
+    saving for step steps[j], with (G, N) binary rewards and (G, N) rollout
+    lengths: each group whose bucket kind is in kinds saves its lowest-index
+    rollout with the kind's SAVED_OUTCOME, as {(step, task row, pass count):
+    length}. A key saved again keeps its first save's place and its last
+    save's length, as PrefixPool does."""
     if not set(kinds) <= SAVED_OUTCOME.keys():
         raise ContractError(f"only hard and easy buckets save prefixes, got {kinds!r}")
+    if np.ndim(rewards) != 2:
+        raise ContractError(f"rewards must be (G, N), got shape {np.shape(rewards)}")
+    rewards = _binary_rewards(rewards)
     g, n = rewards.shape
     lengths = np.asarray(lengths)
-    if len(task_rows) != g or lengths.shape != (g, n):
+    if not len(steps) == len(task_rows) == g or lengths.shape != (g, n):
         raise ContractError(
-            f"{g} groups of {n} rollouts need {g} task rows and lengths of shape "
-            f"{(g, n)}, got {len(task_rows)} and {lengths.shape}"
+            f"{g} groups of {n} rollouts need {g} steps, {g} task rows and lengths of "
+            f"shape {(g, n)}, got {len(steps)}, {len(task_rows)} and {lengths.shape}"
         )
     by_k = [classify_bucket(k, n) for k in range(n + 1)]
-    ks = rewards.sum(axis=1)
+    ks = rewards.sum(axis=1).astype(np.int64)
     saving = np.flatnonzero(np.array([kind in kinds for kind in by_k])[ks])
     success = np.array([kind is BucketKind.HARD for kind in by_k])[ks[saving]]
     picked = np.argmax(rewards[saving] == success[:, None], axis=1)
-    return list(map(
-        PrefixRecord,
-        np.asarray(task_rows)[saving].tolist(),
-        ks[saving].tolist(),
-        lengths[saving, picked].tolist(),
-    ))
+    keys = zip(*(np.asarray(column)[saving].tolist() for column in (steps, task_rows, ks)))
+    return dict(zip(keys, lengths[saving, picked].tolist()))
 
 
 def replay_boundary(ratio: float, length: int) -> int:
@@ -227,12 +229,12 @@ def prefix_pool_memory_bound(
 
 
 class PrefixPool:
-    """Pending replay material, at most one record per (task, source bucket k).
-
-    Saving again for the same key replaces the old record (newest wins);
-    draining hands out every record in insertion order and empties the
-    pool, so each record is consumed exactly once.
-    """
+    """Replay material, at most one record per (task, source bucket k):
+    saving again for a key replaces its record (newest wins), and draining
+    hands out every record in insertion order and empties the pool. The run
+    loop takes a block's material from select_prefix, already de-duplicated
+    so; a pool saved and drained per step is the reference it is tested
+    against, and the benchmark's site for timing saves."""
 
     def __init__(self) -> None:
         self._records: dict[tuple[int, int], PrefixRecord] = {}

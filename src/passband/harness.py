@@ -5,8 +5,8 @@ One step of the replay pipeline:
 1. sample a fresh rollout group for every task in the batch
 2. classify each group's bucket and discard degenerates
 3. skewed fresh groups save one prefix each (hard: a success, easy: a
-   failure) into the pending pool
-4. consume pending prefixes: compute the replay boundary from the source
+   failure), one per (task, pass count), the newest kept
+4. replay each saved prefix: compute the replay boundary from the source
    bucket's current ratio, sample a rerollout group, and feed its pass
    rate to that bucket's controller
 5. form the mixed batch of non-degenerate fresh and rerollout groups and
@@ -21,15 +21,17 @@ drawn depends on them: the task picks, every fresh and rerollout draw
 (group j of step s keyed (seed, s, j)) and the prefixes that fresh groups
 save. So a block draws its task picks, its fresh groups and its rerollouts
 with one env call each, from the population's columns (env.TaskColumns),
-and select_prefix and the prefix pool run once per step of it, in step
-order; a saved prefix carries its task's row and its length. Then the
-rerollouts' boundaries, pass probabilities and controller updates run one
-by one, in step order, since each depends on the state the earlier ones
-left, and each step ends with its controller rows. The block's rerollout base logits and
-sensitivities are gathered from the columns with one index each. Last, one
-masked_loss_kernel call scores every group of the block, and each step's
-audit loss adds its groups' losses left to right from 0.0, in run.jsonl
-order. Where the blocks end shows in nothing the run records.
+and one select_prefix call picks every prefix it saves, keyed by the step
+that replays it: the saving step, or the next one without
+same_step_rerollout, whose saves past the block carry over to the next
+block. Then the rerollouts' boundaries, pass probabilities and controller
+updates run one by one, in step order, since each depends on the state the
+earlier ones left, and each step ends with its controller rows. The
+block's rerollout base logits and sensitivities are gathered from the
+columns with one index each. Last, one masked_loss_kernel call scores
+every group of the block, and each step's audit loss adds its groups'
+losses left to right from 0.0, in run.jsonl order. Where the blocks end
+shows in nothing the run records.
 
 A block is held as arrays, not per-group objects: env's StepDraws, (G, N)
 rewards, RLOO advantages and one audit-loss term row per group. A run's
@@ -69,6 +71,7 @@ from . import env as env_mod
 # audit loss up on this module.
 from .advantages import (  # noqa: F401
     ToyPolicy,
+    _left_to_right_sums,
     masked_grpo_loss,
     masked_loss_kernel,
     rloo_advantages,
@@ -84,7 +87,6 @@ from .config import (
 from .controller import (
     SAVED_OUTCOME,
     BucketControllerState,
-    PrefixPool,
     initial_controller_state,
     replay_boundary,
     select_prefix,
@@ -311,20 +313,25 @@ def _audit_losses(
     """Audit loss of each step of a block (audit only): the masked surrogate
     of every group from one masked_loss_kernel call on its arguments, taken
     in order, with step s's sizes[s] of them added left to right from 0.0.
-    A degenerate group has all-zero RLOO advantages, so its loss is a zero
-    of either sign and leaves the sum as it is: the sum is that of the
-    non-degenerate groups."""
+    A degenerate group's loss is a zero of either sign (its RLOO advantages
+    are all zero), so the sum is that of the non-degenerate groups."""
     losses = masked_loss_kernel(
         tokens, boundaries, counts, advantages, log_probs,
         length_normalized=options.length_normalized,
         group_reduction=options.group_reduction,
     )
-    # Row s: 0.0, step s's losses, then 0.0 padding. A sum from 0.0 is never
-    # -0.0, so the padding leaves it as it is.
-    sizes = np.asarray(sizes)
-    rows = np.zeros((len(sizes), 1 + int(sizes.max(initial=0))))
-    rows[:, 1:][np.arange(rows.shape[1] - 1) < sizes[:, None]] = losses[order]
-    return np.add.accumulate(rows, axis=1)[:, -1]
+    return _left_to_right_sums(losses[order], sizes)
+
+
+def _block_prefixes(carry: dict, last_step: int, *selection):
+    """The saves a block ending at last_step replays, carry's (made for its
+    first step by the block before) and select_prefix(*selection)'s, as
+    (R, 3) int64 (step, task row, pass count) rows in step order and their
+    lengths; then the saves for later steps, which the next block carries."""
+    items = list({**carry, **select_prefix(*selection)}.items())
+    keys = np.array([key for key, _ in items], np.int64).reshape(-1, 3)
+    held = int(np.searchsorted(keys[:, 0], last_step, side="right"))
+    return keys[:held], [length for _, length in items[:held]], dict(items[held:])
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -341,7 +348,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     }
     bucket_labels = {k: bucket_label(k, n) for k in states}
     log_probs = _audit_policy(seed).log_probs()
-    pool = PrefixPool()
+    lag = 0 if config.same_step_rerollout else 1  # steps from a save to its replay
+    carry: dict[tuple[int, int, int], int] = {}
     audit_losses: list[float] = []
     controller_rows: list[ControllerRow] = []
     # run.jsonl's columns, one part per block after an empty one that holds
@@ -368,22 +376,12 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             tasks, picks, n, seed, np.column_stack((fresh_step, fresh_slot))
         )
         fresh_rewards = env_mod.rollout_rewards(fresh.uniforms, fresh_p[picks])
-        pending = []
-        for i in range(len(steps)):
-            if not config.same_step_rerollout:
-                pending.append(pool.drain())
-            rows = slice(i * g, (i + 1) * g)
-            for record in select_prefix(
-                picks[rows], fresh_rewards[rows], fresh.lengths[rows], saving
-            ):
-                pool.save(record)
-            if config.same_step_rerollout:
-                pending.append(pool.drain())
-        per_step = [len(records) for records in pending]
-        records = [record for records in pending for record in records]
-        rerolled = np.array([record.task_row for record in records], np.int64)
-        rerollout_step = np.repeat(steps, per_step)
-        slots = np.arange(len(records)) - np.repeat(np.cumsum(per_step) - per_step, per_step)
+        keys, saved_lengths, carry = _block_prefixes(
+            carry, steps[-1], fresh_step + lag, picks, fresh_rewards, fresh.lengths, saving
+        )
+        rerollout_step, rerolled, parents = keys.T
+        per_step = np.bincount(rerollout_step - first, minlength=len(steps))
+        slots = np.arange(len(keys)) - np.searchsorted(rerollout_step, rerollout_step)
         draws = env_mod.draw_rerollout_groups(
             tasks, rerolled, n, seed, np.column_stack((rerollout_step, slots))
         )
@@ -393,21 +391,19 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         ms: list[int] = []
         ps: list[float] = []
         rollouts = zip(
-            records, tasks.base_logit[rerolled].tolist(),
-            tasks.prefix_sensitivity[rerolled].tolist(),
-            np.sort(draws.uniforms, axis=1).tolist(),
+            parents.tolist(), saved_lengths, tasks.base_logit[rerolled].tolist(),
+            tasks.prefix_sensitivity[rerolled].tolist(), np.sort(draws.uniforms, axis=1).tolist(),
         )
-        for step, count in zip(steps.tolist(), per_step):
-            for record, base_logit, sensitivity, uniforms in itertools.islice(rollouts, count):
-                state = states[record.source_bucket]
-                length = record.length
+        for step, count in zip(steps.tolist(), per_step.tolist()):
+            for parent, length, logit, sensitivity, uniforms in itertools.islice(rollouts, count):
+                state = states[parent]
                 # 1 <= m < T: replay_boundary clamps m, and every population has T >= 2.
                 m = replay_boundary(state.ratio, length)
                 p = env_mod.conditioned_pass_probability(
-                    base_logit, sensitivity, SAVED_OUTCOME[state.kind], m / length
+                    logit, sensitivity, SAVED_OUTCOME[state.kind], m / length
                 )
                 passed = bisect.bisect_left(uniforms, p)
-                states[record.source_bucket] = update_controller(state, passed / n, params)
+                states[parent] = update_controller(state, passed / n, params)
                 ms.append(m)
                 ps.append(p)
             if saving:
@@ -431,15 +427,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             log_probs,
             config.loss,
             order,
-            g + np.array(per_step, np.int64),
+            g + per_step,
         ).tolist())
         # One run.jsonl row per group; its rollouts share its boundary.
         step_groups.append(GroupColumns(
             task_id=tasks.task_id[np.concatenate((picks, rerolled))[order]],
             rewards=rewards[order].view(np.int8),
-            parent_bucket=np.array(
-                [-1] * len(picks) + [record.source_bucket for record in records], np.int64
-            )[order],
+            parent_bucket=np.concatenate((np.full(len(picks), -1), parents))[order],
             step=block_step[order],
             lengths=(lengths + boundaries)[order],
             boundary=boundaries[order, 0],

@@ -342,26 +342,27 @@ class TestPrefixRecord:
 
 
 def select_one(rewards, base=3):
-    """select_prefix of one fresh group whose rollout i has length base + i,
-    so a record's length tells which rollout was picked."""
+    """select_prefix's saves, as (key, length) pairs, of one fresh group of
+    step 0 whose rollout i has length base + i, so a save's length tells
+    which rollout was picked."""
     lengths = base + np.arange(len(rewards), dtype=np.int64)
-    return select_prefix([0], np.array([rewards]) == 1, lengths[None])
+    return list(select_prefix([0], [0], np.array([rewards]) == 1, lengths[None]).items())
 
 
 class TestSelectPrefix:
     def test_hard_picks_first_success(self):
         rewards = [0, 0, 1, 0, 0, 1, 0, 0]
-        [rec] = select_one(rewards)
-        assert rec.length == 3 + 2
-        assert rewards[rec.length - 3] == 1
-        assert rec.source_bucket == 2
+        [((_, _, k), length)] = select_one(rewards)
+        assert length == 3 + 2
+        assert rewards[length - 3] == 1
+        assert k == 2
 
     def test_easy_picks_first_failure(self):
         rewards = [1, 1, 1, 0, 1, 1, 1, 1]
-        [rec] = select_one(rewards, base=4)
-        assert rec.length == 4 + 3
-        assert rewards[rec.length - 4] == 0
-        assert rec.source_bucket == 7
+        [((_, _, k), length)] = select_one(rewards, base=4)
+        assert length == 4 + 3
+        assert rewards[length - 4] == 0
+        assert k == 7
 
     @pytest.mark.parametrize(
         "rewards",
@@ -377,20 +378,49 @@ class TestSelectPrefix:
         # One length per reward: lengths of too few rollouts must not pick
         # from the wrong one or fail on an index, and too many must not be cut.
         lengths = 3 + np.arange(count, dtype=np.int64)[None]
-        want = rf"need 1 task rows and lengths of shape \(1, 8\), got 1 and \(1, {count}\)"
+        want = (
+            rf"need 1 steps, 1 task rows and lengths of shape \(1, 8\), "
+            rf"got 1, 1 and \(1, {count}\)"
+        )
         with pytest.raises(ContractError, match=want):
-            select_prefix([0], np.array([rewards]) == 1, lengths)
+            select_prefix([0], [0], np.array([rewards]) == 1, lengths)
 
     def test_task_count_must_match_groups(self):
         rewards = np.zeros((2, 8), bool)
         lengths = np.full((2, 8), 3, np.int64)
-        want = r"need 2 task rows and lengths of shape \(2, 8\), got 1 and \(2, 8\)"
+        want = r"need 2 steps, 2 task rows and lengths of shape \(2, 8\), got 2, 1 and \(2, 8\)"
         with pytest.raises(ContractError, match=want):
-            select_prefix([0], rewards, lengths)
+            select_prefix([0, 0], [0], rewards, lengths)
+        # A step per group, too.
+        with pytest.raises(ContractError, match=r"got 1, 2 and \(2, 8\)"):
+            select_prefix([0], [0, 1], rewards, lengths)
+
+    @pytest.mark.parametrize("rewards", [[1, 0, 0, 0, 0, 0, 0, 0], [[[1, 0, 0, 0]]]])
+    def test_rewards_must_be_a_matrix(self, rewards):
+        # One group's rewards are a (1, N) row, not a flat sequence.
+        lengths = np.full((1, 8), 3, np.int64)
+        with pytest.raises(ContractError, match=r"rewards must be \(G, N\)"):
+            select_prefix([0], [0], rewards, lengths)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_rewards_must_be_binary(self, bad):
+        # A reward other than 0 and 1 would count into the pass count.
+        lengths = np.full((1, 8), 3, np.int64)
+        with pytest.raises(DomainError, match="rewards must be binary"):
+            select_prefix([0], [0], [[bad, 0, 0, 0, 0, 0, 0, 0]], lengths)
+
+    def test_binary_rewards_of_any_dtype(self):
+        # A bool array is binary by construction; any other dtype may hold 0 and 1.
+        lengths = 3 + np.arange(8, dtype=np.int64)[None]
+        want = {(4, 0, 1): 4}
+        for dtype in (bool, np.int8, np.int64, float):
+            rewards = np.array([[0, 1, 0, 0, 0, 0, 0, 0]], dtype)
+            assert select_prefix([4], [0], rewards, lengths) == want
+        assert select_prefix([4], [0], [[0, 1, 0, 0, 0, 0, 0, 0]], lengths) == want
 
 
 class TestPrefixRecords:
-    """A step's prefix records are those of its groups taken one at a time."""
+    """A block's saves are those of its groups taken one at a time."""
 
     @given(
         rewards=st.lists(
@@ -403,21 +433,25 @@ class TestPrefixRecords:
         kinds = (BucketKind.HARD, BucketKind.EASY) if easy else (BucketKind.HARD,)
         rewards = np.array(rewards, dtype=bool).reshape(-1, 8)
         lengths = np.array(lengths[: rewards.size], np.int64).reshape(-1, 8)
-        # Rows as the loop passes them: an int64 array, repeats allowed.
+        # Rows and steps as the loop passes them: int64 arrays, repeats allowed.
         task_rows = 5 * np.arange(len(rewards), dtype=np.int64) % 7
-        want = []
+        steps = np.arange(len(rewards), dtype=np.int64) // 3
+        want = {}
         for j, row in enumerate(rewards):
-            want += select_prefix(task_rows[j:j + 1], row[None], lengths[j:j + 1], kinds)
-        assert select_prefix(task_rows, rewards, lengths, kinds) == want
-        for record in want:
-            assert type(record.task_row) is int and type(record.length) is int
-            assert classify_bucket(record.source_bucket, 8) in kinds
+            want.update(select_prefix(
+                steps[j:j + 1], task_rows[j:j + 1], row[None], lengths[j:j + 1], kinds
+            ))
+        got = select_prefix(steps, task_rows, rewards, lengths, kinds)
+        assert list(got.items()) == list(want.items())
+        for (step, task_row, k), length in got.items():
+            assert all(type(value) is int for value in (step, task_row, k, length))
+            assert classify_bucket(k, 8) in kinds
 
     def test_only_controlled_kinds_save(self):
         rewards = np.array([[True] * 4 + [False] * 4])
         lengths = np.full((1, 8), 3, np.int64)
         with pytest.raises(ContractError, match="only hard and easy buckets"):
-            select_prefix([0], rewards, lengths, (BucketKind.BALANCED,))
+            select_prefix([0], [0], rewards, lengths, (BucketKind.BALANCED,))
 
     @given(
         half=st.integers(2, 8),
@@ -429,14 +463,13 @@ class TestPrefixRecords:
         n = 2 * half
         rewards = (np.array(rows, np.int64)[:, None] >> np.arange(n) & 1).astype(bool)
         lengths = np.arange(len(rows) * n, dtype=np.int64).reshape(-1, n) + 2
-        records = select_prefix(list(range(len(rows))), rewards, lengths)
-        for record in records:
-            assert record.source_bucket in controlled_buckets(n)
-            r = record.length - 2
-            assert r // n == record.task_row
-            assert rewards.ravel()[r] == (
-                classify_bucket(record.source_bucket, n) is BucketKind.HARD
-            )
+        saved = select_prefix([0] * len(rows), list(range(len(rows))), rewards, lengths)
+        for (step, task_row, k), length in saved.items():
+            assert step == 0
+            assert k in controlled_buckets(n)
+            r = length - 2
+            assert r // n == task_row
+            assert rewards.ravel()[r] == (classify_bucket(k, n) is BucketKind.HARD)
 
 
 class TestReplayBoundary:

@@ -764,8 +764,12 @@ class TestSelectThenRerollout:
                 sample = candidate
                 break
         assert sample is not None
-        [record] = select_prefix([0], np.array([sample.rewards]) == 1, np.array([sample.lengths]))
-        assert record.length == sample.lengths[sample.rewards.index(1)]
+        [((step, task_row, k), length)] = select_prefix(
+            [0], [0], np.array([sample.rewards]) == 1, np.array([sample.lengths])
+        ).items()
+        assert (step, task_row, k) == (0, 0, sum(sample.rewards))
+        assert length == sample.lengths[sample.rewards.index(1)]
+        record = PrefixRecord(task_row, k, length)
         child = sample_rerollout_group(task, record, 2, 8, rng_seed=(31, 777))
         assert child.parent_bucket == sum(sample.rewards)
         assert child.boundary == 2

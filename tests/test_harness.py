@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -27,8 +27,11 @@ from passband.config import (
 )
 from passband.controller import (
     ControllerParams,
+    PrefixPool,
+    PrefixRecord,
     initial_controller_state,
     replay_boundary,
+    select_prefix,
     update_controller,
 )
 from passband.errors import ContractError, DomainError
@@ -465,7 +468,8 @@ class TestRunExperiment:
     def test_loop_calls_the_benchmarked_step_functions(self, monkeypatch):
         # The benchmark times these layers by replacing the module attributes
         # the loop looks up, so the loop must call them by these names. The
-        # metrics and transitions are computed from the columns once per run.
+        # metrics and transitions are computed from the columns once per run,
+        # and select_prefix once per block: these 3 steps fit one.
         calls = Counter()
         for name in ("compute_step_metrics", "compute_transition_matrix", "select_prefix"):
             def counted(*args, _real=getattr(harness, name), _name=name):
@@ -475,7 +479,7 @@ class TestRunExperiment:
             monkeypatch.setattr(harness, name, counted)
         run_experiment(small_config(steps=3, arm="ps-ada"))
         assert calls == {
-            "compute_step_metrics": 1, "compute_transition_matrix": 1, "select_prefix": 3,
+            "compute_step_metrics": 1, "compute_transition_matrix": 1, "select_prefix": 1,
         }
 
     def test_deterministic(self):
@@ -528,6 +532,86 @@ class TestBlocks:
             assert losses[0].tobytes() == losses[1].tobytes()
             assert other.controller_rows == first.controller_rows
             assert other.final_states == first.final_states
+
+
+@st.composite
+def prefix_blocks(draw):
+    """A run's fresh groups for prefix selection: N even in 4-8, 1-6 groups a
+    step, 0-8 steps walked 1-4 at a time, any saving kinds, and rerollouts in
+    the saving step or the next. Populations down to one task, and rewards
+    from at most three patterns, so that one step often saves under a key,
+    then another, then the first again."""
+    n, g, steps = 2 * draw(st.integers(2, 4)), draw(st.integers(1, 6)), draw(st.integers(0, 8))
+    rows = steps * g
+    patterns = draw(st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=3
+    ))
+    return {
+        "g": g, "steps": steps, "span": draw(st.integers(1, 4)), "lag": draw(st.integers(0, 1)),
+        "kinds": tuple(draw(st.lists(
+            st.sampled_from([BucketKind.HARD, BucketKind.EASY]), unique=True
+        ))),
+        "task_rows": np.array(draw(st.lists(
+            st.integers(0, draw(st.integers(0, 2))), min_size=rows, max_size=rows
+        )), np.int64),
+        "rewards": np.array(patterns, bool)[draw(st.lists(
+            st.integers(0, len(patterns) - 1), min_size=rows, max_size=rows
+        ))].reshape(rows, n),
+        "lengths": np.array(draw(st.lists(
+            st.integers(2, 9), min_size=rows * n, max_size=rows * n
+        )), np.int64).reshape(rows, n),
+    }
+
+
+class TestBlockPrefixes:
+    """A block's prefixes, selected in one call, are what a PrefixPool saved
+    and drained every step would hand out: each (task row, pass count) key in
+    the order of its first save with the length of its last, at the saving
+    step or the next, across block edges, and none past the last step."""
+
+    # Nine groups of one task, three a step, saving under (task, 1), (task, 3)
+    # and (task, 1) again with growing lengths, in blocks of two steps: the
+    # pool keeps the first key first with its last length, and the next-step
+    # rerollouts of step 1 cross the block edge.
+    ABA = {
+        "g": 3, "steps": 3, "span": 2, "kinds": (BucketKind.HARD, BucketKind.EASY),
+        "task_rows": np.zeros(9, np.int64),
+        "rewards": np.tile(np.array([[1, 0, 0, 0], [1, 1, 0, 1], [0, 0, 1, 0]], bool), (3, 1)),
+        "lengths": np.arange(36, dtype=np.int64).reshape(9, 4) + 2,
+    }
+
+    @settings(max_examples=50, deadline=None)
+    @given(run=prefix_blocks())
+    @example(run={**ABA, "lag": 0})
+    @example(run={**ABA, "lag": 1})
+    def test_blocks_match_a_pool_drained_per_step(self, run):
+        g, lag, kinds = run["g"], run["lag"], run["kinds"]
+        task_rows, rewards, lengths = run["task_rows"], run["rewards"], run["lengths"]
+        pool, want = PrefixPool(), []
+        for s in range(run["steps"]):
+            if lag:
+                want += [(s, *record) for record in pool.drain()]
+            # One group per call, so that select_prefix has no key to merge.
+            for j in range(s * g, (s + 1) * g):
+                for (step, task_row, k), length in select_prefix(
+                    [s], task_rows[j:j + 1], rewards[j:j + 1], lengths[j:j + 1], kinds
+                ).items():
+                    assert step == s
+                    pool.save(PrefixRecord(task_row, k, length))
+            if not lag:
+                want += [(s, *record) for record in pool.drain()]
+        carry, got = {}, []
+        for first in range(0, run["steps"], run["span"]):
+            steps = np.arange(first, min(first + run["span"], run["steps"]))
+            rows = slice(first * g, (steps[-1] + 1) * g)
+            keys, saved_lengths, carry = harness._block_prefixes(
+                carry, steps[-1], np.repeat(steps, g) + lag, task_rows[rows], rewards[rows],
+                lengths[rows], kinds,
+            )
+            assert keys.dtype == np.int64 and keys.shape == (len(saved_lengths), 3)
+            got += [(*key, length) for key, length in zip(keys.tolist(), saved_lengths)]
+            assert all(step == steps[-1] + 1 for step, _, _ in carry)
+        assert got == want
 
 
 class TestEmitTraces:
