@@ -128,6 +128,10 @@ def initial_controller_state(
     return BucketControllerState(kind=kind, ratio=params.initial_ratio, ema=params.target)
 
 
+# update_controller builds its result as NamedTuple._make does; HARD is a global.
+_HARD = BucketKind.HARD
+
+
 def update_controller(
     state: BucketControllerState,
     observed_pass_rate: float,
@@ -140,26 +144,21 @@ def update_controller(
     pending; an actual ratio change re-arms the cooldown.
     """
     if not 0.0 <= observed_pass_rate <= 1.0:
-        raise DomainError(
-            f"observed pass rate must lie in [0, 1], got {observed_pass_rate}"
-        )
-    ema = (1.0 - params.alpha) * state.ema + params.alpha * observed_pass_rate
-    updates = state.updates_seen + 1
-    if state.cooldown_remaining > 0:
-        return BucketControllerState(
-            state.kind, state.ratio, ema, state.cooldown_remaining - 1, updates
-        )
-    direction = 0
+        raise DomainError(f"observed pass rate must lie in [0, 1], got {observed_pass_rate}")
+    kind, ratio, ema, cooldown, updates = state
+    ema = (1.0 - params.alpha) * ema + params.alpha * observed_pass_rate
+    if cooldown > 0:
+        return tuple.__new__(BucketControllerState, (kind, ratio, ema, cooldown - 1, updates + 1))
+    moved = ratio
     if ema > params.target + params.deadzone:
-        direction = -1 if state.kind is BucketKind.HARD else +1
+        moved = ratio - params.step_size if kind is _HARD else ratio + params.step_size
     elif ema < params.target - params.deadzone:
-        direction = +1 if state.kind is BucketKind.HARD else -1
-    ratio = min(
-        params.ratio_max,
-        max(params.ratio_min, state.ratio + direction * params.step_size),
-    )
-    cooldown = params.cooldown if ratio != state.ratio else 0
-    return BucketControllerState(state.kind, ratio, ema, cooldown, updates)
+        moved = ratio + params.step_size if kind is _HARD else ratio - params.step_size
+    # The clamp also holds a hand-built ratio outside the bounds at direction 0.
+    if not params.ratio_min <= moved <= params.ratio_max:
+        moved = min(params.ratio_max, max(params.ratio_min, moved))
+    cooldown = params.cooldown if moved != ratio else 0
+    return tuple.__new__(BucketControllerState, (kind, moved, ema, cooldown, updates + 1))
 
 
 def select_prefix(

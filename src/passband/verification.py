@@ -9,6 +9,7 @@ drift apart.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -233,52 +234,49 @@ def check_gradients(seed: int = 0, instances: int = 50) -> CheckResult:
     )
 
 
-def _controller_sequence_ok(
-    kind: BucketKind, rng, params: ControllerParams
-) -> str | None:
-    state = initial_controller_state(kind, params)
-    last_change_update = None
-    low = params.target - params.deadzone
-    high = params.target + params.deadzone
-    hard = kind is BucketKind.HARD
-    for p_new in rng.random(int(rng.integers(10, 31))).tolist():
-        new_state = update_controller(state, p_new, params)
-        expected_ema = (1.0 - params.alpha) * state.ema + params.alpha * p_new
-        if abs(new_state.ema - expected_ema) > 1e-12:
-            return "ema update mismatch"
-        if not params.ratio_min <= new_state.ratio <= params.ratio_max:
-            return f"ratio {new_state.ratio} escaped bounds"
-        if new_state.ratio != state.ratio:
-            if state.cooldown_remaining > 0:
-                return "ratio changed during cooldown"
-            if low <= new_state.ema <= high:
-                return "ratio changed inside the deadzone"
-            raised = new_state.ratio > state.ratio
-            above = new_state.ema > high
-            # hard lowers on above-target and raises below; easy inverted
-            if raised != (above != hard):
-                return "ratio moved in the wrong direction"
-            if new_state.cooldown_remaining != params.cooldown:
-                return "cooldown not re-armed after a change"
-            if last_change_update is not None:
-                gap = new_state.updates_seen - last_change_update
-                if gap < params.cooldown + 1:
-                    return f"only {gap} updates between ratio changes"
-            last_change_update = new_state.updates_seen
-        if new_state.updates_seen != state.updates_seen + 1:
-            return "updates_seen did not increment"
-        state = new_state
+def _first_problem(initial, runs, params: ControllerParams) -> tuple[int, str] | None:
+    """The index and problem of the first run that breaks an invariant from initial."""
+    alpha, keep, cooldown = params.alpha, 1.0 - params.alpha, params.cooldown
+    ratio_min, ratio_max = params.ratio_min, params.ratio_max
+    low, high = params.target - params.deadzone, params.target + params.deadzone
+    hard = initial.kind is BucketKind.HARD
+    for i, observations in enumerate(runs):
+        state, last_change_update = initial, -float("inf")
+        for p_new in observations:
+            _, ratio, ema, cooldown_left, seen = state
+            state = update_controller(state, p_new, params)
+            _, new_ratio, new_ema, new_cooldown_left, new_seen = state
+            if abs(new_ema - (keep * ema + alpha * p_new)) > 1e-12:
+                return i, "ema update mismatch"
+            if not ratio_min <= new_ratio <= ratio_max:
+                return i, f"ratio {new_ratio} escaped bounds"
+            if new_ratio != ratio:
+                if cooldown_left > 0:
+                    return i, "ratio changed during cooldown"
+                if low <= new_ema <= high:
+                    return i, "ratio changed inside the deadzone"
+                # hard lowers on above-target and raises below; easy inverted
+                if (new_ratio > ratio) != ((new_ema > high) != hard):
+                    return i, "ratio moved in the wrong direction"
+                if new_cooldown_left != cooldown:
+                    return i, "cooldown not re-armed after a change"
+                gap = new_seen - last_change_update
+                if gap < cooldown + 1:
+                    return i, f"only {gap} updates between ratio changes"
+                last_change_update = new_seen
+            if new_seen != seen + 1:
+                return i, "updates_seen did not increment"
     return None
 
 
 def check_controller(seed: int = 0, sequences: int = 10**4) -> CheckResult:
-    """EMA half-crossing plus randomized feedback invariants per bucket.
+    """EMA half-crossing plus feedback invariants per bucket.
 
     Starting from an EMA of 1.0 under a constant observation of 0.0, the
     EMA must cross 0.5 between updates 13 and 14 (0.95^13 > 0.5 >
     0.95^14). Randomized sequences then exercise bounds, deadzone,
     direction, cooldown spacing, and bookkeeping for every controlled
-    bucket at N = 8.
+    bucket at N = 8, and a fixed run holds the ratio at both of its bounds.
     """
     params = ControllerParams()
     failures: list[str] = []
@@ -292,12 +290,15 @@ def check_controller(seed: int = 0, sequences: int = 10**4) -> CheckResult:
         failures.append(f"EMA crossed 0.5 at update {crossing}, want 14")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 779)))
     for k in controlled_buckets(8):
-        kind = classify_bucket(k, 8)
-        for i in range(sequences):
-            problem = _controller_sequence_ok(kind, rng, params)
-            if problem:
-                failures.append(f"bucket {bucket_label(k, 8)}, sequence {i}: {problem}")
-                break
+        initial = initial_controller_state(classify_bucket(k, 8), params)
+        # Drawn lazily, so a failing bucket stops drawing where it fails. Then
+        # 1.0 holds the ratio at one bound by update 56, 0.0 at the other by 197.
+        drawn = (rng.random(int(rng.integers(10, 31))).tolist() for _ in range(sequences))
+        found = _first_problem(initial, chain(drawn, [[1.0] * 80 + [0.0] * 160]), params)
+        if found:
+            i, problem = found
+            where = f"sequence {i}" if i < sequences else "the run to both bounds"
+            failures.append(f"bucket {bucket_label(k, 8)}, {where}: {problem}")
     return CheckResult(
         name="controller unit behavior",
         passed=not failures,

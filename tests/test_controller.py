@@ -265,7 +265,9 @@ def states_and_params(draw):
     params = draw(controller_params())
     state = BucketControllerState(
         draw(controlled),
-        draw(st.floats(params.ratio_min, params.ratio_max)),
+        # A hand-built ratio may lie outside the bounds; the update clamps it
+        # on every path but the cooldown, even when the ratio does not move.
+        draw(st.one_of(st.floats(params.ratio_min, params.ratio_max), unit)),
         draw(unit),
         draw(st.integers(0, 10**6)),
         draw(st.integers(0, 2**63)),
@@ -275,6 +277,9 @@ def states_and_params(draw):
 
 class TestUpdateProperties:
     @given(states_and_params(), unit)
+    @example((BucketControllerState(HARD, 0.99, 0.5), PARAMS), 0.5)
+    @example((BucketControllerState(EASY, 0.01, 0.5), PARAMS), 0.5)
+    @example((BucketControllerState(HARD, 0.99, 0.5, 2, 7), PARAMS), 1.0)
     def test_matches_replace_reference(self, state_params, observation):
         state, params = state_params
         got = update_controller(state, observation, params)
