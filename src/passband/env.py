@@ -35,6 +35,13 @@ Draws are arrays (StepDraws): lengths and uniforms (G, N), and every
 rollout's step ids back to back in one flat int64 array. A rerollout draws
 only its continuation: its prefix is replayed by length alone, and nothing
 reads a replayed step's id.
+
+The kernel draws its groups in chunks of about _CHUNK_WORDS words, and at
+least one group per chunk, which bounds its temporary arrays. Within a
+chunk, rollout r's steps sit at flat positions t = starts[r] + j, and step
+j is word j + 2 of its stream, so its word is mix(base[r] + t * GAMMA) for
+one per-rollout base: a chunk's step words are one repeat of the bases,
+one add of the strides and one finaliser pass, made in place.
 """
 
 from __future__ import annotations
@@ -136,14 +143,23 @@ _GAMMA = _U64(0x9E3779B97F4A7C15)
 _MASK64 = (1 << 64) - 1
 # Rough upper bound on the 64-bit words the rollout kernel computes at a
 # time: it draws its groups in chunks of this size, which bounds the size of
-# its temporary arrays.
-_CHUNK_WORDS = 16384
+# its temporary arrays. Chosen by timing draws of 128-256-step rollouts:
+# smaller chunks make more rounds of per-chunk calls, and 2**18 was slower.
+_CHUNK_WORDS = 2**17
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return x ^ (x >> _U64(31))
+    """SplitMix64's finaliser, computed in place: x is a uint64 array that
+    the caller has just built and owns. Returns x."""
+    shifted = x >> _U64(30)
+    x ^= shifted
+    x *= _U64(0xBF58476D1CE4E5B9)
+    np.right_shift(x, _U64(27), out=shifted)
+    x ^= shifted
+    x *= _U64(0x94D049BB133111EB)
+    np.right_shift(x, _U64(31), out=shifted)
+    x ^= shifted
+    return x
 
 
 def _extend(h: np.ndarray, word) -> np.ndarray:
@@ -276,16 +292,23 @@ def _draw_groups(
         lo, hi = np.repeat(ranges[chunk], n, axis=0).T
         head = _words(ids[:, None], np.arange(2, dtype=_U64))
         drawn = lo + _below(head[:, 0], hi - lo + 1).astype(np.int64)
-        # Step ids: words 2 .. length + 1 of every rollout, back to back.
+        # Step ids, back to back: step j of rollout r, at flat position
+        # t = starts[r] + j, is word j + 2 of its stream, the mix of
+        # ids[r] + (j + 3) * GAMMA = base[r] + t * GAMMA (mod 2**64).
         starts = np.cumsum(drawn) - drawn
-        counters = np.arange(drawn.sum()) - np.repeat(starts - 2, drawn)
-        steps.append(_words(np.repeat(ids, drawn), counters.astype(_U64)) >> _U64(2))
+        base = ids + (_U64(3) - starts.astype(_U64)) * _GAMMA
+        words = np.arange(drawn.sum(), dtype=_U64)
+        words *= _GAMMA
+        words += np.repeat(base, drawn)
+        steps.append(_mix(words))
         lengths.append(drawn)
         uniforms.append(_uniform(head[:, 1]))
+    steps = np.concatenate(steps)
+    steps >>= _U64(2)
     return StepDraws(
         lengths=np.concatenate(lengths).reshape(-1, n),
         uniforms=np.concatenate(uniforms).reshape(-1, n),
-        steps=np.concatenate(steps).astype(np.int64),
+        steps=steps.view(np.int64),
     )
 
 

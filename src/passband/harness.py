@@ -113,9 +113,10 @@ _TASK_STREAM = 1001
 _POLICY_STREAM = 1002
 
 # Rough upper bound on the rollout words the fresh groups of one block of
-# steps draw, which bounds the size of the block's arrays. A block takes
-# as many steps as fit, and at least one.
-_BLOCK_WORDS = 2**15
+# steps draw, which bounds the size of the block's arrays (and the peak
+# memory of a run of short rollouts). A block takes as many steps as fit,
+# and at least one.
+_BLOCK_WORDS = 2**17
 
 _AUDIT_CONTEXTS = 8
 _AUDIT_VOCAB = 16
@@ -419,8 +420,12 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         # run.jsonl's order: each step's fresh groups, then its rerollouts.
         block_step = np.concatenate((fresh_step, rerollout_step))
         order = np.argsort(block_step, kind="stable")
+        # Step ids are >= 0 and _AUDIT_VOCAB is a power of two, so the mask
+        # takes them mod the vocabulary.
+        tokens = np.concatenate((fresh.steps, draws.steps))
+        tokens &= _AUDIT_VOCAB - 1
         audit_losses.extend(_audit_losses(
-            np.concatenate((fresh.steps, draws.steps)) % _AUDIT_VOCAB,
+            tokens,
             boundaries,
             lengths,
             rloo_advantages(rewards),

@@ -155,10 +155,12 @@ def step_draws(draw_groups, tasks, n, seed):
     return draw_groups(tasks, slots, n, seed, slots[:, None])
 
 
-# Long rollouts make a batch of these tasks span several kernel chunks.
+# Long rollouts make a batch of these tasks span several kernel chunks under
+# LONG_CHUNK_WORDS: 6 groups of at most 8 * (300 + 2) words per chunk.
 LONG_TASKS = stack(
     [make_task(0.3 + 0.02 * i, lengths=(100, 300), task_id=f"t{i}") for i in range(20)]
 )
+LONG_CHUNK_WORDS = 2**14
 FAILURE_PREFIX = PrefixRecord(task_row=0, source_bucket=7, length=12)
 
 
@@ -407,6 +409,43 @@ class TestStreamPins:
         assert tasks.prefix_sensitivity[0] == 2.6963751628841157
 
 
+def left_unchanged(call, *inputs):
+    """Call call(*inputs) and assert that it wrote into none of its array
+    inputs, the columns of a TaskColumns included."""
+    arrays = [x for item in inputs for x in (item if isinstance(item, tuple) else (item,))]
+    arrays = [x for x in arrays if isinstance(x, np.ndarray)]
+    before = [x.copy() for x in arrays]
+    call(*inputs)
+    for want, got in zip(before, arrays):
+        assert_array_equal(got, want)
+
+
+class TestInPlaceFinaliser:
+    """The finaliser mixes in place, only ever in an array its caller has
+    just built: no function writes into an array it was given."""
+
+    SEED = np.array([5, 2**63 + 1], np.uint64)
+
+    def test_hashing_leaves_inputs_unchanged(self):
+        h = _key_hash((5, 2**64 + 1))
+        column = np.arange(3, dtype=np.uint64)
+        left_unchanged(env._extend, np.repeat(h, 3), column)
+        left_unchanged(env._extend, h, column)
+        left_unchanged(_words, h[:, None], column)
+        left_unchanged(_key_hash, self.SEED)
+
+    def test_draws_leave_inputs_unchanged(self):
+        tasks = stack([make_task(0.3, lengths=(2, 9), task_id=f"t{i}") for i in range(3)])
+        rows = np.array([2, 0, 2, 1])
+        subkeys = np.column_stack((rows, np.arange(4)))
+        keys = env._group_keys(self.SEED, subkeys)
+        for draw_groups in (draw_fresh_groups, draw_rerollout_groups):
+            left_unchanged(draw_groups, tasks, rows, 8, self.SEED, subkeys)
+        left_unchanged(env._draw_groups, tasks, rows, 8, _PURPOSE_FRESH, keys)
+        left_unchanged(stream_integer_rows, self.SEED, subkeys, 5, 7)
+        left_unchanged(make_task_population, PopulationSpec(size=4), self.SEED)
+
+
 class TestRolloutSeeding:
     """Each rollout's stream is the reference's for a tuple of seed entries;
     entries of 2**64 and above span several 64-bit words."""
@@ -450,6 +489,11 @@ class TestRolloutKernel:
         ),
         chunk_words=st.one_of(st.just(_CHUNK_WORDS), st.integers(1, 600)),
     )
+    # At the default budget: a group larger than a chunk, so one group per
+    # chunk, and five groups in one chunk of over 2**16 words.
+    @example(seed=[2**64 + 9], n=2, ranges=[(_CHUNK_WORDS // 2, 64), (3, 5)],
+             chunk_words=_CHUNK_WORDS)
+    @example(seed=[7, 2**63], n=16, ranges=[(900, 40)] * 5, chunk_words=_CHUNK_WORDS)
     def test_matches_reference_stream(self, seed, n, ranges, chunk_words):
         # A small chunk size makes even a short step span several chunks.
         tasks = stack([
@@ -467,6 +511,7 @@ class TestRolloutKernel:
                 key, _PURPOSE_REROLLOUT, tasks, j, n
             )
 
+    @mock.patch.object(env, "_CHUNK_WORDS", LONG_CHUNK_WORDS)
     def test_batches_match_reference_per_group(self):
         # Enough long rollouts for several kernel chunks, under a seed of
         # three words; group j is keyed seed + (j,).
@@ -505,6 +550,11 @@ class TestBlockDraws:
     )
     @example(seed=5, first=0, per_step=[3, 0, 1, 2], n=8, chunk_words=_CHUNK_WORDS)
     @example(seed=5, first=12, per_step=[0, 0, 0], n=8, chunk_words=_CHUNK_WORDS)
+    # A group larger than the default chunk, so one group per chunk; and
+    # seven groups in one chunk of over 2**16 words, which needs a larger
+    # budget here: at most 2**17 // (n * 18) of these groups share a chunk.
+    @example(seed=2**64 - 1, first=2**40, per_step=[0, 2], n=12288, chunk_words=_CHUNK_WORDS)
+    @example(seed=9, first=3, per_step=[3, 4], n=1200, chunk_words=2**18)
     def test_ragged_block_matches_reference(self, seed, first, per_step, n, chunk_words):
         tasks = stack([
             make_task(0.2 + 0.1 * i, lengths=(2 + i, 4 + 3 * i), task_id=f"t{i}")
@@ -590,12 +640,13 @@ class TestDistributions:
         assert chisquare(counts, expected).pvalue > 0.001
 
 
+@mock.patch.object(env, "_CHUNK_WORDS", LONG_CHUNK_WORDS)
 class TestBatchKeys:
     """A step's draw takes one seed and keys its group j as seed + (j,)."""
 
     def test_batch_spans_several_chunks(self):
         # Groups per chunk, as _draw_groups computes it: at least 4 chunks.
-        assert 3 * (_CHUNK_WORDS // (8 * (300 + 2))) < len(LONG_TASKS.task_id)
+        assert 3 * (env._CHUNK_WORDS // (8 * (300 + 2))) < len(LONG_TASKS.task_id)
 
     @pytest.mark.parametrize("seed", [(5, 6, 7), (2**40 + 1, 2)])
     def test_fresh_batch_is_groups_of_one(self, seed):
