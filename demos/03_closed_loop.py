@@ -12,7 +12,7 @@ traces back. Expect the two replay arms to clearly beat the baseline on
 valid groups per step, and the adaptive arm's rerollout cohort to sit
 near the half-pass line.
 
-Run:  python3 demos/03_closed_loop.py        (about half a minute)
+Run:  python3 demos/03_closed_loop.py        (a second or two)
 """
 
 import numpy as np
@@ -52,7 +52,7 @@ print("   the replayed share is a knob on the child pass rate; the")
 print("   controller turns it until observed rates sit at 1/2.")
 print()
 
-print("3. Matched-seed comparison across arms (this takes a little while)")
+print("3. Matched-seed comparison across arms")
 print()
 rows = compare_arms(
     parse_config(CONFIG_TEXT),

@@ -6,7 +6,8 @@ bucket routing of skewed groups, bidirectional prefix replay with loss
 masking, and a per-bucket feedback controller that steers rerollout pass
 rates toward one half, all closed over a synthetic environment.
 
-The imports below are the package's top-level names.
+The imports below are the package's top-level names, all reached by runs or
+oracles; the retired per-group samplers and prefix pool stay in their modules.
 """
 
 from .advantages import (
@@ -28,8 +29,6 @@ from .controller import (
     BucketControllerState,
     ControllerParams,
     PrefixOutcome,
-    PrefixPool,
-    PrefixRecord,
     initial_controller_state,
     prefix_pool_memory_bound,
     replay_boundary,
@@ -37,18 +36,14 @@ from .controller import (
     update_controller,
 )
 from .env import (
-    GroupSample,
     PopulationSpec,
     TaskColumns,
     conditioned_pass_probability,
     make_task_population,
-    sample_fresh_group,
-    sample_rerollout_group,
 )
 from .errors import ConfigError, ContractError, DomainError, PassbandError
 from .groups import (
     BucketKind,
-    GroupOrigin,
     bucket_label,
     classify_bucket,
     controlled_buckets,

@@ -36,7 +36,6 @@ from .groups import BucketKind, classify_bucket
 
 __all__ = [
     "PrefixOutcome",
-    "PrefixRecord",
     "ControllerParams",
     "BucketControllerState",
     "initial_controller_state",
@@ -44,7 +43,6 @@ __all__ = [
     "select_prefix",
     "replay_boundary",
     "prefix_pool_memory_bound",
-    "PrefixPool",
 ]
 
 
@@ -64,7 +62,8 @@ SAVED_OUTCOME = {
 class PrefixRecord(NamedTuple):
     """A saved trajectory eligible for replay: its task's row, its source
     bucket (the pass count of the fresh group it came from) and its length T.
-    Its outcome is SAVED_OUTCOME of the source bucket's kind at the group size."""
+    Its outcome is SAVED_OUTCOME of the source bucket's kind at the group size.
+    Not exported: it stays while PrefixPool and env.sample_rerollout_group do."""
 
     task_row: int
     source_bucket: int
@@ -185,8 +184,8 @@ def select_prefix(
     by_k = [classify_bucket(k, n) for k in range(n + 1)]
     ks = rewards.sum(axis=1).astype(np.int64)
     saving = np.flatnonzero(np.array([kind in kinds for kind in by_k])[ks])
-    success = np.array([kind is BucketKind.HARD for kind in by_k])[ks[saving]]
-    picked = np.argmax(rewards[saving] == success[:, None], axis=1)
+    success = np.array([SAVED_OUTCOME.get(kind) is PrefixOutcome.SUCCESS for kind in by_k])
+    picked = np.argmax(rewards[saving] == success[ks[saving], None], axis=1)
     keys = zip(*(np.asarray(column)[saving].tolist() for column in (steps, task_rows, ks)))
     return dict(zip(keys, lengths[saving, picked].tolist()))
 
@@ -230,10 +229,10 @@ def prefix_pool_memory_bound(
 class PrefixPool:
     """Replay material, at most one record per (task, source bucket k):
     saving again for a key replaces its record (newest wins), and draining
-    hands out every record in insertion order and empties the pool. The run
-    loop takes a block's material from select_prefix, already de-duplicated
-    so; a pool saved and drained per step is the reference it is tested
-    against, and the benchmark's site for timing saves."""
+    hands out every record in insertion order and empties the pool. No run
+    reaches it: the loop takes a block's material from select_prefix, already
+    de-duplicated so. Not exported, it stays as the tests' reference and as
+    perfbench/workloads.py's timing site, until ROADMAP items 1 and 2."""
 
     def __init__(self) -> None:
         self._records: dict[tuple[int, int], PrefixRecord] = {}

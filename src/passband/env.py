@@ -59,15 +59,12 @@ from .errors import ContractError, DomainError, check_field_types, is_int
 from .groups import bucket_label, classify_bucket
 
 __all__ = [
-    "GroupSample",
     "PopulationSpec",
     "StepDraws",
-    "sample_fresh_group",
     "TaskColumns",
     "draw_fresh_groups",
     "draw_rerollout_groups",
     "conditioned_pass_probability",
-    "sample_rerollout_group",
     "rollout_rewards",
     "make_task_population",
     "stream_uniforms",
@@ -99,6 +96,8 @@ class GroupSample(NamedTuple):
     ids back to back, lengths[i] - boundary of them for rollout i: the
     steps the audit loss scores. parent_bucket is the pass count of the
     fresh group a rerollout's prefix came from, None for a fresh group.
+    No run reaches it or the per-group samplers. They stay, unexported, for
+    perfbench/workloads.py and the tests, and go with ROADMAP items 1 and 2.
     """
 
     task_id: str
@@ -343,7 +342,8 @@ def draw_rerollout_groups(tasks: TaskColumns, rows, n: int, rng_seed, subkeys) -
 
 
 def sample_fresh_group(tasks: TaskColumns, row: int, n: int, rng_seed) -> GroupSample:
-    """Sample n independent fresh rollouts of task row of tasks."""
+    """Sample n independent fresh rollouts of task row of tasks. Not exported:
+    kept for perfbench/workloads.py and the tests, as GroupSample is."""
     draw = _draw_groups(tasks, [row], n, _PURPOSE_FRESH, _key_hash(rng_seed))
     p = float(expit(tasks.base_logit[row]))
     return _group_sample(tasks.task_id[row], p, draw)
@@ -375,7 +375,8 @@ def sample_rerollout_group(
     ids and an independent outcome at the conditioned pass probability for
     share m / prefix.length, with the outcome its source bucket saves: a hard
     bucket's success, an easy bucket's failure. A rollout's length counts
-    its m replayed steps; its steps are the drawn ones only.
+    its m replayed steps; its steps are the drawn ones only. Not exported:
+    kept for perfbench/workloads.py and the tests, as GroupSample is.
     """
     kind = classify_bucket(prefix.source_bucket, n)
     if kind not in SAVED_OUTCOME:

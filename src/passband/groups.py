@@ -22,7 +22,6 @@ from .errors import DomainError, is_int
 
 __all__ = [
     "BucketKind",
-    "GroupOrigin",
     "bucket_label",
     "classify_bucket",
     "controlled_buckets",
@@ -34,13 +33,6 @@ class BucketKind(Enum):
     HARD = "hard"
     BALANCED = "balanced"
     EASY = "easy"
-
-
-class GroupOrigin(Enum):
-    """A group's origin, as run.jsonl names it."""
-
-    FRESH = "fresh"
-    REROLLOUT = "rerollout"
 
 
 def _hard_upper(n: int) -> int:

@@ -93,7 +93,7 @@ from .controller import (
     update_controller,
 )
 from .errors import ContractError, DomainError
-from .groups import GroupOrigin, bucket_label, classify_bucket, controlled_buckets
+from .groups import bucket_label, classify_bucket, controlled_buckets
 
 __all__ = [
     "CohortStats",
@@ -120,8 +120,8 @@ _BLOCK_WORDS = 2**17
 
 _AUDIT_CONTEXTS = 8
 _AUDIT_VOCAB = 16
-_FRESH = GroupOrigin.FRESH.value
-_REROLLOUT = GroupOrigin.REROLLOUT.value
+_FRESH = "fresh"
+_REROLLOUT = "rerollout"
 
 
 class CohortStats(NamedTuple):

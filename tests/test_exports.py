@@ -57,6 +57,20 @@ def test_star_import_of_package():
     assert "ExperimentConfig" in namespace
 
 
+# The per-group object layer: no run reaches it, so the package does not
+# export it; its modules keep it for the benchmark and the tests.
+RETIRED = ("GroupSample", "sample_fresh_group", "sample_rerollout_group", "PrefixPool",
+           "PrefixRecord")
+
+
+def test_retired_object_layer_is_not_exported():
+    namespace: dict = {}
+    exec("from passband import *", namespace)
+    assert set(RETIRED).isdisjoint(namespace)
+    assert set(RETIRED).isdisjoint(passband.env.__all__ + passband.controller.__all__)
+    assert not hasattr(passband.groups, "GroupOrigin")
+
+
 def test_benchmark_call_sites_resolve(monkeypatch):
     # The benchmark times each layer by replacing the attribute at its
     # 'module:attr' sites, so each must exist; read its table, not a copy.

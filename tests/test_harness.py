@@ -913,8 +913,20 @@ def test_metrics_and_transitions_rederive_from_run_jsonl(overrides):
     assert result.transitions.sum() > 0
 
 
+# One task, small groups and short lengths: steps save under the same (task,
+# pass count) key more than once, so that a selection which keeps the first
+# save's length or orders keys by their last save changes these runs.
+NEWEST_WINS = (
+    "arm = ps-ada\ngroup_size = 4\nbatch_size = 8\nsteps = 6\nseed = 3\n"
+    "population.preset = uniform\npopulation.size = 1\n"
+    "population.length_min = 2\npopulation.length_max = 8\n"
+)
+
+
 @settings(max_examples=20, deadline=None)
 @given(config=small_configs())
+@example(config=parse_config(NEWEST_WINS + "same_step_rerollout = true"))
+@example(config=parse_config(NEWEST_WINS + "same_step_rerollout = false"))
 def test_traces_explain_run_over_small_configs(config):
     assert_traces_explain_run(config)
 
