@@ -166,17 +166,13 @@ def _scale(value, n_trajectories: int, n_unmasked,
 def _left_to_right_sums(values: np.ndarray, sizes) -> np.ndarray:
     """Sums of consecutive runs of values, sizes[i] of them in run i, each
     added left to right from 0.0 as a plain loop adds: np.sum adds pairwise,
-    which changes the last bits of byte-stable traces. values may be
-    overwritten. Each run is a row padded with 0.0, which changes at most the
-    sign of a zero partial sum; the final + 0.0, the loop's 0.0 start, turns
-    a sum of negative zeros into +0.0."""
+    which changes the last bits of byte-stable traces. Each run is a row
+    padded with 0.0, which changes at most the sign of a zero partial sum; the
+    final + 0.0, the loop's 0.0 start, turns a sum of negative zeros into +0.0."""
     sizes = np.asarray(sizes)
     g, width = len(sizes), int(sizes.max(initial=0))
-    if g * width == values.size:
-        rows = values.reshape(g, width)  # no run is short of the longest
-    else:
-        rows = np.zeros((g, width))
-        rows[np.arange(width) < sizes[:, None]] = values
+    rows = np.zeros((g, width))
+    rows[np.arange(width) < sizes[:, None]] = values
     return np.add.accumulate(rows, axis=1, out=rows)[:, -1] + 0.0 if width else np.zeros(g)
 
 

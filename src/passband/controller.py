@@ -191,20 +191,14 @@ def select_prefix(
 
 
 def replay_boundary(ratio: float, length: int) -> int:
-    """Number of replayed steps M = floor(ratio * length).
-
-    For lengths of at least 2 the result is clamped to [1, length - 1] so
-    every replay keeps at least one replayed and one fresh step. A length-1
-    trajectory admits no valid boundary and returns the bare floor.
-    """
-    if length < 1:
-        raise DomainError(f"trajectory length must be >= 1, got {length}")
+    """Number of replayed steps M = floor(ratio * length), clamped to
+    [1, length - 1] so every replay keeps at least one replayed and one fresh
+    step. A trajectory shorter than 2 steps admits no such boundary."""
+    if length < 2:
+        raise DomainError(f"trajectory length must be >= 2, got {length}")
     if not 0.0 <= ratio <= 1.0:
         raise DomainError(f"replay ratio must lie in [0, 1], got {ratio}")
-    m = math.floor(ratio * length)
-    if length >= 2:
-        m = min(length - 1, max(1, m))
-    return m
+    return min(length - 1, max(1, math.floor(ratio * length)))
 
 
 def prefix_pool_memory_bound(

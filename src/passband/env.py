@@ -68,7 +68,6 @@ __all__ = [
     "rollout_rewards",
     "make_task_population",
     "stream_uniforms",
-    "stream_integers",
     "stream_integer_rows",
     "MAX_TRAJECTORY_LENGTH",
     "MAX_POPULATION_SIZE",
@@ -203,22 +202,14 @@ def stream_uniforms(rng_seed, count: int) -> np.ndarray:
     return _uniform(_words(_key_hash(rng_seed), _counters(count)))
 
 
-def _integers(keys: np.ndarray, count, bound) -> np.ndarray:
+def stream_integer_rows(rng_seed, subkeys, count: int, bound: int) -> np.ndarray:
+    """Integers in [0, bound) from words 0 .. count-1 of several streams, as a
+    (B, count) array: row b draws from the stream keyed rng_seed +
+    tuple(subkeys[b]), for a (B, K) array of subkeys, ints in [0, 2**64)."""
+    keys = _group_keys(rng_seed, subkeys)[:, None]
     if not (is_int(bound) and 1 <= bound <= 2**32):
         raise DomainError(f"bound must be an int in [1, 2**32], got {bound!r}")
     return _below(_words(keys, _counters(count)), bound)
-
-
-def stream_integers(rng_seed, count: int, bound: int) -> np.ndarray:
-    """Integers in [0, bound) from words 0 .. count-1 of the seed's stream."""
-    return _integers(_key_hash(rng_seed), count, bound)
-
-
-def stream_integer_rows(rng_seed, subkeys, count: int, bound: int) -> np.ndarray:
-    """stream_integers of several streams as a (B, count) array: row b is
-    stream_integers(rng_seed + tuple(subkeys[b]), count, bound), for a (B, K)
-    array of subkeys, ints in [0, 2**64)."""
-    return _integers(_group_keys(rng_seed, subkeys)[:, None], count, bound)
 
 
 class StepDraws(NamedTuple):

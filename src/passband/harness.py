@@ -58,6 +58,7 @@ import os
 import shutil
 import tempfile
 from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -80,7 +81,6 @@ from .config import (
     SAVING_KINDS,
     Arm,
     ExperimentConfig,
-    LossOptions,
     arm_controller_params,
     config_to_flat_dict,
 )
@@ -301,29 +301,6 @@ def compute_transition_matrix(groups: GroupColumns, n: int) -> np.ndarray:
     return _table(np.searchsorted(ks, parent[rerolled]), k[rerolled], (len(ks), n + 1))
 
 
-def _audit_policy(seed: int) -> ToyPolicy:
-    shape = (_AUDIT_CONTEXTS, _AUDIT_VOCAB)
-    logits = env_mod.stream_uniforms((seed, _POLICY_STREAM), shape[0] * shape[1])
-    return ToyPolicy(logits.reshape(shape))
-
-
-def _audit_losses(
-    tokens, boundaries, counts, advantages, log_probs: np.ndarray, options: LossOptions,
-    order, sizes,
-) -> np.ndarray:
-    """Audit loss of each step of a block (audit only): the masked surrogate
-    of every group from one masked_loss_kernel call on its arguments, taken
-    in order, with step s's sizes[s] of them added left to right from 0.0.
-    A degenerate group's loss is a zero of either sign (its RLOO advantages
-    are all zero), so the sum is that of the non-degenerate groups."""
-    losses = masked_loss_kernel(
-        tokens, boundaries, counts, advantages, log_probs,
-        length_normalized=options.length_normalized,
-        group_reduction=options.group_reduction,
-    )
-    return _left_to_right_sums(losses[order], sizes)
-
-
 def _block_prefixes(carry: dict, last_step: int, *selection):
     """The saves a block ending at last_step replays, carry's (made for its
     first step by the block before) and select_prefix(*selection)'s, as
@@ -348,7 +325,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         k: initial_controller_state(classify_bucket(k, n), params) for k in controlled_buckets(n)
     }
     bucket_labels = {k: bucket_label(k, n) for k in states}
-    log_probs = _audit_policy(seed).log_probs()
+    logits = env_mod.stream_uniforms((seed, _POLICY_STREAM), _AUDIT_CONTEXTS * _AUDIT_VOCAB)
+    log_probs = ToyPolicy(logits.reshape(_AUDIT_CONTEXTS, _AUDIT_VOCAB)).log_probs()
     lag = 0 if config.same_step_rerollout else 1  # steps from a save to its replay
     carry: dict[tuple[int, int, int], int] = {}
     audit_losses: list[float] = []
@@ -398,7 +376,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         for step, count in zip(steps.tolist(), per_step.tolist()):
             for parent, length, logit, sensitivity, uniforms in itertools.islice(rollouts, count):
                 state = states[parent]
-                # 1 <= m < T: replay_boundary clamps m, and every population has T >= 2.
+                # 1 <= m < T: every population's lengths are at least 2.
                 m = replay_boundary(state.ratio, length)
                 p = env_mod.conditioned_pass_probability(
                     logit, sensitivity, SAVED_OUTCOME[state.kind], m / length
@@ -424,16 +402,15 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         # takes them mod the vocabulary.
         tokens = np.concatenate((fresh.steps, draws.steps))
         tokens &= _AUDIT_VOCAB - 1
-        audit_losses.extend(_audit_losses(
-            tokens,
-            boundaries,
-            lengths,
-            rloo_advantages(rewards),
-            log_probs,
-            config.loss,
-            order,
-            g + per_step,
-        ).tolist())
+        losses = masked_loss_kernel(
+            tokens, boundaries, lengths, rloo_advantages(rewards), log_probs,
+            length_normalized=config.loss.length_normalized,
+            group_reduction=config.loss.group_reduction,
+        )
+        # A degenerate group's loss is a zero of either sign (its RLOO
+        # advantages are all zero), so each step's sum is that of its
+        # non-degenerate groups.
+        audit_losses.extend(_left_to_right_sums(losses[order], g + per_step).tolist())
         # One run.jsonl row per group; its rollouts share its boundary.
         step_groups.append(GroupColumns(
             task_id=tasks.task_id[np.concatenate((picks, rerolled))[order]],
@@ -505,15 +482,24 @@ def emit_traces(result: RunResult, destination) -> list[Path]:
     """
     dest = Path(destination)
     dest.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{dest.name}-", dir=dest.parent))
-    try:
+    with _staged(dest, dest.parent, _TRACE_FILES) as staging:
         _write_traces(result, staging)
+    return [dest / name for name in _TRACE_FILES]
+
+
+@contextmanager
+def _staged(dest: Path, near: Path, names) -> Iterator[Path]:
+    """A new temporary directory in near to write the named files into; on a
+    clean exit they are moved into dest. An interrupted write leaves dest as
+    it was and no temporary file behind."""
+    staging = Path(tempfile.mkdtemp(prefix=f".{dest.name}-", dir=near))
+    try:
+        yield staging
         dest.mkdir(exist_ok=True)
-        for name in _TRACE_FILES:
+        for name in names:
             os.replace(staging / name, dest / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    return [dest / name for name in _TRACE_FILES]
 
 
 def _write_traces(result: RunResult, out: Path) -> None:
@@ -619,7 +605,8 @@ def compare_arms(
 
     Returns one summary row per (arm, seed) with whole-run aggregates,
     and writes summary.csv plus per-run subdirectories when a destination
-    is given.
+    is given. summary.csv is replaced whole: an interrupted write leaves the
+    earlier one as it was.
     """
     rows: list[dict] = []
     out = None if destination is None else Path(destination)
@@ -635,5 +622,6 @@ def compare_arms(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         header = list(rows[0].keys()) if rows else ["arm", "seed"]
-        _write_csv(out / "summary.csv", header, [[row[h] for h in header] for row in rows])
+        with _staged(out, out, ["summary.csv"]) as staging:
+            _write_csv(staging / "summary.csv", header, [[row[h] for h in header] for row in rows])
     return rows

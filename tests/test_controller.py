@@ -500,9 +500,12 @@ class TestReplayBoundary:
     def test_interior_property(self, ratio, length):
         assert 1 <= replay_boundary(ratio, length) <= length - 1
 
-    def test_length_one_returns_floor(self):
-        assert replay_boundary(0.5, 1) == 0
-        assert replay_boundary(0.99, 1) == 0
+    def test_lengths_below_two_rejected(self):
+        # No boundary keeps both a replayed and a fresh step: 1 <= m < T is empty.
+        for length in (0, 1):
+            for ratio in (0.0, 0.5, 1.0):
+                with pytest.raises(DomainError, match=f"length must be >= 2, got {length}$"):
+                    replay_boundary(ratio, length)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -30,7 +30,6 @@ from passband.env import (
     sample_fresh_group,
     sample_rerollout_group,
     stream_integer_rows,
-    stream_integers,
     stream_uniforms,
 )
 from passband.errors import ContractError, DomainError
@@ -97,6 +96,12 @@ def ref_hash(key):
 
 def ref_word(key_hash, c):
     return ref_mix(key_hash + (c + 1) * GAMMA & MASK64)
+
+
+def ref_below(key, count, bound):
+    """Words 0 .. count-1 of key's stream below bound, by 32-bit multiply-shift."""
+    h = ref_hash(key)
+    return [(ref_word(h, c) >> 32) * bound >> 32 for c in range(count)]
 
 
 def reference_draw(key, purpose, tasks, row, n):
@@ -383,16 +388,16 @@ class TestStreamPins:
     def test_public_streams(self):
         words = self.WORDS_OF_KEY_5
         assert stream_uniforms((5,), 3).tolist() == [(w >> 11) * 2.0**-53 for w in words]
+        subkeys = (0, 7, 2**64 - 1)
         for bound in (1, 7, 1000, 2**32):
-            assert stream_integers(5, 3, bound).tolist() == [
-                (w >> 32) * bound >> 32 for w in words
-            ]
+            rows = stream_integer_rows(5, np.array(subkeys, np.uint64)[:, None], 3, bound)
+            assert rows.tolist() == [ref_below((5, k), 3, bound) for k in subkeys]
 
     @pytest.mark.parametrize("bound", [0, -1, 1.5, 2**32 + 1, 2**33, True])
     def test_integer_bound_outside_domain(self, bound):
         # Multiply-shift on 32 bits draws below at most 2**32.
         with pytest.raises(DomainError, match="bound must be an int in"):
-            stream_integers(5, 3, bound)
+            stream_integer_rows(5, np.array([[0]]), 3, bound)
 
     @pytest.mark.parametrize("count", [-1, 1.5, 2.5, np.float64(2.0), True])
     def test_count_outside_domain(self, count):
@@ -400,7 +405,7 @@ class TestStreamPins:
         with pytest.raises(DomainError, match="count must be an int >= 0"):
             stream_uniforms(5, count)
         with pytest.raises(DomainError, match="count must be an int >= 0"):
-            stream_integers(5, count, 7)
+            stream_integer_rows(5, np.array([[0]]), count, 7)
 
     def test_population_values(self):
         tasks = make_task_population(PopulationSpec(), 5)
@@ -581,7 +586,7 @@ class TestBlockDraws:
         picks = stream_integer_rows((seed, _TASK_STREAM), steps[:, None], 64, 1000)
         assert picks.shape == (5, 64)
         for step, row in zip(steps.tolist(), picks.tolist()):
-            assert row == stream_integers((seed, _TASK_STREAM, step), 64, 1000).tolist()
+            assert row == ref_below((seed, _TASK_STREAM, step), 64, 1000)
 
     @pytest.mark.parametrize(
         "subkeys, rows, error",

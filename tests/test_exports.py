@@ -20,6 +20,7 @@ SUBMODULES = sorted(
 )
 SRC = Path(passband.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def load_perfbench(name, monkeypatch):
@@ -191,3 +192,20 @@ def test_src_private_names_are_used():
         if name not in referenced
     ]
     assert unused == []
+
+
+def test_exported_names_are_read():
+    # A public name that no src module and no demo reads is kept alive by the
+    # tests alone; the package's own imports count as reads.
+    paths = [*sorted(SRC.glob("*.py")), *sorted(DEMOS.glob("*.py"))]
+    read = set().union(*(
+        referenced_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in paths
+    ))
+    unread = [
+        f"{name}.{item}"
+        for name in SUBMODULES
+        for item in getattr(importlib.import_module(f"passband.{name}"), "__all__", [])
+        if item not in read
+    ]
+    assert unread == []

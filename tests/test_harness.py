@@ -16,6 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import log_softmax
+from test_env import ref_below, ref_hash, ref_word
+from test_loss_kernel import reference_loss
 
 from passband import env, harness
 from passband.config import (
@@ -798,8 +801,10 @@ def assert_traces_explain_run(config):
     """Assert that the trace files explain the run, and return the run:
     run.jsonl and the audit losses hold everything metrics.csv and
     transitions.csv say, each step's rerollouts are the prefixes its drain
-    window saved, every group's draws are keyed by its step and slot, and
-    controller.csv is the controller replayed over run.jsonl's rerollouts."""
+    window saved, every group's draws are keyed by its step and slot, each
+    step's audit loss follows from run.jsonl and the reference generator,
+    and controller.csv is the controller replayed over run.jsonl's
+    rerollouts."""
     n = config.group_size
     lo, hi = config.population.length_min, config.population.length_max
     with tempfile.TemporaryDirectory() as tmp:
@@ -818,6 +823,7 @@ def assert_traces_explain_run(config):
             rescored_bytes = (out / "rescored" / name).read_bytes()
             assert rescored_bytes == (out / "run" / name).read_bytes(), name
         controller_lines = (out / "run" / "controller.csv").read_text().splitlines()[1:]
+        metrics_lines = (out / "run" / "metrics.csv").read_text().splitlines()
 
     # ps-fix is ps-ada with a zero step size started at the fixed ratio, and
     # one step per block runs as the whole run in one block (these configs
@@ -855,10 +861,11 @@ def assert_traces_explain_run(config):
     # slot counted within the step's fresh groups or its rerollouts; a group's
     # passes are its rollouts of lowest uniforms (compared by top 32 bits).
     origins = ((~rerolled, env._PURPOSE_FRESH), (rerolled, env._PURPOSE_REROLLOUT))
+    group_slots = np.zeros(len(groups.step), np.int64)
     for origin, purpose in origins:
         rows = np.flatnonzero(origin)
         steps = groups.step[rows]
-        slots = np.arange(len(rows)) - np.searchsorted(steps, steps)
+        slots = group_slots[rows] = np.arange(len(rows)) - np.searchsorted(steps, steps)
         ids = groups.task_id[rows].tolist()
         lengths = drawn_words(config, steps, slots, purpose, ids, 1, hi - lo + 1)[..., 0]
         assert_array_equal(groups.lengths[rows] - groups.boundary[rows, None], lo + lengths)
@@ -868,10 +875,34 @@ def assert_traces_explain_run(config):
         lowest_fail = np.where(passed, 2**32, tops).min(axis=1, initial=2**32)
         assert (highest_pass <= lowest_fail).all()
     for s in range(config.steps):
-        picks = env.stream_integers((config.seed, harness._TASK_STREAM, s), config.batch_size,
-                                    config.population.size)
+        picks = ref_below((config.seed, harness._TASK_STREAM, s), config.batch_size,
+                          config.population.size)
         fresh_ids = groups.task_id[(groups.step == s) & ~rerolled].tolist()
-        assert fresh_ids == [f"task-{i:05d}" for i in picks.tolist()]
+        assert fresh_ids == [f"task-{i:05d}" for i in picks]
+
+    # Each step's audit loss from run.jsonl alone: the audit policy's logits
+    # are words 0 .. 127 of the stream (seed, 1002) as uniforms, a rollout's
+    # tokens after its boundary m are words 2 .. T - m + 1 of its stream & 15,
+    # and each step adds its groups' reference losses left to right from 0.0.
+    policy = ref_hash((config.seed, harness._POLICY_STREAM))
+    logits = [(ref_word(policy, c) >> 11) * 2.0**-53 for c in range(8 * 16)]
+    log_probs = log_softmax(np.reshape(logits, (8, 16)), axis=1)
+    audit = [0.0] * config.steps
+    records = zip(groups.step.tolist(), group_slots.tolist(), task_ids, parents,
+                  groups.rewards.tolist(), groups.lengths.tolist(), groups.boundary.tolist())
+    for s, slot, task_id, parent, rewards, lengths, m in records:
+        purpose = env._PURPOSE_FRESH if parent < 0 else env._PURPOSE_REROLLOUT
+        key = (config.seed, s, slot, purpose, zlib.crc32(task_id.encode("utf-8")))
+        trajectories = []
+        for i, length in enumerate(lengths):
+            h = ref_hash(key + (i,))
+            drawn = [ref_word(h, c) >> 2 & 15 for c in range(2, length - m + 2)]
+            trajectories.append(([0] * m + drawn, m))
+        k = sum(rewards)
+        advantages = [r - (k - r) / (n - 1) for r in map(float, rewards)]
+        audit[s] += reference_loss(trajectories, advantages, log_probs, **vars(config.loss))
+    column = metrics_lines[0].split(",").index("audit_loss")
+    assert [line.split(",")[column] for line in metrics_lines[1:]] == list(map(repr, audit))
 
     # Step s drains the saves of its own fresh groups, or of step s - 1's
     # when rerollouts wait a step: one per (task, bucket), in the order of
@@ -1142,6 +1173,26 @@ class TestAggregateAndCompare:
             b"ps-ada,1,8.333333333333334,24.0,0.375,0.16666666666666666,2.8333333333333335,"
             b"10.0,0.0,0.5,1.7\n"
         )
+
+    def test_interrupted_summary_write_leaves_the_earlier_one(self, tmp_path, monkeypatch):
+        config = small_config(steps=2, batch_size=8)
+        compare_arms(config, seeds=[0, 1], destination=tmp_path, arms=(Arm.BASELINE,))
+        before = (tmp_path / "summary.csv").read_bytes()
+        names = sorted(path.name for path in tmp_path.iterdir())
+        real_write_csv = harness._write_csv
+
+        def summary_failing_midway(path, header, rows):
+            if path.name != "summary.csv":
+                return real_write_csv(path, header, rows)
+            real_write_csv(path, header, rows[:1])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "_write_csv", summary_failing_midway)
+        with pytest.raises(OSError, match="disk full"):
+            compare_arms(config, seeds=[0, 1], destination=tmp_path, arms=(Arm.BASELINE,))
+        assert (tmp_path / "summary.csv").read_bytes() == before
+        # No temporary file or directory is left next to the runs.
+        assert sorted(path.name for path in tmp_path.iterdir()) == names
 
     def test_compare_arms_no_destination(self):
         rows = compare_arms(

@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 from passband.advantages import (
     TokenTrajectory,
     ToyPolicy,
+    _left_to_right_sums,
     masked_grpo_loss,
     masked_loss_kernel,
     rloo_advantages,
 )
-from passband.config import LossOptions
 from passband.errors import DomainError
-from passband.harness import _audit_losses
 
 
 def reference_loss(trajectories, advantages, log_probs, length_normalized, group_reduction):
@@ -191,10 +190,8 @@ def test_step_loss_adds_group_losses_left_to_right(block, length_normalized, gro
     )
     boundaries = np.array([bs[:1] if shared else bs for _, bs, _ in kernel_groups])
     counts = np.array([[len(tok) - b for tok, b in zip(traj, bs)] for traj, bs, _ in kernel_groups])
-    got = _audit_losses(
-        tokens, boundaries, counts, advantages, log_probs, LossOptions(**options), order, sizes
-    )
     losses = masked_loss_kernel(tokens, boundaries, counts, advantages, log_probs, **options)
+    got = _left_to_right_sums(losses[order], sizes)
 
     assert got.shape == sizes.shape
     ends = np.cumsum(sizes)
