@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .advantages import _binary_rewards
-from .errors import ContractError, DomainError, check_field_types
+from .errors import ContractError, DomainError, check_field_types, is_int
 from .groups import BucketKind, classify_bucket
 
 __all__ = [
@@ -194,6 +194,8 @@ def replay_boundary(ratio: float, length: int) -> int:
     """Number of replayed steps M = floor(ratio * length), clamped to
     [1, length - 1] so every replay keeps at least one replayed and one fresh
     step. A trajectory shorter than 2 steps admits no such boundary."""
+    if not is_int(length):
+        raise DomainError(f"trajectory length must be an int, got {length!r}")
     if length < 2:
         raise DomainError(f"trajectory length must be >= 2, got {length}")
     if not 0.0 <= ratio <= 1.0:

@@ -22,8 +22,8 @@ uint64 array arithmetic, so no numpy Generator stands behind any trace.
 A population is its columns (TaskColumns): row i holds task i's id, uid
 (the crc32 of its id), base logit, prefix sensitivity and length range.
 make_task_population draws them as arrays, and every sampler takes tasks
-by row. One rollout kernel draws every group: per group, a key hash and
-its task's uid and length range, all arrays. draw_fresh_groups and
+by row. One head kernel draws every group: per group, a key hash and its
+task's uid and length range, all arrays. draw_fresh_groups and
 draw_rerollout_groups key group g as seed + tuple(subkeys[g]); the loop
 passes (step, j) subkeys for a whole block of steps at once, and
 stream_integer_rows draws the block's task picks the same way. The
@@ -31,17 +31,21 @@ per-group samplers are G = 1 views keyed by the seed alone, so group g of
 draw_fresh_groups(tasks, rows, n, seed, subkeys) is the group
 sample_fresh_group(tasks, rows[g], n, seed + tuple(subkeys[g])) draws.
 
-Draws are arrays (StepDraws): lengths and uniforms (G, N), and every
-rollout's step ids back to back in one flat int64 array. A rerollout draws
-only its continuation: its prefix is replayed by length alone, and nothing
-reads a replayed step's id.
+Draws come in two passes. draw_fresh_groups and draw_rerollout_groups
+draw a block's heads as arrays (StepDraws): each rollout's length, its
+uniform and its stream's key hash, all (G, N). draw_step_ids(keys, lengths)
+then draws the step ids of whichever rollouts need them, back to back, from
+their key hashes alone, so a caller draws them once rewards are known and
+only for the rollouts it scores. A rerollout draws only its continuation:
+its prefix is replayed by length alone, and nothing reads a replayed step's
+id.
 
-The kernel draws its groups in chunks of about _CHUNK_WORDS words, and at
-least one group per chunk, which bounds its temporary arrays. Within a
-chunk, rollout r's steps sit at flat positions t = starts[r] + j, and step
-j is word j + 2 of its stream, so its word is mix(base[r] + t * GAMMA) for
-one per-rollout base: a chunk's step words are one repeat of the bases,
-one add of the strides and one finaliser pass, made in place.
+Rollout r's step j, at flat position t = starts[r] + j of the step ids, is
+word j + 2 of its stream, so its word is mix(base[r] + t * GAMMA) for one
+per-rollout base. draw_step_ids computes them _CHUNK_WORDS positions at a
+time, which bounds its temporary arrays: a chunk's step words are one
+repeat of the bases, one add of the strides and one finaliser pass, made in
+place in the output.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ __all__ = [
     "TaskColumns",
     "draw_fresh_groups",
     "draw_rerollout_groups",
+    "draw_step_ids",
     "conditioned_pass_probability",
     "rollout_rewards",
     "make_task_population",
@@ -73,9 +78,8 @@ __all__ = [
     "MAX_POPULATION_SIZE",
 ]
 
-# Longest trajectory a population may ask for. The rollout kernel computes
-# all random words of at least one group at once, so this bounds the size
-# of its temporary arrays.
+# Longest trajectory a population may ask for. The harness scores at least
+# one step's rollouts at once, so this bounds the size of its per-token arrays.
 MAX_TRAJECTORY_LENGTH = 2**16
 # Largest population: task picks draw below the population size with
 # 32-bit multiply-shift.
@@ -139,10 +143,10 @@ def _seed_base(rng_seed) -> tuple[int, ...]:
 _U64 = np.uint64
 _GAMMA = _U64(0x9E3779B97F4A7C15)
 _MASK64 = (1 << 64) - 1
-# Rough upper bound on the 64-bit words the rollout kernel computes at a
-# time: it draws its groups in chunks of this size, which bounds the size of
-# its temporary arrays. Chosen by timing draws of 128-256-step rollouts:
-# smaller chunks make more rounds of per-chunk calls, and 2**18 was slower.
+# Most step words draw_step_ids computes at a time: it fills its output in
+# chunks of this many positions, which bounds the size of its temporary
+# arrays. Chosen by timing draws of 128-256-step rollouts: smaller chunks
+# make more rounds of per-chunk calls, and 2**18 was slower.
 _CHUNK_WORDS = 2**17
 
 
@@ -213,13 +217,13 @@ def stream_integer_rows(rng_seed, subkeys, count: int, bound: int) -> np.ndarray
 
 
 class StepDraws(NamedTuple):
-    """The random part of G groups of N rollouts, as arrays: lengths and
-    uniforms (G, N), and steps, every rollout's drawn step ids back to back
-    as int64 in the order r = j * N + i, lengths[j, i] of them for rollout r."""
+    """The heads of G groups of N rollouts, as (G, N) arrays: each rollout's
+    length, its uniform and its stream's key hash (uint64), from which
+    draw_step_ids draws its step ids."""
 
     lengths: np.ndarray
     uniforms: np.ndarray
-    steps: np.ndarray
+    keys: np.ndarray
 
 
 class TaskColumns(NamedTuple):
@@ -257,11 +261,10 @@ def _group_keys(rng_seed, subkeys) -> np.ndarray:
 def _draw_groups(
     tasks: TaskColumns, rows, n: int, purpose: int, keys: np.ndarray
 ) -> StepDraws:
-    """Draws of one group per entry of rows, for task rows[g] of tasks:
+    """Heads of one group per entry of rows, for task rows[g] of tasks:
     rollout i of group g is keyed keys[g] + (purpose, uid, i), where keys
     holds the groups' key hashes and uid is the task's. Word 0 of a
-    rollout's stream gives its length, word 1 its uniform and words
-    2 .. length + 1 its step ids."""
+    rollout's stream gives its length and word 1 its uniform."""
     if not (is_int(n) and n >= 2):
         raise DomainError(f"group size must be an int >= 2, got {n!r}")
     rows = np.asarray(rows)
@@ -272,34 +275,39 @@ def _draw_groups(
         raise ContractError(f"task rows must lie in [0, {len(tasks.uid)})")
     if len(keys) != len(rows):
         raise ContractError(f"{len(rows)} task rows but {len(keys)} group keys")
-    uids, ranges = tasks.uid[rows], tasks.length_range[rows]
-    per_chunk = max(1, _CHUNK_WORDS // (n * (int(ranges[:, 1].max(initial=0)) + 2)))
-    lengths, uniforms, steps = [np.zeros(0, np.int64)], [np.zeros(0)], [np.zeros(0, _U64)]
-    for start in range(0, len(rows), per_chunk):
-        chunk = slice(start, start + per_chunk)
-        groups = _extend(_extend(keys[chunk], _U64(purpose)), uids[chunk])
-        ids = _extend(groups[:, None], np.arange(n, dtype=_U64)).ravel()
-        lo, hi = np.repeat(ranges[chunk], n, axis=0).T
-        head = _words(ids[:, None], np.arange(2, dtype=_U64))
-        drawn = lo + _below(head[:, 0], hi - lo + 1).astype(np.int64)
-        # Step ids, back to back: step j of rollout r, at flat position
-        # t = starts[r] + j, is word j + 2 of its stream, the mix of
-        # ids[r] + (j + 3) * GAMMA = base[r] + t * GAMMA (mod 2**64).
-        starts = np.cumsum(drawn) - drawn
-        base = ids + (_U64(3) - starts.astype(_U64)) * _GAMMA
-        words = np.arange(drawn.sum(), dtype=_U64)
-        words *= _GAMMA
-        words += np.repeat(base, drawn)
-        steps.append(_mix(words))
-        lengths.append(drawn)
-        uniforms.append(_uniform(head[:, 1]))
-    steps = np.concatenate(steps)
-    steps >>= _U64(2)
-    return StepDraws(
-        lengths=np.concatenate(lengths).reshape(-1, n),
-        uniforms=np.concatenate(uniforms).reshape(-1, n),
-        steps=steps.view(np.int64),
-    )
+    lo, hi = tasks.length_range[rows].T[:, :, None]
+    groups = _extend(_extend(keys, _U64(purpose)), tasks.uid[rows])
+    ids = _extend(groups[:, None], np.arange(n, dtype=_U64))
+    head = _words(ids[..., None], np.arange(2, dtype=_U64))
+    lengths = lo + _below(head[..., 0], hi - lo + 1).astype(np.int64)
+    return StepDraws(lengths=lengths, uniforms=_uniform(head[..., 1]), keys=ids)
+
+
+def draw_step_ids(keys, lengths) -> np.ndarray:
+    """Step ids of the rollouts whose stream key hashes are keys, back to
+    back as int64: rollout r's lengths[r] step ids are words 2 ..
+    lengths[r] + 1 of its stream, each shifted right by 2. keys and lengths
+    are matching arrays, as StepDraws holds them, read in C order."""
+    keys = np.asarray(keys, _U64).ravel()
+    lengths = np.asarray(lengths, np.int64).ravel()
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    # Step j of rollout r, at flat position t = starts[r] + j, is word j + 2
+    # of its stream, the mix of keys[r] + (j + 3) * GAMMA = base[r] + t * GAMMA.
+    base = keys + (_U64(3) - starts.astype(_U64)) * _GAMMA
+    out = np.empty(int(ends[-1]) if len(ends) else 0, _U64)
+    for a in range(0, len(out), _CHUNK_WORDS):
+        b = min(a + _CHUNK_WORDS, len(out))
+        # The rollouts with a step in [a, b), and how many steps each has there.
+        first = int(np.searchsorted(ends, a, side="right"))
+        last = int(np.searchsorted(ends, b)) + 1
+        counts = np.minimum(ends[first:last], b) - np.maximum(starts[first:last], a)
+        chunk = out[a:b]
+        np.multiply(np.arange(a, b, dtype=_U64), _GAMMA, out=chunk)
+        chunk += np.repeat(base[first:last], counts)
+        _mix(chunk)
+    out >>= _U64(2)
+    return out.view(np.int64)
 
 
 def rollout_rewards(uniforms, p) -> np.ndarray:
@@ -315,12 +323,12 @@ def _group_sample(
     """The group of a one-group draw, `boundary` replayed steps ahead of each rollout."""
     rewards = tuple(rollout_rewards(draw.uniforms[0], p).astype(int).tolist())
     lengths = tuple((boundary + draw.lengths[0]).tolist())
-    steps = tuple(draw.steps.tolist())
+    steps = tuple(draw_step_ids(draw.keys, draw.lengths).tolist())
     return GroupSample(task_id, rewards, parent_bucket, lengths, steps, boundary)
 
 
 def draw_fresh_groups(tasks: TaskColumns, rows, n: int, rng_seed, subkeys) -> StepDraws:
-    """One fresh group of n rollouts per entry of rows, as arrays: group g
+    """The heads of one fresh group of n rollouts per entry of rows: group g
     is drawn for task rows[g] of tasks and keyed rng_seed + tuple(subkeys[g]),
     subkeys being a (G, K) array of ints in [0, 2**64)."""
     return _draw_groups(tasks, rows, n, _PURPOSE_FRESH, _group_keys(rng_seed, subkeys))

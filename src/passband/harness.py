@@ -28,19 +28,21 @@ block. Then the rerollouts' boundaries, pass probabilities and controller
 updates run one by one, in step order, since each depends on the state the
 earlier ones left, and each step ends with its controller rows. The
 block's rerollout base logits and sensitivities are gathered from the
-columns with one index each. Last, one masked_loss_kernel call scores
-every group of the block, and each step's audit loss adds its groups'
-losses left to right from 0.0, in run.jsonl order. Where the blocks end
-shows in nothing the run records.
+columns with one index each. Last, the block's non-degenerate groups, the
+only ones whose loss can change a step's sum, are scored: one
+env.draw_step_ids call draws their step ids from the heads' key hashes,
+one masked_loss_kernel call scores them, and each step's audit loss adds
+its groups' losses left to right from 0.0, in run.jsonl order. Where the
+blocks end shows in nothing the run records.
 
-A block is held as arrays, not per-group objects: env's StepDraws, (G, N)
-rewards, RLOO advantages and one audit-loss term row per group. A run's
-groups stay arrays too: RunResult.groups holds run.jsonl's fields as
-columns, one row per group, one part per block. After the loop, the step
-metrics and the parent-to-child transitions are counted from them in one
-pass each, and run.jsonl is formatted from them a chunk of rows at a time:
-each chunk's cells are gathered from tables of its distinct values and
-joined once.
+A block is held as arrays, not per-group objects: env's StepDraws heads,
+(G, N) rewards, RLOO advantages and one audit-loss term row per scored
+group. A run's groups stay arrays too: RunResult.groups holds run.jsonl's
+fields as columns, one row per group, one part per block. After the loop,
+the step metrics and the parent-to-child transitions are counted from them
+in one pass each, and run.jsonl is formatted from them a chunk of rows at
+a time: each chunk's cells are gathered from text tables built once per
+run and joined once.
 
 Four arms share this loop, which takes their semantics from config's
 SAVING_KINDS and arm_controller_params: the baseline saves no prefix, so
@@ -398,19 +400,28 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         # run.jsonl's order: each step's fresh groups, then its rerollouts.
         block_step = np.concatenate((fresh_step, rerollout_step))
         order = np.argsort(block_step, kind="stable")
+        # A degenerate group's RLOO advantages are all zero, so its loss is a
+        # zero of either sign, which leaves a step's sum as it is: only the
+        # other groups' step ids are drawn and scored, in block row order.
+        passes = rewards.sum(axis=1)
+        live = (passes > 0) & (passes < n)
+        live_lengths = lengths[live]
+        tokens = env_mod.draw_step_ids(
+            np.concatenate((fresh.keys, draws.keys))[live], live_lengths
+        )
         # Step ids are >= 0 and _AUDIT_VOCAB is a power of two, so the mask
         # takes them mod the vocabulary.
-        tokens = np.concatenate((fresh.steps, draws.steps))
         tokens &= _AUDIT_VOCAB - 1
         losses = masked_loss_kernel(
-            tokens, boundaries, lengths, rloo_advantages(rewards), log_probs,
+            tokens, boundaries[live], live_lengths, rloo_advantages(rewards[live]), log_probs,
             length_normalized=config.loss.length_normalized,
             group_reduction=config.loss.group_reduction,
         )
-        # A degenerate group's loss is a zero of either sign (its RLOO
-        # advantages are all zero), so each step's sum is that of its
-        # non-degenerate groups.
-        audit_losses.extend(_left_to_right_sums(losses[order], g + per_step).tolist())
+        live_step = block_step[live]
+        audit_losses.extend(_left_to_right_sums(
+            losses[np.argsort(live_step, kind="stable")],
+            np.bincount(live_step - first, minlength=len(steps)),
+        ).tolist())
         # One run.jsonl row per group; its rollouts share its boundary.
         step_groups.append(GroupColumns(
             task_id=tasks.task_id[np.concatenate((picks, rerolled))[order]],
@@ -540,11 +551,21 @@ def _write_traces(result: RunResult, out: Path) -> None:
     )
 
 
+def _int_table(values) -> np.ndarray:
+    """Row i holds each value's text followed by _INT_SUFFIXES[i]."""
+    return np.array([[f"{v}{suffix}" for v in values] for suffix in _INT_SUFFIXES], object)
+
+
 def _record_lines(groups: GroupColumns) -> Iterator[str]:
     """_RECORD_ENCODER.encode(record) + "\\n" for each group's record, joined
     _LINE_CHUNK_ROWS rows at a time. Each distinct task id and parent is
-    encoded once per run and each distinct int once per chunk; a chunk's
+    encoded once per run, and so is each int of [min, max] of the int
+    columns, indexed by value - min. Columns whose range is wider than their
+    count of int cells (hand-built ones, or a run of a few groups of long
+    rollouts) fall back to a table of each chunk's distinct ints. A chunk's
     cells are gathered from those tables and joined in one call."""
+    if not len(groups.step):
+        return
     encode = _RECORD_ENCODER.encode
     n = groups.rewards.shape[1]
     heads = {
@@ -558,25 +579,28 @@ def _record_lines(groups: GroupColumns) -> Iterator[str]:
     }
     # A line's cells: its head, n rewards, its origin, then the step, n
     # lengths and the boundary. The int cells, all but the head and the
-    # origin, take their text from the chunk's table row of their suffix.
+    # origin, take their text from the table row of their suffix.
     suffixes = np.array([0] * (n - 1) + [1, 2] + [0] * (n - 1) + [3, 4])
     int_cells = np.r_[1:n + 1, n + 2:2 * n + 4]
+    columns = (groups.rewards, groups.step[:, None], groups.lengths, groups.boundary[:, None])
+    lo = min(int(column.min()) for column in columns)
+    hi = max(int(column.max()) for column in columns)
+    one_table = hi - lo < len(groups.step) * len(int_cells)
+    if one_table:
+        table = _int_table(range(lo, hi + 1))
     for start in range(0, len(groups.step), _LINE_CHUNK_ROWS):
         rows = slice(start, start + _LINE_CHUNK_ROWS)
-        ints = np.concatenate(
-            (groups.rewards[rows], groups.step[rows, None], groups.lengths[rows],
-             groups.boundary[rows, None]),
-            axis=1, dtype=np.int64,
-        )
-        values, inverse = np.unique(ints, return_inverse=True)
-        table = np.array(
-            [[f"{value}{suffix}" for value in values.tolist()] for suffix in _INT_SUFFIXES],
-            object,
-        )
+        ints = np.concatenate([column[rows] for column in columns], axis=1, dtype=np.int64)
+        if one_table:
+            index = ints - lo
+        else:
+            values, index = np.unique(ints, return_inverse=True)
+            table = _int_table(values.tolist())
+            index = index.reshape(ints.shape)
         cells = np.empty((len(ints), 2 * n + 4), object)
         cells[:, 0] = list(map(heads.__getitem__, groups.task_id[rows]))
         cells[:, n + 1] = list(map(origins.__getitem__, groups.parent_bucket[rows].tolist()))
-        cells[:, int_cells] = table[suffixes, inverse.reshape(ints.shape)]
+        cells[:, int_cells] = table[suffixes, index]
         yield "".join(cells.ravel().tolist())
 
 

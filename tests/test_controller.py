@@ -1,5 +1,6 @@
 """Per-bucket EMA controller dynamics, prefix selection, and the prefix pool."""
 
+import re
 import zlib
 
 import numpy as np
@@ -512,6 +513,14 @@ class TestReplayBoundary:
             replay_boundary(0.5, 0)
         with pytest.raises(DomainError):
             replay_boundary(1.5, 10)
+
+    @pytest.mark.parametrize("length", [3.5, 10.0, np.float64(4.0), True, "8", None])
+    def test_non_int_length_rejected(self, length):
+        # A float length gave a boundary that is no step count: 0.9 * 3.5 -> 2.5.
+        want = re.escape(f"length must be an int, got {length!r}") + "$"
+        with pytest.raises(DomainError, match=want):
+            replay_boundary(0.9, length)
+        assert replay_boundary(0.9, np.int64(4)) == 3
 
 
 class TestMemoryBound:

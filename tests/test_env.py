@@ -25,6 +25,7 @@ from passband.env import (
     conditioned_pass_probability,
     draw_fresh_groups,
     draw_rerollout_groups,
+    draw_step_ids,
     make_task_population,
     rollout_rewards,
     sample_fresh_group,
@@ -49,16 +50,17 @@ def rollouts(sample):
     return list(zip(rollout_steps(sample), sample.rewards))
 
 
-def step_group(draws, j):
-    """Group j of a step's arrays as (lengths, steps, uniforms) tuples; its
-    step ids follow those of the groups before it."""
-    start = int(draws.lengths[:j].sum())
-    lengths = tuple(draws.lengths[j].tolist())
-    return (
-        lengths,
-        tuple(draws.steps[start:start + sum(lengths)].tolist()),
-        tuple(draws.uniforms[j].tolist()),
-    )
+def step_groups(draws):
+    """Every group of a step's heads as a (lengths, steps, uniforms) tuple;
+    one draw_step_ids call draws all groups' step ids, back to back."""
+    steps = draw_step_ids(draws.keys, draws.lengths).tolist()
+    ends = list(accumulate(draws.lengths.sum(axis=1).tolist(), initial=0))
+    return [
+        (tuple(lengths), tuple(steps[start:end]), tuple(uniforms))
+        for lengths, uniforms, start, end in zip(
+            draws.lengths.tolist(), draws.uniforms.tolist(), ends, ends[1:]
+        )
+    ]
 
 
 def completed(draw, p):
@@ -160,12 +162,12 @@ def step_draws(draw_groups, tasks, n, seed):
     return draw_groups(tasks, slots, n, seed, slots[:, None])
 
 
-# Long rollouts make a batch of these tasks span several kernel chunks under
-# LONG_CHUNK_WORDS: 6 groups of at most 8 * (300 + 2) words per chunk.
+# Long rollouts make the step ids of a batch of these tasks span several
+# chunks under LONG_CHUNK_WORDS: 20 groups of 8 rollouts of 100 to 300 steps.
 LONG_TASKS = stack(
     [make_task(0.3 + 0.02 * i, lengths=(100, 300), task_id=f"t{i}") for i in range(20)]
 )
-LONG_CHUNK_WORDS = 2**14
+LONG_CHUNK_WORDS = 2**12
 FAILURE_PREFIX = PrefixRecord(task_row=0, source_bucket=7, length=12)
 
 
@@ -446,7 +448,9 @@ class TestInPlaceFinaliser:
         keys = env._group_keys(self.SEED, subkeys)
         for draw_groups in (draw_fresh_groups, draw_rerollout_groups):
             left_unchanged(draw_groups, tasks, rows, 8, self.SEED, subkeys)
+        draws = env._draw_groups(tasks, rows, 8, _PURPOSE_FRESH, keys)
         left_unchanged(env._draw_groups, tasks, rows, 8, _PURPOSE_FRESH, keys)
+        left_unchanged(draw_step_ids, draws.keys, draws.lengths)
         left_unchanged(stream_integer_rows, self.SEED, subkeys, 5, 7)
         left_unchanged(make_task_population, PopulationSpec(size=4), self.SEED)
 
@@ -505,16 +509,15 @@ class TestRolloutKernel:
             make_task(0.2 + 0.1 * j, lengths=(lo, lo + extra), task_id=f"t{j}")
             for j, (lo, extra) in enumerate(ranges)
         ])
-        with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
-            fresh = step_draws(draw_fresh_groups, tasks, n, seed)
-            rerollouts = step_draws(draw_rerollout_groups, tasks, n, seed)
+        fresh = step_draws(draw_fresh_groups, tasks, n, seed)
+        rerollouts = step_draws(draw_rerollout_groups, tasks, n, seed)
         assert fresh.lengths.shape == rerollouts.lengths.shape == (len(ranges), n)
+        with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
+            fresh_groups, rerollout_groups = step_groups(fresh), step_groups(rerollouts)
         for j in range(len(ranges)):
             key = tuple(seed) + (j,)
-            assert step_group(fresh, j) == reference_draw(key, _PURPOSE_FRESH, tasks, j, n)
-            assert step_group(rerollouts, j) == reference_draw(
-                key, _PURPOSE_REROLLOUT, tasks, j, n
-            )
+            assert fresh_groups[j] == reference_draw(key, _PURPOSE_FRESH, tasks, j, n)
+            assert rerollout_groups[j] == reference_draw(key, _PURPOSE_REROLLOUT, tasks, j, n)
 
     @mock.patch.object(env, "_CHUNK_WORDS", LONG_CHUNK_WORDS)
     def test_batches_match_reference_per_group(self):
@@ -522,22 +525,54 @@ class TestRolloutKernel:
         # three words; group j is keyed seed + (j,).
         seed = (2**70 + 3, 1)
         fresh = step_draws(draw_fresh_groups, LONG_TASKS, 8, seed)
+        groups = step_groups(fresh)
         rewards = rollout_rewards(fresh.uniforms, expit(LONG_TASKS.base_logit))
         for j, rewarded in enumerate(rewards.astype(int).tolist()):
             want = reference_draw(seed + (j,), _PURPOSE_FRESH, LONG_TASKS, j, 8)
-            assert step_group(fresh, j) == want
+            assert groups[j] == want
             assert rewarded == [int(u < fresh_p(LONG_TASKS, j)) for u in want[2]]
 
     def test_rerollout_draws_complete_like_the_sampler(self):
         task = make_task(0.4)
         prefix = PrefixRecord(task_row=0, source_bucket=1, length=10)
         draws = draw_rerollout_groups(task, np.zeros(3, np.int64), 8, 5, np.arange(3)[:, None])
+        groups = step_groups(draws)
         for j, m in enumerate((1, 5, 9)):
             want = sample_rerollout_group(task, prefix, m, 8, rng_seed=(5, j))
             p = conditioned(task, PrefixOutcome.SUCCESS, m / prefix.length)
-            assert completed(step_group(draws, j), p) == rollouts(want)
+            assert completed(groups[j], p) == rollouts(want)
             assert want.lengths == tuple((m + draws.lengths[j]).tolist())
             assert want.boundary == m
+
+
+class TestStepIds:
+    """draw_step_ids draws any rollouts' step ids from their key hashes and
+    lengths alone: a rollout's ids are words 2 .. length + 1 of its stream,
+    whichever rollouts it is drawn with, in whatever order and chunks."""
+
+    TASKS = stack([make_task(lengths=(2, 9), task_id=f"t{j}") for j in range(3)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        picked=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 12)), max_size=12),
+        chunk_words=st.one_of(st.just(_CHUNK_WORDS), st.integers(1, 40)),
+    )
+    @example(picked=[(11, 12), (0, 0), (11, 3), (4, 1)], chunk_words=5)
+    def test_any_rollouts_lengths_and_chunks(self, picked, chunk_words):
+        draws = step_draws(draw_fresh_groups, self.TASKS, 4, (7, 1))
+        keys = draws.keys.ravel()
+        # Rollout r = 4 * j + i of task j is keyed (7, 1, j, purpose, uid, i).
+        longest = [
+            [ref_word(ref_hash((7, 1, r // 4, _PURPOSE_FRESH, uid, r % 4)), c) >> 2
+             for c in range(2, 14)]
+            for r, uid in enumerate(np.repeat(self.TASKS.uid, 4).tolist())
+        ]
+        rows = [r for r, _ in picked]
+        lengths = np.array([length for _, length in picked], np.int64)
+        with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
+            got = draw_step_ids(keys[rows], lengths)
+        assert got.dtype == np.int64
+        assert got.tolist() == [s for r, length in picked for s in longest[r][:length]]
 
 
 class TestBlockDraws:
@@ -572,13 +607,14 @@ class TestBlockDraws:
             (draw_fresh_groups, _PURPOSE_FRESH),
             (draw_rerollout_groups, _PURPOSE_REROLLOUT),
         ):
-            with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
-                draws = draw_groups(tasks, rows, n, seed, np.column_stack((steps, slots)))
+            draws = draw_groups(tasks, rows, n, seed, np.column_stack((steps, slots)))
             assert draws.lengths.shape == draws.uniforms.shape == (len(steps), n)
+            with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
+                groups = step_groups(draws)
             keys = zip(steps.tolist(), slots.tolist(), rows.tolist())
             for g, (step, slot, row) in enumerate(keys):
                 want = reference_draw((seed, step, slot), purpose, tasks, row, n)
-                assert step_group(draws, g) == want
+                assert groups[g] == want
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 7])
     def test_task_picks_are_per_step_streams(self, seed):
@@ -650,30 +686,30 @@ class TestBatchKeys:
     """A step's draw takes one seed and keys its group j as seed + (j,)."""
 
     def test_batch_spans_several_chunks(self):
-        # Groups per chunk, as _draw_groups computes it: at least 4 chunks.
-        assert 3 * (env._CHUNK_WORDS // (8 * (300 + 2))) < len(LONG_TASKS.task_id)
+        # A batch's step ids, at least 8 * 100 a group, fill at least 4 chunks.
+        assert 3 * env._CHUNK_WORDS < len(LONG_TASKS.task_id) * 8 * 100
 
     @pytest.mark.parametrize("seed", [(5, 6, 7), (2**40 + 1, 2)])
     def test_fresh_batch_is_groups_of_one(self, seed):
         fresh = step_draws(draw_fresh_groups, LONG_TASKS, 8, seed)
         assert fresh.lengths.shape == (20, 8)
-        for j in range(20):
+        for j, group in enumerate(step_groups(fresh)):
             sample = sample_fresh_group(LONG_TASKS, j, 8, seed + (j,))
             assert sample.task_id == f"t{j}"
-            assert completed(step_group(fresh, j), fresh_p(LONG_TASKS, j)) == rollouts(sample)
+            assert completed(group, fresh_p(LONG_TASKS, j)) == rollouts(sample)
             assert sample.boundary == 0
 
     @pytest.mark.parametrize("seed", [(5, 6, 7), (2**40 + 1, 2)])
     def test_rerollout_batch_is_groups_of_one(self, seed):
         rerollouts = step_draws(draw_rerollout_groups, LONG_TASKS, 8, seed)
         assert rerollouts.lengths.shape == (20, 8)
-        for j in range(20):
+        for j, group in enumerate(step_groups(rerollouts)):
             m = 1 + j % 11
             prefix = FAILURE_PREFIX._replace(task_row=j)
             sample = sample_rerollout_group(LONG_TASKS, prefix, m, 8, seed + (j,))
             assert sample.task_id == f"t{j}"
             p = conditioned(LONG_TASKS, PrefixOutcome.FAILURE, m / FAILURE_PREFIX.length, j)
-            assert completed(step_group(rerollouts, j), p) == rollouts(sample)
+            assert completed(group, p) == rollouts(sample)
             assert sample.lengths == tuple((m + rerollouts.lengths[j]).tolist())
             assert sample.boundary == m
 
@@ -710,11 +746,14 @@ class TestStepArrays:
         ])
         fresh = step_draws(draw_fresh_groups, tasks, n, seed)
         rerollouts = step_draws(draw_rerollout_groups, tasks, n, seed)
-        assert fresh.steps.dtype == rerollouts.steps.dtype == np.int64
+        for draws in (fresh, rerollouts):
+            assert draws.keys.shape == (len(ranges), n) and draws.keys.dtype == np.uint64
+            assert draw_step_ids(draws.keys, draws.lengths).dtype == np.int64
+        fresh_groups, rerollout_groups = step_groups(fresh), step_groups(rerollouts)
         rewards = fresh.uniforms < expit(tasks.base_logit)[:, None]
         for j in range(len(ranges)):
             prefix = PrefixRecord(task_row=j, source_bucket=1, length=prefix_length)
-            lengths, steps, uniforms = step_group(fresh, j)
+            lengths, steps, uniforms = fresh_groups[j]
             view = sample_fresh_group(tasks, j, n, seed + (j,))
             assert lengths == view.lengths
             assert steps == view.steps
@@ -730,7 +769,7 @@ class TestStepArrays:
             m = 1 + j % (prefix_length - 1)
             p = conditioned(tasks, PrefixOutcome.SUCCESS, m / prefix_length, j)
             want = reference_draw(seed + (j,), _PURPOSE_REROLLOUT, tasks, j, n)
-            assert step_group(rerollouts, j) == want
+            assert rerollout_groups[j] == want
             if n < 4 or n % 2:
                 # No bucket, so no prefix, exists at a group size bucketing rejects.
                 with pytest.raises(DomainError):
@@ -750,8 +789,9 @@ class TestStepArrays:
             draw_fresh_groups(make_task(), none, 8, (1, 2), none[:, None]),
             draw_rerollout_groups(make_task(), none, 8, 3, none[:, None]),
         ):
-            assert draws.lengths.shape == draws.uniforms.shape == (0, 8)
-            assert draws.steps.shape == (0,) and draws.steps.dtype == np.int64
+            assert draws.lengths.shape == draws.uniforms.shape == draws.keys.shape == (0, 8)
+            steps = draw_step_ids(draws.keys, draws.lengths)
+            assert steps.shape == (0,) and steps.dtype == np.int64
 
 
 class TestGroupSampleInvariants:

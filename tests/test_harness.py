@@ -536,6 +536,49 @@ class TestBlocks:
             assert other.controller_rows == first.controller_rows
             assert other.final_states == first.final_states
 
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"same_step_rerollout": "false"}], ids=["default", "next-step-rerollout"]
+    )
+    def test_blocks_draw_step_ids_of_their_live_groups_once(self, monkeypatch, overrides):
+        # A degenerate group's loss is a zero, so each block draws the step
+        # ids of its other groups only, in one call: its fresh groups, then
+        # its rerollouts, in step and slot order, each rollout by its stream
+        # key (seed, step, slot, purpose, crc32(task id), i) and drawn length.
+        config = small_config(steps=7, arm="ps-ada", **overrides)
+        n = config.group_size
+        step_words = config.batch_size * n * (config.population.length_max + 2)
+        monkeypatch.setattr(harness, "_BLOCK_WORDS", 3 * step_words)
+        calls = []
+        real = harness.env_mod.draw_step_ids
+
+        def recorded(keys, lengths):
+            calls.append((np.array(keys).tolist(), np.array(lengths).tolist()))
+            return real(keys, lengths)
+
+        monkeypatch.setattr(harness.env_mod, "draw_step_ids", recorded)
+        groups = run_experiment(config).groups
+        k = groups.rewards.sum(axis=1)
+        rerolled = groups.parent_bucket >= 0
+        assert ((k == 0) | (k == n)).any() and rerolled.any()
+        slots = np.zeros(len(k), np.int64)
+        for origin in (~rerolled, rerolled):
+            rows = np.flatnonzero(origin)
+            steps = groups.step[rows]
+            slots[rows] = np.arange(len(rows)) - np.searchsorted(steps, steps)
+        want = []
+        for first in range(0, config.steps, 3):
+            keys, lengths = [], []
+            in_block = (groups.step >= first) & (groups.step < first + 3) & (k > 0) & (k < n)
+            origins = ((~rerolled, env._PURPOSE_FRESH), (rerolled, env._PURPOSE_REROLLOUT))
+            for origin, purpose in origins:
+                for r in np.flatnonzero(in_block & origin).tolist():
+                    uid = zlib.crc32(groups.task_id[r].encode("utf-8"))
+                    key = (config.seed, int(groups.step[r]), int(slots[r]), purpose, uid)
+                    keys.append([ref_hash(key + (i,)) for i in range(n)])
+                    lengths.append((groups.lengths[r] - groups.boundary[r]).tolist())
+            want.append((keys, lengths))
+        assert calls == want
+
 
 @st.composite
 def prefix_blocks(draw):
