@@ -209,7 +209,6 @@ def masked_loss_kernel(
     cells *= log_probs.shape[1]
     cells += tokens
     terms = log_probs.ravel()[cells]
-    del cells
     terms *= np.repeat(advantages.ravel(), flat)
     sizes = counts.sum(axis=1)
     return _scale(-_left_to_right_sums(terms, sizes), n, sizes, length_normalized, group_reduction)

@@ -41,11 +41,10 @@ its prefix is replayed by length alone, and nothing reads a replayed step's
 id.
 
 Rollout r's step j, at flat position t = starts[r] + j of the step ids, is
-word j + 2 of its stream, so its word is mix(base[r] + t * GAMMA) for one
-per-rollout base. draw_step_ids computes them _CHUNK_WORDS positions at a
-time, which bounds its temporary arrays: a chunk's step words are one
-repeat of the bases, one add of the strides and one finaliser pass, made in
-place in the output.
+word j + 2 of its stream, mix(base[r] + t * GAMMA) for one per-rollout base.
+So draw_step_ids draws a call's ids in one pass, a repeat of the bases, an
+add of the strides and a finaliser pass in place, and the rollouts a caller
+passes bound its temporary arrays (the harness passes cache-sized chunks).
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .controller import SAVED_OUTCOME, PrefixOutcome, PrefixRecord
-from .errors import ContractError, DomainError, check_field_types, is_int
+from .errors import ContractError, DomainError, check_field_types, int_array, is_int
 from .groups import bucket_label, classify_bucket
 
 __all__ = [
@@ -79,7 +78,7 @@ __all__ = [
 ]
 
 # Longest trajectory a population may ask for. The harness scores at least
-# one step's rollouts at once, so this bounds the size of its per-token arrays.
+# one group's rollouts at once, so this bounds the size of its per-token arrays.
 MAX_TRAJECTORY_LENGTH = 2**16
 # Largest population: task picks draw below the population size with
 # 32-bit multiply-shift.
@@ -143,11 +142,6 @@ def _seed_base(rng_seed) -> tuple[int, ...]:
 _U64 = np.uint64
 _GAMMA = _U64(0x9E3779B97F4A7C15)
 _MASK64 = (1 << 64) - 1
-# Most step words draw_step_ids computes at a time: it fills its output in
-# chunks of this many positions, which bounds the size of its temporary
-# arrays. Chosen by timing draws of 128-256-step rollouts: smaller chunks
-# make more rounds of per-chunk calls, and 2**18 was slower.
-_CHUNK_WORDS = 2**17
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -287,25 +281,21 @@ def draw_step_ids(keys, lengths) -> np.ndarray:
     """Step ids of the rollouts whose stream key hashes are keys, back to
     back as int64: rollout r's lengths[r] step ids are words 2 ..
     lengths[r] + 1 of its stream, each shifted right by 2. keys and lengths
-    are matching arrays, as StepDraws holds them, read in C order."""
+    are arrays of one size, as StepDraws holds them, read in C order; each
+    length is an int >= 0. All ids are drawn in one pass."""
     keys = np.asarray(keys, _U64).ravel()
-    lengths = np.asarray(lengths, np.int64).ravel()
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
+    lengths = int_array(lengths, "step id lengths").astype(np.int64).ravel()
+    if len(keys) != len(lengths):
+        raise ContractError(f"{len(keys)} key hashes but {len(lengths)} lengths")
+    if lengths.size and lengths.min() < 0:
+        raise DomainError(f"step id lengths must be >= 0, got {lengths.min()}")
     # Step j of rollout r, at flat position t = starts[r] + j, is word j + 2
     # of its stream, the mix of keys[r] + (j + 3) * GAMMA = base[r] + t * GAMMA.
-    base = keys + (_U64(3) - starts.astype(_U64)) * _GAMMA
-    out = np.empty(int(ends[-1]) if len(ends) else 0, _U64)
-    for a in range(0, len(out), _CHUNK_WORDS):
-        b = min(a + _CHUNK_WORDS, len(out))
-        # The rollouts with a step in [a, b), and how many steps each has there.
-        first = int(np.searchsorted(ends, a, side="right"))
-        last = int(np.searchsorted(ends, b)) + 1
-        counts = np.minimum(ends[first:last], b) - np.maximum(starts[first:last], a)
-        chunk = out[a:b]
-        np.multiply(np.arange(a, b, dtype=_U64), _GAMMA, out=chunk)
-        chunk += np.repeat(base[first:last], counts)
-        _mix(chunk)
+    starts = np.cumsum(lengths) - lengths
+    out = np.arange(lengths.sum(), dtype=_U64)
+    out *= _GAMMA
+    out += np.repeat(keys + (_U64(3) - starts.astype(_U64)) * _GAMMA, lengths)
+    _mix(out)
     out >>= _U64(2)
     return out.view(np.int64)
 

@@ -36,6 +36,18 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def int_array(values, what: str) -> np.ndarray:
+    """values as an array; DomainError for a non-empty float, bool or object
+    array, and for a bool anywhere in a list, whose dtype numpy infers."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise DomainError(f"{what} must be integers, got dtype {array.dtype}")
+    listed = () if isinstance(values, np.ndarray) else np.asarray(values, object).flat
+    if any(isinstance(v, (bool, np.bool_)) for v in listed):
+        raise DomainError(f"{what} must be integers, got a bool")
+    return array
+
+
 def is_real(value) -> bool:
     """An int or float, numpy ones included; bools and strings are not."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)

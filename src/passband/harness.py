@@ -29,11 +29,11 @@ updates run one by one, in step order, since each depends on the state the
 earlier ones left, and each step ends with its controller rows. The
 block's rerollout base logits and sensitivities are gathered from the
 columns with one index each. Last, the block's non-degenerate groups, the
-only ones whose loss can change a step's sum, are scored: one
-env.draw_step_ids call draws their step ids from the heads' key hashes,
-one masked_loss_kernel call scores them, and each step's audit loss adds
-its groups' losses left to right from 0.0, in run.jsonl order. Where the
-blocks end shows in nothing the run records.
+only ones whose loss can change a step's sum, are scored a chunk of whole
+groups at a time (_SCORE_WORDS): one env.draw_step_ids call draws a chunk's
+step ids from its heads' key hashes, one masked_loss_kernel call scores it.
+Each step's audit loss adds its groups' losses left to right from 0.0, in
+run.jsonl order. Where blocks and chunks end shows in nothing a run records.
 
 A block is held as arrays, not per-group objects: env's StepDraws heads,
 (G, N) rewards, RLOO advantages and one audit-loss term row per scored
@@ -94,7 +94,7 @@ from .controller import (
     select_prefix,
     update_controller,
 )
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, int_array
 from .groups import bucket_label, classify_bucket, controlled_buckets
 
 __all__ = [
@@ -119,6 +119,10 @@ _POLICY_STREAM = 1002
 # memory of a run of short rollouts). A block takes as many steps as fit,
 # and at least one.
 _BLOCK_WORDS = 2**17
+# Most step positions a block scores at once: its live groups are scored in
+# chunks of whole groups, as many as fit and at least one, so that per-token
+# arrays stay in cache. Chosen by a 2**13 .. 2**17 sweep on steer and long-audit.
+_SCORE_WORDS = 2**14
 
 _AUDIT_CONTEXTS = 8
 _AUDIT_VOCAB = 16
@@ -213,25 +217,13 @@ class RunResult:
         return _GroupRecords(self.groups)
 
 
-def _int_array(values, what: str) -> np.ndarray:
-    """values as an array; DomainError for a non-empty float, bool or object
-    array, and for a bool anywhere in a list, whose dtype numpy infers."""
-    array = np.asarray(values)
-    if array.size and array.dtype.kind not in "iu":
-        raise DomainError(f"{what} must be integers, got dtype {array.dtype}")
-    listed = () if isinstance(values, np.ndarray) else np.asarray(values, object).flat
-    if any(isinstance(v, (bool, np.bool_)) for v in listed):
-        raise DomainError(f"{what} must be integers, got a bool")
-    return array
-
-
 def _columns(groups: GroupColumns, n: int, steps: int | None = None):
     """(step, pass count, parent) of every group as int64 arrays, from
     checked columns; steps, when given, bounds the step column. The rewards
     are summed as they are, not copied."""
-    rewards = _int_array(groups.rewards, "rewards")
-    step = _int_array(groups.step, "steps").astype(np.int64, copy=False)
-    parent = _int_array(groups.parent_bucket, "parent pass counts").astype(np.int64, copy=False)
+    rewards = int_array(groups.rewards, "rewards")
+    step = int_array(groups.step, "steps").astype(np.int64, copy=False)
+    parent = int_array(groups.parent_bucket, "parent pass counts").astype(np.int64, copy=False)
     if rewards.ndim != 2 or rewards.shape[1] != n:
         raise ContractError(f"rewards of shape {rewards.shape} for group size {n}")
     if not len(rewards) == len(parent) == len(step):
@@ -404,19 +396,26 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         # zero of either sign, which leaves a step's sum as it is: only the
         # other groups' step ids are drawn and scored, in block row order.
         passes = rewards.sum(axis=1)
-        live = (passes > 0) & (passes < n)
-        live_lengths = lengths[live]
-        tokens = env_mod.draw_step_ids(
-            np.concatenate((fresh.keys, draws.keys))[live], live_lengths
-        )
-        # Step ids are >= 0 and _AUDIT_VOCAB is a power of two, so the mask
-        # takes them mod the vocabulary.
-        tokens &= _AUDIT_VOCAB - 1
-        losses = masked_loss_kernel(
-            tokens, boundaries[live], live_lengths, rloo_advantages(rewards[live]), log_probs,
-            length_normalized=config.loss.length_normalized,
-            group_reduction=config.loss.group_reduction,
-        )
+        live = np.flatnonzero((passes > 0) & (passes < n))
+        keys = np.concatenate((fresh.keys, draws.keys))
+        advantages = rloo_advantages(rewards[live])
+        ends = np.cumsum(lengths[live].sum(axis=1))
+        losses = np.empty(len(live))
+        a = start = 0
+        while a < len(live):
+            # Live groups a .. b - 1: as many as fit _SCORE_WORDS, at least one.
+            b = max(a + 1, int(np.searchsorted(ends, start + _SCORE_WORDS, "right")))
+            rows = live[a:b]
+            tokens = env_mod.draw_step_ids(keys[rows], lengths[rows])
+            # Step ids are >= 0 and _AUDIT_VOCAB is a power of two, so the
+            # mask takes them mod the vocabulary.
+            tokens &= _AUDIT_VOCAB - 1
+            losses[a:b] = masked_loss_kernel(
+                tokens, boundaries[rows], lengths[rows], advantages[a:b], log_probs,
+                length_normalized=config.loss.length_normalized,
+                group_reduction=config.loss.group_reduction,
+            )
+            a, start = b, ends[b - 1]
         live_step = block_step[live]
         audit_losses.extend(_left_to_right_sums(
             losses[np.argsort(live_step, kind="stable")],

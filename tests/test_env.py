@@ -2,7 +2,6 @@
 
 import zlib
 from itertools import accumulate
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from scipy.stats import beta, binom, chisquare
 from passband import env
 from passband.controller import PrefixOutcome, PrefixRecord, select_prefix
 from passband.env import (
-    _CHUNK_WORDS,
     _PURPOSE_FRESH,
     _PURPOSE_REROLLOUT,
     PopulationSpec,
@@ -162,12 +160,10 @@ def step_draws(draw_groups, tasks, n, seed):
     return draw_groups(tasks, slots, n, seed, slots[:, None])
 
 
-# Long rollouts make the step ids of a batch of these tasks span several
-# chunks under LONG_CHUNK_WORDS: 20 groups of 8 rollouts of 100 to 300 steps.
+# Long rollouts: 20 groups of 8 rollouts of 100 to 300 steps.
 LONG_TASKS = stack(
     [make_task(0.3 + 0.02 * i, lengths=(100, 300), task_id=f"t{i}") for i in range(20)]
 )
-LONG_CHUNK_WORDS = 2**12
 FAILURE_PREFIX = PrefixRecord(task_row=0, source_bucket=7, length=12)
 
 
@@ -496,15 +492,8 @@ class TestRolloutKernel:
             min_size=1,
             max_size=6,
         ),
-        chunk_words=st.one_of(st.just(_CHUNK_WORDS), st.integers(1, 600)),
     )
-    # At the default budget: a group larger than a chunk, so one group per
-    # chunk, and five groups in one chunk of over 2**16 words.
-    @example(seed=[2**64 + 9], n=2, ranges=[(_CHUNK_WORDS // 2, 64), (3, 5)],
-             chunk_words=_CHUNK_WORDS)
-    @example(seed=[7, 2**63], n=16, ranges=[(900, 40)] * 5, chunk_words=_CHUNK_WORDS)
-    def test_matches_reference_stream(self, seed, n, ranges, chunk_words):
-        # A small chunk size makes even a short step span several chunks.
+    def test_matches_reference_stream(self, seed, n, ranges):
         tasks = stack([
             make_task(0.2 + 0.1 * j, lengths=(lo, lo + extra), task_id=f"t{j}")
             for j, (lo, extra) in enumerate(ranges)
@@ -512,17 +501,14 @@ class TestRolloutKernel:
         fresh = step_draws(draw_fresh_groups, tasks, n, seed)
         rerollouts = step_draws(draw_rerollout_groups, tasks, n, seed)
         assert fresh.lengths.shape == rerollouts.lengths.shape == (len(ranges), n)
-        with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
-            fresh_groups, rerollout_groups = step_groups(fresh), step_groups(rerollouts)
+        fresh_groups, rerollout_groups = step_groups(fresh), step_groups(rerollouts)
         for j in range(len(ranges)):
             key = tuple(seed) + (j,)
             assert fresh_groups[j] == reference_draw(key, _PURPOSE_FRESH, tasks, j, n)
             assert rerollout_groups[j] == reference_draw(key, _PURPOSE_REROLLOUT, tasks, j, n)
 
-    @mock.patch.object(env, "_CHUNK_WORDS", LONG_CHUNK_WORDS)
     def test_batches_match_reference_per_group(self):
-        # Enough long rollouts for several kernel chunks, under a seed of
-        # three words; group j is keyed seed + (j,).
+        # Long rollouts under a seed of three words; group j is keyed seed + (j,).
         seed = (2**70 + 3, 1)
         fresh = step_draws(draw_fresh_groups, LONG_TASKS, 8, seed)
         groups = step_groups(fresh)
@@ -548,17 +534,18 @@ class TestRolloutKernel:
 class TestStepIds:
     """draw_step_ids draws any rollouts' step ids from their key hashes and
     lengths alone: a rollout's ids are words 2 .. length + 1 of its stream,
-    whichever rollouts it is drawn with, in whatever order and chunks."""
+    whichever rollouts it is drawn with, in whatever order. How a caller
+    splits its rollouts over calls is checked where the harness splits them
+    (tests/test_harness.py, TestBlocks)."""
 
     TASKS = stack([make_task(lengths=(2, 9), task_id=f"t{j}") for j in range(3)])
 
     @settings(max_examples=60, deadline=None)
     @given(
         picked=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 12)), max_size=12),
-        chunk_words=st.one_of(st.just(_CHUNK_WORDS), st.integers(1, 40)),
     )
-    @example(picked=[(11, 12), (0, 0), (11, 3), (4, 1)], chunk_words=5)
-    def test_any_rollouts_lengths_and_chunks(self, picked, chunk_words):
+    @example(picked=[(11, 12), (0, 0), (11, 3), (4, 1)])
+    def test_any_rollouts_and_lengths(self, picked):
         draws = step_draws(draw_fresh_groups, self.TASKS, 4, (7, 1))
         keys = draws.keys.ravel()
         # Rollout r = 4 * j + i of task j is keyed (7, 1, j, purpose, uid, i).
@@ -569,10 +556,29 @@ class TestStepIds:
         ]
         rows = [r for r, _ in picked]
         lengths = np.array([length for _, length in picked], np.int64)
-        with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
-            got = draw_step_ids(keys[rows], lengths)
+        got = draw_step_ids(keys[rows], lengths)
         assert got.dtype == np.int64
         assert got.tolist() == [s for r, length in picked for s in longest[r][:length]]
+
+    @pytest.mark.parametrize(
+        "keys, lengths, error",
+        [
+            ([1, 2], [3], ContractError),
+            ([1], [[3], [4]], ContractError),
+            ([1, 2], [3, -1], DomainError),
+            ([1], [2.5], DomainError),
+            ([1], np.array([2.0]), DomainError),
+            ([1], [True], DomainError),
+            ([1, 2], [3, True], DomainError),
+            ([1], np.array([True]), DomainError),
+            ([1], ["3"], DomainError),
+        ],
+    )
+    def test_bad_lengths_rejected(self, keys, lengths, error):
+        # Lengths are ints >= 0, as errors.is_int has them (no bool, no
+        # float), one per key hash.
+        with pytest.raises(error):
+            draw_step_ids(np.array(keys, np.uint64), lengths)
 
 
 class TestBlockDraws:
@@ -586,16 +592,11 @@ class TestBlockDraws:
         first=st.integers(0, 2**40),
         per_step=st.lists(st.integers(0, 4), min_size=1, max_size=5),
         n=st.integers(2, 9),
-        chunk_words=st.one_of(st.just(_CHUNK_WORDS), st.integers(1, 600)),
     )
-    @example(seed=5, first=0, per_step=[3, 0, 1, 2], n=8, chunk_words=_CHUNK_WORDS)
-    @example(seed=5, first=12, per_step=[0, 0, 0], n=8, chunk_words=_CHUNK_WORDS)
-    # A group larger than the default chunk, so one group per chunk; and
-    # seven groups in one chunk of over 2**16 words, which needs a larger
-    # budget here: at most 2**17 // (n * 18) of these groups share a chunk.
-    @example(seed=2**64 - 1, first=2**40, per_step=[0, 2], n=12288, chunk_words=_CHUNK_WORDS)
-    @example(seed=9, first=3, per_step=[3, 4], n=1200, chunk_words=2**18)
-    def test_ragged_block_matches_reference(self, seed, first, per_step, n, chunk_words):
+    @example(seed=5, first=0, per_step=[3, 0, 1, 2], n=8)
+    @example(seed=5, first=12, per_step=[0, 0, 0], n=8)
+    @example(seed=2**64 - 1, first=2**40, per_step=[0, 2], n=9)
+    def test_ragged_block_matches_reference(self, seed, first, per_step, n):
         tasks = stack([
             make_task(0.2 + 0.1 * i, lengths=(2 + i, 4 + 3 * i), task_id=f"t{i}")
             for i in range(5)
@@ -609,8 +610,7 @@ class TestBlockDraws:
         ):
             draws = draw_groups(tasks, rows, n, seed, np.column_stack((steps, slots)))
             assert draws.lengths.shape == draws.uniforms.shape == (len(steps), n)
-            with mock.patch.object(env, "_CHUNK_WORDS", chunk_words):
-                groups = step_groups(draws)
+            groups = step_groups(draws)
             keys = zip(steps.tolist(), slots.tolist(), rows.tolist())
             for g, (step, slot, row) in enumerate(keys):
                 want = reference_draw((seed, step, slot), purpose, tasks, row, n)
@@ -681,13 +681,8 @@ class TestDistributions:
         assert chisquare(counts, expected).pvalue > 0.001
 
 
-@mock.patch.object(env, "_CHUNK_WORDS", LONG_CHUNK_WORDS)
 class TestBatchKeys:
     """A step's draw takes one seed and keys its group j as seed + (j,)."""
-
-    def test_batch_spans_several_chunks(self):
-        # A batch's step ids, at least 8 * 100 a group, fill at least 4 chunks.
-        assert 3 * env._CHUNK_WORDS < len(LONG_TASKS.task_id) * 8 * 100
 
     @pytest.mark.parametrize("seed", [(5, 6, 7), (2**40 + 1, 2)])
     def test_fresh_batch_is_groups_of_one(self, seed):

@@ -492,22 +492,22 @@ class TestRunExperiment:
         assert a.controller_rows == b.controller_rows
 
 
+BLOCK_OVERRIDES = [
+    {},
+    # The pending pool carries prefixes across block edges.
+    {"same_step_rerollout": "false"},
+    {"group_size": 16},
+    {"population__length_min": 2, "population__length_max": 2},
+    {"loss__length_normalized": "true", "loss__group_reduction": "mean"},
+]
+BLOCK_IDS = ["default", "next-step-rerollout", "n16", "length-2", "mean-normalized"]
+
+
 class TestBlocks:
     """The loop walks a run in blocks of steps; where a block ends must not
     show in anything the run records."""
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {},
-            # The pending pool carries prefixes across block edges.
-            {"same_step_rerollout": "false"},
-            {"group_size": 16},
-            {"population__length_min": 2, "population__length_max": 2},
-            {"loss__length_normalized": "true", "loss__group_reduction": "mean"},
-        ],
-        ids=["default", "next-step-rerollout", "n16", "length-2", "mean-normalized"],
-    )
+    @pytest.mark.parametrize("overrides", BLOCK_OVERRIDES, ids=BLOCK_IDS)
     def test_block_edges_are_invisible(self, monkeypatch, overrides):
         config = small_config(steps=7, **overrides)
         step_words = config.batch_size * config.group_size * (config.population.length_max + 2)
@@ -536,14 +536,48 @@ class TestBlocks:
             assert other.controller_rows == first.controller_rows
             assert other.final_states == first.final_states
 
+    @pytest.mark.parametrize("overrides", BLOCK_OVERRIDES, ids=BLOCK_IDS)
+    def test_scoring_chunks_are_invisible(self, monkeypatch, overrides):
+        # A block scores its live groups a chunk of whole groups at a time:
+        # one group per chunk, ragged chunks of a few groups and the default
+        # budget leave every column, audit-loss byte and controller row as
+        # they are.
+        config = small_config(steps=7, **overrides)
+        calls = Counter()
+        real = harness.env_mod.draw_step_ids
+
+        def counted(keys, lengths):
+            calls[budget] += 1
+            return real(keys, lengths)
+
+        monkeypatch.setattr(harness.env_mod, "draw_step_ids", counted)
+        runs = []
+        for budget in (1, 300, harness._SCORE_WORDS):
+            monkeypatch.setattr(harness, "_SCORE_WORDS", budget)
+            runs.append(run_experiment(config))
+        k = runs[0].groups.rewards.sum(axis=1)
+        # One call per live group at a budget of 1, fewer at each larger one.
+        live = np.count_nonzero((k > 0) & (k < config.group_size))
+        assert calls[1] == live > calls[300] > calls[harness._SCORE_WORDS] >= 1
+        first, *others = runs
+        for other in others:
+            for want, got in zip(first.groups, other.groups):
+                assert got.dtype == want.dtype
+                assert_array_equal(got, want)
+            losses = [np.array([m.audit_loss for m in run.metrics]) for run in (first, other)]
+            assert losses[0].tobytes() == losses[1].tobytes()
+            assert other.controller_rows == first.controller_rows
+
     @pytest.mark.parametrize(
         "overrides", [{}, {"same_step_rerollout": "false"}], ids=["default", "next-step-rerollout"]
     )
     def test_blocks_draw_step_ids_of_their_live_groups_once(self, monkeypatch, overrides):
         # A degenerate group's loss is a zero, so each block draws the step
-        # ids of its other groups only, in one call: its fresh groups, then
-        # its rerollouts, in step and slot order, each rollout by its stream
-        # key (seed, step, slot, purpose, crc32(task id), i) and drawn length.
+        # ids of its other groups only, once each: its fresh groups, then its
+        # rerollouts, in step and slot order, each rollout by its stream key
+        # (seed, step, slot, purpose, crc32(task id), i) and drawn length. A
+        # call holds whole groups of one block: as many as fit the scoring
+        # budget, and one if none fits.
         config = small_config(steps=7, arm="ps-ada", **overrides)
         n = config.group_size
         step_words = config.batch_size * n * (config.population.length_max + 2)
@@ -576,8 +610,42 @@ class TestBlocks:
                     key = (config.seed, int(groups.step[r]), int(slots[r]), purpose, uid)
                     keys.append([ref_hash(key + (i,)) for i in range(n)])
                     lengths.append((groups.lengths[r] - groups.boundary[r]).tolist())
-            want.append((keys, lengths))
-        assert calls == want
+            want.append(list(zip(keys, lengths)))
+        assert all(want)
+        for budget in (1, 300, harness._SCORE_WORDS):
+            monkeypatch.setattr(harness, "_SCORE_WORDS", budget)
+            calls.clear()
+            run_experiment(config)
+            got = iter(calls)
+            for block in want:
+                while block:
+                    call_keys, call_lengths = next(got)
+                    size = len(call_lengths)
+                    assert list(zip(call_keys, call_lengths)) == block[:size]
+                    words = sum(map(sum, call_lengths))
+                    assert size == 1 or words <= budget
+                    if size < len(block):
+                        assert words + sum(block[size][1]) > budget
+                    block = block[size:]
+            assert next(got, None) is None
+        # The default budget holds each of these blocks in one call.
+        assert len(calls) == len(want)
+
+    @pytest.mark.parametrize("arm, p0", [("baseline", 1e-9), ("ps-ada", 0.999999999)])
+    def test_run_without_live_groups_draws_no_step_ids(self, monkeypatch, arm, p0):
+        # Every group fails or passes whole, so no group has a loss to score
+        # and every step's audit loss is the empty sum, +0.0.
+        def unexpected(keys, lengths):
+            raise AssertionError("draw_step_ids called")
+
+        monkeypatch.setattr(harness.env_mod, "draw_step_ids", unexpected)
+        config = small_config(
+            steps=3, arm=arm, population__preset="single", population__p0=p0
+        )
+        result = run_experiment(config)
+        k = result.groups.rewards.sum(axis=1)
+        assert len(k) and ((k == 0) | (k == config.group_size)).all()
+        assert [repr(m.audit_loss) for m in result.metrics] == ["0.0"] * 3
 
 
 @st.composite
@@ -869,15 +937,16 @@ def assert_traces_explain_run(config):
         metrics_lines = (out / "run" / "metrics.csv").read_text().splitlines()
 
     # ps-fix is ps-ada with a zero step size started at the fixed ratio, and
-    # one step per block runs as the whole run in one block (these configs
-    # fit one): the same columns, audit losses, transitions and controller
-    # rows, from which the four trace files other than meta.json are written.
+    # one step per block, scored one group at a time, runs as the whole run in
+    # one block (these configs fit one): the same columns, audit losses,
+    # transitions and controller rows, from which the four trace files other
+    # than meta.json are written.
     assert harness._BLOCK_WORDS // (n * config.batch_size * (hi + 2)) >= config.steps
     fix = run_experiment(replace(config, arm=Arm.PS_FIX))
     ada = run_experiment(replace(config, arm=Arm.PS_ADA, controller=replace(
         config.controller, step_size=0.0, initial_ratio=config.fixed_ratio
     )))
-    with mock.patch.object(harness, "_BLOCK_WORDS", 1):
+    with mock.patch.multiple(harness, _BLOCK_WORDS=1, _SCORE_WORDS=1):
         stepwise = run_experiment(config)
     for a, b in ((fix, ada), (result, stepwise)):
         for want, got in zip(a.groups, b.groups):
