@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.special import log_softmax, softmax
+from scipy.special import softmax
 
 from .errors import ContractError, DomainError
 
@@ -127,7 +127,11 @@ class ToyPolicy:
         return min(t, self.n_contexts - 1)
 
     def log_probs(self) -> np.ndarray:
-        return log_softmax(self.logits, axis=1)
+        """scipy 1.17's log_softmax(logits, axis=1), op for op, minus its dispatch."""
+        top = self.logits.max(axis=1, keepdims=True)
+        shifted = self.logits - np.where(np.isfinite(top), top, 0.0)
+        with np.errstate(divide="ignore"):
+            return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def probs(self) -> np.ndarray:
         return softmax(self.logits, axis=1)

@@ -193,14 +193,16 @@ def select_prefix(
 def replay_boundary(ratio: float, length: int) -> int:
     """Number of replayed steps M = floor(ratio * length), clamped to
     [1, length - 1] so every replay keeps at least one replayed and one fresh
-    step. A trajectory shorter than 2 steps admits no such boundary."""
-    if not is_int(length):
+    step. A trajectory shorter than 2 steps admits no such boundary. A Python
+    int length, as the run loop passes once per rerollout, skips is_int."""
+    if type(length) is not int and not is_int(length):
         raise DomainError(f"trajectory length must be an int, got {length!r}")
     if length < 2:
         raise DomainError(f"trajectory length must be >= 2, got {length}")
     if not 0.0 <= ratio <= 1.0:
         raise DomainError(f"replay ratio must lie in [0, 1], got {ratio}")
-    return min(length - 1, max(1, math.floor(ratio * length)))
+    m = math.floor(ratio * length)
+    return m if 1 <= m < length else (1 if m < 1 else length - 1)
 
 
 def prefix_pool_memory_bound(

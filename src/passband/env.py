@@ -49,6 +49,7 @@ passes bound its temporary arrays (the harness passes cache-sized chunks).
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -87,6 +88,7 @@ MAX_POPULATION_SIZE = 2**32
 _PURPOSE_POPULATION = 1
 _PURPOSE_FRESH = 2
 _PURPOSE_REROLLOUT = 3
+_SUCCESS = PrefixOutcome.SUCCESS
 
 
 class GroupSample(NamedTuple):
@@ -281,14 +283,12 @@ def draw_step_ids(keys, lengths) -> np.ndarray:
     """Step ids of the rollouts whose stream key hashes are keys, back to
     back as int64: rollout r's lengths[r] step ids are words 2 ..
     lengths[r] + 1 of its stream, each shifted right by 2. keys and lengths
-    are arrays of one size, as StepDraws holds them, read in C order; each
-    length is an int >= 0. All ids are drawn in one pass."""
-    keys = np.asarray(keys, _U64).ravel()
-    lengths = int_array(lengths, "step id lengths").astype(np.int64).ravel()
+    are int arrays of one size, as StepDraws holds them, read in C order, of
+    keys in [0, 2**64) and lengths >= 0. All ids are drawn in one pass."""
+    keys = int_array(keys, "key hashes", nonnegative=True).astype(_U64, copy=False).ravel()
+    lengths = int_array(lengths, "step id lengths", nonnegative=True).astype(np.int64).ravel()
     if len(keys) != len(lengths):
         raise ContractError(f"{len(keys)} key hashes but {len(lengths)} lengths")
-    if lengths.size and lengths.min() < 0:
-        raise DomainError(f"step id lengths must be >= 0, got {lengths.min()}")
     # Step j of rollout r, at flat position t = starts[r] + j, is word j + 2
     # of its stream, the mix of keys[r] + (j + 3) * GAMMA = base[r] + t * GAMMA.
     starts = np.cumsum(lengths) - lengths
@@ -343,15 +343,18 @@ def conditioned_pass_probability(
 ) -> float:
     """Continuation pass probability of a task with base logit b and prefix
     sensitivity s after replaying a share of a prefix: expit(b + s * ratio)
-    after a success, expit(b - s * ratio) after a failure."""
+    after a success, expit(b - s * ratio) after a failure, bit for bit: scipy's
+    expit formula 1 / (1 + exp(-x)) on one float through math.exp, no ufunc."""
     if not isinstance(prefix_outcome, PrefixOutcome):
         raise DomainError(f"prefix_outcome must be a PrefixOutcome, got {prefix_outcome!r}")
     if not 0.0 <= ratio <= 1.0:
         raise DomainError(f"replayed share must lie in [0, 1], got {ratio}")
     shift = sensitivity * ratio
-    if prefix_outcome is PrefixOutcome.SUCCESS:
-        return float(expit(base_logit + shift))
-    return float(expit(base_logit - shift))
+    x = base_logit + shift if prefix_outcome is _SUCCESS else base_logit - shift
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # x below about -709.78, where expit's 1 / inf is 0.0
+        return 0.0
 
 
 def sample_rerollout_group(

@@ -36,12 +36,14 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def int_array(values, what: str) -> np.ndarray:
+def int_array(values, what: str, nonnegative: bool = False) -> np.ndarray:
     """values as an array; DomainError for a non-empty float, bool or object
-    array, and for a bool anywhere in a list, whose dtype numpy infers."""
+    array, a bool in a list (numpy infers its dtype) and, if nonnegative, a value < 0."""
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         raise DomainError(f"{what} must be integers, got dtype {array.dtype}")
+    if nonnegative and array.size and array.min() < 0:
+        raise DomainError(f"{what} must be >= 0, got {array.min()}")
     listed = () if isinstance(values, np.ndarray) else np.asarray(values, object).flat
     if any(isinstance(v, (bool, np.bool_)) for v in listed):
         raise DomainError(f"{what} must be integers, got a bool")

@@ -300,10 +300,11 @@ def _block_prefixes(carry: dict, last_step: int, *selection):
     first step by the block before) and select_prefix(*selection)'s, as
     (R, 3) int64 (step, task row, pass count) rows in step order and their
     lengths; then the saves for later steps, which the next block carries."""
-    items = list({**carry, **select_prefix(*selection)}.items())
-    keys = np.array([key for key, _ in items], np.int64).reshape(-1, 3)
-    held = int(np.searchsorted(keys[:, 0], last_step, side="right"))
-    return keys[:held], [length for _, length in items[:held]], dict(items[held:])
+    saves = {**carry, **select_prefix(*selection)}
+    keys = np.fromiter(itertools.chain.from_iterable(saves), np.int64, 3 * len(saves))
+    held = int(np.searchsorted(keys[::3], last_step, side="right"))
+    items = list(saves.items())
+    return keys.reshape(-1, 3)[:held], [length for _, length in items[:held]], dict(items[held:])
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -319,6 +320,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         k: initial_controller_state(classify_bucket(k, n), params) for k in controlled_buckets(n)
     }
     bucket_labels = {k: bucket_label(k, n) for k in states}
+    saved_outcomes = {k: SAVED_OUTCOME[s.kind] for k, s in states.items()}
     logits = env_mod.stream_uniforms((seed, _POLICY_STREAM), _AUDIT_CONTEXTS * _AUDIT_VOCAB)
     log_probs = ToyPolicy(logits.reshape(_AUDIT_CONTEXTS, _AUDIT_VOCAB)).log_probs()
     lag = 0 if config.same_step_rerollout else 1  # steps from a save to its replay
@@ -373,7 +375,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 # 1 <= m < T: every population's lengths are at least 2.
                 m = replay_boundary(state.ratio, length)
                 p = env_mod.conditioned_pass_probability(
-                    logit, sensitivity, SAVED_OUTCOME[state.kind], m / length
+                    logit, sensitivity, saved_outcomes[parent], m / length
                 )
                 passed = bisect.bisect_left(uniforms, p)
                 states[parent] = update_controller(state, passed / n, params)
@@ -475,9 +477,8 @@ def _metrics_rows(result: RunResult) -> tuple[list[str], list[list]]:
 # no faster.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _LINE_CHUNK_ROWS = 1024
-# The text after each kind of int cell of a run.jsonl line: a reward or
-# length other than the last, the last reward, the step, the last length and
-# the boundary.
+# The text after each kind of int cell of a run.jsonl line: a reward or length
+# but the last, the last reward, the step, the last length and the boundary.
 _INT_SUFFIXES = (",", "],", ',"lengths":[', '],"boundary":', "}\n")
 _TRACE_FILES = ("metrics.csv", "controller.csv", "transitions.csv", "run.jsonl", "meta.json")
 
@@ -557,16 +558,18 @@ def _int_table(values) -> np.ndarray:
 
 def _record_lines(groups: GroupColumns) -> Iterator[str]:
     """_RECORD_ENCODER.encode(record) + "\\n" for each group's record, joined
-    _LINE_CHUNK_ROWS rows at a time. Each distinct task id and parent is
-    encoded once per run, and so is each int of [min, max] of the int
-    columns, indexed by value - min. Columns whose range is wider than their
-    count of int cells (hand-built ones, or a run of a few groups of long
-    rollouts) fall back to a table of each chunk's distinct ints. A chunk's
-    cells are gathered from those tables and joined in one call."""
+    _LINE_CHUNK_ROWS rows at a time. Each distinct task id, parent and 0/1
+    reward pattern is encoded once per run, and so is each int of [min, max] of
+    the other int columns, indexed by value - min; columns of a wider range than
+    their int cells (hand-built, or a few groups of long rollouts) use a table
+    of each chunk's distinct ints. A chunk's cells are gathered and joined at once."""
     if not len(groups.step):
         return
     encode = _RECORD_ENCODER.encode
-    n = groups.rewards.shape[1]
+    rewards = groups.rewards
+    n = rewards.shape[1]
+    if rewards.size and not 0 <= rewards.min() <= rewards.max() <= 1:
+        raise DomainError("rewards must be 0 or 1")
     heads = {
         task_id: f'{{"task_id":{encode(task_id)},"rewards":['
         for task_id in set(groups.task_id)
@@ -576,15 +579,25 @@ def _record_lines(groups: GroupColumns) -> Iterator[str]:
         f'"parent_bucket":{encode(None if parent < 0 else bucket_label(parent, n))},"step":'
         for parent in set(groups.parent_bucket.tolist())
     }
-    # A line's cells: its head, n rewards, its origin, then the step, n
-    # lengths and the boundary. The int cells, all but the head and the
-    # origin, take their text from the table row of their suffix.
-    suffixes = np.array([0] * (n - 1) + [1, 2] + [0] * (n - 1) + [3, 4])
-    int_cells = np.r_[1:n + 1, n + 2:2 * n + 4]
-    columns = (groups.rewards, groups.step[:, None], groups.lengths, groups.boundary[:, None])
+    # One int64 code per row's reward pattern, a column at a time (no (R, N)
+    # int64 copy), renumbered densely before it outgrows 63 bits.
+    codes, bits = np.zeros(len(rewards), np.int64), 0
+    for column in rewards.T:
+        if bits == 63:
+            codes, bits = np.unique(codes, return_inverse=True)[1], len(codes).bit_length()
+        codes, bits = codes << 1 | column, bits + 1
+    distinct, patterns = np.unique(codes, return_inverse=True)
+    row_of = np.zeros(len(distinct), np.intp)  # a row of each pattern; return_index sorts slower
+    row_of[patterns] = np.arange(len(codes))
+    pattern_cells = _int_table((0, 1))[[0] * (n - 1) + [1], rewards[row_of]].tolist()
+    texts = np.array(["".join(cells) for cells in pattern_cells], object)
+    # A line's cells: its head, rewards and origin, then the step, n lengths
+    # and the boundary, whose text is the int table's row of their suffix.
+    suffixes = np.array([2] + [0] * (n - 1) + [3, 4])
+    columns = (groups.step[:, None], groups.lengths, groups.boundary[:, None])
     lo = min(int(column.min()) for column in columns)
     hi = max(int(column.max()) for column in columns)
-    one_table = hi - lo < len(groups.step) * len(int_cells)
+    one_table = hi - lo < len(groups.step) * (n + 2)
     if one_table:
         table = _int_table(range(lo, hi + 1))
     for start in range(0, len(groups.step), _LINE_CHUNK_ROWS):
@@ -596,10 +609,11 @@ def _record_lines(groups: GroupColumns) -> Iterator[str]:
             values, index = np.unique(ints, return_inverse=True)
             table = _int_table(values.tolist())
             index = index.reshape(ints.shape)
-        cells = np.empty((len(ints), 2 * n + 4), object)
+        cells = np.empty((len(ints), n + 5), object)
         cells[:, 0] = list(map(heads.__getitem__, groups.task_id[rows]))
-        cells[:, n + 1] = list(map(origins.__getitem__, groups.parent_bucket[rows].tolist()))
-        cells[:, int_cells] = table[suffixes, index]
+        cells[:, 1] = texts[patterns[rows]]
+        cells[:, 2] = list(map(origins.__getitem__, groups.parent_bucket[rows].tolist()))
+        cells[:, 3:] = table[suffixes, index]
         yield "".join(cells.ravel().tolist())
 
 

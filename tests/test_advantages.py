@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import log_softmax
 
 from passband.advantages import (
     TokenTrajectory,
@@ -120,6 +121,25 @@ class TestToyPolicy:
         policy = ToyPolicy(logits=np.zeros((2, 4)))
         assert_allclose(policy.log_probs(), np.log(0.25))
         assert_allclose(policy.probs().sum(axis=1), 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(), contexts=st.integers(1, 6), vocab=st.integers(2, 8),
+    )
+    @example(data=None, contexts=2, vocab=3)
+    def test_log_probs_equal_scipy_log_softmax(self, data, contexts, vocab):
+        # Bit for bit, nan, inf and rows of -inf included, where scipy's
+        # log_softmax gives nan or inf too.
+        special = st.sampled_from([np.inf, -np.inf, np.nan, 1e308, -1e308, -0.0, 5e-324])
+        values = st.one_of(st.floats(), special)
+        size = contexts * vocab
+        drawn = ([-np.inf] * size if data is None else
+                 data.draw(st.lists(values, min_size=size, max_size=size)))
+        logits = np.reshape(drawn, (contexts, vocab))
+        with np.errstate(all="ignore"):
+            got = ToyPolicy(logits).log_probs()
+            want = log_softmax(logits, axis=1)
+        assert got.tobytes() == want.tobytes()
 
     def test_context_clamping(self):
         policy = ToyPolicy(logits=np.zeros((3, 4)))

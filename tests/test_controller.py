@@ -1,5 +1,6 @@
 """Per-bucket EMA controller dynamics, prefix selection, and the prefix pool."""
 
+import math
 import re
 import zlib
 
@@ -501,6 +502,19 @@ class TestReplayBoundary:
     def test_interior_property(self, ratio, length):
         assert 1 <= replay_boundary(ratio, length) <= length - 1
 
+    @given(
+        ratio=st.floats(0.0, 1.0),
+        length=st.one_of(st.integers(2, 64), st.integers(2, 2**31 - 1)),
+        kind=st.sampled_from([int, np.int64, np.uint64, np.int32]),
+    )
+    @example(ratio=1.0, length=2, kind=np.int32)
+    @example(ratio=1.0, length=2**62, kind=np.uint64)
+    def test_equals_clamped_floor(self, ratio, length, kind):
+        # The compare clamp gives min(T - 1, max(1, floor(r T))) for Python
+        # and numpy ints alike.
+        t = kind(length)
+        assert replay_boundary(ratio, t) == min(t - 1, max(1, math.floor(ratio * t)))
+
     def test_lengths_below_two_rejected(self):
         # No boundary keeps both a replayed and a fresh step: 1 <= m < T is empty.
         for length in (0, 1):
@@ -514,7 +528,9 @@ class TestReplayBoundary:
         with pytest.raises(DomainError):
             replay_boundary(1.5, 10)
 
-    @pytest.mark.parametrize("length", [3.5, 10.0, np.float64(4.0), True, "8", None])
+    @pytest.mark.parametrize(
+        "length", [3.5, 10.0, np.float64(4.0), True, "8", None, False, np.bool_(True)]
+    )
     def test_non_int_length_rejected(self, length):
         # A float length gave a boundary that is no step count: 0.9 * 3.5 -> 2.5.
         want = re.escape(f"length must be an int, got {length!r}") + "$"

@@ -36,6 +36,11 @@ from passband.groups import BucketKind, classify_bucket
 from passband.harness import _TASK_STREAM
 
 
+def same_float(a: float, b: float) -> bool:
+    """Equal bits as float64 (so -0.0 is not 0.0), or both nan."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (a != a and b != b)
+
+
 def rollout_steps(sample):
     """Each rollout's drawn step ids, cut from the sample's flat steps:
     rollout i drew lengths[i] - boundary of them."""
@@ -300,6 +305,41 @@ class TestConditionedProbability:
             conditioned_pass_probability(0.0, 4.0, PrefixOutcome.SUCCESS, 1.5)
         with pytest.raises(DomainError):
             conditioned_pass_probability(0.0, 4.0, PrefixOutcome.SUCCESS, -0.1)
+
+    @settings(max_examples=400)
+    @given(
+        base=st.floats(), sensitivity=st.floats(), ratio=st.floats(0.0, 1.0),
+        outcome=st.sampled_from(PrefixOutcome), numpy_floats=st.booleans(),
+    )
+    @example(base=-709.78, sensitivity=0.0, ratio=0.0, outcome=PrefixOutcome.SUCCESS,
+             numpy_floats=False)
+    @example(base=-700.0, sensitivity=20.0, ratio=1.0, outcome=PrefixOutcome.FAILURE,
+             numpy_floats=True)
+    @example(base=-0.0, sensitivity=0.0, ratio=0.0, outcome=PrefixOutcome.SUCCESS,
+             numpy_floats=False)
+    def test_equals_scipy_expit(self, base, sensitivity, ratio, outcome, numpy_floats):
+        # The formula on one float gives expit's bits wherever the run's
+        # floats can land, and nan where expit does.
+        if numpy_floats:
+            base, sensitivity, ratio = map(np.float64, (base, sensitivity, ratio))
+        sign = 1.0 if outcome is PrefixOutcome.SUCCESS else -1.0
+        # numpy floats warn where an overflow, inf * 0 or inf - inf makes an inf or a nan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = conditioned_pass_probability(base, sensitivity, outcome, ratio)
+            want = float(expit(base + sign * (sensitivity * ratio)))
+        assert type(got) is float
+        assert same_float(got, want)
+
+    @pytest.mark.parametrize(
+        "base",
+        [-709.78, -709.79, -710.0, -745.13, -746.0, -1e308, -np.inf, np.inf, np.nan, -0.0,
+         0.0, 5e-324, 36.0, 710.0, 1e308, np.float64(-710.0), np.float64(-0.0)],
+    )
+    def test_overflow_band_and_special_values(self, base):
+        # exp(-x) overflows for x below about -709.78, where expit gives 0.0.
+        for outcome in PrefixOutcome:
+            got = conditioned_pass_probability(base, 0.0, outcome, 0.5)
+            assert same_float(got, float(expit(base)))
 
     @pytest.mark.parametrize("outcome", ["success", BucketKind.HARD, None])
     def test_outcome_must_be_a_prefix_outcome(self, outcome):
@@ -579,6 +619,27 @@ class TestStepIds:
         # float), one per key hash.
         with pytest.raises(error):
             draw_step_ids(np.array(keys, np.uint64), lengths)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[1.5], np.array([2.0]), [True], [1, True], np.array([True]), np.array([-1]), [-1],
+         [2**64], ["3"]],
+        ids=["float", "float-array", "bool", "bool-in-list", "bool-array", "negative-array",
+             "negative", "too-large", "str"],
+    )
+    def test_bad_keys_rejected(self, keys):
+        # Key hashes are ints in [0, 2**64): a float key used to truncate, a
+        # bool to count as 1 and a negative int64 to wrap mod 2**64.
+        with pytest.raises(DomainError, match="key hashes must be"):
+            draw_step_ids(keys, [2] * len(keys))
+
+    def test_int_keys_of_any_dtype(self):
+        keys = [0, 7, 2**63 - 1]
+        want = draw_step_ids(np.array(keys, np.uint64), [3, 1, 2])
+        for given_keys in (keys, np.array(keys, np.int64)):
+            assert_array_equal(draw_step_ids(given_keys, [3, 1, 2]), want)
+        assert_array_equal(draw_step_ids([2**64 - 1], [2]),
+                           draw_step_ids(np.array([2**64 - 1], np.uint64), [2]))
 
 
 class TestBlockDraws:

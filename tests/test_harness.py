@@ -485,6 +485,30 @@ class TestRunExperiment:
             "compute_step_metrics": 1, "compute_transition_matrix": 1, "select_prefix": 1,
         }
 
+    @pytest.mark.parametrize("overrides", [{"arm": "ps-ada"}, {"same_step_rerollout": "false"}])
+    def test_recurrence_calls_each_helper_once_per_rerollout(self, monkeypatch, overrides):
+        # The benchmark times replay_boundary on the harness, so the loop
+        # calls it, and the pass probability, for every rerollout in order.
+        boundaries, probabilities = [], []
+
+        def boundary(*args, _real=harness.replay_boundary):
+            boundaries.append(_real(*args))
+            return boundaries[-1]
+
+        def probability(*args, _real=env.conditioned_pass_probability):
+            probabilities.append(_real(*args))
+            return probabilities[-1]
+
+        monkeypatch.setattr(harness, "replay_boundary", boundary)
+        monkeypatch.setattr(env, "conditioned_pass_probability", probability)
+        groups = run_experiment(small_config(steps=6, **overrides)).groups
+        rerolled = groups.parent_bucket >= 0
+        assert rerolled.sum() > 0
+        assert len(boundaries) == len(probabilities) == rerolled.sum()
+        assert boundaries == groups.boundary[rerolled].tolist()
+        assert all(type(m) is int for m in boundaries)
+        assert all(type(p) is float and 0.0 < p < 1.0 for p in probabilities)
+
     def test_deterministic(self):
         a = run_experiment(small_config(steps=5))
         b = run_experiment(small_config(steps=5))
@@ -1163,6 +1187,64 @@ class TestRecordLines:
         )
         with mock.patch.object(harness, "_LINE_CHUNK_ROWS", chunk_rows):
             assert chunked_text(groups) == encoded(harness._GroupRecords(groups))
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(), n=st.one_of(st.integers(4, 16), st.sampled_from([63, 64, 130])),
+        wide=st.booleans(), chunk_rows=st.sampled_from([1, 3, 1024]),
+    )
+    def test_reward_patterns_match_encoder(self, data, n, wide, chunk_rows):
+        # One cell per line holds its rewards, chosen by the row's pattern:
+        # all-0, all-1 and mixed rows, at group sizes past the 63 bits one
+        # pattern code holds, through the one-table path (narrow ints) and
+        # the per-chunk np.unique fallback (one length of 2**40).
+        kinds = data.draw(st.lists(st.sampled_from(["zeros", "ones", "mixed"]),
+                                   min_size=1, max_size=12))
+        rows = len(kinds)
+        rewards = np.zeros((rows, n), np.int8)
+        for row, kind in enumerate(kinds):
+            if kind == "ones":
+                rewards[row] = 1
+            elif kind == "mixed":
+                bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+                rewards[row] = bits
+        lengths = np.ones((rows, n), np.int64) + np.arange(n) % 2
+        if wide:
+            lengths[0, -1] = 2**40
+        groups = harness.GroupColumns(
+            task_id=np.array([f"t{row % 3}" for row in range(rows)], object),
+            rewards=rewards,
+            parent_bucket=np.array([-1 if row % 2 else 1 for row in range(rows)]),
+            step=np.arange(rows) // 2,
+            lengths=lengths,
+            boundary=np.arange(rows) % 4,
+        )
+        tables = []
+        real = harness._int_table
+
+        def recorded(values):
+            # The step, length and boundary tables; the rewards' is (0, 1).
+            if values != (0, 1):
+                tables.append(values)
+            return real(values)
+
+        with mock.patch.object(harness, "_LINE_CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(harness, "_int_table", recorded):
+            text = chunked_text(groups)
+        assert text.splitlines(keepends=True) == [
+            harness._RECORD_ENCODER.encode(record) + "\n"
+            for record in harness._GroupRecords(groups)
+        ]
+        assert all(isinstance(values, range) != wide for values in tables)
+        assert len(tables) == (-(-rows // chunk_rows) if wide else 1)
+
+    @pytest.mark.parametrize("reward", [2, -1])
+    def test_non_binary_rewards_rejected(self, reward):
+        groups = columns(fresh=[3, 5])
+        groups.rewards[1, 0] = reward
+        with pytest.raises(DomainError, match="rewards must be 0 or 1"):
+            list(harness._record_lines(groups))
 
 
 class TestRunResultReads:
