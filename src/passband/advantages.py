@@ -76,12 +76,16 @@ class TokenTrajectory:
 
     Positions before replay_boundary are replayed prefix tokens and carry
     mask 0; positions at or after it are current-policy tokens with mask 1.
+    A bool token id is a DomainError here; the loss checks the rest.
     """
 
     token_ids: tuple[int, ...]
     replay_boundary: int = 0
 
     def __post_init__(self) -> None:
+        # A bool would index the policy as token 0 or 1.
+        if any(isinstance(v, (bool, np.bool_)) for v in self.token_ids):
+            raise DomainError(f"token ids must be ints, got {self.token_ids!r}")
         length = len(self.token_ids)
         if not 0 <= self.replay_boundary <= length:
             raise DomainError(

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .advantages import _binary_rewards
-from .errors import ContractError, DomainError, check_field_types, is_int
+from .errors import ContractError, DomainError, check_field_types, int_array, is_int
 from .groups import BucketKind, classify_bucket
 
 __all__ = [
@@ -168,14 +168,17 @@ def select_prefix(
     lengths: each group whose bucket kind is in kinds saves its lowest-index
     rollout with the kind's SAVED_OUTCOME, as {(step, task row, pass count):
     length}. A key saved again keeps its first save's place and its last
-    save's length, as PrefixPool does."""
+    save's length, as PrefixPool does. steps, task_rows and lengths must be
+    int arrays (errors.int_array), so every key and length is an int."""
     if not set(kinds) <= SAVED_OUTCOME.keys():
         raise ContractError(f"only hard and easy buckets save prefixes, got {kinds!r}")
     if np.ndim(rewards) != 2:
         raise ContractError(f"rewards must be (G, N), got shape {np.shape(rewards)}")
     rewards = _binary_rewards(rewards)
     g, n = rewards.shape
-    lengths = np.asarray(lengths)
+    steps = int_array(steps, "steps")
+    task_rows = int_array(task_rows, "task rows")
+    lengths = int_array(lengths, "lengths")
     if not len(steps) == len(task_rows) == g or lengths.shape != (g, n):
         raise ContractError(
             f"{g} groups of {n} rollouts need {g} steps, {g} task rows and lengths of "
@@ -186,7 +189,7 @@ def select_prefix(
     saving = np.flatnonzero(np.array([kind in kinds for kind in by_k])[ks])
     success = np.array([SAVED_OUTCOME.get(kind) is PrefixOutcome.SUCCESS for kind in by_k])
     picked = np.argmax(rewards[saving] == success[ks[saving], None], axis=1)
-    keys = zip(*(np.asarray(column)[saving].tolist() for column in (steps, task_rows, ks)))
+    keys = zip(*(column[saving].tolist() for column in (steps, task_rows, ks)))
     return dict(zip(keys, lengths[saving, picked].tolist()))
 
 

@@ -239,15 +239,10 @@ class TaskColumns(NamedTuple):
 
 def _group_keys(rng_seed, subkeys) -> np.ndarray:
     """Key hashes of groups keyed rng_seed + tuple(subkeys[g]), for a (G, K)
-    array of ints in [0, 2**64) with K >= 1."""
-    words = np.asarray(subkeys)
-    if words.ndim != 2 or not words.shape[1] or words.dtype.kind not in "iu":
-        raise DomainError(
-            f"subkeys must be a (G, K) int array with K >= 1, "
-            f"got shape {words.shape} of dtype {words.dtype}"
-        )
-    if words.size and words.min() < 0:
-        raise DomainError(f"subkeys must be >= 0, got minimum {words.min()}")
+    array of ints in [0, 2**64) with K >= 1, checked by errors.int_array."""
+    words = int_array(subkeys, "subkeys", nonnegative=True)
+    if words.ndim != 2 or not words.shape[1]:
+        raise DomainError(f"subkeys must be a (G, K) array with K >= 1, got shape {words.shape}")
     h = _key_hash(rng_seed)
     for column in words.T.astype(_U64):
         h = _extend(h, column)
@@ -260,13 +255,11 @@ def _draw_groups(
     """Heads of one group per entry of rows, for task rows[g] of tasks:
     rollout i of group g is keyed keys[g] + (purpose, uid, i), where keys
     holds the groups' key hashes and uid is the task's. Word 0 of a
-    rollout's stream gives its length and word 1 its uniform."""
+    rollout's stream gives its length and word 1 its uniform. Task rows are
+    checked by errors.int_array."""
     if not (is_int(n) and n >= 2):
         raise DomainError(f"group size must be an int >= 2, got {n!r}")
-    rows = np.asarray(rows)
-    if rows.size and rows.dtype.kind not in "iu":
-        raise DomainError(f"task rows must be ints, got dtype {rows.dtype}")
-    rows = rows.astype(np.int64, copy=False)
+    rows = int_array(rows, "task rows").astype(np.int64, copy=False)
     if rows.size and not 0 <= rows.min() <= rows.max() < len(tasks.uid):
         raise ContractError(f"task rows must lie in [0, {len(tasks.uid)})")
     if len(keys) != len(rows):

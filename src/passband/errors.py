@@ -38,9 +38,15 @@ def is_int(value) -> bool:
 
 def int_array(values, what: str, nonnegative: bool = False) -> np.ndarray:
     """values as an array; DomainError for a non-empty float, bool or object
-    array, a bool in a list (numpy infers its dtype) and, if nonnegative, a value < 0."""
+    array, a bool in a list (numpy infers its dtype) and, if nonnegative, a value < 0.
+    An object array of ints, as numpy makes of an int outside [-2**63, 2**64),
+    is reported by its first int that does not fit in 64 bits."""
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
+        ints = array.dtype == object and all(map(is_int, array.flat))
+        wide = [v for v in array.flat if not -(2**63) <= v < 2**64] if ints else []
+        if wide:
+            raise DomainError(f"{what} must be integers that fit in 64 bits, got {wide[0]}")
         raise DomainError(f"{what} must be integers, got dtype {array.dtype}")
     if nonnegative and array.size and array.min() < 0:
         raise DomainError(f"{what} must be >= 0, got {array.min()}")

@@ -28,12 +28,13 @@ block. Then the rerollouts' boundaries, pass probabilities and controller
 updates run one by one, in step order, since each depends on the state the
 earlier ones left, and each step ends with its controller rows. The
 block's rerollout base logits and sensitivities are gathered from the
-columns with one index each. Last, the block's non-degenerate groups, the
-only ones whose loss can change a step's sum, are scored a chunk of whole
-groups at a time (_SCORE_WORDS): one env.draw_step_ids call draws a chunk's
-step ids from its heads' key hashes, one masked_loss_kernel call scores it.
-Each step's audit loss adds its groups' losses left to right from 0.0, in
-run.jsonl order. Where blocks and chunks end shows in nothing a run records.
+columns with one index each. Last, one stable sort by step puts the block's
+groups in run.jsonl order, which all that follows reads: its non-degenerate
+groups, the only ones whose loss can change a step's sum, are scored a
+chunk of whole groups at a time (_SCORE_WORDS), one env.draw_step_ids and
+one masked_loss_kernel call per chunk, and each step's audit loss adds its
+groups' losses left to right from 0.0. Where blocks and chunks end shows in
+nothing a run records.
 
 A block is held as arrays, not per-group objects: env's StepDraws heads,
 (G, N) rewards, RLOO advantages and one audit-loss term row per scored
@@ -114,10 +115,10 @@ __all__ = [
 _TASK_STREAM = 1001
 _POLICY_STREAM = 1002
 
-# Rough upper bound on the rollout words the fresh groups of one block of
-# steps draw, which bounds the size of the block's arrays (and the peak
-# memory of a run of short rollouts). A block takes as many steps as fit,
-# and at least one.
+# Sizes a block: a step counts G·N·(length_max + 2) words, its fresh rollouts'
+# heads and step ids. A block draws only heads, a few words per rollout, and its
+# step ids a scoring chunk at a time, so this bounds the rollouts it holds. A
+# block takes as many steps as fit and at least one: 18 on steer, 1 on long-audit.
 _BLOCK_WORDS = 2**17
 # Most step positions a block scores at once: its live groups are scored in
 # chunks of whole groups, as many as fit and at least one, so that per-token
@@ -386,20 +387,22 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                     ControllerRow(step, bucket_labels[k], s.ratio, s.ema, s.cooldown_remaining)
                     for k, s in states.items()
                 )
-        rewards = np.concatenate(
-            (fresh_rewards, env_mod.rollout_rewards(draws.uniforms, np.array(ps, float)))
+        # The block's groups in run.jsonl order, each step's fresh groups and
+        # then its rerollouts: one stable sort by step orders every column.
+        order = np.argsort(np.concatenate((fresh_step, rerollout_step)), kind="stable")
+        block_step, task_rows, parent_bucket, boundary, rewards, lengths, keys = (
+            np.concatenate(parts)[order] for parts in (
+                (fresh_step, rerollout_step), (picks, rerolled),
+                (np.full_like(picks, -1), parents), (np.zeros_like(picks), np.array(ms, np.int64)),
+                (fresh_rewards, env_mod.rollout_rewards(draws.uniforms, np.array(ps, float))),
+                (fresh.lengths, draws.lengths), (fresh.keys, draws.keys),
+            )
         )
-        boundaries = np.array([0] * len(picks) + ms, np.int64)[:, None]
-        lengths = np.concatenate((fresh.lengths, draws.lengths))
-        # run.jsonl's order: each step's fresh groups, then its rerollouts.
-        block_step = np.concatenate((fresh_step, rerollout_step))
-        order = np.argsort(block_step, kind="stable")
         # A degenerate group's RLOO advantages are all zero, so its loss is a
         # zero of either sign, which leaves a step's sum as it is: only the
-        # other groups' step ids are drawn and scored, in block row order.
+        # other groups' step ids are drawn and scored.
         passes = rewards.sum(axis=1)
         live = np.flatnonzero((passes > 0) & (passes < n))
-        keys = np.concatenate((fresh.keys, draws.keys))
         advantages = rloo_advantages(rewards[live])
         ends = np.cumsum(lengths[live].sum(axis=1))
         losses = np.empty(len(live))
@@ -413,24 +416,18 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             # mask takes them mod the vocabulary.
             tokens &= _AUDIT_VOCAB - 1
             losses[a:b] = masked_loss_kernel(
-                tokens, boundaries[rows], lengths[rows], advantages[a:b], log_probs,
+                tokens, boundary[rows, None], lengths[rows], advantages[a:b], log_probs,
                 length_normalized=config.loss.length_normalized,
                 group_reduction=config.loss.group_reduction,
             )
             a, start = b, ends[b - 1]
-        live_step = block_step[live]
-        audit_losses.extend(_left_to_right_sums(
-            losses[np.argsort(live_step, kind="stable")],
-            np.bincount(live_step - first, minlength=len(steps)),
-        ).tolist())
+        live_per_step = np.bincount(block_step[live] - first, minlength=len(steps))
+        audit_losses.extend(_left_to_right_sums(losses, live_per_step).tolist())
         # One run.jsonl row per group; its rollouts share its boundary.
         step_groups.append(GroupColumns(
-            task_id=tasks.task_id[np.concatenate((picks, rerolled))[order]],
-            rewards=rewards[order].view(np.int8),
-            parent_bucket=np.concatenate((np.full(len(picks), -1), parents))[order],
-            step=block_step[order],
-            lengths=(lengths + boundaries)[order],
-            boundary=boundaries[order, 0],
+            task_id=tasks.task_id[task_rows], rewards=rewards.view(np.int8),
+            parent_bucket=parent_bucket, step=block_step,
+            lengths=lengths + boundary[:, None], boundary=boundary,
         ))
 
     groups = GroupColumns(*map(np.concatenate, zip(*step_groups)))
@@ -489,7 +486,8 @@ def emit_traces(result: RunResult, destination) -> list[Path]:
 
     The files are written into a temporary directory next to the destination
     and then moved into place, so an interrupted write leaves the destination
-    as it was.
+    as it was, and so does a run.jsonl column other than the task ids that
+    is not an int array (DomainError naming the column).
     """
     dest = Path(destination)
     dest.parent.mkdir(parents=True, exist_ok=True)
@@ -562,7 +560,11 @@ def _record_lines(groups: GroupColumns) -> Iterator[str]:
     reward pattern is encoded once per run, and so is each int of [min, max] of
     the other int columns, indexed by value - min; columns of a wider range than
     their int cells (hand-built, or a few groups of long rollouts) use a table
-    of each chunk's distinct ints. A chunk's cells are gathered and joined at once."""
+    of each chunk's distinct ints. A chunk's cells are gathered and joined at
+    once. Every column but the task ids must be an int array (DomainError)."""
+    groups = groups._replace(**{
+        name: int_array(getattr(groups, name), name) for name in GroupColumns._fields[1:]
+    })
     if not len(groups.step):
         return
     encode = _RECORD_ENCODER.encode

@@ -242,6 +242,13 @@ class TestMaskedLoss:
         with pytest.raises(DomainError, match=r"token ids must be ints in \[0, 2\)"):
             loss_fn([traj], np.array([1.0]), policy)
 
+    @pytest.mark.parametrize("tokens", [(True, 1), (0, np.True_), (False,)])
+    def test_bool_token_ids_rejected(self, tokens):
+        # The loss and its gradient used to read True as token 1; a
+        # trajectory rejects a bool once, where it is built.
+        with pytest.raises(DomainError, match="^token ids must be ints, got"):
+            TokenTrajectory(token_ids=tokens)
+
 
 @st.composite
 def gradient_instances(draw):

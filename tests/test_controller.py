@@ -416,6 +416,25 @@ class TestSelectPrefix:
         with pytest.raises(DomainError, match="rewards must be binary"):
             select_prefix([0], [0], [[bad, 0, 0, 0, 0, 0, 0, 0]], lengths)
 
+    @pytest.mark.parametrize(
+        "steps, task_rows, lengths, what",
+        [
+            ([0.5], [0], np.full((1, 8), 3), "steps"),
+            ([True], [0], np.full((1, 8), 3), "steps"),
+            ([0], [2.7], np.full((1, 8), 3), "task rows"),
+            ([0], np.array([True]), np.full((1, 8), 3), "task rows"),
+            ([0], [0], np.full((1, 8), 3.5), "lengths"),
+            ([0], [0], [[True] + [3] * 7], "lengths"),
+        ],
+        ids=["float-step", "bool-step", "float-row", "bool-row", "float-length", "bool-length"],
+    )
+    def test_keys_and_lengths_are_ints(self, steps, task_rows, lengths, what):
+        # A float step, task row or length used to come back in the key or as
+        # the length ({(0.5, 2.7, 1): 3.5}), and a bool step as True.
+        rewards = np.array([[1, 0, 0, 0, 0, 0, 0, 0]]) == 1
+        with pytest.raises(DomainError, match=f"^{what} must be integers"):
+            select_prefix(steps, task_rows, rewards, lengths)
+
     def test_binary_rewards_of_any_dtype(self):
         # A bool array is binary by construction; any other dtype may hold 0 and 1.
         lengths = 3 + np.arange(8, dtype=np.int64)[None]

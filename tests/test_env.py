@@ -633,6 +633,15 @@ class TestStepIds:
         with pytest.raises(DomainError, match="key hashes must be"):
             draw_step_ids(keys, [2] * len(keys))
 
+    def test_key_too_wide_is_named(self):
+        # numpy holds an int of 2**64 or more in an object array: the error
+        # names the value. An object array of anything else is no int array.
+        wide = f"^key hashes must be integers that fit in 64 bits, got {2**64}$"
+        with pytest.raises(DomainError, match=wide):
+            draw_step_ids([2**64], [2])
+        with pytest.raises(DomainError, match="^key hashes must be integers, got dtype object$"):
+            draw_step_ids([2**64, 1.5], [2, 2])
+
     def test_int_keys_of_any_dtype(self):
         keys = [0, 7, 2**63 - 1]
         want = draw_step_ids(np.array(keys, np.uint64), [3, 1, 2])
@@ -697,12 +706,31 @@ class TestBlockDraws:
             (np.array([[1]]), [1], ContractError),
             (np.array([[1]]), [-1], ContractError),
             (np.array([[1]]), [0.0], DomainError),
+            (np.array([[1], [2]]), [True, 0], DomainError),
+            ([[True, 0]], [0], DomainError),
+            (np.array([[1]]), [2**64], DomainError),
         ],
     )
     def test_bad_keys_or_rows_rejected(self, subkeys, rows, error):
         for draw_groups in (draw_fresh_groups, draw_rerollout_groups):
             with pytest.raises(error):
                 draw_groups(make_task(), rows, 8, 3, subkeys)
+
+    @pytest.mark.parametrize(
+        "subkeys, rows, message",
+        [
+            (np.array([[1], [2]]), [True, 0], "task rows must be integers, got a bool"),
+            ([[True, 0]], [0], "subkeys must be integers, got a bool"),
+            (np.array([[1]]), [2**64],
+             f"task rows must be integers that fit in 64 bits, got {2**64}"),
+            ([[2**64]], [0], f"subkeys must be integers that fit in 64 bits, got {2**64}"),
+        ],
+        ids=["bool-row", "bool-subkey", "wide-row", "wide-subkey"],
+    )
+    def test_bad_ints_name_their_argument(self, subkeys, rows, message):
+        # numpy reads [True, 0] as the ints [1, 0] and holds 2**64 in an object array.
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            draw_fresh_groups(make_task(), rows, 8, 3, subkeys)
 
 
 class TestDistributions:

@@ -597,10 +597,10 @@ class TestBlocks:
     )
     def test_blocks_draw_step_ids_of_their_live_groups_once(self, monkeypatch, overrides):
         # A degenerate group's loss is a zero, so each block draws the step
-        # ids of its other groups only, once each: its fresh groups, then its
-        # rerollouts, in step and slot order, each rollout by its stream key
-        # (seed, step, slot, purpose, crc32(task id), i) and drawn length. A
-        # call holds whole groups of one block: as many as fit the scoring
+        # ids of its other groups only, once each, in run.jsonl order: each
+        # step's fresh groups, then its rerollouts, each rollout by its stream
+        # key (seed, step, slot, purpose, crc32(task id), i) and drawn length.
+        # A call holds whole groups of one block: as many as fit the scoring
         # budget, and one if none fits.
         config = small_config(steps=7, arm="ps-ada", **overrides)
         n = config.group_size
@@ -625,16 +625,15 @@ class TestBlocks:
             slots[rows] = np.arange(len(rows)) - np.searchsorted(steps, steps)
         want = []
         for first in range(0, config.steps, 3):
-            keys, lengths = [], []
+            block = []
             in_block = (groups.step >= first) & (groups.step < first + 3) & (k > 0) & (k < n)
-            origins = ((~rerolled, env._PURPOSE_FRESH), (rerolled, env._PURPOSE_REROLLOUT))
-            for origin, purpose in origins:
-                for r in np.flatnonzero(in_block & origin).tolist():
-                    uid = zlib.crc32(groups.task_id[r].encode("utf-8"))
-                    key = (config.seed, int(groups.step[r]), int(slots[r]), purpose, uid)
-                    keys.append([ref_hash(key + (i,)) for i in range(n)])
-                    lengths.append((groups.lengths[r] - groups.boundary[r]).tolist())
-            want.append(list(zip(keys, lengths)))
+            for r in np.flatnonzero(in_block).tolist():
+                purpose = env._PURPOSE_REROLLOUT if rerolled[r] else env._PURPOSE_FRESH
+                uid = zlib.crc32(groups.task_id[r].encode("utf-8"))
+                key = (config.seed, int(groups.step[r]), int(slots[r]), purpose, uid)
+                keys = [ref_hash(key + (i,)) for i in range(n)]
+                block.append((keys, (groups.lengths[r] - groups.boundary[r]).tolist()))
+            want.append(block)
         assert all(want)
         for budget in (1, 300, harness._SCORE_WORDS):
             monkeypatch.setattr(harness, "_SCORE_WORDS", budget)
@@ -864,6 +863,23 @@ class TestEmitTraces:
         emit_traces(run_experiment(parsed), tmp_path / "parsed")
         meta = (tmp_path / "built" / "meta.json").read_bytes()
         assert meta == (tmp_path / "parsed" / "meta.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, dtype",
+        [("lengths", float), ("boundary", bool), ("step", float), ("parent_bucket", float),
+         ("rewards", bool)],
+    )
+    def test_int_columns_are_checked(self, tmp_path, name, dtype):
+        # A float lengths column used to fail inside the formatter with
+        # numpy's bare TypeError, and a bool boundary column was written as 0/1.
+        result = run_experiment(small_config(steps=2))
+        assert result.groups.boundary.max() > 1
+        column = getattr(result.groups, name).astype(dtype)
+        bad = replace(result, groups=result.groups._replace(**{name: column}))
+        message = f"^{name} must be integers, got dtype {column.dtype}$"
+        with pytest.raises(DomainError, match=message):
+            emit_traces(bad, tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_across_repeats(self, tmp_path):
         config = small_config(steps=4)
