@@ -169,7 +169,8 @@ def select_prefix(
     rollout with the kind's SAVED_OUTCOME, as {(step, task row, pass count):
     length}. A key saved again keeps its first save's place and its last
     save's length, as PrefixPool does. steps, task_rows and lengths must be
-    int arrays (errors.int_array), so every key and length is an int."""
+    int arrays (errors.int_array), so every key and length is an int, and
+    steps and task_rows flat ones of G entries (ContractError)."""
     if not set(kinds) <= SAVED_OUTCOME.keys():
         raise ContractError(f"only hard and easy buckets save prefixes, got {kinds!r}")
     if np.ndim(rewards) != 2:
@@ -179,10 +180,11 @@ def select_prefix(
     steps = int_array(steps, "steps")
     task_rows = int_array(task_rows, "task rows")
     lengths = int_array(lengths, "lengths")
-    if not len(steps) == len(task_rows) == g or lengths.shape != (g, n):
+    if not steps.shape == task_rows.shape == (g,) or lengths.shape != (g, n):
+        got = [len(a) if a.ndim == 1 else f"shape {a.shape}" for a in (steps, task_rows)]
         raise ContractError(
             f"{g} groups of {n} rollouts need {g} steps, {g} task rows and lengths of "
-            f"shape {(g, n)}, got {len(steps)}, {len(task_rows)} and {lengths.shape}"
+            f"shape {(g, n)}, got {got[0]}, {got[1]} and {lengths.shape}"
         )
     by_k = [classify_bucket(k, n) for k in range(n + 1)]
     ks = rewards.sum(axis=1).astype(np.int64)

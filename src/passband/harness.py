@@ -487,7 +487,9 @@ def emit_traces(result: RunResult, destination) -> list[Path]:
     The files are written into a temporary directory next to the destination
     and then moved into place, so an interrupted write leaves the destination
     as it was, and so does a run.jsonl column other than the task ids that
-    is not an int array (DomainError naming the column).
+    is not an int array, a boundary other than 0 for a fresh group or below 1
+    for a rerollout, or a length below boundary + 1 (DomainError naming the
+    column).
     """
     dest = Path(destination)
     dest.parent.mkdir(parents=True, exist_ok=True)
@@ -561,7 +563,9 @@ def _record_lines(groups: GroupColumns) -> Iterator[str]:
     the other int columns, indexed by value - min; columns of a wider range than
     their int cells (hand-built, or a few groups of long rollouts) use a table
     of each chunk's distinct ints. A chunk's cells are gathered and joined at
-    once. Every column but the task ids must be an int array (DomainError)."""
+    once. Every column but the task ids must be an int array, a fresh group's
+    boundary 0, a rerollout's >= 1 and every length >= boundary + 1
+    (DomainError naming the column)."""
     groups = groups._replace(**{
         name: int_array(getattr(groups, name), name) for name in GroupColumns._fields[1:]
     })
@@ -572,6 +576,10 @@ def _record_lines(groups: GroupColumns) -> Iterator[str]:
     n = rewards.shape[1]
     if rewards.size and not 0 <= rewards.min() <= rewards.max() <= 1:
         raise DomainError("rewards must be 0 or 1")
+    if np.any(np.where(groups.parent_bucket < 0, groups.boundary != 0, groups.boundary < 1)):
+        raise DomainError("boundary must be 0 for a fresh group and >= 1 for a rerollout")
+    if np.any(groups.lengths <= groups.boundary[:, None]):
+        raise DomainError("lengths must be >= boundary + 1")
     heads = {
         task_id: f'{{"task_id":{encode(task_id)},"rewards":['
         for task_id in set(groups.task_id)

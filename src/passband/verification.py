@@ -29,6 +29,7 @@ from .controller import (
     prefix_pool_memory_bound,
     update_controller,
 )
+from .errors import DomainError, is_int
 from .groups import BucketKind, bucket_label, classify_bucket, controlled_buckets
 from .signals import (
     contrastive_pair_count,
@@ -52,12 +53,20 @@ __all__ = [
 ]
 
 _MIB = 1024.0 * 1024.0
+# Group pass counts drawn per binomial call of check_monte_carlo: 256 KiB of
+# int64 at a time.
+_MC_CHUNK = 2**15
 
 
 class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
+
+
+def _check_size(name: str, value) -> None:
+    if not is_int(value) or value < 1:
+        raise DomainError(f"{name} must be an int >= 1, got {value!r}")
 
 
 def check_landmarks() -> CheckResult:
@@ -122,22 +131,31 @@ def check_monte_carlo(seed: int = 0, draws: int = 10**6) -> CheckResult:
     within an absolute 0.05, at p in {0.125, 0.25, 0.5} and N = 8. A correct
     sampler misses a 3-SE bound with probability about 0.27 % per statistic,
     so some seeds are known false alarms: at 32, 63, 93, 121 and 2101 one of
-    the three survival statistics falls outside its bound.
+    the three survival statistics falls outside its bound. The draws are
+    counted by pass count a chunk at a time, so memory does not depend on
+    draws. draws must be an int >= 1 (DomainError).
     """
+    _check_size("draws", draws)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 777)))
     n = 8
+    pairs = np.arange(n + 1) * (n - np.arange(n + 1))
     failures: list[str] = []
     details: list[str] = []
     for p in (0.125, 0.25, 0.5):
-        ks = rng.binomial(n, p, size=draws)
-        survival = float(np.mean((ks > 0) & (ks < n)))
+        # Chunked calls draw what one call of size draws would, and each
+        # statistic is the exact integer over draws that np.mean gave.
+        counts = np.zeros(n + 1, np.int64)
+        for start in range(0, draws, _MC_CHUNK):
+            ks = rng.binomial(n, p, size=min(_MC_CHUNK, draws - start))
+            counts += np.bincount(ks, minlength=n + 1)
+        survival = float(counts[1:n].sum() / draws)
         expected = group_survival_probability(p, n)
         se = np.sqrt(expected * (1.0 - expected) / draws)
         if abs(survival - expected) > 3.0 * se:
             failures.append(
                 f"survival at p={p}: |{survival:.6f} - {expected:.6f}| > 3se"
             )
-        pair_mean = float(np.mean(ks * (n - ks)))
+        pair_mean = float(counts @ pairs / draws)
         pair_expected = expected_pair_count(p, n)
         if abs(pair_mean - pair_expected) > 0.05:
             failures.append(
@@ -199,8 +217,9 @@ def check_gradients(seed: int = 0, instances: int = 50) -> CheckResult:
     Each randomized instance must match central differences (step 1e-5) at
     relative tolerance 1e-4; contexts touched only by prefix tokens must
     carry exactly zero gradient; all-zero advantages must give an exactly
-    zero gradient.
+    zero gradient. instances must be an int >= 1 (DomainError).
     """
+    _check_size("instances", instances)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 778)))
     failures: list[str] = []
     for i in range(instances):
@@ -280,7 +299,9 @@ def check_controller(seed: int = 0, sequences: int = 10**4) -> CheckResult:
     0.95^14). Randomized sequences then exercise bounds, deadzone,
     direction, cooldown spacing, and bookkeeping for every controlled
     bucket at N = 8, and a fixed run holds the ratio at both of its bounds.
+    sequences must be an int >= 1 (DomainError).
     """
+    _check_size("sequences", sequences)
     params = ControllerParams()
     failures: list[str] = []
     state = BucketControllerState(kind=BucketKind.HARD, ratio=0.5, ema=1.0)

@@ -402,6 +402,25 @@ class TestSelectPrefix:
         with pytest.raises(ContractError, match=r"got 1, 2 and \(2, 8\)"):
             select_prefix([0], [0, 1], rewards, lengths)
 
+    @pytest.mark.parametrize(
+        "steps, task_rows, got",
+        [
+            (5, [0], r"got shape \(\), 1 and \(1, 8\)"),
+            ([0], np.int64(3), r"got 1, shape \(\) and \(1, 8\)"),
+            ([[0]], [0], r"got shape \(1, 1\), 1 and \(1, 8\)"),
+            ([0], [[0]], r"got 1, shape \(1, 1\) and \(1, 8\)"),
+        ],
+        ids=["scalar-steps", "scalar-task-rows", "2d-steps", "2d-task-rows"],
+    )
+    def test_keys_must_be_flat(self, steps, task_rows, got):
+        # A scalar failed with len()'s bare TypeError; a (G, 1) column made
+        # list keys, which a dict cannot hold.
+        rewards = np.array([[1, 0, 0, 0, 0, 0, 0, 0]])
+        lengths = np.full((1, 8), 3, np.int64)
+        want = r"need 1 steps, 1 task rows and lengths of shape \(1, 8\), " + got
+        with pytest.raises(ContractError, match=want):
+            select_prefix(steps, task_rows, rewards, lengths)
+
     @pytest.mark.parametrize("rewards", [[1, 0, 0, 0, 0, 0, 0, 0], [[[1, 0, 0, 0]]]])
     def test_rewards_must_be_a_matrix(self, rewards):
         # One group's rewards are a (1, N) row, not a flat sequence.

@@ -881,6 +881,38 @@ class TestEmitTraces:
             emit_traces(bad, tmp_path / "run")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "fresh, boundary, column",
+        [(True, 1, "boundary"), (True, -1, "boundary"), (False, 0, "boundary"),
+         (False, -5, "boundary"), (True, None, "lengths"), (False, None, "lengths")],
+    )
+    def test_boundaries_and_lengths_are_checked(self, tmp_path, fresh, boundary, column):
+        # A fresh group replays nothing, a rerollout at least one step, and
+        # every rollout has a step past its boundary: a group's boundary set
+        # to the given value, or one length set to its boundary, fails. A
+        # boundary of -5 and negated lengths were written as they were.
+        result = run_experiment(small_config(steps=2))
+        groups = result.groups
+        row = int(np.flatnonzero((groups.parent_bucket < 0) == fresh)[0])
+        boundaries, lengths = groups.boundary.copy(), groups.lengths.copy()
+        if boundary is None:
+            lengths[row, -1] = boundaries[row]
+        else:
+            boundaries[row] = boundary
+        old = tmp_path / "old"
+        emit_traces(result, old)
+        before = {path.name: path.read_bytes() for path in old.iterdir()}
+        bad = replace(result, groups=groups._replace(boundary=boundaries, lengths=lengths))
+        message = {
+            "boundary": "^boundary must be 0 for a fresh group and >= 1 for a rerollout$",
+            "lengths": r"^lengths must be >= boundary \+ 1$",
+        }[column]
+        for destination in (old, tmp_path / "new"):
+            with pytest.raises(DomainError, match=message):
+                emit_traces(bad, destination)
+        assert {path.name: path.read_bytes() for path in old.iterdir()} == before
+        assert [path.name for path in tmp_path.iterdir()] == ["old"]
+
     def test_byte_identical_across_repeats(self, tmp_path):
         config = small_config(steps=4)
         emit_traces(run_experiment(config), tmp_path / "a")
@@ -1181,8 +1213,9 @@ class TestRecordLines:
     @given(data=st.data(), n=st.integers(1, 6), chunk_rows=st.integers(1, 5))
     def test_any_columns_match_encoder(self, data, n, chunk_rows):
         # Free-text ids, with quotes, backslashes, control and non-BMP
-        # characters made likely, and ints anywhere in int64, in chunks of 1
-        # to 5 rows.
+        # characters made likely, steps anywhere in int64 and lengths up to
+        # its top, in chunks of 1 to 5 rows. A fresh group's boundary is 0 and
+        # a rerollout's lies in [1, its shortest length).
         rows = data.draw(st.integers(0, 20))
 
         def draw(values, shape):
@@ -1190,16 +1223,21 @@ class TestRecordLines:
             drawn = data.draw(st.lists(values, min_size=size, max_size=size))
             return np.array(drawn, np.int64).reshape(shape)
 
-        ints = st.integers(-2**63, 2**63 - 1)
         chars = st.one_of(st.sampled_from('"\\/\t\n\x00\x7f\u2028\U0001f600'), st.characters())
         ids = data.draw(st.lists(st.text(chars), min_size=rows, max_size=rows))
+        parents = draw(st.integers(-1, n), rows)
+        lengths = draw(st.integers(2, 2**63 - 1), (rows, n))
+        boundary = [
+            0 if parent < 0 else data.draw(st.integers(1, int(shortest) - 1))
+            for parent, shortest in zip(parents, lengths.min(axis=1))
+        ]
         groups = harness.GroupColumns(
             task_id=np.array(ids, object),
             rewards=draw(st.integers(0, 1), (rows, n)).astype(np.int8),
-            parent_bucket=draw(st.integers(-1, n), rows),
-            step=draw(ints, rows),
-            lengths=draw(ints, (rows, n)),
-            boundary=draw(ints, rows),
+            parent_bucket=parents,
+            step=draw(st.integers(-2**63, 2**63 - 1), rows),
+            lengths=lengths,
+            boundary=np.array(boundary, np.int64),
         )
         with mock.patch.object(harness, "_LINE_CHUNK_ROWS", chunk_rows):
             assert chunked_text(groups) == encoded(harness._GroupRecords(groups))
@@ -1225,16 +1263,18 @@ class TestRecordLines:
             elif kind == "mixed":
                 bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
                 rewards[row] = bits
-        lengths = np.ones((rows, n), np.int64) + np.arange(n) % 2
+        parents = np.array([-1 if row % 2 else 1 for row in range(rows)])
+        boundary = np.where(parents < 0, 0, 1 + np.arange(rows) % 3)
+        lengths = boundary[:, None] + 1 + np.arange(n) % 2
         if wide:
             lengths[0, -1] = 2**40
         groups = harness.GroupColumns(
             task_id=np.array([f"t{row % 3}" for row in range(rows)], object),
             rewards=rewards,
-            parent_bucket=np.array([-1 if row % 2 else 1 for row in range(rows)]),
+            parent_bucket=parents,
             step=np.arange(rows) // 2,
             lengths=lengths,
-            boundary=np.arange(rows) % 4,
+            boundary=boundary,
         )
         tables = []
         real = harness._int_table

@@ -1,12 +1,18 @@
-"""The controller oracle rejects controllers that break one rule each."""
+"""The controller oracle rejects controllers that break one rule each; the
+Monte Carlo oracle counts its draws a chunk at a time to the same verdict as
+one draw of every group; every oracle size is an int >= 1."""
 
 import dataclasses
 import hashlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from passband import verification
 from passband.controller import update_controller
+from passband.errors import DomainError
+from passband.signals import expected_pair_count, group_survival_probability
 
 
 def ignore_cooldown(state, p, params):
@@ -156,3 +162,88 @@ def test_broken_controller_verdicts_pinned(monkeypatch, mutant, detail):
     # it pins both the oracle's checks and the observation stream it draws.
     monkeypatch.setattr(verification, "update_controller", mutant)
     assert verification.check_controller(seed=0, sequences=20).detail == detail
+
+
+def one_shot_monte_carlo(seed, draws):
+    """check_monte_carlo's statistics and verdict from one binomial call per
+    rate and np.mean over every draw: the reference the counts must equal."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 777)))
+    n, stats, failures, details = 8, [], [], []
+    for p in (0.125, 0.25, 0.5):
+        ks = rng.binomial(n, p, size=draws)
+        survival = float(np.mean((ks > 0) & (ks < n)))
+        pair_mean = float(np.mean(ks * (n - ks)))
+        stats += [survival, pair_mean]
+        expected = group_survival_probability(p, n)
+        if abs(survival - expected) > 3.0 * np.sqrt(expected * (1.0 - expected) / draws):
+            failures.append(f"survival at p={p}: |{survival:.6f} - {expected:.6f}| > 3se")
+        pair_expected = expected_pair_count(p, n)
+        if abs(pair_mean - pair_expected) > 0.05:
+            failures.append(
+                f"pair mean at p={p}: |{pair_mean:.4f} - {pair_expected:.4f}| > 0.05"
+            )
+        details.append(f"p={p}: surv {survival:.5f}, pairs {pair_mean:.3f}")
+    result = verification.CheckResult(
+        "monte carlo survival and pair count", not failures,
+        "; ".join(failures if failures else details),
+    )
+    return result, stats
+
+
+def counted_statistics(monkeypatch, seed, draws):
+    """check_monte_carlo's result and the survival and pair-mean floats it
+    compared, in rate order: each statistic passes through float() once."""
+    stats = []
+
+    def recorded(value):
+        stats.append(float(value))
+        return stats[-1]
+
+    monkeypatch.setattr(verification, "float", recorded, raising=False)
+    return verification.check_monte_carlo(seed, draws), stats
+
+
+@pytest.mark.parametrize(
+    "seed, draws, chunk",
+    [(0, 10**5 + 7, 1000), (5, 10**5 + 7, 1000), (2101, 10**6, 2**14), (7, 999, 1000)],
+    ids=["seed-0", "seed-5", "false-alarm-2101", "one-short-chunk"],
+)
+def test_monte_carlo_chunks_match_one_shot(monkeypatch, seed, draws, chunk):
+    # Counts over chunks give the verdict, the detail and every raw float of
+    # one draw of every group; 2101 is a known false alarm and keeps it.
+    monkeypatch.setattr(verification, "_MC_CHUNK", chunk)
+    result, stats = counted_statistics(monkeypatch, seed, draws)
+    want, want_stats = one_shot_monte_carlo(seed, draws)
+    assert result == want
+    assert list(map(repr, stats)) == list(map(repr, want_stats))
+    if seed == 2101:
+        assert not result.passed
+        assert result.detail == "survival at p=0.125: |0.657848 - 0.656391| > 3se"
+
+
+def test_monte_carlo_memory_does_not_grow_with_draws():
+    # One draw of every group held 7.6 MiB of int64 per rate, plus three
+    # full-size temporaries: a tracemalloc peak of 15.3 MiB.
+    tracemalloc.start()
+    try:
+        assert verification.check_monte_carlo(0, 10**6).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize(
+    "check, name",
+    [
+        (verification.check_monte_carlo, "draws"),
+        (verification.check_gradients, "instances"),
+        (verification.check_controller, "sequences"),
+    ],
+)
+@pytest.mark.parametrize("value", [0, -1, 2.0, True])
+def test_oracle_sizes_are_ints_of_at_least_one(check, name, value):
+    # -1 instances or sequences checked nothing and passed; 0 draws gave nan
+    # statistics, and the check passed.
+    with pytest.raises(DomainError, match=f"^{name} must be an int >= 1, got {value!r}$"):
+        check(0, **{name: value})
