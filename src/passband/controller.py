@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .advantages import _binary_rewards
-from .errors import ContractError, DomainError, check_field_types, int_array, is_int
+from .errors import ContractError, DomainError, check_field_types, check_int, int_array, is_int
 from .groups import BucketKind, classify_bucket
 
 __all__ = [
@@ -217,15 +217,12 @@ def prefix_pool_memory_bound(
 
     Each saved prefix stores at most the prompt plus the longest possible
     replayed share (ratio bound 0.95) of the response, at 4 bytes per
-    token: batch_size * (max_prompt + 0.95 * max_response) * 4.
+    token: batch_size * (max_prompt + 0.95 * max_response) * 4. Each size
+    must be an int >= 0 (DomainError naming it).
     """
-    for name, value in (
-        ("batch_size", batch_size),
-        ("max_prompt", max_prompt),
-        ("max_response", max_response),
-    ):
-        if value < 0:
-            raise DomainError(f"{name} must be >= 0, got {value}")
+    check_int(batch_size, "batch_size", 0)
+    check_int(max_prompt, "max_prompt", 0)
+    check_int(max_response, "max_response", 0)
     return batch_size * (max_prompt + 0.95 * max_response) * 4.0
 
 

@@ -59,7 +59,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .controller import SAVED_OUTCOME, PrefixOutcome, PrefixRecord
-from .errors import ContractError, DomainError, check_field_types, int_array, is_int
+from .errors import ContractError, DomainError, check_field_types, check_int, int_array, is_int
 from .groups import bucket_label, classify_bucket
 
 __all__ = [
@@ -191,9 +191,8 @@ def _below(words: np.ndarray, bound) -> np.ndarray:
 
 
 def _counters(count) -> np.ndarray:
-    """Word counters 0 .. count-1 of a stream."""
-    if not (is_int(count) and count >= 0):
-        raise DomainError(f"count must be an int >= 0, got {count!r}")
+    """Word counters 0 .. count-1 of a stream; count must be an int >= 0."""
+    check_int(count, "count", 0)
     return np.arange(count, dtype=_U64)
 
 
@@ -205,10 +204,10 @@ def stream_uniforms(rng_seed, count: int) -> np.ndarray:
 def stream_integer_rows(rng_seed, subkeys, count: int, bound: int) -> np.ndarray:
     """Integers in [0, bound) from words 0 .. count-1 of several streams, as a
     (B, count) array: row b draws from the stream keyed rng_seed +
-    tuple(subkeys[b]), for a (B, K) array of subkeys, ints in [0, 2**64)."""
+    tuple(subkeys[b]), for a (B, K) array of subkeys, ints in [0, 2**64).
+    count must be an int >= 0 and bound an int in [1, 2**32] (DomainError)."""
     keys = _group_keys(rng_seed, subkeys)[:, None]
-    if not (is_int(bound) and 1 <= bound <= 2**32):
-        raise DomainError(f"bound must be an int in [1, 2**32], got {bound!r}")
+    check_int(bound, "bound", 1, 2**32)
     return _below(_words(keys, _counters(count)), bound)
 
 
@@ -255,10 +254,9 @@ def _draw_groups(
     """Heads of one group per entry of rows, for task rows[g] of tasks:
     rollout i of group g is keyed keys[g] + (purpose, uid, i), where keys
     holds the groups' key hashes and uid is the task's. Word 0 of a
-    rollout's stream gives its length and word 1 its uniform. Task rows are
-    checked by errors.int_array."""
-    if not (is_int(n) and n >= 2):
-        raise DomainError(f"group size must be an int >= 2, got {n!r}")
+    rollout's stream gives its length and word 1 its uniform. n must be an
+    int >= 2 (DomainError); task rows are checked by errors.int_array."""
+    check_int(n, "group size", 2)
     rows = int_array(rows, "task rows").astype(np.int64, copy=False)
     if rows.size and not 0 <= rows.min() <= rows.max() < len(tasks.uid):
         raise ContractError(f"task rows must lie in [0, {len(tasks.uid)})")

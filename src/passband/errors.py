@@ -36,6 +36,14 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_int(value, what: str, low: int, high: int | None = None) -> None:
+    """DomainError unless value is an int (is_int) in [low, high], or >= low
+    when high is None; the message names what."""
+    if not (is_int(value) and low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise DomainError(f"{what} must be an int {bounds}, got {value!r}")
+
+
 def int_array(values, what: str, nonnegative: bool = False) -> np.ndarray:
     """values as an array; DomainError for a non-empty float, bool or object
     array, a bool in a list (numpy infers its dtype) and, if nonnegative, a value < 0.

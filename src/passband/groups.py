@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import DomainError, is_int
+from .errors import DomainError, check_int, is_int
 
 __all__ = [
     "BucketKind",
@@ -48,10 +48,9 @@ def bucket_label(k: int, n: int) -> str:
 
 
 def classify_bucket(k: int, n: int) -> BucketKind:
-    """The kind of pass count k at an even group size n >= 4."""
+    """The kind of pass count k, an int in [0, n], at an even group size n >= 4."""
     hard_hi = _hard_upper(n)
-    if not (is_int(k) and 0 <= k <= n):
-        raise DomainError(f"pass count k must be an int in [0, {n}], got {k!r}")
+    check_int(k, "pass count k", 0, n)
     if k == 0 or k == n:
         return BucketKind.DEGENERATE
     if k <= hard_hi:

@@ -220,15 +220,22 @@ class RunResult:
 
 def _columns(groups: GroupColumns, n: int, steps: int | None = None):
     """(step, pass count, parent) of every group as int64 arrays, from
-    checked columns; steps, when given, bounds the step column. The rewards
-    are summed as they are, not copied."""
+    checked columns; steps, when given, bounds the step column. Every column
+    must hold one row per group, and the message names the counts of rewards,
+    parents and steps and of any other column that differs (ContractError).
+    The rewards are summed as they are, not copied."""
     rewards = int_array(groups.rewards, "rewards")
-    step = int_array(groups.step, "steps").astype(np.int64, copy=False)
-    parent = int_array(groups.parent_bucket, "parent pass counts").astype(np.int64, copy=False)
+    step = int_array(groups.step, "step").astype(np.int64, copy=False)
+    parent = int_array(groups.parent_bucket, "parent_bucket").astype(np.int64, copy=False)
     if rewards.ndim != 2 or rewards.shape[1] != n:
         raise ContractError(f"rewards of shape {rewards.shape} for group size {n}")
-    if not len(rewards) == len(parent) == len(step):
-        raise ContractError(f"{len(rewards)} rewards, {len(parent)} parents, {len(step)} steps")
+    rows = len(rewards)
+    others = [(len(column), noun) for column, noun in (
+        (groups.task_id, "task ids"), (groups.lengths, "lengths"), (groups.boundary, "boundaries")
+    ) if len(column) != rows]
+    if others or not rows == len(parent) == len(step):
+        counts = [(rows, "rewards"), (len(parent), "parents"), (len(step), "steps"), *others]
+        raise ContractError(", ".join(f"{count} {noun}" for count, noun in counts))
     if rewards.size and (rewards.min() < 0 or rewards.max() > 1):
         raise DomainError("rewards must be 0 or 1")
     if steps is not None:
@@ -484,17 +491,31 @@ def emit_traces(result: RunResult, destination) -> list[Path]:
     """Write metrics.csv, controller.csv, transitions.csv, run.jsonl, and
     meta.json under the destination directory. Byte-stable given a seed.
 
-    The files are written into a temporary directory next to the destination
-    and then moved into place, so an interrupted write leaves the destination
-    as it was, and so does a run.jsonl column other than the task ids that
-    is not an int array, a boundary other than 0 for a fresh group or below 1
-    for a rerollout, or a length below boundary + 1 (DomainError naming the
-    column).
+    The columns are checked first, and a failed check writes nothing:
+    _columns checks them as compute_step_metrics does, with steps in
+    [0, len(metrics)); then lengths must be (R, N) (ContractError), and
+    lengths and boundaries int arrays, a fresh group's boundary 0, a
+    rerollout's >= 1 and every length >= boundary + 1 (DomainError naming
+    the column). The files are written into a temporary directory next to
+    the destination and then moved into place, so an interrupted write
+    leaves the destination as it was.
     """
+    groups, n = result.groups, result.config.group_size
+    step, _, parent = _columns(groups, n, len(result.metrics))
+    lengths = int_array(groups.lengths, "lengths")
+    boundary = int_array(groups.boundary, "boundary")
+    if lengths.shape != (len(step), n):
+        raise ContractError(f"lengths of shape {lengths.shape} for group size {n}")
+    if np.any(np.where(parent < 0, boundary != 0, boundary < 1)):
+        raise DomainError("boundary must be 0 for a fresh group and >= 1 for a rerollout")
+    if np.any(lengths <= boundary[:, None]):
+        raise DomainError("lengths must be >= boundary + 1")
+    groups = groups._replace(rewards=np.asarray(groups.rewards), parent_bucket=parent,
+                             step=step, lengths=lengths, boundary=boundary)
     dest = Path(destination)
     dest.parent.mkdir(parents=True, exist_ok=True)
     with _staged(dest, dest.parent, _TRACE_FILES) as staging:
-        _write_traces(result, staging)
+        _write_traces(replace(result, groups=groups), staging)
     return [dest / name for name in _TRACE_FILES]
 
 
@@ -563,23 +584,13 @@ def _record_lines(groups: GroupColumns) -> Iterator[str]:
     the other int columns, indexed by value - min; columns of a wider range than
     their int cells (hand-built, or a few groups of long rollouts) use a table
     of each chunk's distinct ints. A chunk's cells are gathered and joined at
-    once. Every column but the task ids must be an int array, a fresh group's
-    boundary 0, a rerollout's >= 1 and every length >= boundary + 1
-    (DomainError naming the column)."""
-    groups = groups._replace(**{
-        name: int_array(getattr(groups, name), name) for name in GroupColumns._fields[1:]
-    })
+    once. It checks nothing: every column but the task ids is an int array,
+    as emit_traces checks them."""
     if not len(groups.step):
         return
     encode = _RECORD_ENCODER.encode
     rewards = groups.rewards
     n = rewards.shape[1]
-    if rewards.size and not 0 <= rewards.min() <= rewards.max() <= 1:
-        raise DomainError("rewards must be 0 or 1")
-    if np.any(np.where(groups.parent_bucket < 0, groups.boundary != 0, groups.boundary < 1)):
-        raise DomainError("boundary must be 0 for a fresh group and >= 1 for a rerollout")
-    if np.any(groups.lengths <= groups.boundary[:, None]):
-        raise DomainError("lengths must be >= boundary + 1")
     heads = {
         task_id: f'{{"task_id":{encode(task_id)},"rewards":['
         for task_id in set(groups.task_id)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import DomainError, is_int
+from .errors import DomainError, check_int
 
 __all__ = [
     "SignalReport",
@@ -46,13 +46,8 @@ def _check_probability(p, name: str = "p") -> np.ndarray:
     return arr
 
 
-def _check_group_size(n, min_n: int) -> None:
-    if not (is_int(n) and n >= min_n):
-        raise DomainError(f"group size N must be an int >= {min_n}, got {n!r}")
-
-
 def _check_pass_count(k, n: int, min_n: int = 1) -> np.ndarray:
-    _check_group_size(n, min_n)
+    check_int(n, "group size N", min_n)
     arr = np.asarray(k)
     if np.any(arr < 0) or np.any(arr > n) or np.any(arr != np.floor(arr)):
         raise DomainError(f"pass count k must be a whole number in [0, {n}], got {k!r}")
@@ -80,11 +75,11 @@ def reward_entropy(p) -> float | np.ndarray:
 def group_survival_probability(p, n: int) -> float | np.ndarray:
     """Probability that a group of n Bernoulli(p) rollouts is non-degenerate.
 
-    Degenerate means all-fail or all-pass, so survival is
-    1 - (1-p)^n - p^n, the chance the group contributes any contrast.
+    Degenerate means all-fail or all-pass, so survival is 1 - (1-p)^n - p^n,
+    the chance the group contributes any contrast; n is an int >= 1.
     """
     arr = _check_probability(p)
-    _check_group_size(n, 1)
+    check_int(n, "group size N", 1)
     surv = 1.0 - (1.0 - arr) ** n - arr**n
     return _scalarize(surv, p)
 
@@ -112,10 +107,10 @@ def contrastive_pair_count(k, n: int) -> int | np.ndarray:
 def expected_pair_count(p, n: int) -> float | np.ndarray:
     """Expected contrastive pair count over K ~ Binomial(n, p).
 
-    E[K (n-K)] = n (n-1) p (1-p), again maximized at p = 0.5.
+    E[K (n-K)] = n (n-1) p (1-p), again maximized at p = 0.5; n is an int >= 2.
     """
     arr = _check_probability(p)
-    _check_group_size(n, 2)
+    check_int(n, "group size N", 2)
     mean = n * (n - 1) * arr * (1.0 - arr)
     return _scalarize(mean, p)
 
@@ -131,8 +126,8 @@ def mean_centered_advantage_variance(k, n: int) -> float | np.ndarray:
 
 
 def max_pair_count(n: int) -> int:
-    """Largest achievable pair count over k in {0..n}: floor(n/2) ceil(n/2)."""
-    _check_group_size(n, 1)
+    """Largest achievable pair count over k in {0..n}: floor(n/2) ceil(n/2), n an int >= 1."""
+    check_int(n, "group size N", 1)
     return (n // 2) * (n - n // 2)
 
 

@@ -29,7 +29,7 @@ from .controller import (
     prefix_pool_memory_bound,
     update_controller,
 )
-from .errors import DomainError, is_int
+from .errors import check_int
 from .groups import BucketKind, bucket_label, classify_bucket, controlled_buckets
 from .signals import (
     contrastive_pair_count,
@@ -62,11 +62,6 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
-
-
-def _check_size(name: str, value) -> None:
-    if not is_int(value) or value < 1:
-        raise DomainError(f"{name} must be an int >= 1, got {value!r}")
 
 
 def check_landmarks() -> CheckResult:
@@ -105,8 +100,10 @@ def check_advantage_oracles(max_n: int = 12) -> CheckResult:
 
     The energy oracle averages squared leave-one-out advantages; the
     variance oracle takes the population variance of mean-centered ones.
-    Both must agree with the closed forms to 1e-12.
+    Both must agree with the closed forms to 1e-12. max_n must be an int
+    >= 2 (DomainError), so that at least one size is enumerated.
     """
+    check_int(max_n, "max_n", 2)
     worst = 0.0
     for n in range(2, max_n + 1):
         for k in range(n + 1):
@@ -133,9 +130,10 @@ def check_monte_carlo(seed: int = 0, draws: int = 10**6) -> CheckResult:
     so some seeds are known false alarms: at 32, 63, 93, 121 and 2101 one of
     the three survival statistics falls outside its bound. The draws are
     counted by pass count a chunk at a time, so memory does not depend on
-    draws. draws must be an int >= 1 (DomainError).
+    draws. seed must be an int >= 0 and draws an int >= 1 (DomainError).
     """
-    _check_size("draws", draws)
+    check_int(seed, "seed", 0)
+    check_int(draws, "draws", 1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 777)))
     n = 8
     pairs = np.arange(n + 1) * (n - np.arange(n + 1))
@@ -217,9 +215,11 @@ def check_gradients(seed: int = 0, instances: int = 50) -> CheckResult:
     Each randomized instance must match central differences (step 1e-5) at
     relative tolerance 1e-4; contexts touched only by prefix tokens must
     carry exactly zero gradient; all-zero advantages must give an exactly
-    zero gradient. instances must be an int >= 1 (DomainError).
+    zero gradient. seed must be an int >= 0 and instances an int >= 1
+    (DomainError).
     """
-    _check_size("instances", instances)
+    check_int(seed, "seed", 0)
+    check_int(instances, "instances", 1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 778)))
     failures: list[str] = []
     for i in range(instances):
@@ -299,9 +299,10 @@ def check_controller(seed: int = 0, sequences: int = 10**4) -> CheckResult:
     0.95^14). Randomized sequences then exercise bounds, deadzone,
     direction, cooldown spacing, and bookkeeping for every controlled
     bucket at N = 8, and a fixed run holds the ratio at both of its bounds.
-    sequences must be an int >= 1 (DomainError).
+    seed must be an int >= 0 and sequences an int >= 1 (DomainError).
     """
-    _check_size("sequences", sequences)
+    check_int(seed, "seed", 0)
+    check_int(sequences, "sequences", 1)
     params = ControllerParams()
     failures: list[str] = []
     state = BucketControllerState(kind=BucketKind.HARD, ratio=0.5, ema=1.0)

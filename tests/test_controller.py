@@ -596,8 +596,20 @@ class TestMemoryBound:
         assert prefix_pool_memory_bound(0, 512, 2048) == 0.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^batch_size must be an int >= 0, got -1$"):
             prefix_pool_memory_bound(-1, 512, 2048)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("value", [1.5, True, "a", None])
+    def test_sizes_must_be_ints(self, position, value):
+        # 1.5 and True were sized as numbers (29.1 and 19.4 bytes for 2 and
+        # 3), and "a" failed with a bare TypeError.
+        args = [1, 2, 3]
+        args[position] = value
+        name = ("batch_size", "max_prompt", "max_response")[position]
+        want = re.escape(f"{name} must be an int >= 0, got {value!r}") + "$"
+        with pytest.raises(DomainError, match=f"^{want}"):
+            prefix_pool_memory_bound(*args)
 
 
 class TestPrefixPool:

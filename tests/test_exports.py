@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -209,3 +210,42 @@ def test_exported_names_are_read():
         if item not in read
     ]
     assert unread == []
+
+
+# The scalar int checks that do not go through errors.check_int: a per-call
+# fast path, an exclusive bound raised as a ContractError, a group size that
+# must also be even, and a seed that may be a sequence.
+LOCAL_INT_CHECKS = {
+    "controller.replay_boundary", "env.sample_rerollout_group", "groups._hard_upper",
+    "env._seed_base",
+}
+
+
+def int_rule_raises(tree):
+    """Names of the functions that raise an error whose message's own text
+    states an int rule (the word "int"), once per function."""
+    found = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            texts = [
+                part.value for arg in node.exc.args for part in ast.walk(arg)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            ]
+            if any(re.search(r"\bint\b", text) for text in texts):
+                found.add(function.name)
+    return found
+
+
+def test_scalar_int_rule_is_stated_once():
+    # errors.check_int states "an int in [low, high], and not a bool"; a
+    # module that raises its own copy of the rule is listed above or fails.
+    local = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py")) if path.stem != "errors"
+        for name in int_rule_raises(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert local == LOCAL_INT_CHECKS

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import tempfile
 import zlib
 from collections import Counter
@@ -186,8 +187,8 @@ class TestComputeStepMetrics:
             ([2, 3], [(1, 1)], "rewards", "float64"),
             ([2, 3], [], "rewards", "bool"),
             ([2, 3], [], "rewards", "object"),
-            ([2, 3], [(1.7, 1)], "parent pass counts", "float64"),
-            ([2, 3], [(True, 1)], "parent pass counts", "bool"),
+            ([2, 3], [(1.7, 1)], "parent_bucket", "float64"),
+            ([2, 3], [(True, 1)], "parent_bucket", "bool"),
         ],
     )
     def test_non_integer_dtype_rejected(self, fresh, rerollouts, what, dtype):
@@ -205,8 +206,8 @@ class TestComputeStepMetrics:
     @pytest.mark.parametrize(
         "column, values, what",
         [
-            ("step", [0, True], "steps"),
-            ("parent_bucket", [-1, True], "parent pass counts"),
+            ("step", [0, True], "step"),
+            ("parent_bucket", [-1, True], "parent_bucket"),
             ("rewards", [[1] * 7 + [0], [True] + [0] * 7], "rewards"),
         ],
     )
@@ -922,6 +923,65 @@ class TestEmitTraces:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
+    @pytest.mark.parametrize("reward", [2, -1])
+    def test_non_binary_rewards_rejected(self, tmp_path, reward):
+        result = run_experiment(small_config(steps=2))
+        rewards = result.groups.rewards.copy()
+        rewards[1, 0] = reward
+        bad = replace(result, groups=result.groups._replace(rewards=rewards))
+        with pytest.raises(DomainError, match="^rewards must be 0 or 1$"):
+            emit_traces(bad, tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lengths_need_one_per_rollout(self, tmp_path):
+        # Lengths one short of the group size failed inside the formatter
+        # with numpy's bare ValueError.
+        result = run_experiment(small_config(steps=2))
+        lengths = result.groups.lengths[:, 1:]
+        bad = replace(result, groups=result.groups._replace(lengths=lengths))
+        want = rf"^lengths of shape \({len(lengths)}, 7\) for group size 8$"
+        with pytest.raises(ContractError, match=want):
+            emit_traces(bad, tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "column, edit, message",
+        [
+            ("parent_bucket", {"rerollout": 4},
+             "rerollouts come only from controlled buckets, got parent 4/8"),
+            ("parent_bucket", {"rerollout": 9},
+             "rerollouts come only from controlled buckets, got parent 9/8"),
+            ("step", {"fresh": -4}, "step -4 outside [0, 3), the steps with a loss"),
+            ("step", {"fresh": 3}, "step 3 outside [0, 3), the steps with a loss"),
+            ("step", "short", "R rewards, R parents, R-1 steps"),
+            ("task_id", "short", "R rewards, R parents, R steps, R-1 task ids"),
+            ("lengths", "short", "R rewards, R parents, R steps, R-1 lengths"),
+            ("boundary", "short", "R rewards, R parents, R steps, R-1 boundaries"),
+        ],
+        ids=["parent-4", "parent-9", "step-minus-4", "step-3", "short-step", "short-task-ids",
+             "short-lengths", "short-boundaries"],
+    )
+    def test_emission_checks_columns_as_the_metrics_do(self, tmp_path, column, edit, message):
+        # run.jsonl used to label a parent that no run controls ("4/8"), write
+        # a step outside the run, and fail on a short column with numpy's
+        # bare ValueError or IndexError, where the step metrics reject each.
+        result = run_experiment(small_config(steps=3))
+        groups, rows = result.groups, len(result.groups.step)
+        values = getattr(groups, column).copy()
+        if edit == "short":
+            values = values[:-1]
+        else:
+            ((origin, value),) = edit.items()
+            values[np.flatnonzero((groups.parent_bucket < 0) == (origin == "fresh"))[0]] = value
+        bad = replace(result, groups=groups._replace(**{column: values}))
+        want = "^" + re.escape(message.replace("R-1", str(rows - 1)).replace("R", str(rows))) + "$"
+        losses = [m.audit_loss for m in result.metrics]
+        with pytest.raises(ContractError, match=want):
+            compute_step_metrics(bad.groups, 8, losses)
+        with pytest.raises(ContractError, match=want):
+            emit_traces(bad, tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
+
 
 def read_columns(path, n):
     """run.jsonl's records read back into GroupColumns."""
@@ -1294,13 +1354,6 @@ class TestRecordLines:
         ]
         assert all(isinstance(values, range) != wide for values in tables)
         assert len(tables) == (-(-rows // chunk_rows) if wide else 1)
-
-    @pytest.mark.parametrize("reward", [2, -1])
-    def test_non_binary_rewards_rejected(self, reward):
-        groups = columns(fresh=[3, 5])
-        groups.rewards[1, 0] = reward
-        with pytest.raises(DomainError, match="rewards must be 0 or 1"):
-            list(harness._record_lines(groups))
 
 
 class TestRunResultReads:

@@ -1,9 +1,11 @@
 """The controller oracle rejects controllers that break one rule each; the
 Monte Carlo oracle counts its draws a chunk at a time to the same verdict as
-one draw of every group; every oracle size is an int >= 1."""
+one draw of every group; every oracle size is an int >= 1, every seed an
+int >= 0 and the enumerated group sizes reach at least 2."""
 
 import dataclasses
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -247,3 +249,27 @@ def test_oracle_sizes_are_ints_of_at_least_one(check, name, value):
     # statistics, and the check passed.
     with pytest.raises(DomainError, match=f"^{name} must be an int >= 1, got {value!r}$"):
         check(0, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "check",
+    [verification.check_monte_carlo, verification.check_gradients,
+     verification.check_controller],
+)
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_oracle_seeds_are_ints_of_at_least_zero(check, seed):
+    # -1 failed inside numpy's SeedSequence with a bare ValueError, 1.5 with
+    # a TypeError, and True ran as seed 1.
+    want = re.escape(f"seed must be an int >= 0, got {seed!r}") + "$"
+    with pytest.raises(DomainError, match=f"^{want}"):
+        check(seed, 1)
+
+
+@pytest.mark.parametrize("max_n", [1, -5, 2.5, True])
+def test_advantage_oracle_needs_a_group_size_to_enumerate(max_n):
+    # Below 2 the enumeration was empty and the check passed having checked
+    # nothing; 2.5 failed inside range() with a bare TypeError.
+    want = re.escape(f"max_n must be an int >= 2, got {max_n!r}") + "$"
+    with pytest.raises(DomainError, match=f"^{want}"):
+        verification.check_advantage_oracles(max_n)
+    assert verification.check_advantage_oracles(2).passed
