@@ -120,8 +120,6 @@ def _parse_arms(raw: str) -> tuple[Arm, ...]:
         if arm in arms:
             raise ConfigError(f"arm {part!r} is listed twice")
         arms.append(arm)
-    if not arms:
-        raise ConfigError("at least one arm is required")
     return tuple(arms)
 
 

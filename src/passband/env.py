@@ -59,7 +59,9 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .controller import SAVED_OUTCOME, PrefixOutcome, PrefixRecord
-from .errors import ContractError, DomainError, check_field_types, check_int, int_array, is_int
+from .errors import (
+    ContractError, DomainError, check_field_types, check_int, int64_array, int_array, is_int,
+)
 from .groups import bucket_label, classify_bucket
 
 __all__ = [
@@ -255,9 +257,9 @@ def _draw_groups(
     rollout i of group g is keyed keys[g] + (purpose, uid, i), where keys
     holds the groups' key hashes and uid is the task's. Word 0 of a
     rollout's stream gives its length and word 1 its uniform. n must be an
-    int >= 2 (DomainError); task rows are checked by errors.int_array."""
+    int >= 2 (DomainError); task rows are checked by errors.int64_array."""
     check_int(n, "group size", 2)
-    rows = int_array(rows, "task rows").astype(np.int64, copy=False)
+    rows = int64_array(rows, "task rows")
     if rows.size and not 0 <= rows.min() <= rows.max() < len(tasks.uid):
         raise ContractError(f"task rows must lie in [0, {len(tasks.uid)})")
     if len(keys) != len(rows):
@@ -275,9 +277,9 @@ def draw_step_ids(keys, lengths) -> np.ndarray:
     back as int64: rollout r's lengths[r] step ids are words 2 ..
     lengths[r] + 1 of its stream, each shifted right by 2. keys and lengths
     are int arrays of one size, as StepDraws holds them, read in C order, of
-    keys in [0, 2**64) and lengths >= 0. All ids are drawn in one pass."""
+    keys in [0, 2**64) and lengths in [0, 2**63). All ids are drawn in one pass."""
     keys = int_array(keys, "key hashes", nonnegative=True).astype(_U64, copy=False).ravel()
-    lengths = int_array(lengths, "step id lengths", nonnegative=True).astype(np.int64).ravel()
+    lengths = int64_array(lengths, "step id lengths", nonnegative=True).ravel()
     if len(keys) != len(lengths):
         raise ContractError(f"{len(keys)} key hashes but {len(lengths)} lengths")
     # Step j of rollout r, at flat position t = starts[r] + j, is word j + 2

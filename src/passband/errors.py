@@ -64,6 +64,15 @@ def int_array(values, what: str, nonnegative: bool = False) -> np.ndarray:
     return array
 
 
+def int64_array(values, what: str, nonnegative: bool = False) -> np.ndarray:
+    """int_array(values, what, nonnegative) as int64; DomainError naming what
+    and the value for a uint64 value above 2**63 - 1, which the cast would wrap."""
+    array = int_array(values, what, nonnegative)
+    if array.dtype == np.uint64 and array.size and array.max() >= 2**63:
+        raise DomainError(f"{what} must be integers below 2**63, got {array.max()}")
+    return array.astype(np.int64, copy=False)
+
+
 def is_real(value) -> bool:
     """An int or float, numpy ones included; bools and strings are not."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)

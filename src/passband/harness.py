@@ -95,7 +95,7 @@ from .controller import (
     select_prefix,
     update_controller,
 )
-from .errors import ContractError, DomainError, int_array
+from .errors import ContractError, DomainError, int64_array, int_array
 from .groups import bucket_label, classify_bucket, controlled_buckets
 
 __all__ = [
@@ -220,13 +220,14 @@ class RunResult:
 
 def _columns(groups: GroupColumns, n: int, steps: int | None = None):
     """(step, pass count, parent) of every group as int64 arrays, from
-    checked columns; steps, when given, bounds the step column. Every column
-    must hold one row per group, and the message names the counts of rewards,
-    parents and steps and of any other column that differs (ContractError).
-    The rewards are summed as they are, not copied."""
+    checked columns (step and parent by errors.int64_array); steps, when
+    given, bounds the step column. Every column must hold one row per group,
+    and the message names the counts of rewards, parents and steps and of
+    any other column that differs (ContractError). The rewards are summed as
+    they are, not copied."""
     rewards = int_array(groups.rewards, "rewards")
-    step = int_array(groups.step, "step").astype(np.int64, copy=False)
-    parent = int_array(groups.parent_bucket, "parent_bucket").astype(np.int64, copy=False)
+    step = int64_array(groups.step, "step")
+    parent = int64_array(groups.parent_bucket, "parent_bucket")
     if rewards.ndim != 2 or rewards.shape[1] != n:
         raise ContractError(f"rewards of shape {rewards.shape} for group size {n}")
     rows = len(rewards)
@@ -494,16 +495,16 @@ def emit_traces(result: RunResult, destination) -> list[Path]:
     The columns are checked first, and a failed check writes nothing:
     _columns checks them as compute_step_metrics does, with steps in
     [0, len(metrics)); then lengths must be (R, N) (ContractError), and
-    lengths and boundaries int arrays, a fresh group's boundary 0, a
-    rerollout's >= 1 and every length >= boundary + 1 (DomainError naming
-    the column). The files are written into a temporary directory next to
-    the destination and then moved into place, so an interrupted write
-    leaves the destination as it was.
+    lengths and boundaries int64 arrays (errors.int64_array), a fresh
+    group's boundary 0, a rerollout's >= 1 and every length >= boundary + 1
+    (DomainError naming the column). The files are written into a temporary
+    directory next to the destination and then moved into place, so an
+    interrupted write leaves the destination as it was.
     """
     groups, n = result.groups, result.config.group_size
     step, _, parent = _columns(groups, n, len(result.metrics))
-    lengths = int_array(groups.lengths, "lengths")
-    boundary = int_array(groups.boundary, "boundary")
+    lengths = int64_array(groups.lengths, "lengths")
+    boundary = int64_array(groups.boundary, "boundary")
     if lengths.shape != (len(step), n):
         raise ContractError(f"lengths of shape {lengths.shape} for group size {n}")
     if np.any(np.where(parent < 0, boundary != 0, boundary < 1)):

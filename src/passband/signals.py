@@ -49,7 +49,8 @@ def _check_probability(p, name: str = "p") -> np.ndarray:
 def _check_pass_count(k, n: int, min_n: int = 1) -> np.ndarray:
     check_int(n, "group size N", min_n)
     arr = np.asarray(k)
-    if np.any(arr < 0) or np.any(arr > n) or np.any(arr != np.floor(arr)):
+    # numpy sums bools as ints, but True is no pass count.
+    if arr.dtype == bool or np.any(arr < 0) or np.any(arr > n) or np.any(arr != np.floor(arr)):
         raise DomainError(f"pass count k must be a whole number in [0, {n}], got {k!r}")
     return arr
 

@@ -64,6 +64,11 @@ class CheckResult(NamedTuple):
     detail: str
 
 
+def _verdict(name: str, failures: list[str], detail: str) -> CheckResult:
+    """Passes when nothing failed; the detail lists the failures, or else says what held."""
+    return CheckResult(name, not failures, "; ".join(failures) if failures else detail)
+
+
 def check_landmarks() -> CheckResult:
     """Reference values of the signal quantities at N = 8.
 
@@ -88,11 +93,7 @@ def check_landmarks() -> CheckResult:
     pairs = [contrastive_pair_count(k, 8) for k in range(9)]
     if pairs != [0, 7, 12, 15, 16, 15, 12, 7, 0]:
         failures.append(f"pair counts: got {pairs}")
-    return CheckResult(
-        name="landmark values",
-        passed=not failures,
-        detail="; ".join(failures) if failures else "all reference values match",
-    )
+    return _verdict("landmark values", failures, "all reference values match")
 
 
 def check_advantage_oracles(max_n: int = 12) -> CheckResult:
@@ -114,11 +115,8 @@ def check_advantage_oracles(max_n: int = 12) -> CheckResult:
             worst = max(
                 worst, abs(variance - mean_centered_advantage_variance(k, n))
             )
-    return CheckResult(
-        name="advantage oracles",
-        passed=worst <= 1e-12,
-        detail=f"max |closed form - enumeration| = {worst:.3e} over N <= {max_n}",
-    )
+    detail = f"max |closed form - enumeration| = {worst:.3e} over N <= {max_n}"
+    return _verdict("advantage oracles", [] if worst <= 1e-12 else [detail], detail)
 
 
 def check_monte_carlo(seed: int = 0, draws: int = 10**6) -> CheckResult:
@@ -160,11 +158,7 @@ def check_monte_carlo(seed: int = 0, draws: int = 10**6) -> CheckResult:
                 f"pair mean at p={p}: |{pair_mean:.4f} - {pair_expected:.4f}| > 0.05"
             )
         details.append(f"p={p}: surv {survival:.5f}, pairs {pair_mean:.3f}")
-    return CheckResult(
-        name="monte carlo survival and pair count",
-        passed=not failures,
-        detail="; ".join(failures if failures else details),
-    )
+    return _verdict("monte carlo survival and pair count", failures, "; ".join(details))
 
 
 def finite_difference_gradient(
@@ -247,13 +241,8 @@ def check_gradients(seed: int = 0, instances: int = 50) -> CheckResult:
     )
     if not np.all(zero_grad == 0.0):
         failures.append("zero advantages did not give an exactly zero gradient")
-    return CheckResult(
-        name="masking gradient contract",
-        passed=not failures,
-        detail="; ".join(failures)
-        if failures
-        else f"{instances} randomized instances matched finite differences",
-    )
+    held = f"{instances} randomized instances matched finite differences"
+    return _verdict("masking gradient contract", failures, held)
 
 
 def _first_problem(initial, runs, params: ControllerParams) -> tuple[int, str] | None:
@@ -324,13 +313,8 @@ def check_controller(seed: int = 0, sequences: int = 10**4) -> CheckResult:
             i, problem = found
             where = f"sequence {i}" if i < sequences else "the run to both bounds"
             failures.append(f"bucket {bucket_label(k, 8)}, {where}: {problem}")
-    return CheckResult(
-        name="controller unit behavior",
-        passed=not failures,
-        detail="; ".join(failures)
-        if failures
-        else f"half-crossing at update 14; {sequences} sequences per bucket clean",
-    )
+    held = f"half-crossing at update 14; {sequences} sequences per bucket clean"
+    return _verdict("controller unit behavior", failures, held)
 
 
 def check_memory_bounds() -> CheckResult:
@@ -347,11 +331,7 @@ def check_memory_bounds() -> CheckResult:
         if abs(got - want_mib) > 0.05:
             failures.append(f"{args}: got {got:.4f} MiB, want {want_mib}")
         details.append(f"{args} -> {got:.2f} MiB")
-    return CheckResult(
-        name="prefix pool memory bounds",
-        passed=not failures,
-        detail="; ".join(failures if failures else details),
-    )
+    return _verdict("prefix pool memory bounds", failures, "; ".join(details))
 
 
 def run_default_checks(seed: int = 0) -> list[CheckResult]:

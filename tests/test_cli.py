@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from passband import cli
 from passband.cli import build_parser, main
+from passband.errors import ContractError
 
 TINY_CONFIG = """
 arm = ps-ada
@@ -139,6 +141,26 @@ class TestSimulate:
         assert "latin1.cfg" in err
         assert not (tmp_path / "o").exists()
 
+    def test_output_under_a_regular_file_is_an_io_error(self, config_file, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["simulate", "--config", str(config_file), "--out", str(blocker / "o")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ")
+        assert captured.out == ""
+
+    def test_broken_contract_exits_1(self, config_file, tmp_path, capsys, monkeypatch):
+        def broken(config):
+            raise ContractError("rerollouts come only from controlled buckets")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        code = main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: rerollouts come only from controlled buckets\n"
+        assert not (tmp_path / "o").exists()
+
     def test_repeat_is_byte_identical(self, config_file, tmp_path):
         main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "a")])
         main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "b")])
@@ -174,6 +196,17 @@ class TestVerify:
         # Pinned: every oracle's reported figure stays as it was.
         assert out == VERIFY_SEED_0_STDOUT
 
+    def test_known_false_alarm_exits_1(self, capsys):
+        # Seed 2101 is one of check_monte_carlo's documented false alarms.
+        assert main(["verify", "--seed", "2101"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert lines[2] == (
+            "FAIL monte carlo survival and pair count: "
+            "survival at p=0.125: |0.657848 - 0.656391| > 3se"
+        )
+        assert sum(line.startswith("PASS ") for line in lines) == 5
+
     def test_negative_seed(self, capsys):
         assert main(["verify", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
@@ -203,6 +236,17 @@ class TestCompare:
         )
         assert code == 2
         assert "unknown arm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arms", ["", ",", " , "])
+    def test_empty_arm_name(self, config_file, tmp_path, capsys, arms):
+        # split(",") always yields a part, so an empty list is an unknown arm.
+        code = main(
+            ["compare", "--config", str(config_file), "--arms", arms,
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "configuration error: unknown arm ''\n"
+        assert not (tmp_path / "o").exists()
 
     def test_fixed_ratio_outside_ratio_bounds_writes_nothing(self, tmp_path, capsys):
         # The baseline arm runs first; a fixed ratio that ps-fix cannot use

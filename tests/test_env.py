@@ -642,6 +642,13 @@ class TestStepIds:
         with pytest.raises(DomainError, match="^key hashes must be integers, got dtype object$"):
             draw_step_ids([2**64, 1.5], [2, 2])
 
+    def test_uint64_length_above_int64_is_named(self):
+        # Cast to int64, a length of 2**64 - 1 read as -1 and numpy raised a
+        # bare ValueError: negative dimensions are not allowed.
+        want = f"^step id lengths must be integers below 2\\*\\*63, got {2**64 - 1}$"
+        with pytest.raises(DomainError, match=want):
+            draw_step_ids([1, 2], np.array([2, 2**64 - 1], np.uint64))
+
     def test_int_keys_of_any_dtype(self):
         keys = [0, 7, 2**63 - 1]
         want = draw_step_ids(np.array(keys, np.uint64), [3, 1, 2])
@@ -724,8 +731,10 @@ class TestBlockDraws:
             (np.array([[1]]), [2**64],
              f"task rows must be integers that fit in 64 bits, got {2**64}"),
             ([[2**64]], [0], f"subkeys must be integers that fit in 64 bits, got {2**64}"),
+            (np.array([[1]]), np.array([2**64 - 1], np.uint64),
+             f"task rows must be integers below 2\\*\\*63, got {2**64 - 1}"),
         ],
-        ids=["bool-row", "bool-subkey", "wide-row", "wide-subkey"],
+        ids=["bool-row", "bool-subkey", "wide-row", "wide-subkey", "uint64-row"],
     )
     def test_bad_ints_name_their_argument(self, subkeys, rows, message):
         # numpy reads [True, 0] as the ints [1, 0] and holds 2**64 in an object array.

@@ -1,12 +1,13 @@
 """The scalar int check every size, count and bound of the package goes
-through: an int in [low, high], numpy ints included, never a bool."""
+through: an int in [low, high], numpy ints included, never a bool; and the
+int64 read of an int column, which names a uint64 value the cast would wrap."""
 
 import re
 
 import numpy as np
 import pytest
 
-from passband.errors import DomainError, check_int
+from passband.errors import DomainError, check_int, int64_array
 
 INT_TYPES = [int, np.int64, np.int32]
 
@@ -55,3 +56,18 @@ def test_non_ints_fail(value, high):
     want = re.escape(f"size must be an int {bounds}, got {value!r}") + "$"
     with pytest.raises(DomainError, match=f"^{want}"):
         check_int(value, "size", 0, high)
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.int32, np.uint8])
+def test_int64_array_reads_every_int_dtype(dtype):
+    values = np.array([0, 7, 127], dtype)
+    got = int64_array(values, "x")
+    assert got.dtype == np.int64
+    assert got.tolist() == [0, 7, 127]
+    assert int64_array(np.array([2**63 - 1], np.uint64), "x").tolist() == [2**63 - 1]
+
+
+@pytest.mark.parametrize("big", [2**63, 2**64 - 1])
+def test_int64_array_names_a_uint64_the_cast_would_wrap(big):
+    with pytest.raises(DomainError, match=f"^step must be integers below 2\\*\\*63, got {big}$"):
+        int64_array(np.array([1, big, 2], np.uint64), "step")

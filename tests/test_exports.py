@@ -249,3 +249,22 @@ def test_scalar_int_rule_is_stated_once():
         for name in int_rule_raises(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert local == LOCAL_INT_CHECKS
+
+
+
+def check_results_built(node):
+    """The CheckResult(...) calls under node, by name or as an attribute."""
+    return [
+        call for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) == "CheckResult"
+    ]
+
+
+def test_verdict_rule_is_stated_once():
+    # verification._verdict passes a suite when nothing failed and lists the
+    # failures, or else what held; a suite that builds its own CheckResult fails.
+    tree = ast.parse((SRC / "verification.py").read_text(encoding="utf-8"))
+    verdicts = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_verdict"]
+    assert [len(check_results_built(f)) for f in verdicts] == [1]
+    assert len(check_results_built(tree)) == 1

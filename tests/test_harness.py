@@ -982,6 +982,22 @@ class TestEmitTraces:
             emit_traces(bad, tmp_path / "run")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("column", ["step", "parent_bucket", "lengths", "boundary"])
+    def test_uint64_above_int64_is_named(self, tmp_path, column):
+        # Cast to int64, a uint64 of 2**64 - 1 read as -1: a fresh group's
+        # parent, "step -1", or a length of -1 written to run.jsonl.
+        result = run_experiment(small_config(steps=3))
+        values = getattr(result.groups, column).astype(np.uint64)
+        values.flat[0] = 2**64 - 1
+        bad = replace(result, groups=result.groups._replace(**{column: values}))
+        want = f"^{column} must be integers below 2\\*\\*63, got {2**64 - 1}$"
+        if column in ("step", "parent_bucket"):
+            with pytest.raises(DomainError, match=want):
+                compute_step_metrics(bad.groups, 8, [m.audit_loss for m in result.metrics])
+        with pytest.raises(DomainError, match=want):
+            emit_traces(bad, tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
+
 
 def read_columns(path, n):
     """run.jsonl's records read back into GroupColumns."""

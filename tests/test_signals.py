@@ -1,5 +1,7 @@
 """Signal quantity closed forms against frozen values and brute force."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -123,6 +125,20 @@ class TestPairCounts:
             signal_report,
         ):
             with pytest.raises(DomainError, match="whole number"):
+                quantity(k, 8)
+
+    @pytest.mark.parametrize("k", [True, False, np.bool_(True), np.array([True, False])])
+    def test_pass_count_is_no_bool(self, k):
+        # contrastive_pair_count(True, 8) returned 7 and signal_report(True, 8)
+        # reported a pass count of 1.
+        want = "^" + re.escape(f"pass count k must be a whole number in [0, 8], got {k!r}") + "$"
+        for quantity in (
+            contrastive_pair_count,
+            rloo_advantage_energy,
+            mean_centered_advantage_variance,
+            signal_report,
+        ):
+            with pytest.raises(DomainError, match=want):
                 quantity(k, 8)
 
     def test_whole_floats_still_count(self):

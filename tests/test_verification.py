@@ -1,6 +1,7 @@
-"""The controller oracle rejects controllers that break one rule each; the
-Monte Carlo oracle counts its draws a chunk at a time to the same verdict as
-one draw of every group; every oracle size is an int >= 1, every seed an
+"""The controller oracle rejects controllers that break one rule each; every
+suite fails with its full list of failures when the code it checks is wrong;
+the Monte Carlo oracle counts its draws a chunk at a time to the same verdict
+as one draw of every group; every oracle size is an int >= 1, every seed an
 int >= 0 and the enumerated group sizes reach at least 2."""
 
 import dataclasses
@@ -12,9 +13,16 @@ import numpy as np
 import pytest
 
 from passband import verification
-from passband.controller import update_controller
+from passband.advantages import loss_gradient
+from passband.controller import prefix_pool_memory_bound, update_controller
 from passband.errors import DomainError
-from passband.signals import expected_pair_count, group_survival_probability
+from passband.signals import (
+    contrastive_pair_count,
+    expected_pair_count,
+    group_survival_probability,
+    reward_entropy,
+    rloo_advantage_energy,
+)
 
 
 def ignore_cooldown(state, p, params):
@@ -164,6 +172,67 @@ def test_broken_controller_verdicts_pinned(monkeypatch, mutant, detail):
     # it pins both the oracle's checks and the observation stream it draws.
     monkeypatch.setattr(verification, "update_controller", mutant)
     assert verification.check_controller(seed=0, sequences=20).detail == detail
+
+
+def slow_ema(state, p, params):
+    # An EMA rate of 0.1 crosses 0.5 at update 7 (0.9^7 < 0.5 < 0.9^6).
+    return update_controller(state, p, dataclasses.replace(params, alpha=0.1))
+
+
+@pytest.mark.parametrize(
+    "target, mutant, check, detail",
+    [
+        (
+            "reward_entropy", lambda p: reward_entropy(p) + 0.01,
+            verification.check_landmarks,
+            "H(0.5): got 1.01, want 1.0 +/- 1e-12; "
+            "H(0.25): got 0.8212781244591328, want 0.8113 +/- 0.0001; "
+            "H(0.125): got 0.5535644431995964, want 0.5436 +/- 0.0001; "
+            "H(0): got 0.01, want 0.0 +/- 1e-12",
+        ),
+        (
+            "contrastive_pair_count", lambda k, n: contrastive_pair_count(k, n) + 1,
+            verification.check_landmarks,
+            "pair counts: got [1, 8, 13, 16, 17, 16, 13, 8, 1]",
+        ),
+        (
+            "rloo_advantage_energy", lambda k, n: 1.5 * rloo_advantage_energy(k, n),
+            verification.check_advantage_oracles,
+            "max |closed form - enumeration| = 5.000e-01 over N <= 12",
+        ),
+        (
+            "loss_gradient", lambda *args, **options: loss_gradient(*args, **options) + 0.5,
+            lambda: verification.check_gradients(0, 3),
+            "instance 0: max gap 5.000e-01; instance 1: max gap 5.000e-01; "
+            "instance 2: max gap 5.000e-01; prefix-only context rows are not exactly zero; "
+            "zero advantages did not give an exactly zero gradient",
+        ),
+        (
+            "update_controller", slow_ema, lambda: verification.check_controller(0, 20),
+            "EMA crossed 0.5 at update 7, want 14; "
+            "bucket 1/8, sequence 0: ema update mismatch; "
+            "bucket 2/8, sequence 0: ema update mismatch; "
+            "bucket 6/8, sequence 0: ema update mismatch; "
+            "bucket 7/8, sequence 0: ema update mismatch",
+        ),
+        (
+            "prefix_pool_memory_bound", lambda *args: 2 * prefix_pool_memory_bound(*args),
+            verification.check_memory_bounds,
+            "(128, 2048, 16384): got 17.2000 MiB, want 8.6; "
+            "(64, 4096, 32768): got 17.2000 MiB, want 8.6; "
+            "(64, 4096, 65536): got 32.4000 MiB, want 16.2",
+        ),
+    ],
+    ids=["landmark-entropy", "landmark-pairs", "advantage-oracles", "gradients", "controller",
+         "memory-bounds"],
+)
+def test_broken_suite_verdicts_pinned(monkeypatch, target, mutant, check, detail):
+    # A suite that finds failures fails, and its detail lists every one of
+    # them in the order checked, in place of what a passing run reports.
+    monkeypatch.setattr(verification, target, mutant)
+    result = check()
+    assert result.passed is False
+    assert result.detail == detail
 
 
 def one_shot_monte_carlo(seed, draws):
