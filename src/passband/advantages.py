@@ -176,7 +176,11 @@ def _left_to_right_sums(values: np.ndarray, sizes) -> np.ndarray:
     added left to right from 0.0 as a plain loop adds: np.sum adds pairwise,
     which changes the last bits of byte-stable traces. Each run is a row
     padded with 0.0, which changes at most the sign of a zero partial sum; the
-    final + 0.0, the loop's 0.0 start, turns a sum of negative zeros into +0.0."""
+    final + 0.0, the loop's 0.0 start, turns a sum of negative zeros into +0.0.
+    np.add.reduce down axis 0 of a transposed (width, G) layout is faster (the
+    criterion-6 run's sums 13.8 -> 9.1 ms on a 2-CPU Xeon) but keeps this order
+    only for G > 1: for G = 1 numpy adds pairwise, which changed 7 of
+    long-audit's 301 chunk sums and 21 of its 24 step sums at seed 5."""
     sizes = np.asarray(sizes)
     g, width = len(sizes), int(sizes.max(initial=0))
     rows = np.zeros((g, width))

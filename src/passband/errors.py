@@ -58,10 +58,16 @@ def int_array(values, what: str, nonnegative: bool = False) -> np.ndarray:
         raise DomainError(f"{what} must be integers, got dtype {array.dtype}")
     if nonnegative and array.size and array.min() < 0:
         raise DomainError(f"{what} must be >= 0, got {array.min()}")
-    listed = () if isinstance(values, np.ndarray) else np.asarray(values, object).flat
-    if any(isinstance(v, (bool, np.bool_)) for v in listed):
+    if listed_bool(values):
         raise DomainError(f"{what} must be integers, got a bool")
     return array
+
+
+def listed_bool(values) -> bool:
+    """Whether values, when not an array, hold a bool anywhere: numpy reads
+    a list that mixes bools with ints, such as [True, 2], as an int array."""
+    listed = () if isinstance(values, np.ndarray) else np.asarray(values, object).flat
+    return any(isinstance(v, (bool, np.bool_)) for v in listed)
 
 
 def int64_array(values, what: str, nonnegative: bool = False) -> np.ndarray:

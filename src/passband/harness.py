@@ -39,7 +39,9 @@ nothing a run records.
 A block is held as arrays, not per-group objects: env's StepDraws heads,
 (G, N) rewards, RLOO advantages and one audit-loss term row per scored
 group. A run's groups stay arrays too: RunResult.groups holds run.jsonl's
-fields as columns, one row per group, one part per block. After the loop,
+fields as columns, one row per group, allocated once at the most rows a run
+can produce; each block writes its rows into the next slice, and the loop
+trims the columns in place to the rows written. After the loop,
 the step metrics and the parent-to-child transitions are counted from them
 in one pass each, and run.jsonl is formatted from them a chunk of rows at
 a time: each chunk's cells are gathered from text tables built once per
@@ -167,7 +169,9 @@ class GroupColumns(NamedTuple):
     """run.jsonl's fields as columns, one row per group in file order: an
     object array of task ids, rewards (R, N) int8, each group's parent pass
     count (-1 for a fresh group; the origin follows from it), steps, lengths
-    (R, N), boundaries."""
+    (R, N), boundaries. A run's columns are C-ordered, hold exactly R rows and
+    own their data: run_experiment trims them in place (ndarray.resize) from
+    the bound it allocated them at, so none is a view of a larger array."""
 
     task_id: np.ndarray
     rewards: np.ndarray
@@ -272,8 +276,16 @@ def compute_step_metrics(groups: GroupColumns, n: int, audit_losses) -> tuple[St
     steps = len(audit_losses)
     step, k, parent = _columns(groups, n, steps)
     rerolled = parent >= 0
-    # Rows 2s and 2s + 1 count step s's fresh and rerollout groups by |2k - n|.
-    cohorts = _table(2 * step + rerolled, np.abs(2 * k - n), (2 * steps, n + 1))
+    # Rows 2s and 2s + 1 count step s's fresh and rerollout groups by |2k - n|:
+    # the bin code is built in place, so that few column-sized arrays are alive.
+    code = 2 * step
+    code += rerolled
+    code *= n + 1
+    distance = 2 * k
+    distance -= n
+    code += np.abs(distance, out=distance)
+    cohorts = np.bincount(code, minlength=2 * steps * (n + 1)).reshape(2 * steps, n + 1)
+    del code, distance
     valid = cohorts[:, :n].sum(axis=1).reshape(steps, 2).sum(axis=1).tolist()
     stats = _cohort_stats(cohorts, n)
     # Rerollout groups and their passes per (step, parent bucket).
@@ -336,13 +348,16 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     carry: dict[tuple[int, int, int], int] = {}
     audit_losses: list[float] = []
     controller_rows: list[ControllerRow] = []
-    # run.jsonl's columns, one part per block after an empty one that holds
-    # their dtypes and shapes for a run without steps.
-    empty = np.zeros((0, n), np.int64)
-    step_groups = [GroupColumns(
-        task_id=np.zeros(0, object), rewards=empty.astype(np.int8),
-        parent_bucket=empty[:, 0], step=empty[:, 0], lengths=empty, boundary=empty[:, 0],
-    )]
+    # run.jsonl's columns at the most rows a run can produce: G fresh groups a
+    # step and, when the arm saves, at most G rerollouts, since each fresh group
+    # saves at most one prefix and each save is replayed once.
+    capacity = config.steps * g * (2 if saving else 1)
+    groups = GroupColumns(
+        task_id=np.empty(capacity, object), rewards=np.empty((capacity, n), np.int8),
+        parent_bucket=np.empty(capacity, np.int64), step=np.empty(capacity, np.int64),
+        lengths=np.empty((capacity, n), np.int64), boundary=np.empty(capacity, np.int64),
+    )
+    written = 0
     span = max(1, _BLOCK_WORDS // (g * n * (config.population.length_max + 2)))
 
     for first in range(0, config.steps, span):
@@ -364,6 +379,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             carry, steps[-1], fresh_step + lag, picks, fresh_rewards, fresh.lengths, saving
         )
         rerollout_step, rerolled, parents = keys.T
+        into = slice(written, written + len(picks) + len(keys))
+        if into.stop > capacity:
+            raise ContractError(f"{into.stop} groups by step {steps[-1]}, "
+                                f"past the run's bound of {capacity}")
         per_step = np.bincount(rerollout_step - first, minlength=len(steps))
         slots = np.arange(len(keys)) - np.searchsorted(rerollout_step, rerollout_step)
         draws = env_mod.draw_rerollout_groups(
@@ -432,14 +451,19 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         live_per_step = np.bincount(block_step[live] - first, minlength=len(steps))
         audit_losses.extend(_left_to_right_sums(losses, live_per_step).tolist())
         # One run.jsonl row per group; its rollouts share its boundary.
-        step_groups.append(GroupColumns(
-            task_id=tasks.task_id[task_rows], rewards=rewards.view(np.int8),
-            parent_bucket=parent_bucket, step=block_step,
-            lengths=lengths + boundary[:, None], boundary=boundary,
-        ))
+        groups.task_id[into] = tasks.task_id[task_rows]
+        groups.rewards[into] = rewards
+        groups.parent_bucket[into] = parent_bucket
+        groups.step[into] = block_step
+        np.add(lengths, boundary[:, None], out=groups.lengths[into])
+        groups.boundary[into] = boundary
+        written = into.stop
 
-    groups = GroupColumns(*map(np.concatenate, zip(*step_groups)))
-    del step_groups  # the parts, before the metrics pass adds its own arrays
+    # Trimmed in place by realloc, not viewed: a view would keep every row of
+    # the bound alive with the result. resize's reference check enforces that
+    # no view of a column is alive here.
+    for i in range(len(groups)):
+        groups[i].resize((written, *groups[i].shape[1:]))
     return RunResult(
         config=config,
         metrics=compute_step_metrics(groups, n, audit_losses),
@@ -608,9 +632,12 @@ def _record_lines(groups: GroupColumns) -> Iterator[str]:
         if bits == 63:
             codes, bits = np.unique(codes, return_inverse=True)[1], len(codes).bit_length()
         codes, bits = codes << 1 | column, bits + 1
-    distinct, patterns = np.unique(codes, return_inverse=True)
+    # The ranks return_inverse gives, with fewer whole-run temporaries.
+    distinct = np.unique(codes)
+    patterns = np.searchsorted(distinct, codes)
+    del codes
     row_of = np.zeros(len(distinct), np.intp)  # a row of each pattern; return_index sorts slower
-    row_of[patterns] = np.arange(len(codes))
+    row_of[patterns] = np.arange(len(patterns))
     pattern_cells = _int_table((0, 1))[[0] * (n - 1) + [1], rewards[row_of]].tolist()
     texts = np.array(["".join(cells) for cells in pattern_cells], object)
     # A line's cells: its head, rewards and origin, then the step, n lengths

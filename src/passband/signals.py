@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, listed_bool
 
 __all__ = [
     "SignalReport",
@@ -49,8 +49,9 @@ def _check_probability(p, name: str = "p") -> np.ndarray:
 def _check_pass_count(k, n: int, min_n: int = 1) -> np.ndarray:
     check_int(n, "group size N", min_n)
     arr = np.asarray(k)
-    # numpy sums bools as ints, but True is no pass count.
-    if arr.dtype == bool or np.any(arr < 0) or np.any(arr > n) or np.any(arr != np.floor(arr)):
+    # numpy sums bools as ints, but True is no pass count, in a list or not.
+    if (arr.dtype == bool or listed_bool(k)
+            or np.any(arr < 0) or np.any(arr > n) or np.any(arr != np.floor(arr))):
         raise DomainError(f"pass count k must be a whole number in [0, {n}], got {k!r}")
     return arr
 

@@ -105,16 +105,15 @@ def check_advantage_oracles(max_n: int = 12) -> CheckResult:
     >= 2 (DomainError), so that at least one size is enumerated.
     """
     check_int(max_n, "max_n", 2)
-    worst = 0.0
+    gaps = []
     for n in range(2, max_n + 1):
         for k in range(n + 1):
             rewards = [1] * k + [0] * (n - k)
             energy = float(np.mean(rloo_advantages(rewards) ** 2))
-            worst = max(worst, abs(energy - rloo_advantage_energy(k, n)))
+            gaps.append(abs(energy - rloo_advantage_energy(k, n)))
             variance = float(np.var(mean_centered_advantages(rewards)))
-            worst = max(
-                worst, abs(variance - mean_centered_advantage_variance(k, n))
-            )
+            gaps.append(abs(variance - mean_centered_advantage_variance(k, n)))
+    worst = float(np.max(gaps))  # a nan gap stays nan, and fails
     detail = f"max |closed form - enumeration| = {worst:.3e} over N <= {max_n}"
     return _verdict("advantage oracles", [] if worst <= 1e-12 else [detail], detail)
 
@@ -147,13 +146,13 @@ def check_monte_carlo(seed: int = 0, draws: int = 10**6) -> CheckResult:
         survival = float(counts[1:n].sum() / draws)
         expected = group_survival_probability(p, n)
         se = np.sqrt(expected * (1.0 - expected) / draws)
-        if abs(survival - expected) > 3.0 * se:
+        if not abs(survival - expected) <= 3.0 * se:
             failures.append(
                 f"survival at p={p}: |{survival:.6f} - {expected:.6f}| > 3se"
             )
         pair_mean = float(counts @ pairs / draws)
         pair_expected = expected_pair_count(p, n)
-        if abs(pair_mean - pair_expected) > 0.05:
+        if not abs(pair_mean - pair_expected) <= 0.05:
             failures.append(
                 f"pair mean at p={p}: |{pair_mean:.4f} - {pair_expected:.4f}| > 0.05"
             )
@@ -328,7 +327,7 @@ def check_memory_bounds() -> CheckResult:
     details: list[str] = []
     for args, want_mib in cases:
         got = prefix_pool_memory_bound(*args) / _MIB
-        if abs(got - want_mib) > 0.05:
+        if not abs(got - want_mib) <= 0.05:
             failures.append(f"{args}: got {got:.4f} MiB, want {want_mib}")
         details.append(f"{args} -> {got:.2f} MiB")
     return _verdict("prefix pool memory bounds", failures, "; ".join(details))

@@ -218,3 +218,22 @@ def test_bool_rewards_of_other_ranks_are_rejected(shape):
     # A compare's bool output skips the binary check, never the shape check.
     with pytest.raises(DomainError):
         rloo_advantages(np.zeros(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("sizes", [[3000], [60 + i % 41 for i in range(250)]],
+                         ids=["one-group-of-3000", "250-groups-of-about-80"])
+def test_sums_add_left_to_right_at_run_sizes(sizes):
+    # A long-audit chunk holds one group of thousands of terms, a steer block
+    # hundreds of groups of tens. np.add.reduce down a transposed (width, G)
+    # layout adds row by row only while G > 1: for one group it adds pairwise,
+    # and its sum's bits differ from the loop's.
+    rng = np.random.default_rng(35)
+    values = rng.normal(size=sum(sizes)) * 10.0 ** rng.integers(-3, 4, sum(sizes))
+    want, start = [], 0
+    for size in sizes:
+        total = 0.0
+        for x in values[start:start + size].tolist():
+            total += x
+        want.append(total)
+        start += size
+    assert list(map(bits, _left_to_right_sums(values, sizes).tolist())) == list(map(bits, want))

@@ -141,9 +141,24 @@ class TestPairCounts:
             with pytest.raises(DomainError, match=want):
                 quantity(k, 8)
 
+    @pytest.mark.parametrize("k", [[True, 2], (2, np.bool_(False)), [[1, 2], [3, True]]])
+    @pytest.mark.parametrize(
+        "quantity",
+        [contrastive_pair_count, rloo_advantage_energy, mean_centered_advantage_variance,
+         signal_report],
+    )
+    def test_bool_in_a_list_is_no_pass_count(self, quantity, k):
+        # numpy reads [True, 2] as int64: contrastive_pair_count([True, 2], 8)
+        # returned [7, 12], where errors.int_array rejects the same list.
+        want = "^" + re.escape(f"pass count k must be a whole number in [0, 8], got {k!r}") + "$"
+        with pytest.raises(DomainError, match=want):
+            quantity(k, 8)
+
     def test_whole_floats_still_count(self):
         assert contrastive_pair_count(2.0, 8) == 12
         assert rloo_advantage_energy(np.array([2.0, 4.0]), 8).tolist() == [12 / 49, 16 / 49]
+        assert contrastive_pair_count([1, 2.0], 8).tolist() == [7, 12]
+        assert mean_centered_advantage_variance((4, np.int64(2)), 8).tolist() == [0.25, 0.1875]
 
 
 @pytest.mark.parametrize("n", [8.5, True, np.float64(8.0), "8"])

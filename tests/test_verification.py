@@ -235,6 +235,25 @@ def test_broken_suite_verdicts_pinned(monkeypatch, target, mutant, check, detail
     assert result.detail == detail
 
 
+@pytest.mark.parametrize(
+    "target, check, nans",
+    [
+        ("rloo_advantage_energy", verification.check_advantage_oracles, 1),
+        ("mean_centered_advantage_variance", verification.check_advantage_oracles, 1),
+        ("group_survival_probability", verification.check_monte_carlo, 3),
+        ("expected_pair_count", verification.check_monte_carlo, 3),
+        ("prefix_pool_memory_bound", verification.check_memory_bounds, 3),
+    ],
+)
+def test_a_nan_closed_form_fails_its_suite(monkeypatch, target, check, nans):
+    # Each of these suites passed a nan: max(worst, gap) drops a nan gap, and
+    # a nan gap is above no bound. Every comparison with a nan must fail.
+    monkeypatch.setattr(verification, target, lambda *args: float("nan"))
+    result = check()
+    assert result.passed is False
+    assert result.detail.count("nan") == nans
+
+
 def one_shot_monte_carlo(seed, draws):
     """check_monte_carlo's statistics and verdict from one binomial call per
     rate and np.mean over every draw: the reference the counts must equal."""
