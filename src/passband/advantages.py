@@ -131,14 +131,19 @@ class ToyPolicy:
         return min(t, self.n_contexts - 1)
 
     def log_probs(self) -> np.ndarray:
-        """scipy 1.17's log_softmax(logits, axis=1), op for op, minus its dispatch."""
-        top = self.logits.max(axis=1, keepdims=True)
-        shifted = self.logits - np.where(np.isfinite(top), top, 0.0)
-        with np.errstate(divide="ignore"):
-            return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return _log_softmax(self.logits)
 
     def probs(self) -> np.ndarray:
         return softmax(self.logits, axis=1)
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """scipy 1.17's log_softmax(logits, axis=-1), op for op, minus its
+    dispatch: each table of a (K, C, V) stack gets the bits it would alone."""
+    top = logits.max(axis=-1, keepdims=True)
+    shifted = logits - np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _check_group(group_trajectories, advantages, policy: ToyPolicy) -> np.ndarray:
@@ -241,20 +246,33 @@ def masked_grpo_loss(
     length-normalization denominator (the count of unmasked tokens).
     """
     adv = _check_group(group_trajectories, advantages, policy)
+    (loss,) = _group_losses(
+        group_trajectories, adv, policy.log_probs()[None],
+        length_normalized=length_normalized, group_reduction=group_reduction,
+    )
+    return float(loss)
+
+
+def _group_losses(group_trajectories, adv: np.ndarray, tables: np.ndarray,
+                  **loss_options) -> np.ndarray:
+    """The masked surrogate of one checked group under each log-softmax
+    table of a (K, C, V) stack: a (K,) array. The tables sit side by side as
+    one (C, K*V) table, and copy k of the group reads table k through its
+    tokens offset by k*V, so each copy adds the terms a one-table call adds."""
+    k, c, v = tables.shape
     tokens = np.fromiter(
         chain.from_iterable(t.token_ids[t.replay_boundary:] for t in group_trajectories),
         dtype=np.intp,
     )
-    (loss,) = masked_loss_kernel(
-        tokens,
-        [[t.replay_boundary for t in group_trajectories]],
-        [[len(t) - t.replay_boundary for t in group_trajectories]],
-        adv[None],
-        policy.log_probs(),
-        length_normalized=length_normalized,
-        group_reduction=group_reduction,
+    copies = np.add.outer(np.arange(k) * v, tokens).ravel()
+    return masked_loss_kernel(
+        copies,
+        np.tile([t.replay_boundary for t in group_trajectories], (k, 1)),
+        np.tile([len(t) - t.replay_boundary for t in group_trajectories], (k, 1)),
+        np.tile(adv, (k, 1)),
+        tables.transpose(1, 0, 2).reshape(c, k * v),
+        **loss_options,
     )
-    return float(loss)
 
 
 def loss_gradient(

@@ -170,8 +170,9 @@ class GroupColumns(NamedTuple):
     object array of task ids, rewards (R, N) int8, each group's parent pass
     count (-1 for a fresh group; the origin follows from it), steps, lengths
     (R, N), boundaries. A run's columns are C-ordered, hold exactly R rows and
-    own their data: run_experiment trims them in place (ndarray.resize) from
-    the bound it allocated them at, so none is a view of a larger array."""
+    own their data: run_experiment trims them in place (ndarray.resize, its
+    reference check off, so a profiler or tracer does not make it refuse)
+    from the bound it allocated them at, so none is a view of a larger array."""
 
     task_id: np.ndarray
     rewards: np.ndarray
@@ -460,10 +461,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         written = into.stop
 
     # Trimmed in place by realloc, not viewed: a view would keep every row of
-    # the bound alive with the result. resize's reference check enforces that
-    # no view of a column is alive here.
+    # the bound alive with the result. resize's reference check is off: under
+    # a profiler or tracer the bound method holds one more reference, and the
+    # check refuses. No view of a column outlives the write it was taken for.
     for i in range(len(groups)):
-        groups[i].resize((written, *groups[i].shape[1:]))
+        groups[i].resize((written, *groups[i].shape[1:]), refcheck=False)
     return RunResult(
         config=config,
         metrics=compute_step_metrics(groups, n, audit_losses),

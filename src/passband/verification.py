@@ -14,9 +14,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .advantages import (
+# finite_difference_gradient scores the group through the batched loss;
+# masked_grpo_loss, its one-policy form, stays importable from here for code
+# that looks the loss up on this module.
+from .advantages import (  # noqa: F401
     TokenTrajectory,
     ToyPolicy,
+    _check_group,
+    _group_losses,
+    _log_softmax,
     loss_gradient,
     masked_grpo_loss,
     mean_centered_advantages,
@@ -29,7 +35,7 @@ from .controller import (
     prefix_pool_memory_bound,
     update_controller,
 )
-from .errors import check_int
+from .errors import DomainError, check_int, is_real
 from .groups import BucketKind, bucket_label, classify_bucket, controlled_buckets
 from .signals import (
     contrastive_pair_count,
@@ -56,6 +62,9 @@ _MIB = 1024.0 * 1024.0
 # Group pass counts drawn per binomial call of check_monte_carlo: 256 KiB of
 # int64 at a time.
 _MC_CHUNK = 2**15
+# Floats of perturbed log-prob tables and their group copies' tokens scored
+# per kernel call of finite_difference_gradient: 256 KiB at a time.
+_FD_FLOATS = 2**15
 
 
 class CheckResult(NamedTuple):
@@ -167,19 +176,31 @@ def finite_difference_gradient(
     step: float = 1e-5,
     **loss_options,
 ) -> np.ndarray:
-    """Central finite differences of the masked surrogate over every logit."""
-    base = policy.logits
-    grad = np.zeros_like(base)
-    for idx in np.ndindex(*base.shape):
-        up = base.copy()
-        up[idx] += step
-        down = base.copy()
-        down[idx] -= step
-        grad[idx] = (
-            masked_grpo_loss(group_trajectories, advantages, ToyPolicy(up), **loss_options)
-            - masked_grpo_loss(group_trajectories, advantages, ToyPolicy(down), **loss_options)
-        ) / (2.0 * step)
-    return grad
+    """Central finite differences of the masked surrogate over every logit.
+
+    Each of the 2*C*V perturbed losses has the bits masked_grpo_loss gives
+    for its moved policy. The group is checked once; perturbation j < C*V
+    moves logit j (in C order) up by step, C*V + j moves it down, and their
+    log-softmax tables are scored by one masked_loss_kernel call per batch,
+    as many tables as fit _FD_FLOATS floats with a copy of the group's
+    tokens each (at least one), so memory does not grow as (C*V)**2. step
+    must be a finite real > 0 (DomainError).
+    """
+    if not (is_real(step) and 0.0 < step < np.inf):
+        raise DomainError(f"step must be a finite real > 0, got {step!r}")
+    adv = _check_group(group_trajectories, advantages, policy)
+    c, v = policy.logits.shape
+    cells = c * v
+    tokens = sum(len(t) - t.replay_boundary for t in group_trajectories)
+    batch = max(1, _FD_FLOATS // (cells + tokens))
+    losses = np.empty(2 * cells)
+    for start in range(0, 2 * cells, batch):
+        moves = np.arange(start, min(start + batch, 2 * cells))
+        moved = np.tile(policy.logits.ravel(), (len(moves), 1))
+        moved[np.arange(len(moves)), moves % cells] += np.where(moves < cells, step, -step)
+        tables = _log_softmax(moved.reshape(-1, c, v))
+        losses[moves] = _group_losses(group_trajectories, adv, tables, **loss_options)
+    return ((losses[:cells] - losses[cells:]) / (2.0 * step)).reshape(c, v)
 
 
 def _random_gradient_instance(rng):
@@ -256,7 +277,7 @@ def _first_problem(initial, runs, params: ControllerParams) -> tuple[int, str] |
             _, ratio, ema, cooldown_left, seen = state
             state = update_controller(state, p_new, params)
             _, new_ratio, new_ema, new_cooldown_left, new_seen = state
-            if abs(new_ema - (keep * ema + alpha * p_new)) > 1e-12:
+            if not abs(new_ema - (keep * ema + alpha * p_new)) <= 1e-12:
                 return i, "ema update mismatch"
             if not ratio_min <= new_ratio <= ratio_max:
                 return i, f"ratio {new_ratio} escaped bounds"

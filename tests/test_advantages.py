@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import log_softmax
 
+from passband import verification
 from passband.advantages import (
     TokenTrajectory,
     ToyPolicy,
+    _log_softmax,
     loss_gradient,
     masked_grpo_loss,
     mean_centered_advantages,
@@ -251,15 +253,15 @@ class TestMaskedLoss:
 
 
 @st.composite
-def gradient_instances(draw):
+def gradient_instances(draw, max_vocab=8, max_trajectories=6):
     """A policy, a group of masked trajectories and their advantages."""
     n_contexts = draw(st.integers(1, 8))
-    vocab = draw(st.integers(2, 8))
+    vocab = draw(st.integers(2, max_vocab))
     logits = draw(
         st.lists(st.floats(-8.0, 8.0), min_size=n_contexts * vocab, max_size=n_contexts * vocab)
     )
     trajectories = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, max_trajectories))):
         tokens = tuple(draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=12)))
         boundary = draw(st.integers(0, len(tokens)))
         trajectories.append(TokenTrajectory(token_ids=tokens, replay_boundary=boundary))
@@ -342,3 +344,88 @@ class TestLossGradient:
         policy = ToyPolicy(logits=np.zeros((3, 4)))
         traj = TokenTrajectory(token_ids=(0, 1, 2))
         assert loss_gradient([traj], np.array([1.0]), policy).shape == (3, 4)
+
+
+def loop_finite_differences(trajectories, advantages, policy, step=1e-5, **options):
+    """Central differences one perturbed policy at a time, two
+    masked_grpo_loss calls per logit: the reference the batches must equal."""
+    base = policy.logits
+    grad = np.zeros_like(base)
+    for idx in np.ndindex(*base.shape):
+        up = base.copy()
+        up[idx] += step
+        down = base.copy()
+        down[idx] -= step
+        grad[idx] = (
+            masked_grpo_loss(trajectories, advantages, ToyPolicy(up), **options)
+            - masked_grpo_loss(trajectories, advantages, ToyPolicy(down), **options)
+        ) / (2.0 * step)
+    return grad
+
+
+FIXED_INSTANCE = (
+    ToyPolicy(logits=np.linspace(-1, 1, 30).reshape(5, 6)),
+    [TokenTrajectory((0, 1, 2, 3, 4), 3), TokenTrajectory((5, 4, 3), 3),
+     TokenTrajectory((5, 4, 3, 2, 1, 0, 1, 2, 3), 1)],
+    np.array([1.5, -0.5, 0.25]),
+)
+
+
+class TestFiniteDifferences:
+    """finite_difference_gradient scores every perturbed policy of a group in
+    batches, each loss with the bits of its own masked_grpo_loss call."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        instance=gradient_instances(max_vocab=16, max_trajectories=8),
+        length_normalized=st.booleans(),
+        group_reduction=st.sampled_from(["sum", "mean"]),
+    )
+    @example(instance=FIXED_INSTANCE, length_normalized=True, group_reduction="mean")
+    @example(
+        instance=(ToyPolicy(np.zeros((2, 3))), [TokenTrajectory((0, 2), 2)], np.array([1.0])),
+        length_normalized=True, group_reduction="sum",
+    )
+    def test_equals_the_loop_bitwise(self, instance, length_normalized, group_reduction):
+        policy, trajectories, advantages = instance
+        options = {"length_normalized": length_normalized, "group_reduction": group_reduction}
+        got = finite_difference_gradient(trajectories, advantages, policy, **options)
+        want = loop_finite_differences(trajectories, advantages, policy, **options)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), tables=st.integers(1, 6), contexts=st.integers(1, 6),
+           vocab=st.integers(2, 8))
+    def test_stacked_log_softmax_equals_each_table(self, data, tables, contexts, vocab):
+        special = st.sampled_from([np.inf, -np.inf, np.nan, 1e308, -1e308, -0.0, 5e-324])
+        size = tables * contexts * vocab
+        drawn = data.draw(st.lists(st.one_of(st.floats(), special), min_size=size, max_size=size))
+        stack = np.reshape(drawn, (tables, contexts, vocab))
+        with np.errstate(all="ignore"):
+            got = _log_softmax(stack)
+            for k in range(tables):
+                assert got[k].tobytes() == ToyPolicy(stack[k]).log_probs().tobytes()
+
+    @pytest.mark.parametrize("per_batch", [1, 7, 59])
+    def test_batches_change_no_bit(self, monkeypatch, per_batch):
+        # 5 x 6 logits give 60 perturbed policies; each costs its 30-cell
+        # table plus the group's 10 unmasked tokens of the budget.
+        policy, trajectories, advantages = FIXED_INSTANCE
+        want = loop_finite_differences(trajectories, advantages, policy)
+        calls = []
+
+        def counted(*args, _real=verification._group_losses, **options):
+            calls.append(len(args[2]))
+            return _real(*args, **options)
+
+        monkeypatch.setattr(verification, "_FD_FLOATS", per_batch * (30 + 10))
+        monkeypatch.setattr(verification, "_group_losses", counted)
+        got = finite_difference_gradient(trajectories, advantages, policy)
+        assert got.tobytes() == want.tobytes()
+        assert calls == [per_batch] * (60 // per_batch) + [60 % per_batch] * (60 % per_batch > 0)
+
+    @pytest.mark.parametrize("step", [0.0, 0, -1e-5, np.nan, np.inf, True, "1e-5"])
+    def test_step_is_a_finite_real_above_zero(self, step):
+        policy, trajectories, advantages = FIXED_INSTANCE
+        with pytest.raises(DomainError, match="^step must be a finite real > 0"):
+            finite_difference_gradient(trajectories, advantages, policy, step=step)

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tempfile
 import tracemalloc
 import zlib
@@ -1446,7 +1447,32 @@ class TestRunColumns:
         for column in result.groups:
             assert len(column) == rows
             # Each column owns its data, no view of the allocation at the bound.
+            # The trim's resize runs without numpy's reference check, so this
+            # is what holds that no view of a column outlives it.
             assert column.flags.c_contiguous and column.flags.owndata and column.base is None
+
+    @pytest.mark.parametrize("hook, current", [
+        (sys.setprofile, sys.getprofile), (sys.settrace, sys.gettrace),
+    ])
+    def test_a_profiler_or_tracer_changes_no_byte(self, hook, current, tmp_path):
+        # Under a profile or trace function a bound method holds one more
+        # reference, and resize's reference check refused the trim of a
+        # saving arm's columns, which always shrink.
+        config = small_config(arm="ps-ada", steps=20)
+        emit_traces(run_experiment(config), tmp_path / "plain")
+        # A hook already set, such as cProfile's, serves: it may not be one
+        # that the setter takes back.
+        own = current() is None
+        if own:
+            hook(lambda *args: None)
+        try:
+            result = run_experiment(config)
+        finally:
+            if own:
+                hook(None)
+        emit_traces(result, tmp_path / "hooked")
+        for name in TRACE_FILES + ["meta.json"]:
+            assert (tmp_path / "hooked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_more_saves_than_groups_are_refused(self, monkeypatch):
         # One step of G = 16 groups with same-step replay has room for 32

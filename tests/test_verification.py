@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from passband import verification
-from passband.advantages import loss_gradient
+from passband.advantages import _group_losses, loss_gradient
 from passband.controller import prefix_pool_memory_bound, update_controller
 from passband.errors import DomainError
 from passband.signals import (
@@ -64,6 +64,17 @@ def no_clamp(state, p, params):
 
 def move_in_deadzone(state, p, params):
     return update_controller(state, p, dataclasses.replace(params, deadzone=0.0))
+
+
+def nan_ema(state, p, params):
+    # A nan is above no bound: the EMA check must be written to fail on it.
+    return update_controller(state, p, params)._replace(ema=float("nan"))
+
+
+def table_zero_for_every_copy(group_trajectories, adv, tables, **options):
+    # The batched loss with copy k's k*V token offset dropped: every copy of
+    # the group reads the first perturbed table.
+    return _group_losses(group_trajectories, adv, np.repeat(tables[:1], len(tables), 0), **options)
 
 
 def test_real_controller_passes():
@@ -118,6 +129,7 @@ def test_oracle_feeds_the_pinned_stream(monkeypatch):
         # fixed run to both bounds can catch a missing clamp.
         (no_clamp, "escaped bounds"),
         (move_in_deadzone, "ratio changed inside the deadzone"),
+        (nan_ema, "ema update mismatch"),
     ],
 )
 def test_broken_controller_fails(monkeypatch, mutant, problem):
@@ -222,9 +234,14 @@ def slow_ema(state, p, params):
             "(64, 4096, 32768): got 17.2000 MiB, want 8.6; "
             "(64, 4096, 65536): got 32.4000 MiB, want 16.2",
         ),
+        (
+            "_group_losses", table_zero_for_every_copy, lambda: verification.check_gradients(0, 3),
+            "instance 0: max gap 7.291e-02; instance 1: max gap 5.644e-02; "
+            "instance 2: max gap 8.632e-02",
+        ),
     ],
     ids=["landmark-entropy", "landmark-pairs", "advantage-oracles", "gradients", "controller",
-         "memory-bounds"],
+         "memory-bounds", "gradients-batched-loss"],
 )
 def test_broken_suite_verdicts_pinned(monkeypatch, target, mutant, check, detail):
     # A suite that finds failures fails, and its detail lists every one of
