@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.special import softmax
 
 from .errors import ContractError, DomainError
 
@@ -43,9 +42,13 @@ def _binary_rewards(rewards) -> np.ndarray:
     """Rewards as floats, one group (N,) or a step's groups (G, N). A bool
     array, as a compare produces, is binary by construction: only its shape
     is checked."""
-    arr = np.asarray(rewards)
+    shape_rule = "rewards must be a flat sequence or a (G, N) array"
+    try:
+        arr = np.asarray(rewards)
+    except ValueError:  # numpy's "inhomogeneous shape": a ragged list of groups
+        raise DomainError(shape_rule) from None
     if arr.ndim not in (1, 2):
-        raise DomainError("rewards must be a flat sequence or a (G, N) array")
+        raise DomainError(shape_rule)
     if arr.dtype != bool and not np.all((arr == 0) | (arr == 1)):
         raise DomainError(f"rewards must be binary, got {arr.tolist()!r}")
     return arr.astype(float)
@@ -134,7 +137,10 @@ class ToyPolicy:
         return _log_softmax(self.logits)
 
     def probs(self) -> np.ndarray:
-        return softmax(self.logits, axis=1)
+        """scipy 1.17's softmax(logits, axis=1), op for op: row max,
+        subtract, exp, divide by the row sum."""
+        shifted = np.exp(self.logits - self.logits.max(axis=1, keepdims=True))
+        return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -49,20 +49,19 @@ passes bound its temporary arrays (the harness passes cache-sized chunks).
 
 from __future__ import annotations
 
-import math
 import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .controller import SAVED_OUTCOME, PrefixOutcome, PrefixRecord
 from .errors import (
     ContractError, DomainError, check_field_types, check_int, int64_array, int_array, is_int,
 )
 from .groups import bucket_label, classify_bucket
+from .special import expit, logit, per_element
 
 __all__ = [
     "PopulationSpec",
@@ -327,7 +326,7 @@ def sample_fresh_group(tasks: TaskColumns, row: int, n: int, rng_seed) -> GroupS
     """Sample n independent fresh rollouts of task row of tasks. Not exported:
     kept for perfbench/workloads.py and the tests, as GroupSample is."""
     draw = _draw_groups(tasks, [row], n, _PURPOSE_FRESH, _key_hash(rng_seed))
-    p = float(expit(tasks.base_logit[row]))
+    p = expit(float(tasks.base_logit[row]))
     return _group_sample(tasks.task_id[row], p, draw)
 
 
@@ -336,18 +335,20 @@ def conditioned_pass_probability(
 ) -> float:
     """Continuation pass probability of a task with base logit b and prefix
     sensitivity s after replaying a share of a prefix: expit(b + s * ratio)
-    after a success, expit(b - s * ratio) after a failure, bit for bit: scipy's
-    expit formula 1 / (1 + exp(-x)) on one float through math.exp, no ufunc."""
+    after a success, expit(b - s * ratio) after a failure, with special.expit
+    on one float. A nan base logit or sensitivity, or an infinite sensitivity
+    at share 0, gives no probability: DomainError."""
     if not isinstance(prefix_outcome, PrefixOutcome):
         raise DomainError(f"prefix_outcome must be a PrefixOutcome, got {prefix_outcome!r}")
     if not 0.0 <= ratio <= 1.0:
         raise DomainError(f"replayed share must lie in [0, 1], got {ratio}")
     shift = sensitivity * ratio
-    x = base_logit + shift if prefix_outcome is _SUCCESS else base_logit - shift
-    try:
-        return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:  # x below about -709.78, where expit's 1 / inf is 0.0
-        return 0.0
+    p = expit(base_logit + shift if prefix_outcome is _SUCCESS else base_logit - shift)
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(
+            f"base logit {base_logit} and sensitivity {sensitivity} give pass probability {p}"
+        )
+    return p
 
 
 def sample_rerollout_group(
@@ -469,7 +470,7 @@ def make_task_population(spec: PopulationSpec, rng_seed) -> TaskColumns:
     return TaskColumns(
         task_id=np.array(task_ids, object),
         uid=np.array([zlib.crc32(task_id.encode("utf-8")) for task_id in task_ids], _U64),
-        base_logit=logit(p0),
+        base_logit=per_element(logit, p0),
         prefix_sensitivity=sens,
         length_range=np.tile(np.array([spec.length_min, spec.length_max], np.int64), (n, 1)),
     )

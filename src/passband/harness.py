@@ -69,7 +69,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from . import env as env_mod
 # The run loop calls the loss kernel directly; masked_grpo_loss, its
@@ -99,6 +98,7 @@ from .controller import (
 )
 from .errors import ContractError, DomainError, int64_array, int_array
 from .groups import bucket_label, classify_bucket, controlled_buckets
+from .special import expit, per_element
 
 __all__ = [
     "CohortStats",
@@ -336,7 +336,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     seed = config.seed
     params = arm_controller_params(config)
     tasks = env_mod.make_task_population(config.population, seed)
-    fresh_p = expit(tasks.base_logit)
+    fresh_p = per_element(expit, tasks.base_logit)
     saving = SAVING_KINDS[config.arm]
     states: dict[int, BucketControllerState] = {
         k: initial_controller_state(classify_bucket(k, n), params) for k in controlled_buckets(n)

@@ -20,9 +20,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError, check_int, listed_bool
+from .special import per_element, xlogx
 
 __all__ = [
     "SignalReport",
@@ -40,10 +40,13 @@ _LN2 = float(np.log(2.0))
 
 
 def _check_probability(p, name: str = "p") -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
-        raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
-    return arr
+    arr = np.asarray(p)
+    # numpy reads True as 1.0 and "0.5" as 0.5 when asked for floats, but
+    # neither is a probability, in a list or not.
+    if (arr.dtype.kind not in "iuf" or listed_bool(p)
+            or np.any(arr < 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr))):
+        raise DomainError(f"{name} must be a number in [0, 1], got {p!r}")
+    return arr.astype(float)
 
 
 def _check_pass_count(k, n: int, min_n: int = 1) -> np.ndarray:
@@ -66,10 +69,11 @@ def reward_entropy(p) -> float | np.ndarray:
     """Entropy in bits of a Bernoulli(p) reward, with 0 log 0 = 0.
 
     Strictly concave on [0, 1] with its unique maximum of 1 bit at
-    p = 0.5 and zeros at the degenerate endpoints.
+    p = 0.5 and zeros at the degenerate endpoints. Each x log x is
+    special.xlogx, through libm's log.
     """
     arr = _check_probability(p)
-    bits = -(xlogy(arr, arr) + xlogy(1.0 - arr, 1.0 - arr)) / _LN2
+    bits = -(per_element(xlogx, arr) + per_element(xlogx, 1.0 - arr)) / _LN2
     # + 0.0 turns the -0.0 produced at the endpoints into +0.0.
     return _scalarize(bits + 0.0, p)
 

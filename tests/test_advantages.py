@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import log_softmax
+from scipy.special import log_softmax, softmax
 
 from passband import verification
 from passband.advantages import (
@@ -56,6 +56,14 @@ class TestRlooAdvantages:
             rloo_advantages([1])
         with pytest.raises(DomainError):
             rloo_advantages([1, 2])
+
+
+@pytest.mark.parametrize("advantages", [rloo_advantages, mean_centered_advantages])
+@pytest.mark.parametrize("rewards", [[[1, 0], [1]], [[1, 0], 1]], ids=["short-group", "bare-reward"])
+def test_ragged_rewards_are_a_domain_error(advantages, rewards):
+    # numpy used to raise its own ValueError about an inhomogeneous shape.
+    with pytest.raises(DomainError, match=r"rewards must be a flat sequence or a \(G, N\) array"):
+        advantages(rewards)
 
 
 class TestMeanCenteredAdvantages:
@@ -141,6 +149,25 @@ class TestToyPolicy:
         with np.errstate(all="ignore"):
             got = ToyPolicy(logits).log_probs()
             want = log_softmax(logits, axis=1)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(), contexts=st.integers(1, 6), vocab=st.integers(2, 8),
+    )
+    @example(data=None, contexts=2, vocab=3)
+    def test_probs_equal_scipy_softmax(self, data, contexts, vocab):
+        # Bit for bit, nan, inf and rows of -inf included, where scipy's
+        # softmax gives nan too.
+        special = st.sampled_from([np.inf, -np.inf, np.nan, 1e308, -1e308, -0.0, 5e-324])
+        values = st.one_of(st.floats(), special)
+        size = contexts * vocab
+        drawn = ([-np.inf] * size if data is None else
+                 data.draw(st.lists(values, min_size=size, max_size=size)))
+        logits = np.reshape(drawn, (contexts, vocab))
+        with np.errstate(all="ignore"):
+            got = ToyPolicy(logits).probs()
+            want = softmax(logits, axis=1)
         assert got.tobytes() == want.tobytes()
 
     def test_context_clamping(self):

@@ -319,14 +319,18 @@ class TestConditionedProbability:
              numpy_floats=False)
     def test_equals_scipy_expit(self, base, sensitivity, ratio, outcome, numpy_floats):
         # The formula on one float gives expit's bits wherever the run's
-        # floats can land, and nan where expit does.
+        # floats can land, and a DomainError where expit gives nan.
         if numpy_floats:
             base, sensitivity, ratio = map(np.float64, (base, sensitivity, ratio))
         sign = 1.0 if outcome is PrefixOutcome.SUCCESS else -1.0
         # numpy floats warn where an overflow, inf * 0 or inf - inf makes an inf or a nan.
         with np.errstate(over="ignore", invalid="ignore"):
-            got = conditioned_pass_probability(base, sensitivity, outcome, ratio)
             want = float(expit(base + sign * (sensitivity * ratio)))
+            if np.isnan(want):
+                with pytest.raises(DomainError, match="base logit .* and sensitivity"):
+                    conditioned_pass_probability(base, sensitivity, outcome, ratio)
+                return
+            got = conditioned_pass_probability(base, sensitivity, outcome, ratio)
         assert type(got) is float
         assert same_float(got, want)
 
@@ -336,10 +340,27 @@ class TestConditionedProbability:
          0.0, 5e-324, 36.0, 710.0, 1e308, np.float64(-710.0), np.float64(-0.0)],
     )
     def test_overflow_band_and_special_values(self, base):
-        # exp(-x) overflows for x below about -709.78, where expit gives 0.0.
+        # exp(-x) overflows for x below about -709.78, where expit gives 0.0;
+        # a nan base logit has no pass probability.
         for outcome in PrefixOutcome:
+            if np.isnan(base):
+                with pytest.raises(DomainError, match="base logit nan"):
+                    conditioned_pass_probability(base, 0.0, outcome, 0.5)
+                continue
             got = conditioned_pass_probability(base, 0.0, outcome, 0.5)
             assert same_float(got, float(expit(base)))
+
+    @pytest.mark.parametrize(
+        "base, sensitivity, ratio",
+        [(np.nan, 1.0, 0.5), (0.0, np.inf, 0.0), (0.0, np.nan, 1.0)],
+        ids=["nan-base", "inf-sensitivity-at-share-0", "nan-sensitivity"],
+    )
+    def test_nan_probability_is_a_domain_error(self, base, sensitivity, ratio):
+        # These used to return nan, which every uniform then fails against.
+        want = f"base logit {base} and sensitivity {sensitivity} give pass probability nan"
+        for outcome in PrefixOutcome:
+            with pytest.raises(DomainError, match=want):
+                conditioned_pass_probability(base, sensitivity, outcome, ratio)
 
     @pytest.mark.parametrize("outcome", ["success", BucketKind.HARD, None])
     def test_outcome_must_be_a_prefix_outcome(self, outcome):

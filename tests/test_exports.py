@@ -4,8 +4,10 @@ what the benchmark looks up and reads is there."""
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import passband
-from passband.config import parse_config
+from passband.config import ExperimentConfig, parse_config
 from passband.harness import emit_traces, run_experiment
 
 SUBMODULES = sorted(
@@ -268,3 +270,54 @@ def test_verdict_rule_is_stated_once():
     verdicts = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_verdict"]
     assert [len(check_results_built(f)) for f in verdicts] == [1]
     assert len(check_results_built(tree)) == 1
+
+
+def imported_packages(tree):
+    """Top-level packages a module imports absolutely; relative imports are
+    the package's own."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_src_imports_numpy_and_the_standard_library_only():
+    foreign = {
+        f"{path.stem}: {package}"
+        for path in sorted(SRC.glob("*.py"))
+        for package in imported_packages(ast.parse(path.read_text(encoding="utf-8")))
+        if package != "numpy" and package not in sys.stdlib_module_names
+    }
+    assert foreign == set()
+
+
+# Run in a process where importing scipy fails: a 3-step run, its traces and
+# the oracle suites of `passband verify`.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from dataclasses import replace
+import passband
+from passband.harness import emit_traces, run_experiment
+from passband.verification import run_default_checks
+emit_traces(run_experiment(replace(passband.ExperimentConfig(), steps=3)), sys.argv[1])
+print([check.passed for check in run_default_checks(0)])
+"""
+
+
+def test_runs_and_verifies_without_scipy(tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path / "child")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{[True] * 6}\n"
+    # The traces are the bytes this process writes with scipy importable.
+    written = emit_traces(run_experiment(replace(ExperimentConfig(), steps=3)), tmp_path / "here")
+    assert len(written) == 5
+    for path in written:
+        assert (tmp_path / "child" / path.name).read_bytes() == path.read_bytes()

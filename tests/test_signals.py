@@ -184,6 +184,36 @@ def test_group_size_must_be_an_int(quantity, n):
         quantity(n)
 
 
+@pytest.mark.parametrize(
+    "quantity, p",
+    [
+        (reward_entropy, True),
+        (reward_entropy, np.True_),
+        (reward_entropy, "0.5"),
+        (reward_entropy, [True, 0.5]),
+        (reward_entropy, np.array(["0.5"])),
+        (lambda p: group_survival_probability(p, 8), True),
+        (lambda p: expected_pair_count(p, 8), True),
+    ],
+    ids=[
+        "entropy-bool", "entropy-numpy-bool", "entropy-string", "entropy-bool-in-list",
+        "entropy-string-array", "survival-bool", "expected_pairs-bool",
+    ],
+)
+def test_probability_is_a_number(quantity, p):
+    # numpy reads True as 1.0 and "0.5" as 0.5: the entropy of True was 0.0
+    # and of "0.5" 1.0 bit, and [True, 0.5] gave [0.0, 1.0].
+    with pytest.raises(DomainError, match=r"p must be a number in \[0, 1\]"):
+        quantity(p)
+
+
+def test_numeric_probabilities_still_count():
+    assert reward_entropy(np.float32(0.5)) == 1.0
+    assert reward_entropy(1) == 0.0
+    assert reward_entropy([0, 0.5, np.int64(1)]).tolist() == [0.0, 1.0, 0.0]
+    assert group_survival_probability(np.array([0, 1], np.uint8), 8).tolist() == [0.0, 0.0]
+
+
 def test_numpy_int_group_size_counts():
     assert contrastive_pair_count(2, np.int64(8)) == 12
     assert max_pair_count(np.int32(8)) == 16
