@@ -70,13 +70,22 @@ def listed_bool(values) -> bool:
     return any(isinstance(v, (bool, np.bool_)) for v in listed)
 
 
-def int64_array(values, what: str, nonnegative: bool = False) -> np.ndarray:
-    """int_array(values, what, nonnegative) as int64; DomainError naming what
-    and the value for a uint64 value above 2**63 - 1, which the cast would wrap."""
+def signed_array(values, what: str, nonnegative: bool = False) -> np.ndarray:
+    """int_array(values, what, nonnegative) with a signed dtype: a signed int
+    array as it is, not copied, an unsigned one as int64; DomainError naming
+    what and the value for a uint64 value above 2**63 - 1, which the cast
+    would wrap."""
     array = int_array(values, what, nonnegative)
-    if array.dtype == np.uint64 and array.size and array.max() >= 2**63:
+    if array.dtype.kind != "u":
+        return array
+    if array.size and array.max() >= 2**63:
         raise DomainError(f"{what} must be integers below 2**63, got {array.max()}")
-    return array.astype(np.int64, copy=False)
+    return array.astype(np.int64)
+
+
+def int64_array(values, what: str, nonnegative: bool = False) -> np.ndarray:
+    """signed_array(values, what, nonnegative) as int64."""
+    return signed_array(values, what, nonnegative).astype(np.int64, copy=False)
 
 
 def is_real(value) -> bool:

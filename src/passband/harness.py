@@ -96,7 +96,7 @@ from .controller import (
     select_prefix,
     update_controller,
 )
-from .errors import ContractError, DomainError, int64_array, int_array
+from .errors import ContractError, DomainError, int64_array, int_array, signed_array
 from .groups import bucket_label, classify_bucket, controlled_buckets
 from .special import expit, per_element
 
@@ -169,10 +169,14 @@ class GroupColumns(NamedTuple):
     """run.jsonl's fields as columns, one row per group in file order: an
     object array of task ids, rewards (R, N) int8, each group's parent pass
     count (-1 for a fresh group; the origin follows from it), steps, lengths
-    (R, N), boundaries. A run's columns are C-ordered, hold exactly R rows and
-    own their data: run_experiment trims them in place (ndarray.resize, its
-    reference check off, so a profiler or tracer does not make it refuse)
-    from the bound it allocated them at, so none is a view of a larger array."""
+    (R, N), boundaries. A run's parents and steps are int64, and its lengths
+    and boundaries the narrowest signed int that holds 2·length_max (int8 up
+    to length_max 63, int16 up to 16383, int32 above), since every value is
+    below it; the readers take any int dtype. A run's columns are C-ordered,
+    hold exactly R rows and own their data: run_experiment trims them in place
+    (ndarray.resize, its reference check off, so a profiler or tracer does not
+    make it refuse) from the bound it allocated them at, so none is a view of
+    a larger array."""
 
     task_id: np.ndarray
     rewards: np.ndarray
@@ -223,13 +227,18 @@ class RunResult:
         return _GroupRecords(self.groups)
 
 
+def _narrowest(top: int) -> np.dtype:
+    """The narrowest signed int dtype that holds top >= 0, as it holds -1 - top."""
+    return np.min_scalar_type(-1 - top)
+
+
 def _columns(groups: GroupColumns, n: int, steps: int | None = None):
-    """(step, pass count, parent) of every group as int64 arrays, from
-    checked columns (step and parent by errors.int64_array); steps, when
-    given, bounds the step column. Every column must hold one row per group,
-    and the message names the counts of rewards, parents and steps and of
-    any other column that differs (ContractError). The rewards are summed as
-    they are, not copied."""
+    """(step, pass count, parent) of every group, step and parent int64 and
+    the pass counts of dtype _narrowest(2n), from checked columns (step and
+    parent by errors.int64_array); steps, when given, bounds the step column.
+    Every column must hold one row per group, and the message names the
+    counts of rewards, parents and steps and of any other column that
+    differs (ContractError). The rewards are summed as they are, not copied."""
     rewards = int_array(groups.rewards, "rewards")
     step = int64_array(groups.step, "step")
     parent = int64_array(groups.parent_bucket, "parent_bucket")
@@ -252,7 +261,7 @@ def _columns(groups: GroupColumns, n: int, steps: int | None = None):
     if uncontrolled.size:
         raise ContractError(f"rerollouts come only from controlled buckets, "
                             f"got parent {bucket_label(uncontrolled[0], n)}")
-    return step, rewards.sum(axis=1, dtype=np.int64), parent
+    return step, rewards.sum(axis=1, dtype=_narrowest(2 * n)), parent
 
 
 def _table(rows, cols, shape, weights=None) -> np.ndarray:
@@ -277,23 +286,30 @@ def compute_step_metrics(groups: GroupColumns, n: int, audit_losses) -> tuple[St
     steps = len(audit_losses)
     step, k, parent = _columns(groups, n, steps)
     rerolled = parent >= 0
-    # Rows 2s and 2s + 1 count step s's fresh and rerollout groups by |2k - n|:
-    # the bin code is built in place, so that few column-sized arrays are alive.
+    # Rows 2s and 2s + 1 count step s's fresh and rerollout groups by |2k - n|,
+    # which k's dtype holds: the bin code is built in place, so that it is the
+    # one int64 array of the run's length alive.
     code = 2 * step
     code += rerolled
     code *= n + 1
     distance = 2 * k
     distance -= n
     code += np.abs(distance, out=distance)
+    del distance
     cohorts = np.bincount(code, minlength=2 * steps * (n + 1)).reshape(2 * steps, n + 1)
-    del code, distance
+    del code
     valid = cohorts[:, :n].sum(axis=1).reshape(steps, 2).sum(axis=1).tolist()
     stats = _cohort_stats(cohorts, n)
-    # Rerollout groups and their passes per (step, parent bucket).
-    by_parent = step[rerolled], parent[rerolled], (steps, n + 1)
-    counts = _table(*by_parent)
+    # Rerollout groups and their passes per (step, parent bucket), binned by
+    # one code built in place.
+    code = step[rerolled]
+    code *= n + 1
+    code += parent[rerolled]
+    counts = np.bincount(code, minlength=steps * (n + 1)).reshape(steps, n + 1)
+    passes = np.bincount(code, k[rerolled], steps * (n + 1)).reshape(steps, n + 1)
+    del code
     with np.errstate(invalid="ignore"):
-        rates = (_table(*by_parent, k[rerolled]) / counts / n).tolist()
+        rates = (passes / counts / n).tolist()
     by_label = sorted((bucket_label(b, n), b) for b in controlled_buckets(n))
     return tuple(
         StepMetrics(
@@ -353,10 +369,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     # step and, when the arm saves, at most G rerollouts, since each fresh group
     # saves at most one prefix and each save is replayed once.
     capacity = config.steps * g * (2 if saving else 1)
+    # A rerollout's lengths are its drawn ones plus a boundary below its saved
+    # length, so no length or boundary reaches 2·length_max.
+    narrow = _narrowest(2 * config.population.length_max)
     groups = GroupColumns(
         task_id=np.empty(capacity, object), rewards=np.empty((capacity, n), np.int8),
         parent_bucket=np.empty(capacity, np.int64), step=np.empty(capacity, np.int64),
-        lengths=np.empty((capacity, n), np.int64), boundary=np.empty(capacity, np.int64),
+        lengths=np.empty((capacity, n), narrow), boundary=np.empty(capacity, narrow),
     )
     written = 0
     span = max(1, _BLOCK_WORDS // (g * n * (config.population.length_max + 2)))
@@ -521,16 +540,17 @@ def emit_traces(result: RunResult, destination) -> list[Path]:
     The columns are checked first, and a failed check writes nothing:
     _columns checks them as compute_step_metrics does, with steps in
     [0, len(metrics)); then lengths must be (R, N) (ContractError), and
-    lengths and boundaries int64 arrays (errors.int64_array), a fresh
-    group's boundary 0, a rerollout's >= 1 and every length >= boundary + 1
-    (DomainError naming the column). The files are written into a temporary
-    directory next to the destination and then moved into place, so an
-    interrupted write leaves the destination as it was.
+    lengths and boundaries int arrays, read in their own dtype (unsigned ones
+    as int64, errors.signed_array), a fresh group's boundary 0, a rerollout's
+    >= 1 and every length >= boundary + 1 (DomainError naming the column).
+    The files are written into a temporary directory next to the destination
+    and then moved into place, so an interrupted write leaves the destination
+    as it was.
     """
     groups, n = result.groups, result.config.group_size
     step, _, parent = _columns(groups, n, len(result.metrics))
-    lengths = int64_array(groups.lengths, "lengths")
-    boundary = int64_array(groups.boundary, "boundary")
+    lengths = signed_array(groups.lengths, "lengths")
+    boundary = signed_array(groups.boundary, "boundary")
     if lengths.shape != (len(step), n):
         raise ContractError(f"lengths of shape {lengths.shape} for group size {n}")
     if np.any(np.where(parent < 0, boundary != 0, boundary < 1)):
@@ -627,13 +647,15 @@ def _record_lines(groups: GroupColumns) -> Iterator[str]:
         f'"parent_bucket":{encode(None if parent < 0 else bucket_label(parent, n))},"step":'
         for parent in set(groups.parent_bucket.tolist())
     }
-    # One int64 code per row's reward pattern, a column at a time (no (R, N)
-    # int64 copy), renumbered densely before it outgrows 63 bits.
+    # One int64 code per row's reward pattern, shifted in place a column at a
+    # time (no (R, N) int64 copy), renumbered densely before it outgrows 63 bits.
     codes, bits = np.zeros(len(rewards), np.int64), 0
     for column in rewards.T:
         if bits == 63:
             codes, bits = np.unique(codes, return_inverse=True)[1], len(codes).bit_length()
-        codes, bits = codes << 1 | column, bits + 1
+        codes <<= 1
+        codes |= column
+        bits += 1
     # The ranks return_inverse gives, with fewer whole-run temporaries.
     distinct = np.unique(codes)
     patterns = np.searchsorted(distinct, codes)

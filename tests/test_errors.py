@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from passband.errors import DomainError, check_int, int64_array
+from passband.errors import DomainError, check_int, int64_array, signed_array
 
 INT_TYPES = [int, np.int64, np.int32]
 
@@ -71,3 +71,17 @@ def test_int64_array_reads_every_int_dtype(dtype):
 def test_int64_array_names_a_uint64_the_cast_would_wrap(big):
     with pytest.raises(DomainError, match=f"^step must be integers below 2\\*\\*63, got {big}$"):
         int64_array(np.array([1, big, 2], np.uint64), "step")
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_signed_array_keeps_a_signed_array_as_it_is(dtype):
+    # A run's narrow length columns are checked where they are, not copied.
+    values = np.array([[0, 7], [-3, 127]], dtype)
+    assert signed_array(values, "x") is values
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
+def test_signed_array_reads_an_unsigned_array_as_int64(dtype):
+    got = signed_array(np.array([0, 7, 255], dtype), "x")
+    assert got.dtype == np.int64
+    assert got.tolist() == [0, 7, 255]

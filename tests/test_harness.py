@@ -19,11 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import expit as scipy_expit
 from scipy.special import log_softmax
 from test_env import ref_below, ref_hash, ref_word
 from test_loss_kernel import reference_loss
 
-from passband import env, harness
+from passband import env, harness, special
 from passband.config import (
     SAVING_KINDS,
     Arm,
@@ -512,6 +513,28 @@ class TestRunExperiment:
         assert all(type(m) is int for m in boundaries)
         assert all(type(p) is float and 0.0 < p < 1.0 for p in probabilities)
 
+    @pytest.mark.parametrize("mirror", ["false", "true"])
+    @pytest.mark.parametrize("preset", ["single", "uniform", "hard_skewed"])
+    def test_fresh_pass_probabilities_are_scipys_expit(self, monkeypatch, preset, mirror):
+        # A trace reads a fresh pass probability only through uniform < p,
+        # so no trace byte shows a change in its last bit: the loop computes
+        # them once per run, from the population's base logits, as
+        # special.expit one float at a time, bit for bit scipy's expit.
+        calls = []
+
+        def recording(f, x, _real=harness.per_element):
+            calls.append((f, np.array(x), _real(f, x)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(harness, "per_element", recording)
+        config = small_config(steps=2, population__preset=preset, population__mirror=mirror)
+        run_experiment(config)
+        [(f, logits, fresh_p)] = calls
+        base_logit = env.make_task_population(config.population, config.seed).base_logit
+        assert f is special.expit
+        assert logits.tobytes() == base_logit.tobytes()
+        assert fresh_p.tobytes() == scipy_expit(base_logit).tobytes()
+
     def test_deterministic(self):
         a = run_experiment(small_config(steps=5))
         b = run_experiment(small_config(steps=5))
@@ -925,6 +948,20 @@ class TestEmitTraces:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint8, np.uint64])
+    def test_length_and_boundary_dtypes_write_the_same_bytes(self, tmp_path, dtype):
+        # A run's lengths and boundaries are int8 here; hand-built columns of
+        # another int dtype holding the same values write the same files.
+        result = run_experiment(small_config(steps=3))
+        groups = result.groups
+        assert groups.lengths.dtype == groups.boundary.dtype == np.int8
+        cast = groups._replace(lengths=groups.lengths.astype(dtype),
+                               boundary=groups.boundary.astype(dtype))
+        emit_traces(result, tmp_path / "run")
+        emit_traces(replace(result, groups=cast), tmp_path / "cast")
+        for name in TRACE_FILES + ["meta.json"]:
+            assert (tmp_path / "cast" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
     @pytest.mark.parametrize("reward", [2, -1])
     def test_non_binary_rewards_rejected(self, tmp_path, reward):
         result = run_experiment(small_config(steps=2))
@@ -1058,6 +1095,22 @@ def drawn_words(config, steps, slots, purpose, task_ids, count, bound):
     return env.stream_integer_rows(config.seed, subkeys, count, bound).reshape(-1, n, count)
 
 
+def drawn_lengths(config, groups):
+    """The (R, N) lengths every group's rollouts drew, as int64 from their
+    streams: a group's slot counts it within its step's fresh groups or
+    within its rerollouts."""
+    lo, hi = config.population.length_min, config.population.length_max
+    rerolled = groups.parent_bucket >= 0
+    lengths = np.empty(groups.rewards.shape, np.int64)
+    for origin, purpose in ((~rerolled, env._PURPOSE_FRESH), (rerolled, env._PURPOSE_REROLLOUT)):
+        rows = np.flatnonzero(origin)
+        steps = groups.step[rows]
+        slots = np.arange(len(rows)) - np.searchsorted(steps, steps)
+        ids = groups.task_id[rows].tolist()
+        lengths[rows] = lo + drawn_words(config, steps, slots, purpose, ids, 1, hi - lo + 1)[..., 0]
+    return lengths
+
+
 def assert_traces_explain_run(config):
     """Assert that the trace files explain the run, and return the run:
     run.jsonl and the audit losses hold everything metrics.csv and
@@ -1067,7 +1120,7 @@ def assert_traces_explain_run(config):
     and controller.csv is the controller replayed over run.jsonl's
     rerollouts."""
     n = config.group_size
-    lo, hi = config.population.length_min, config.population.length_max
+    hi = config.population.length_max
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         result = run_experiment(config)
@@ -1129,13 +1182,12 @@ def assert_traces_explain_run(config):
         steps = groups.step[rows]
         slots = group_slots[rows] = np.arange(len(rows)) - np.searchsorted(steps, steps)
         ids = groups.task_id[rows].tolist()
-        lengths = drawn_words(config, steps, slots, purpose, ids, 1, hi - lo + 1)[..., 0]
-        assert_array_equal(groups.lengths[rows] - groups.boundary[rows, None], lo + lengths)
         tops = drawn_words(config, steps, slots, purpose, ids, 2, 2**32)[..., 1]
         passed = groups.rewards[rows] == 1
         highest_pass = np.where(passed, tops, 0).max(axis=1, initial=0)
         lowest_fail = np.where(passed, 2**32, tops).min(axis=1, initial=2**32)
         assert (highest_pass <= lowest_fail).all()
+    assert_array_equal(groups.lengths - groups.boundary[:, None], drawn_lengths(config, groups))
     for s in range(config.steps):
         picks = ref_below((config.seed, harness._TASK_STREAM, s), config.batch_size,
                           config.population.size)
@@ -1437,6 +1489,49 @@ class TestRunColumns:
         finally:
             tracemalloc.stop()
         assert peak < 7.3 * 2**20
+
+    def test_steer_run_and_emission_peak_memory(self, tmp_path):
+        # The criterion-6 run's lengths and boundaries are int8: a tracemalloc
+        # peak of 3.9 MiB, against 6.65 MiB with int64 ones. emit_traces
+        # reads them as they are, and the pass counts its column check sums
+        # are int8: 1.12 MiB, against 3.2 MiB with an int64 copy of the
+        # lengths and 1.35 MiB with int64 pass counts.
+        import numpy.ma  # noqa: F401  np.unique imports it on first use
+
+        def traced_peak(f, *args):
+            tracemalloc.start()
+            try:
+                return f(*args), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        result, run_peak = traced_peak(run_experiment, parse_config("steps = 360\nseed = 5\n"))
+        _, emission_peak = traced_peak(emit_traces, result, tmp_path)
+        assert run_peak < 4.2 * 2**20
+        assert emission_peak < 1.25 * 2**20
+
+    @pytest.mark.parametrize("length_max, dtype, entries", [
+        (63, np.int8, {}),
+        (64, np.int16, {}),
+        (16384, np.int32, {"steps": 2, "batch_size": 4, "group_size": 4}),
+    ])
+    def test_lengths_take_the_narrowest_int_holding_twice_length_max(
+        self, length_max, dtype, entries
+    ):
+        # A rerollout's lengths are its drawn ones plus a boundary below the
+        # saved length, so below 2·length_max. The loop adds them into the
+        # column with same_kind casting, which would wrap without an error in
+        # a column too narrow: at each width's edge, with boundaries near 0.95
+        # of the lengths, the column holds the drawn lengths, recomputed from
+        # their streams, plus the boundaries, added in int64.
+        config = small_config(arm="ps-fix", fixed_ratio=0.95, population__length_min=length_max - 2,
+                              population__length_max=length_max, **entries)
+        groups = run_experiment(config).groups
+        assert groups.lengths.dtype == groups.boundary.dtype == dtype
+        assert (groups.parent_bucket >= 0).any()
+        want = drawn_lengths(config, groups) + groups.boundary.astype(np.int64)[:, None]
+        assert want.max() > 1.9 * length_max
+        assert_array_equal(groups.lengths, want)
 
     @pytest.mark.parametrize("overrides", [
         {"arm": "ps-ada"}, {"arm": "baseline"}, {"same_step_rerollout": "false"}, {"steps": 0},
