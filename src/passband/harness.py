@@ -522,14 +522,15 @@ def _metrics_rows(result: RunResult) -> tuple[list[str], list[list]]:
 
 
 # One compact encoder for every run.jsonl record; _record_lines writes its
-# bytes from the columns, this many rows per string. The chunk's size bounds
-# the memory emission adds; from about a thousand rows up, a larger chunk is
-# no faster.
+# bytes from the columns, this many rows per string. The chunk bounds the
+# memory emission adds: on long-audit (1,536 rows of N = 16) emit_traces
+# peaks at 0.65 MiB traced, 1.08 MiB at 1,024 rows, and no higher over twice
+# the rows. Steer emits as fast at 512 rows as at 1,024.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
-_LINE_CHUNK_ROWS = 1024
-# The text after each kind of int cell of a run.jsonl line: a reward or length
-# but the last, the last reward, the step, the last length and the boundary.
-_INT_SUFFIXES = (",", "],", ',"lengths":[', '],"boundary":', "}\n")
+_LINE_CHUNK_ROWS = 512
+# The text after each kind of int cell of a run.jsonl line: a length but the
+# last, the step, the last length and the boundary.
+_INT_SUFFIXES = (",", ',"lengths":[', '],"boundary":', "}\n")
 _TRACE_FILES = ("metrics.csv", "controller.csv", "transitions.csv", "run.jsonl", "meta.json")
 
 
@@ -626,13 +627,14 @@ def _int_table(values) -> np.ndarray:
 
 def _record_lines(groups: GroupColumns) -> Iterator[str]:
     """_RECORD_ENCODER.encode(record) + "\\n" for each group's record, joined
-    _LINE_CHUNK_ROWS rows at a time. Each distinct task id, parent and 0/1
-    reward pattern is encoded once per run, and so is each int of [min, max] of
-    the other int columns, indexed by value - min; columns of a wider range than
-    their int cells (hand-built, or a few groups of long rollouts) use a table
-    of each chunk's distinct ints. A chunk's cells are gathered and joined at
-    once. It checks nothing: every column but the task ids is an int array,
-    as emit_traces checks them."""
+    _LINE_CHUNK_ROWS rows at a time, so only the chunk grows with the run.
+    Each distinct task id and parent is encoded once per run, and so is each
+    int of [min, max] of the other int columns, indexed by value - min;
+    columns of a wider range than their int cells (hand-built, or a few groups
+    of long rollouts) use a table of each chunk's distinct ints. A line's
+    rewards are one text cell per byte of np.packbits. A chunk's cells are
+    gathered and joined at once. It checks nothing: every column but the task
+    ids is an int array, as emit_traces checks them."""
     if not len(groups.step):
         return
     encode = _RECORD_ENCODER.encode
@@ -647,26 +649,17 @@ def _record_lines(groups: GroupColumns) -> Iterator[str]:
         f'"parent_bucket":{encode(None if parent < 0 else bucket_label(parent, n))},"step":'
         for parent in set(groups.parent_bucket.tolist())
     }
-    # One int64 code per row's reward pattern, shifted in place a column at a
-    # time (no (R, N) int64 copy), renumbered densely before it outgrows 63 bits.
-    codes, bits = np.zeros(len(rewards), np.int64), 0
-    for column in rewards.T:
-        if bits == 63:
-            codes, bits = np.unique(codes, return_inverse=True)[1], len(codes).bit_length()
-        codes <<= 1
-        codes |= column
-        bits += 1
-    # The ranks return_inverse gives, with fewer whole-run temporaries.
-    distinct = np.unique(codes)
-    patterns = np.searchsorted(distinct, codes)
-    del codes
-    row_of = np.zeros(len(distinct), np.intp)  # a row of each pattern; return_index sorts slower
-    row_of[patterns] = np.arange(len(patterns))
-    pattern_cells = _int_table((0, 1))[[0] * (n - 1) + [1], rewards[row_of]].tolist()
-    texts = np.array(["".join(cells) for cells in pattern_cells], object)
-    # A line's cells: its head, rewards and origin, then the step, n lengths
-    # and the boundary, whose text is the int table's row of their suffix.
-    suffixes = np.array([2] + [0] * (n - 1) + [3, 4])
+    # Each byte's text as a line's rewards: row 0 a full byte's, "b0,...,b7,"
+    # with the first reward in the top bit; row 1 a line's last byte, its top
+    # n - 8·(ceil(n/8) - 1) bits and "],".
+    bits = [",".join(f"{byte:08b}") for byte in range(256)]
+    last = 2 * (n - 8 * ((n - 1) // 8)) - 1
+    reward_table = np.array([[f"{b}," for b in bits], [f"{b[:last]}]," for b in bits]], object)
+    byte_rows = [0] * ((n - 1) // 8) + [1]
+    # A line's cells: its head, reward bytes and origin, then the step, n
+    # lengths and the boundary, whose text is the int table's row of their suffix.
+    ints_at = len(byte_rows) + 2
+    suffixes = np.array([1] + [0] * (n - 1) + [2, 3])
     columns = (groups.step[:, None], groups.lengths, groups.boundary[:, None])
     lo = min(int(column.min()) for column in columns)
     hi = max(int(column.max()) for column in columns)
@@ -682,11 +675,11 @@ def _record_lines(groups: GroupColumns) -> Iterator[str]:
             values, index = np.unique(ints, return_inverse=True)
             table = _int_table(values.tolist())
             index = index.reshape(ints.shape)
-        cells = np.empty((len(ints), n + 5), object)
+        cells = np.empty((len(ints), ints_at + n + 2), object)
         cells[:, 0] = list(map(heads.__getitem__, groups.task_id[rows]))
-        cells[:, 1] = texts[patterns[rows]]
-        cells[:, 2] = list(map(origins.__getitem__, groups.parent_bucket[rows].tolist()))
-        cells[:, 3:] = table[suffixes, index]
+        cells[:, 1:ints_at - 1] = reward_table[byte_rows, np.packbits(rewards[rows], axis=1)]
+        cells[:, ints_at - 1] = list(map(origins.__getitem__, groups.parent_bucket[rows].tolist()))
+        cells[:, ints_at:] = table[suffixes, index]
         yield "".join(cells.ravel().tolist())
 
 

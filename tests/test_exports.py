@@ -321,3 +321,28 @@ def test_runs_and_verifies_without_scipy(tmp_path):
     assert len(written) == 5
     for path in written:
         assert (tmp_path / "child" / path.name).read_bytes() == path.read_bytes()
+
+
+# An N = 16 run and its traces in a process where importing scipy fails.
+# np.unique without return_inverse imports numpy.ma, about 16 ms in such a
+# process; emission calls neither.
+WITHOUT_NUMPY_MA = """
+import sys
+sys.modules["scipy"] = None
+from passband.config import parse_config
+from passband.harness import emit_traces, run_experiment
+config = parse_config("group_size = 16\\nbatch_size = 8\\nsteps = 4\\n")
+emit_traces(run_experiment(config), sys.argv[1])
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_emission_leaves_numpy_ma_unimported(tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY_MA, str(tmp_path / "child")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+    assert len(list((tmp_path / "child").iterdir())) == 5

@@ -1276,6 +1276,15 @@ def test_traces_explain_run_over_small_configs(config):
     assert_traces_explain_run(config)
 
 
+def traced_peak(f, *args):
+    """f(*args) and the tracemalloc peak, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def encoded(records) -> str:
     """The text of run.jsonl for these records."""
     return "".join(harness._RECORD_ENCODER.encode(record) + "\n" for record in records)
@@ -1373,26 +1382,42 @@ class TestRecordLines:
             assert chunked_text(groups) == encoded(harness._GroupRecords(groups))
 
 
+    # Rows whose rewards set the first, the last or every other reward of each
+    # byte edge's group size (a mixed row's reward j is bit j of its int).
+    BYTE_EDGES = (1, 7, 8, 9, 15, 16, 17, 64, 130)
+    EDGE_ROWS = [("zeros", 0), ("ones", 0), ("mixed", int("01" * 65, 2)),
+                 *(("mixed", 1 << (n - 1)) for n in BYTE_EDGES)]
+
     @settings(max_examples=40, deadline=None)
     @given(
-        data=st.data(), n=st.one_of(st.integers(4, 16), st.sampled_from([63, 64, 130])),
+        kinds=st.lists(st.tuples(st.sampled_from(["zeros", "ones", "mixed"]),
+                                 st.integers(0, 2**130 - 1)), min_size=1, max_size=12),
+        n=st.one_of(st.integers(4, 16), st.sampled_from([63, 64, 130])),
         wide=st.booleans(), chunk_rows=st.sampled_from([1, 3, 1024]),
     )
-    def test_reward_patterns_match_encoder(self, data, n, wide, chunk_rows):
-        # One cell per line holds its rewards, chosen by the row's pattern:
-        # all-0, all-1 and mixed rows, at group sizes past the 63 bits one
-        # pattern code holds, through the one-table path (narrow ints) and
+    @example(kinds=EDGE_ROWS, n=1, wide=False, chunk_rows=3)
+    @example(kinds=EDGE_ROWS, n=7, wide=True, chunk_rows=1024)
+    @example(kinds=EDGE_ROWS, n=8, wide=False, chunk_rows=3)
+    @example(kinds=EDGE_ROWS, n=9, wide=True, chunk_rows=1024)
+    @example(kinds=EDGE_ROWS, n=15, wide=False, chunk_rows=3)
+    @example(kinds=EDGE_ROWS, n=16, wide=True, chunk_rows=1024)
+    @example(kinds=EDGE_ROWS, n=17, wide=False, chunk_rows=3)
+    @example(kinds=EDGE_ROWS, n=64, wide=True, chunk_rows=1024)
+    @example(kinds=EDGE_ROWS, n=130, wide=False, chunk_rows=3)
+    def test_reward_patterns_match_encoder(self, kinds, n, wide, chunk_rows):
+        # A line's rewards are one cell per byte of their np.packbits, the
+        # first reward in the top bit, and the last byte holds 1 to 8 of them
+        # and closes the list: all-0, all-1 and mixed rows, at group sizes of
+        # 4 to 16, 63, 64 and 130 (the examples add a last byte of each width
+        # from 1 to 8 rewards), through the one-table path (narrow ints) and
         # the per-chunk np.unique fallback (one length of 2**40).
-        kinds = data.draw(st.lists(st.sampled_from(["zeros", "ones", "mixed"]),
-                                   min_size=1, max_size=12))
         rows = len(kinds)
         rewards = np.zeros((rows, n), np.int8)
-        for row, kind in enumerate(kinds):
+        for row, (kind, bits) in enumerate(kinds):
             if kind == "ones":
                 rewards[row] = 1
             elif kind == "mixed":
-                bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-                rewards[row] = bits
+                rewards[row] = [bits >> j & 1 for j in range(n)]
         parents = np.array([-1 if row % 2 else 1 for row in range(rows)])
         boundary = np.where(parents < 0, 0, 1 + np.arange(rows) % 3)
         lengths = boundary[:, None] + 1 + np.arange(n) % 2
@@ -1410,9 +1435,8 @@ class TestRecordLines:
         real = harness._int_table
 
         def recorded(values):
-            # The step, length and boundary tables; the rewards' is (0, 1).
-            if values != (0, 1):
-                tables.append(values)
+            # The step, length and boundary tables.
+            tables.append(values)
             return real(values)
 
         with mock.patch.object(harness, "_LINE_CHUNK_ROWS", chunk_rows), \
@@ -1424,6 +1448,27 @@ class TestRecordLines:
         ]
         assert all(isinstance(values, range) != wide for values in tables)
         assert len(tables) == (-(-rows // chunk_rows) if wide else 1)
+
+
+    def test_emission_peak_is_the_chunks_not_the_runs(self, tmp_path):
+        # Long-audit's shape: 64 groups a step of N = 16 rewards, lengths of
+        # 128 to 256. Nothing emit_traces builds grows with the rows but one
+        # chunk's lines: a tracemalloc peak of 0.65 MiB at 24 steps and at 48.
+        # A whole-run table of reward pattern texts, one nearly every row at
+        # N = 16, and 1,024-row chunks peaked at 1.39 and 1.73 MiB. The
+        # 24-step record is the 48-step run's first 24 steps, viewed in place.
+        result = run_experiment(parse_config(
+            "arm = baseline\nbatch_size = 64\ngroup_size = 16\nseed = 5\nsteps = 48\n"
+            "population.preset = uniform\npopulation.length_min = 128\n"
+            "population.length_max = 256\n"
+        ))
+        rows = int(np.searchsorted(result.groups.step, 24))
+        first = replace(result, metrics=result.metrics[:24],
+                        groups=harness.GroupColumns(*(column[:rows] for column in result.groups)))
+        peaks = [traced_peak(emit_traces, r, tmp_path / str(i))[1] for i, r in enumerate([first, result])]
+        assert rows == 24 * 64
+        assert peaks[0] < 0.9 * 2**20
+        assert peaks[1] < peaks[0] + 0.1 * 2**20
 
 
 class TestRunResultReads:
@@ -1495,20 +1540,13 @@ class TestRunColumns:
         # peak of 3.9 MiB, against 6.65 MiB with int64 ones. emit_traces
         # reads them as they are, and the pass counts its column check sums
         # are int8: 1.12 MiB, against 3.2 MiB with an int64 copy of the
-        # lengths and 1.35 MiB with int64 pass counts.
-        import numpy.ma  # noqa: F401  np.unique imports it on first use
-
-        def traced_peak(f, *args):
-            tracemalloc.start()
-            try:
-                return f(*args), tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+        # lengths and 1.35 MiB with int64 pass counts. Its lines are written
+        # 512 rows at a time, with no whole-run table of reward patterns:
+        # 0.57 MiB, against 1.12 MiB with such a table and 1,024-row chunks.
         result, run_peak = traced_peak(run_experiment, parse_config("steps = 360\nseed = 5\n"))
         _, emission_peak = traced_peak(emit_traces, result, tmp_path)
         assert run_peak < 4.2 * 2**20
-        assert emission_peak < 1.25 * 2**20
+        assert emission_peak < 0.75 * 2**20
 
     @pytest.mark.parametrize("length_max, dtype, entries", [
         (63, np.int8, {}),
